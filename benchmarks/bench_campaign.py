@@ -2,7 +2,7 @@
 cell-major batching / work-stealing supervisor.
 
 Measures what chunked dispatch (``repro.harness.exec``) buys on a
-skewed campaign and writes the results to ``BENCH_campaign.json`` at
+mixed-scheme campaign and writes the results to ``BENCH_campaign.json`` at
 the repository root:
 
 * **serial** — ``jobs=1``: the in-process reference whose results
@@ -15,35 +15,20 @@ the repository root:
   steal-on-idle, still one cell per dispatch;
 * **batched** — the ``steal`` scheduler with ``batch_cells=8``: a
   whole batch group rides in one chunk to one worker, sharing that
-  process's scratch arena and memoizers;
-* **stacked** — the batched configuration plus ``stack_lanes=0``: each
-  chunk's cells run as interleaved *lanes* of one vectorized kernel
-  pass (:class:`repro.sim.batch.StackedLanes`), sharing workload
-  builds and servicing every lane's cumulative sums with single 2-D
-  ``np.cumsum`` calls, and the supervisor pre-computes shared pure
-  state (L1 service traces, untangle rate tables) in the parent before
-  forking, so every worker inherits it copy-on-write instead of
-  recomputing it. Like batching, the win is less total work (shared
-  builds, fewer interpreter/numpy round trips), so it survives a
-  single-core host; results stay bit-identical to serial, lane
-  divergences and all.
+  process's scratch arena and memoizers.
 
-The campaign is deliberately skewed in *per-cell setup cost*: the
-untangle cells lead the grid, and the first untangle cell in each
-worker process pays the Dinkelbach rate-table solve (the store is
-disabled, exactly the legacy sessions the scheduler must cope with).
-Per-cell dispatch — fifo or stolen singletons — hands the leading
-untangle cells to all four workers, so the campaign pays the solve
-*four times*. Cell-major chunking dispatches the untangle group as
-whole chunks to far fewer workers, each of which solves once and
-reuses the table for the rest of its chunk: less total work, not just
-better overlap, so the speedup survives even a single-core CI host. Work stealing's own benefit is
-overlap — rebalancing stragglers across cores — so on a few-core host
-the ``stolen`` mode measures ~1.0x, and can even dip below it when a
-stolen untangle cell lands on a worker that has not solved yet and
-pays a duplicate solve; both are recorded as measured (the
-``campaign`` section records the host's core count for context). The
-steal scheduler's balancing guarantees are pinned deterministically by
+The campaign leads with the untangle cells (scheme-major submission
+order, as real campaign drivers emit it), and the store is disabled,
+as in legacy sessions. Every forked pool pre-solves the untangle rate
+table and pre-walks the L1 service traces in the parent before its
+workers fork, so no mode pays a per-worker solve; what separates the
+modes is dispatch overhead and how much per-process memoizer reuse
+(workload builds, shared traces) a worker's run of cells gets. Work
+stealing's own benefit is overlap — rebalancing stragglers across
+cores — so on a few-core host the ``stolen`` mode measures close to
+1.0x; it is recorded as measured (the ``campaign`` section records the
+host's core count for context). The steal scheduler's balancing
+guarantees are pinned deterministically by
 ``tests/harness/test_scheduler.py`` instead.
 
 Methodology matches ``bench_store.py``: every measurement runs in a
@@ -86,7 +71,7 @@ DEFAULT_OUTPUT = REPO_ROOT / "BENCH_campaign.json"
 #: Cheap schemes filling out the grid behind the untangle group.
 FAST_SCHEMES = ("static", "shared", "time")
 
-#: Workload pairs per cell; the solve skew is pair-count independent.
+#: Workload pairs per cell.
 PAIRS = 2
 
 JOBS = 4
@@ -100,12 +85,6 @@ MODES: dict[str, dict] = {
     "percell": {"jobs": JOBS, "scheduler": "fifo"},
     "stolen": {"jobs": JOBS, "scheduler": "steal", "batch_cells": 1},
     "batched": {"jobs": JOBS, "scheduler": "steal", "batch_cells": 8},
-    "stacked": {
-        "jobs": JOBS,
-        "scheduler": "steal",
-        "batch_cells": 8,
-        "stack_lanes": 0,
-    },
 }
 
 #: Scheduling telemetry shipped from the child for the report.
@@ -113,22 +92,17 @@ TELEMETRY_KEYS = (
     "steals",
     "batches",
     "batched_cells",
-    "stacked_cells",
-    "lane_divergences",
     "wall_seconds",
 )
 
 
 def campaign_cells(quick: bool):
-    """The skewed grid: untangle cells first, fast cells behind them.
+    """The grid: untangle cells first, fast cells behind them.
 
     Untangle-first is scheme-major submission order (as real campaign
-    drivers emit it) and the adversarial case for per-cell dispatch:
-    the supervisor hands the leading cells to distinct workers, so
-    every worker pays the rate-table solve. The full run covers every
-    paper mix (1-16); ``--quick`` keeps the first four (same shape, so
-    the solve skew and speedups stay comparable to the committed
-    full-run baseline).
+    drivers emit it). The full run covers every paper mix (1-16);
+    ``--quick`` keeps the first four (same shape, so the speedups stay
+    comparable to the committed full-run baseline).
 
     Some paper mixes share their leading ``PAIRS`` workload pairs
     (at depth 2: mixes 1 and 2, 8 and 9, 14 and 15, and 4 and 16 are
@@ -178,11 +152,6 @@ def run_campaign(mode: str, quick: bool) -> dict:
         != snap["total"]
     ):
         raise AssertionError(f"telemetry invariant violated: {snap}")
-    if mode == "stacked" and snap["stacked_cells"] != snap["total"]:
-        raise AssertionError(
-            "stacked mode left cells outside the lane stacks: "
-            f"{snap['stacked_cells']}/{snap['total']}"
-        )
     return {
         "wall": wall,
         "fingerprint": {
@@ -212,7 +181,6 @@ def _measure(mode: str, quick: bool) -> dict:
         "REPRO_JOBS",
         "REPRO_SCHED",
         "REPRO_BATCH_CELLS",
-        "REPRO_SIM_STACK",
         "REPRO_CACHE",
         "REPRO_CACHE_DIR",
         "REPRO_JOURNAL",
@@ -239,9 +207,7 @@ def _measure(mode: str, quick: bool) -> dict:
 
 
 def bench_campaign(quick: bool, reps: int) -> dict:
-    walls: dict[str, list[float]] = {
-        "percell": [], "stolen": [], "batched": [], "stacked": []
-    }
+    walls: dict[str, list[float]] = {"percell": [], "stolen": [], "batched": []}
     telemetry: dict[str, dict] = {}
     fingerprints: list = []
 
@@ -251,7 +217,7 @@ def bench_campaign(quick: bool, reps: int) -> dict:
     print(f"  serial reference {serial['wall']:6.2f}s", flush=True)
 
     for rep in range(reps):
-        for mode in ("percell", "stolen", "batched", "stacked"):
+        for mode in ("percell", "stolen", "batched"):
             report = _measure(mode, quick)
             walls[mode].append(report["wall"])
             telemetry[mode] = report["telemetry"]
@@ -272,7 +238,6 @@ def bench_campaign(quick: bool, reps: int) -> dict:
     percell = min(walls["percell"])
     stolen = min(walls["stolen"])
     batched = min(walls["batched"])
-    stacked = min(walls["stacked"])
     return {
         "campaign": {
             "profile": "bench",
@@ -300,15 +265,6 @@ def bench_campaign(quick: bool, reps: int) -> dict:
             "identical": identical,
             "telemetry": telemetry["batched"],
         },
-        "stacked": {
-            "seconds": stacked,
-            "speedup": percell / stacked,
-            # The headline ratio for the stacked-lanes layer: what
-            # stacking buys over the already-chunked configuration.
-            "speedup_vs_batched": batched / stacked,
-            "identical": identical,
-            "telemetry": telemetry["stacked"],
-        },
     }
 
 
@@ -320,9 +276,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke mode: half the mix range and fewer repetitions (same "
-        "grid shape — untangle cells leading on 4 workers — so the "
-        "per-cell solve redundancy stays visible and speedups comparable)",
+        help="CI smoke mode: a quarter of the mix range and fewer repetitions "
+        "(same grid shape — untangle cells leading on 4 workers — so "
+        "speedups stay comparable)",
     )
     parser.add_argument(
         "--reps",
@@ -345,25 +301,17 @@ def main(argv: list[str] | None = None) -> int:
 
     reps = args.reps or (2 if args.quick else 3)
     print(
-        f"scheduler campaign (skewed grid, jobs={JOBS}, min of {reps}):",
+        f"scheduler campaign (jobs={JOBS}, min of {reps}):",
         flush=True,
     )
     results = bench_campaign(args.quick, reps)
 
-    for mode in ("percell", "stolen", "batched", "stacked"):
+    for mode in ("percell", "stolen", "batched"):
         entry = results[mode]
         speedup = (
             f"  speedup={entry['speedup']:5.2f}x" if "speedup" in entry else ""
         )
-        vs_batched = (
-            f"  vs-batched={entry['speedup_vs_batched']:5.2f}x"
-            if "speedup_vs_batched" in entry
-            else ""
-        )
-        print(
-            f"  {mode:8s} {entry['seconds']:6.2f}s{speedup}{vs_batched}",
-            flush=True,
-        )
+        print(f"  {mode:8s} {entry['seconds']:6.2f}s{speedup}", flush=True)
 
     payload = {
         "format": FORMAT_VERSION,

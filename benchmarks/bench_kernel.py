@@ -120,13 +120,19 @@ def bench_raw_kernel(accesses: int, reps: int) -> dict:
 # End-to-end single cell per scheme
 # ----------------------------------------------------------------------
 def _run_cell(pairs, scheme, profile, mode: str):
-    """One simulation cell under the given kernel; returns (seconds, result)."""
-    from repro.harness.experiment import run_mix_scheme
+    """One simulation cell under the given kernel; returns (seconds, result).
 
+    The process L1 trace memo is cleared first, so every batched cell
+    pays its own cold trace walk instead of reusing walks made by
+    earlier repetitions and schemes.
+    """
+    from repro.harness import experiment
+
+    experiment._L1_TRACE_MEMO.clear()
     os.environ[KERNEL_ENV] = mode
     try:
         start = time.perf_counter()
-        result = run_mix_scheme(pairs, scheme, profile)
+        result = experiment.run_mix_scheme(pairs, scheme, profile)
         return time.perf_counter() - start, result
     finally:
         os.environ.pop(KERNEL_ENV, None)

@@ -198,7 +198,6 @@ def _measure(mode: str, quick: bool) -> dict:
         "REPRO_JOBS",
         "REPRO_SCHED",
         "REPRO_BATCH_CELLS",
-        "REPRO_SIM_STACK",
         "REPRO_CACHE",
         "REPRO_CACHE_DIR",
         "REPRO_JOURNAL",

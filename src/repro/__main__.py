@@ -150,18 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--stack-lanes",
-        type=int,
-        default=None,
-        metavar="K",
-        help=(
-            "lane-stacked multi-cell execution: run batch-compatible "
-            "cells as interleaved lanes of one vectorized kernel pass "
-            "(0 = auto lane count, K = cap stacks at K lanes; "
-            "default off; also: REPRO_SIM_STACK)"
-        ),
-    )
-    parser.add_argument(
         "--cache-dir",
         default=".repro-cache",
         help="on-disk result cache directory (default: .repro-cache)",
@@ -282,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         "conform",
         help=(
             "scheme conformance battery: P1/P2 principles, action-leakage, "
-            "kernel bit-identity, lane stacking, store tokens, telemetry"
+            "kernel bit-identity, trace sharing, store tokens, telemetry"
         ),
     )
     conform.add_argument(
@@ -410,22 +398,6 @@ def build_engine(args: argparse.Namespace) -> ExecutionEngine:
         raise ConfigurationError(
             "batch-cells must be >= 0 (0 = auto per batch group)"
         )
-    stack_lanes = args.stack_lanes
-    if stack_lanes is None:
-        raw_stack = os.environ.get("REPRO_SIM_STACK", "").strip()
-        if raw_stack:
-            try:
-                stack_lanes = int(raw_stack)
-            except ValueError:
-                raise ConfigurationError(
-                    f"REPRO_SIM_STACK={raw_stack!r} is not an integer; "
-                    "accepted: a non-negative integer (0 = auto lanes, "
-                    "K = lane cap; unset = stacking off)"
-                )
-    if stack_lanes is not None and stack_lanes < 0:
-        raise ConfigurationError(
-            "stack-lanes must be >= 0 (0 = auto lane count)"
-        )
     progress = (
         (lambda line: print(line, file=sys.stderr)) if args.telemetry else None
     )
@@ -459,7 +431,6 @@ def build_engine(args: argparse.Namespace) -> ExecutionEngine:
         store=store,
         scheduler=scheduler,
         batch_cells=batch_cells,
-        stack_lanes=stack_lanes,
     )
 
 

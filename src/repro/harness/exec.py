@@ -257,36 +257,15 @@ class MixSchemeCell:
         )
 
     @staticmethod
-    def execute_stacked(cells: list["MixSchemeCell"], max_lanes: int | None = None) -> list:
-        """Execute a batch-compatible chunk of cells as stacked lanes.
-
-        The chunk driver calls this instead of per-cell :meth:`execute`
-        when lane stacking is enabled. Returns one result (or exception
-        instance, for an isolated lane failure) per cell, in order —
-        bit-identical to the sequential path
-        (``tests/sim/test_stacked_lanes.py``).
-        """
-        from repro.harness.experiment import run_mix_schemes_stacked
-
-        return run_mix_schemes_stacked(
-            [
-                (list(cell.pairs), cell.scheme, cell.profile,
-                 cell.scheme_params)
-                for cell in cells
-            ],
-            max_lanes=max_lanes,
-        )
-
-    @staticmethod
     def prefork_warm(cells: list["MixSchemeCell"]) -> int:
         """Pre-compute shared pure state in the dispatching process.
 
-        The supervisor calls this once, right before forking workers,
-        when lane stacking is enabled: L1 service traces and untangle
-        rate tables are pure functions of the cell inputs, so one
-        walk/solve here is inherited copy-on-write by every worker
-        instead of being repeated per worker that draws a chunk needing
-        it. Purely an optimization — results are identical without it.
+        The supervisor calls this once, right before forking workers:
+        L1 service traces and untangle rate tables are pure functions
+        of the cell inputs, so one walk/solve here is inherited
+        copy-on-write by every worker instead of being repeated per
+        worker that draws a chunk needing it. Purely an optimization —
+        results are identical without it.
         """
         from repro.harness.experiment import warm_l1_traces, warm_rate_tables
 
@@ -304,7 +283,7 @@ class MixSchemeCell:
 
         Cells sharing a scheme (including parameter overrides) and
         profile have comparable runtimes and identical store needs, so
-        stacking them through one worker's shared scratch arena
+        running them through one worker's shared scratch arena
         amortizes well without creating stragglers inside a chunk.
         """
         return (
@@ -1072,12 +1051,6 @@ class EngineTelemetry:
     #: when ``batch_cells=1``; their ratio is the realized batch factor.
     batches_dispatched: int = 0
     batched_cells: int = 0
-    #: Cells executed inside stacked-lanes groups and the lane
-    #: divergences (assessments, early finishes) those groups saw —
-    #: absorbed from the ``repro_stacked_*`` counters, wherever the
-    #: lanes actually ran (serial driver or worker processes).
-    stacked_cells: int = 0
-    lane_divergences: int = 0
     #: Per-cell records retained for reporting. Successful cells are
     #: capped at :data:`MAX_RETAINED_RECORDS` (the overflow counted in
     #: :attr:`records_dropped`) so a 100k-cell campaign's telemetry
@@ -1172,8 +1145,6 @@ class EngineTelemetry:
             "steals": self.steals,
             "batches": self.batches_dispatched,
             "batched_cells": self.batched_cells,
-            "stacked_cells": self.stacked_cells,
-            "lane_divergences": self.lane_divergences,
             "records_dropped": self.records_dropped,
             "cell_seconds_p50": self.cell_seconds_stats.quantile(0.5),
             "cell_seconds_p90": self.cell_seconds_stats.quantile(0.9),
@@ -1199,8 +1170,6 @@ class EngineTelemetry:
         )
         self.workload_builds += int(delta.get("workload_builds", 0))
         self.rmax_solves += int(delta.get("rmax_solves", 0))
-        self.stacked_cells += int(delta.get("stacked_cells", 0))
-        self.lane_divergences += int(delta.get("lane_divergences", 0))
 
     def publish(self, registry=None) -> None:
         """Mirror the timing aggregates into the metrics registry.
@@ -1367,92 +1336,8 @@ def _execute_cell(
         return value, time.perf_counter() - start
 
 
-def _stackable(chunk, stack: int | None) -> bool:
-    """True when a chunk qualifies for lane-stacked execution.
-
-    Requires stacking enabled, at least two cells, and every cell of
-    the chunk implementing ``execute_stacked`` under one shared batch
-    group. Chunks are planned group-homogeneous, so the group check is
-    belt-and-braces against a stolen retry or a hand-built chunk.
-    """
-    if stack is None or len(chunk) < 2:
-        return False
-    first = chunk[0][1]
-    if getattr(type(first), "execute_stacked", None) is None:
-        return False
-    hook = getattr(first, "batch_group", None)
-    if hook is None:
-        return False
-    group = hook()
-    for _, cell in chunk[1:]:
-        if getattr(type(cell), "execute_stacked", None) is None:
-            return False
-        peer_hook = getattr(cell, "batch_group", None)
-        if peer_hook is None or peer_hook() != group:
-            return False
-    return True
-
-
-def _stacked_messages(chunk, faults, worker_id, stack: int):
-    """Run one batch-compatible chunk as stacked lanes; yield messages.
-
-    The whole chunk executes inside one ``execute_stacked`` call
-    (``stack == 0`` auto-sizes the lane count to the chunk), then one
-    result message per cell streams home in chunk order — the same
-    shape the sequential path sends, so supervisor accounting is
-    untouched. Per-cell wall is the chunk wall split evenly (lanes
-    genuinely interleave, so no truer attribution exists); the store
-    delta rides on the first message only, so absorbed totals match a
-    sequential run. A lane that raised is an ``error`` message for that
-    cell alone; a failure of the stacked driver itself fails every cell
-    of the chunk (the supervisor's retry path then re-runs them, most
-    as singletons).
-    """
-    cells = [cell for _, cell in chunk]
-    if faults is not None:
-        for cell in cells:
-            faults.on_cell_start(cell.label, worker_id)
-    start = time.perf_counter()
-    stats_before = store_stats_snapshot()
-    failure: str | None = None
-    results: list[Any] = []
-    with obs_trace.span(
-        "chunk.stacked", cells=len(cells), first=cells[0].label, worker=worker_id
-    ):
-        try:
-            results = maybe_profile(
-                cells[0].label,
-                lambda: type(cells[0]).execute_stacked(
-                    cells, max_lanes=stack if stack else None
-                ),
-                worker_id,
-            )
-        except Exception as exc:
-            failure = f"{type(exc).__name__}: {exc}"
-    delta = store_stats_delta(stats_before, store_stats_snapshot())
-    wall = (time.perf_counter() - start) / len(cells)
-    for position, (index, _) in enumerate(chunk):
-        cell_delta = delta if position == 0 else {}
-        if failure is not None:
-            yield (index, "error", failure, wall, cell_delta)
-        elif isinstance(results[position], BaseException):
-            exc = results[position]
-            yield (
-                index,
-                "error",
-                f"{type(exc).__name__}: {exc}",
-                wall,
-                cell_delta,
-            )
-        else:
-            yield (index, "ok", results[position], wall, cell_delta)
-
-
-def _chunk_messages(chunk, faults, worker_id, stack: int | None):
-    """Yield one result message per cell of a chunk, stacking when able."""
-    if _stackable(chunk, stack):
-        yield from _stacked_messages(chunk, faults, worker_id, stack)
-        return
+def _chunk_messages(chunk, faults, worker_id):
+    """Yield one result message per cell of a chunk, in chunk order."""
     for index, cell in chunk:
         start = time.perf_counter()
         # Store/build/solve counters accumulate in *this* process's
@@ -1508,7 +1393,6 @@ def _worker_main(
     worker_id: int,
     faults: FaultPlan | None,
     heartbeat: float | None = None,
-    stack: int | None = None,
 ) -> None:
     """Worker loop: receive chunks of ``(index, cell)`` tasks, send back
     one result message per cell.
@@ -1520,14 +1404,6 @@ def _worker_main(
     message shape is unchanged from per-cell dispatch), so supervisor
     accounting, deadlines, and retry bookkeeping see individual cells —
     and results stay bit-identical to serial execution.
-
-    With ``stack`` set (engine ``stack_lanes``), a chunk whose cells
-    all support it instead executes as stacked lanes — one interleaved
-    pass over all cells (:class:`~repro.sim.batch.StackedLanes`) — and
-    its per-cell messages stream home when the stack drains. The
-    per-cell deadline then effectively covers the whole chunk, which is
-    sound: heartbeats carry simulation progress, so slow-but-working
-    stacks extend their deadline exactly like slow single cells.
 
     Liveness: with ``heartbeat`` set, a daemon thread interleaves
     ``("heartbeat", progress)`` tuples with the result stream (the send
@@ -1564,7 +1440,7 @@ def _worker_main(
             if chunk is None:
                 return
             with cell_scratch():
-                for message in _chunk_messages(chunk, faults, worker_id, stack):
+                for message in _chunk_messages(chunk, faults, worker_id):
                     # A finished cell is progress even if the cell's own
                     # execution never beat (non-simulation cells).
                     progress_beat()
@@ -1708,10 +1584,7 @@ class _Supervisor:
                     self._unresponsive_after, 0.6 * self._stall_kill
                 )
         self._next_worker_id = 0
-        if (
-            engine.stack_lanes is not None
-            and self.context.get_start_method() == "fork"
-        ):
+        if self.context.get_start_method() == "fork":
             self._prefork_warm(pending)
         self.workers = [self._spawn(slot) for slot in range(slots)]
 
@@ -1720,7 +1593,7 @@ class _Supervisor:
 
         Cell types may expose ``prefork_warm(cells)`` to walk precompute
         that is a pure function of the cell inputs (e.g. the L1 service
-        traces stacked lanes share). Doing it here, in the parent, makes
+        traces mix cells share). Doing it here, in the parent, makes
         the warmed state copy-on-write-inherited by every worker instead
         of recomputed per worker. Best-effort: a warming failure only
         forfeits the head start, never the run.
@@ -1767,8 +1640,7 @@ class _Supervisor:
         are skewed (:attr:`SKEW_FACTOR`), the stragglers split off as
         singleton chunks instead of chunking purely by count — a chunk
         is a scheduling atom, so a straggler packed with cheap peers
-        would pin them all to one worker's lap (and hand the
-        stacked-lanes driver a chunk whose lanes finish wildly apart).
+        would pin them all to one worker's lap.
         Per-cell skew is only visible through per-label journal
         history; without it every cell in a group shares one estimate
         and the split never triggers.
@@ -1855,7 +1727,6 @@ class _Supervisor:
                 worker_id,
                 self.engine.faults,
                 self.engine.heartbeat,
-                self.engine.stack_lanes,
             ),
             daemon=True,
             name=f"repro-exec-{worker_id}",
@@ -2459,17 +2330,6 @@ class ExecutionEngine:
         or ``0`` auto-sizes per batch group (see
         ``_Supervisor._plan_chunks``); ``1`` forces per-cell dispatch;
         larger values cap at :data:`MAX_BATCH_CELLS`.
-    stack_lanes:
-        Lane-stacked multi-cell execution
-        (:class:`~repro.sim.batch.StackedLanes`). ``None`` (default)
-        runs each chunk's cells sequentially; ``0`` stacks every
-        batch-compatible chunk with lane count auto-sized to the chunk;
-        ``K >= 1`` caps each stack at K lanes. Stacking applies only to
-        cells that implement ``execute_stacked`` and share a batch
-        group — anything else silently falls back to the sequential
-        path. Results are bit-identical either way (the stacked cumsum
-        performs the same per-lane float chain; see
-        ``docs/performance.md`` layer 4).
     """
 
     def __init__(
@@ -2490,7 +2350,6 @@ class ExecutionEngine:
         store: PrecomputeStore | None = None,
         scheduler: str = "steal",
         batch_cells: int | None = None,
-        stack_lanes: int | None = None,
     ):
         if jobs < 1:
             raise ConfigurationError("jobs must be >= 1")
@@ -2516,14 +2375,10 @@ class ExecutionEngine:
             )
         if batch_cells is not None and batch_cells < 0:
             raise ConfigurationError("batch_cells must be >= 0")
-        if stack_lanes is not None and stack_lanes < 0:
-            raise ConfigurationError("stack_lanes must be >= 0")
         self.jobs = jobs
         self.scheduler = scheduler
         #: ``None`` means auto-size per batch group; 0 normalizes to it.
         self.batch_cells = batch_cells if batch_cells else None
-        #: ``None`` = stacking off; 0 = auto lanes; K >= 1 = lane cap.
-        self.stack_lanes = stack_lanes
         self.cache = cache
         self.timeout = timeout
         self.heartbeat = heartbeat
@@ -3070,24 +2925,9 @@ class ExecutionEngine:
         # effectively a single maximal chunk, so it amortizes the hot
         # numpy buffers exactly like a batched worker does.
         with cell_scratch():
-            stacked: dict[int, tuple[Any, float]] = {}
-            if self.stack_lanes is not None:
-                stacked = self._stack_serial(pending)
             for index, cell, key in pending:
                 if self._interrupted:
                     raise KeyboardInterrupt
-                if index in stacked:
-                    value, wall = stacked[index]
-                    yield index, CellOutcome(
-                        cell=cell,
-                        key=key,
-                        value=value,
-                        status="computed",
-                        wall_seconds=wall,
-                        attempts=1,
-                        error=None,
-                    )
-                    continue
                 attempts = 0
                 error: str | None = None
                 # Accumulated *execution* time across attempts. Backoff
@@ -3139,58 +2979,6 @@ class ExecutionEngine:
                     attempts=attempts,
                     error=error,
                 )
-
-    def _stack_serial(self, pending) -> dict[int, tuple[Any, float]]:
-        """Pre-execute stackable pending cells as stacked-lanes groups.
-
-        Groups cells by ``batch_group()`` (cells lacking the hooks stay
-        sequential), runs each group of two or more through
-        ``execute_stacked`` — lane count capped at ``stack_lanes`` when
-        nonzero — and returns ``{index: (value, wall)}`` for the lanes
-        that succeeded. Per-cell wall is the group wall split evenly,
-        matching the parallel workers' attribution. A lane that raised
-        is simply omitted, and a failure of the whole group omits every
-        member: the sequential loop then re-runs those cells from
-        scratch with their full retry budget, so stacking never costs
-        fault isolation.
-        """
-        groups: dict[tuple, list[tuple[int, Any]]] = {}
-        for index, cell, _ in pending:
-            if getattr(type(cell), "execute_stacked", None) is None:
-                continue
-            hook = getattr(cell, "batch_group", None)
-            if hook is None:
-                continue
-            groups.setdefault(hook(), []).append((index, cell))
-        values: dict[int, tuple[Any, float]] = {}
-        cap = self.stack_lanes or None
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            if self._interrupted:
-                raise KeyboardInterrupt
-            cells = [cell for _, cell in members]
-            if self.faults is not None:
-                for cell in cells:
-                    self.faults.on_cell_start(cell.label, None)
-            start = time.perf_counter()
-            with obs_trace.span(
-                "chunk.stacked", cells=len(cells), first=cells[0].label
-            ):
-                try:
-                    results = type(cells[0]).execute_stacked(
-                        cells, max_lanes=cap
-                    )
-                except KeyboardInterrupt:
-                    raise
-                except Exception:  # whole group falls back to sequential
-                    continue
-            wall = (time.perf_counter() - start) / len(members)
-            for (index, _), result in zip(members, results):
-                if not isinstance(result, BaseException):
-                    values[index] = (result, wall)
-        return values
-
 
 # ----------------------------------------------------------------------
 # Environment wiring (shared by the CLI and the benchmark harness)
@@ -3272,9 +3060,6 @@ def engine_from_env(
     * ``REPRO_BATCH_CELLS``: cells per dispatched chunk under the steal
       scheduler (``0`` = auto-size per batch group, ``1`` = per-cell
       dispatch).
-    * ``REPRO_SIM_STACK``: lane-stacked multi-cell execution. Unset =
-      off; ``0`` = stack every compatible chunk, lanes auto-sized to
-      the chunk; ``K`` = cap each stack at K lanes.
     * ``REPRO_PRECOMPUTE``: ``off`` disables the precompute store
       (legacy build-per-cell path); default on.
     * ``REPRO_STORE_DIR``: precompute-store directory. Defaults to
@@ -3313,15 +3098,6 @@ def engine_from_env(
         minimum=0,
         accepted="a non-negative integer (0 = auto, 1 = per-cell dispatch)",
     )
-    stack_lanes: int | None = None
-    if os.environ.get("REPRO_SIM_STACK", "").strip():
-        stack_lanes = _int_from_env(
-            "REPRO_SIM_STACK",
-            default=0,
-            minimum=0,
-            accepted="a non-negative integer (0 = auto lane count, "
-            "K = cap stacks at K lanes; unset = stacking off)",
-        )
     timeout: float | None = None
     raw_timeout = os.environ.get("REPRO_TIMEOUT", "").strip()
     if raw_timeout:
@@ -3391,5 +3167,4 @@ def engine_from_env(
         store=store,
         scheduler=scheduler,
         batch_cells=batch_cells,
-        stack_lanes=stack_lanes,
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.config import ArchConfig
 from repro.errors import ConfigurationError
 from repro.harness.exec import ExecutionEngine, MixSchemeCell
 from repro.harness.runconfig import RunProfile, SCALED
@@ -26,9 +27,8 @@ from repro.registry import (
     scheme_store_needs,
 )
 from repro.schemes.untangle import get_rate_table, get_worst_case_rate_table
-from repro.sim.batch import StackedLanes
 from repro.sim.hierarchy import L1ServiceTrace
-from repro.sim.system import DomainSpec, MultiDomainSystem, SystemResult
+from repro.sim.system import DomainSpec, MultiDomainSystem
 from repro.workloads.mixes import get_mix
 
 
@@ -184,108 +184,38 @@ def make_scheme(
     return create_scheme(name, profile, num_domains, params)
 
 
-@dataclass
-class PreparedMixScheme:
-    """One (mix, scheme) cell built and ready to run.
-
-    :func:`prepare_mix_scheme` / :func:`finalize_mix_scheme` split
-    :func:`run_mix_scheme` around the simulation itself, so the
-    stacked-lanes executor can build K compatible cells up front (with
-    shared workload objects) and drive their systems jointly.
-    """
-
-    scheme_name: str
-    labels: list[str]
-    system: MultiDomainSystem
-    profile: RunProfile
+def _workload_keys(pairs, profile: RunProfile) -> list[tuple]:
+    """Per-domain workload identities of a mix (spec, crypto, scale, seed)."""
+    return [
+        (spec, crypto, profile.workload_scale, profile.seed + index)
+        for index, (spec, crypto) in enumerate(pairs)
+    ]
 
 
-def prepare_mix_scheme(
+def build_mix_system(
     pairs: list[tuple[str, str]],
     scheme_name: str,
     profile: RunProfile = SCALED,
     *,
     scheme_params: dict | None = None,
-    workload_cache: dict | None = None,
-    l1_trace_cache: dict | None = None,
-) -> PreparedMixScheme:
+) -> MultiDomainSystem:
     """Build the system for one (mix, scheme) cell without running it.
 
-    ``workload_cache`` (keyed by the full workload identity:
-    spec, crypto, scale, seed) lets batch-compatible cells share
-    composed workload objects. Cells of one stacked group differ only
-    in their mix pairs, so many identities repeat across lanes; sharing
-    skips redundant composition work and reuses each stream's
-    hashed-address cache. Streams are read-only during simulation, so
-    sharing cannot couple lanes.
-
-    ``l1_trace_cache`` additionally installs a shared
-    :class:`~repro.sim.hierarchy.L1ServiceTrace` per distinct stream:
-    the private L1's hit/miss pattern is a pure function of the stream,
-    so lanes sharing a workload also share one L1 walk, and every lane
-    skips L1 journaling and rollback replays entirely. Results are
-    bit-identical with or without the traces.
+    Domain names are the :func:`mix_labels` of ``pairs``.
     """
-    workload_keys = []
-    workloads = []
-    for index, (spec, crypto) in enumerate(pairs):
-        key = (spec, crypto, profile.workload_scale, profile.seed + index)
-        workload_keys.append(key)
-        if workload_cache is not None and key in workload_cache:
-            workloads.append(workload_cache[key])
-            continue
-        built = cached_build_workload(
-            spec, crypto, profile.workload_scale, seed=profile.seed + index
-        )
-        if workload_cache is not None:
-            workload_cache[key] = built
-        workloads.append(built)
-    labels = mix_labels(pairs)
-    domains = [
-        DomainSpec(label, w.stream, w.core_config)
-        for label, w in zip(labels, workloads)
-    ]
+    domains = []
+    for label, (spec, crypto, scale, seed) in zip(
+        mix_labels(pairs), _workload_keys(pairs, profile)
+    ):
+        built = cached_build_workload(spec, crypto, scale, seed=seed)
+        domains.append(DomainSpec(label, built.stream, built.core_config))
     scheme = make_scheme(scheme_name, profile, len(domains), scheme_params)
-    arch = profile.arch(len(domains))
-    system = MultiDomainSystem(
-        arch,
+    return MultiDomainSystem(
+        profile.arch(len(domains)),
         domains,
         scheme,
         quantum=profile.quantum,
         sample_interval=profile.sample_interval,
-    )
-    if l1_trace_cache is not None:
-        for key, core in zip(workload_keys, system.cores):
-            # The L1 geometry rides the key so one cache dict can serve
-            # mixed-profile call sites without ever cross-installing.
-            trace_key = (key, arch.l1_lines, arch.l1_associativity)
-            trace = l1_trace_cache.get(trace_key)
-            if trace is None:
-                trace = L1ServiceTrace.for_stream(core.stream, arch)
-                l1_trace_cache[trace_key] = trace
-            core.memory.install_l1_trace(trace)
-    return PreparedMixScheme(scheme_name, labels, system, profile)
-
-
-def finalize_mix_scheme(
-    prepared: PreparedMixScheme, outcome: SystemResult
-) -> SchemeRunResult:
-    """Extract the :class:`SchemeRunResult` from a finished system run."""
-    results = [
-        WorkloadResult(
-            label=prepared.labels[i],
-            ipc=stats.ipc,
-            assessments=stats.assessments,
-            visible_actions=stats.visible_actions,
-            leakage_bits=stats.leakage_bits,
-            partition_quartiles=stats.partition_size_quartiles(),
-        )
-        for i, stats in enumerate(outcome.stats)
-    ]
-    return SchemeRunResult(
-        scheme=prepared.scheme_name,
-        workloads=results,
-        total_cycles=outcome.total_cycles,
     )
 
 
@@ -296,21 +226,71 @@ def run_mix_scheme(
     *,
     scheme_params: dict | None = None,
 ) -> SchemeRunResult:
-    """Simulate one mix under one scheme."""
-    prepared = prepare_mix_scheme(
+    """Simulate one mix under one scheme.
+
+    Batched cores read their L1 decisions from the process-wide trace
+    memo (:func:`share_l1_traces`), so every scheme of a mix — and every
+    later cell in the same process — reuses one walk per stream.
+    """
+    system = build_mix_system(
         pairs, scheme_name, profile, scheme_params=scheme_params
     )
-    outcome = prepared.system.run(max_cycles=profile.max_cycles)
-    return finalize_mix_scheme(prepared, outcome)
+    share_l1_traces(system, _workload_keys(pairs, profile))
+    outcome = system.run(max_cycles=profile.max_cycles)
+    results = [
+        WorkloadResult(
+            label=spec.name,
+            ipc=stats.ipc,
+            assessments=stats.assessments,
+            visible_actions=stats.visible_actions,
+            leakage_bits=stats.leakage_bits,
+            partition_quartiles=stats.partition_size_quartiles(),
+        )
+        for spec, stats in zip(system.domains, outcome.stats)
+    ]
+    return SchemeRunResult(
+        scheme=scheme_name,
+        workloads=results,
+        total_cycles=outcome.total_cycles,
+    )
 
 
 #: Process-level L1 service-trace memo: traces are pure functions of
-#: (stream identity, L1 geometry), so successive stacked groups in one
-#: worker — e.g. several batch chunks of a campaign — reuse each other's
-#: walks the same way ``cached_build_workload`` reuses compositions.
-#: Cleared wholesale past the cap to bound memory on huge campaigns.
+#: (stream identity, L1 geometry), so successive cells in one process —
+#: the schemes of one mix, the partition sizes of one benchmark — reuse
+#: each other's walks the same way ``cached_build_workload`` reuses
+#: compositions. Cleared wholesale when an insert would pass the cap, to
+#: bound memory on huge campaigns.
 _L1_TRACE_MEMO: dict = {}
 _L1_TRACE_MEMO_CAP = 128
+
+
+def _memo_trace(key: tuple, stream, arch: ArchConfig) -> L1ServiceTrace:
+    """The memo's trace for workload ``key`` on ``arch``'s L1, walked lazily."""
+    # The L1 geometry rides the key so one memo serves mixed-profile
+    # call sites without ever cross-installing.
+    trace_key = (key, arch.l1_lines, arch.l1_associativity)
+    trace = _L1_TRACE_MEMO.get(trace_key)
+    if trace is None:
+        if len(_L1_TRACE_MEMO) >= _L1_TRACE_MEMO_CAP:
+            _L1_TRACE_MEMO.clear()
+        trace = L1ServiceTrace(stream, arch)
+        _L1_TRACE_MEMO[trace_key] = trace
+    return trace
+
+
+def share_l1_traces(system: MultiDomainSystem, keys: list[tuple]) -> None:
+    """Swap each batched core's private L1 trace for the memo's shared one.
+
+    ``keys`` holds one workload identity per domain; a key must determine
+    its stream's contents exactly. Cores on the scalar path carry no
+    trace and are left alone. Results are bit-identical either way.
+    """
+    for key, core in zip(keys, system.cores):
+        if core.memory.l1_trace is not None:
+            core.memory.install_l1_trace(
+                _memo_trace(key, core.stream, system.arch)
+            )
 
 
 def warm_l1_traces(entries: list[tuple[list[tuple[str, str]], RunProfile]]) -> int:
@@ -318,29 +298,23 @@ def warm_l1_traces(entries: list[tuple[list[tuple[str, str]], RunProfile]]) -> i
 
     ``entries`` holds ``(pairs, profile)`` per upcoming cell. The
     parallel engine calls this in the *parent* process right before
-    forking its workers when lane stacking is enabled: traces (and the
-    workload builds they require) are pure functions of the cell
-    inputs, so one walk here is inherited copy-on-write by every forked
-    worker, instead of each worker repeating it — on a campaign whose
-    chunks reuse streams across workers, that turns W duplicate walks
-    into one. Returns the number of traces walked.
+    forking its workers: traces (and the workload builds they require)
+    are pure functions of the cell inputs, so one walk here is inherited
+    copy-on-write by every forked worker, instead of each worker
+    repeating it. Warming stops at the memo cap rather than evict what
+    it warmed. Returns the number of traces walked.
     """
-    if len(_L1_TRACE_MEMO) > _L1_TRACE_MEMO_CAP:
-        _L1_TRACE_MEMO.clear()
     warmed = 0
     for pairs, profile in entries:
         arch = profile.arch(len(pairs))
-        for index, (spec, crypto) in enumerate(pairs):
-            key = (spec, crypto, profile.workload_scale, profile.seed + index)
-            trace_key = (key, arch.l1_lines, arch.l1_associativity)
-            if trace_key in _L1_TRACE_MEMO:
+        for key in _workload_keys(pairs, profile):
+            if (key, arch.l1_lines, arch.l1_associativity) in _L1_TRACE_MEMO:
                 continue
-            built = cached_build_workload(
-                spec, crypto, profile.workload_scale, seed=profile.seed + index
-            )
-            trace = L1ServiceTrace.for_stream(built.stream, arch)
-            trace.warm()
-            _L1_TRACE_MEMO[trace_key] = trace
+            if len(_L1_TRACE_MEMO) >= _L1_TRACE_MEMO_CAP:
+                return warmed
+            spec, crypto, scale, seed = key
+            built = cached_build_workload(spec, crypto, scale, seed=seed)
+            _memo_trace(key, built.stream, arch).warm()
             warmed += 1
     return warmed
 
@@ -378,61 +352,6 @@ def warm_rate_tables(entries: list[tuple]) -> int:
                 get_worst_case_rate_table(need[1])
             warmed += 1
     return warmed
-
-
-def run_mix_schemes_stacked(
-    cells: list[tuple],
-    max_lanes: int | None = None,
-) -> list:
-    """Execute batch-compatible (mix, scheme) cells as stacked lanes.
-
-    Every entry is a ``(pairs, scheme_name, profile)`` tuple —
-    optionally ``(pairs, scheme_name, profile, scheme_params)``; entries
-    must share scheme and profile (the engine's batch-group contract —
-    same quantum schedule and array shapes). Lanes run through one
-    :class:`~repro.sim.batch.StackedLanes` driver, sharing workload
-    objects and the vectorized per-round cumsum; results are
-    bit-identical to calling :func:`run_mix_scheme` on each entry
-    sequentially. The returned list holds one
-    :class:`SchemeRunResult` per entry, in order — or, for a lane that
-    raised, its exception instance (peers are unaffected).
-
-    ``max_lanes`` caps the lanes stacked at once; remaining cells form
-    further groups (workload sharing still spans the whole call).
-    """
-    if max_lanes is not None and max_lanes < 1:
-        raise ConfigurationError("max_lanes must be >= 1")
-    shared: dict = {}
-    if len(_L1_TRACE_MEMO) > _L1_TRACE_MEMO_CAP:
-        _L1_TRACE_MEMO.clear()
-    prepared = [
-        prepare_mix_scheme(
-            cell[0],
-            cell[1],
-            cell[2],
-            scheme_params=(
-                dict(cell[3]) if len(cell) > 3 and cell[3] else None
-            ),
-            workload_cache=shared,
-            l1_trace_cache=_L1_TRACE_MEMO,
-        )
-        for cell in cells
-    ]
-    results: list = []
-    step = max_lanes or len(prepared)
-    for start in range(0, len(prepared), step):
-        group = prepared[start : start + step]
-        stack = StackedLanes(
-            [p.system.run_gen(max_cycles=p.profile.max_cycles) for p in group]
-        ).run()
-        for prep, outcome in zip(group, stack.results):
-            if isinstance(outcome, BaseException):
-                results.append(outcome)
-            else:
-                results.append(
-                    finalize_mix_scheme(prep, prep.system.finish(*outcome))
-                )
-    return results
 
 
 def _assemble_mix_results(

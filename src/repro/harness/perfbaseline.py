@@ -93,15 +93,10 @@ def _speedups(payload: dict) -> dict[str, float]:
             "store/warm": float(payload["warm"]["speedup"]),
         }
     if payload.get("kind") == "campaign":
-        out = {
+        return {
             "campaign/stolen": float(payload["stolen"]["speedup"]),
             "campaign/batched": float(payload["batched"]["speedup"]),
         }
-        # Lane stacking landed after the first committed baselines;
-        # older payloads simply lack the arm (compare() intersects).
-        if "stacked" in payload:
-            out["campaign/stacked"] = float(payload["stacked"]["speedup"])
-        return out
     if payload.get("kind") == "overhead":
         return {
             "overhead/fastpath": float(payload["grouped"]["speedup"]),
@@ -124,8 +119,8 @@ def _identity_failures(payload: dict) -> list[str]:
     if payload.get("kind") == "campaign":
         return [
             f"campaign/{mode}"
-            for mode in ("percell", "stolen", "batched", "stacked")
-            if mode in payload and not payload[mode].get("identical", False)
+            for mode in ("percell", "stolen", "batched")
+            if not payload[mode].get("identical", False)
         ]
     if payload.get("kind") == "overhead":
         return [

@@ -17,6 +17,7 @@ import numpy as np
 from repro.config import ArchConfig
 from repro.core.annotations import AnnotationVector
 from repro.harness.exec import ExecutionEngine, SensitivityCell
+from repro.harness.experiment import share_l1_traces
 from repro.harness.runconfig import RunProfile, SCALED
 from repro.harness.store import cached_spec_stream
 from repro.obs import metrics as obs_metrics
@@ -120,11 +121,22 @@ def run_benchmark_at_size(
     partition_lines: int,
     profile: RunProfile = SCALED,
 ) -> float:
-    """IPC of one benchmark alone at one fixed partition size."""
+    """IPC of one benchmark alone at one fixed partition size.
+
+    All sizes of one benchmark run the same stream, so they share one
+    L1 service trace from the process memo (:func:`share_l1_traces`).
+    """
     arch = ArchConfig.scaled(num_cores=1)
     scale = profile.workload_scale
     stream = build_spec_only_stream(
         benchmark, scale.spec_instructions, scale.lines_per_mb, profile.seed
+    )
+    stream_key = (
+        "spec-only",
+        benchmark,
+        scale.spec_instructions,
+        scale.lines_per_mb,
+        profile.seed,
     )
     core_config = CoreConfig(
         mlp=benchmark.mlp,
@@ -139,6 +151,7 @@ def run_benchmark_at_size(
         quantum=profile.quantum,
         sample_interval=profile.sample_interval,
     )
+    share_l1_traces(system, [stream_key])
     outcome = system.run(max_cycles=profile.max_cycles)
     return outcome.stats[0].ipc
 

@@ -889,11 +889,6 @@ _STAT_SERIES: dict[str, tuple[str, dict[str, str]]] = {
     "store_trace_bytes": ("repro_store_bytes_total", {"kind": "trace"}),
     "workload_builds": ("repro_workload_builds_total", {}),
     "rmax_solves": ("repro_rmax_solves_total", {}),
-    # Not store counters, but they ride the same worker→parent delta
-    # channel: stacked-lanes execution happens wherever the chunk ran,
-    # and the parent's telemetry/exporters must see it either way.
-    "stacked_cells": ("repro_stacked_cells_total", {}),
-    "lane_divergences": ("repro_stack_divergences_total", {}),
 }
 
 

@@ -13,8 +13,9 @@ infrastructure both depend on:
   (Section 5.2's end-to-end property; zero action leakage).
 * **kernel-identity** — results are bit-identical under the
   ``reference`` and ``batched`` simulation kernels.
-* **lane-stacking** — stacked-lane execution reproduces sequential
-  execution bit-for-bit.
+* **trace-sharing** — a cell is bit-identical whether its L1 service
+  traces start empty or were already walked further by another
+  scheme's cell (the process trace memo mix cells share).
 * **store-tokens** — cache keys and precompute-store needs are stable
   across interpreter processes (fresh ``PYTHONHASHSEED``), so caches
   and stores survive restarts.
@@ -42,9 +43,9 @@ from repro.core.principles import (
 from repro.errors import ConfigurationError
 from repro.harness.exec import ExecutionEngine, MixSchemeCell, cell_key
 from repro.harness.experiment import (
-    prepare_mix_scheme,
+    _L1_TRACE_MEMO,
+    build_mix_system,
     run_mix_scheme,
-    run_mix_schemes_stacked,
 )
 from repro.harness.runconfig import PROFILES, TEST, RunProfile
 from repro.registry.core import (
@@ -118,8 +119,7 @@ def _skip(report, name, why) -> None:
 def _check_principles(
     registration: Registration, profile: RunProfile, pairs
 ) -> str:
-    prepared = prepare_mix_scheme(list(pairs), registration.name, profile)
-    scheme = prepared.system.scheme
+    scheme = build_mix_system(list(pairs), registration.name, profile).scheme
     monitors = list(getattr(scheme, "monitors", []))
     checked = 0
     for index, monitor in enumerate(monitors):
@@ -230,29 +230,27 @@ def _check_kernel_identity(
     return f"batched == reference over {len(pairs)} workloads"
 
 
-def _check_lane_stacking(
+def _check_trace_sharing(
     registration: Registration, profile: RunProfile, pairs
 ) -> str:
-    lanes = [list(pairs), list(reversed(pairs))]
-    sequential = [
-        run_mix_scheme(lane, registration.name, profile) for lane in lanes
-    ]
-    stacked = run_mix_schemes_stacked(
-        [(lane, registration.name, profile) for lane in lanes]
+    other = "shared" if registration.name == "static" else "static"
+    _L1_TRACE_MEMO.clear()
+    fresh = run_mix_scheme(list(pairs), registration.name, profile)
+    consumed = {key: trace.walked for key, trace in _L1_TRACE_MEMO.items()}
+    _L1_TRACE_MEMO.clear()
+    run_mix_scheme(list(pairs), other, profile)
+    for key, walked in consumed.items():
+        # Walk every shared trace past all the fresh cell consumed.
+        _L1_TRACE_MEMO[key].hit(walked)
+    shared = run_mix_scheme(list(pairs), registration.name, profile)
+    assert MixSchemeCell.encode(fresh) == MixSchemeCell.encode(shared), (
+        f"scheme {registration.name!r} diverges when its L1 service "
+        f"traces were walked further by a {other!r} cell"
     )
-    for index, (alone, together) in enumerate(zip(sequential, stacked)):
-        if isinstance(together, Exception):
-            raise AssertionError(
-                f"scheme {registration.name!r} lane {index} failed when "
-                f"stacked: {together}"
-            )
-        assert MixSchemeCell.encode(alone) == MixSchemeCell.encode(
-            together
-        ), (
-            f"scheme {registration.name!r} lane {index} diverges under "
-            "lane stacking"
-        )
-    return f"{len(lanes)} stacked lanes bit-identical to sequential"
+    return (
+        f"{len(consumed)} trace(s) shared with a {other!r} cell, "
+        "bit-identical to fresh traces"
+    )
 
 
 _CHILD_TOKEN_SCRIPT = """
@@ -391,8 +389,8 @@ def run_scheme_conformance(
     )
     _record(
         report,
-        "lane-stacking",
-        lambda: _check_lane_stacking(registration, profile, pairs),
+        "trace-sharing",
+        lambda: _check_trace_sharing(registration, profile, pairs),
     )
     _record(
         report,

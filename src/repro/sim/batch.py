@@ -1,16 +1,13 @@
-"""Shared numpy scratch and the stacked-lanes driver for batched execution.
+"""Shared numpy scratch for batched execution.
 
 When the execution engine dispatches a *chunk* of compatible cells to
 one worker (cell-major batching, ``docs/performance.md``), every cell
 in the chunk re-allocates the same transient numpy arrays millions of
 times: the interleaved delta/cumsum buffers of the batched CPU kernel
-(:meth:`repro.sim.cpu.Core._batched_gen`) and the set-index arrays of
-the fused hierarchy resolver
-(:meth:`repro.sim.hierarchy.DomainMemory._resolve_block_fused`). This
-module provides one growable scratch arena those cores stack their
-arrays into, installed for the duration of a chunk (or a serial run),
-so allocator and interpreter overhead is amortized across dozens of
-cells.
+(:meth:`repro.sim.cpu.Core._run_batched`). This module provides one
+growable scratch arena those cores stack their arrays into, installed
+for the duration of a chunk (or a serial run), so allocator and
+interpreter overhead is amortized across dozens of cells.
 
 Correctness: every buffer handed out is *transient* — fully overwritten
 before use and never stored beyond the call that requested it — so
@@ -26,73 +23,46 @@ Usage::
 
     scratch = active_scratch()    # inside a kernel; None = allocate fresh
     buf = scratch.f64(2 * n + 1, slot=0)
-
-On top of the arena sits :class:`StackedLanes` — the lane-stacked
-multi-cell driver (``docs/performance.md`` layer 4). The batched CPU
-kernel is written as a generator that *requests* its one vectorized
-step, the strictly-sequential cumulative sum, by yielding
-``("cumsum", deltas, out)`` and receiving ``np.cumsum(deltas)`` back.
-:func:`drive_kernel` services one generator locally (the sequential
-path); :class:`StackedLanes` interleaves K batch-compatible cells'
-generators and services each round of requests with a single 2-D
-``np.cumsum(slab, axis=1)`` over a ``(K, n)`` row stack. Row-wise
-accumulation performs the same float-addition chain per row as the 1-D
-call, so lane results are bit-identical to sequential execution — the
-differential oracle pinned by ``tests/sim/test_stacked_lanes.py``.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Any, Generator, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
-
-#: Independent buffers per dtype an arena hands out; a kernel may hold
-#: this many distinct live views at once (e.g. deltas + cumsum output).
-SLOTS = 4
+#: Independent buffers an arena hands out; a kernel may hold this many
+#: distinct live views at once (the deltas and their cumsum output).
+SLOTS = 2
 
 _ACTIVE = threading.local()
 
 
 class CellScratch:
-    """A growable arena of reusable numpy buffers.
+    """A growable arena of reusable float64 numpy buffers.
 
-    ``f64(n, slot)`` / ``i64(n, slot)`` return a length-``n`` view of a
-    persistent buffer, growing it geometrically when needed. Different
-    ``slot`` values never alias, so a kernel can request its input and
-    output buffers from separate slots and use ``out=`` safely.
+    ``f64(n, slot)`` returns a length-``n`` view of a persistent buffer,
+    growing it geometrically when needed. Different ``slot`` values
+    never alias, so a kernel can request its input and output buffers
+    from separate slots and use ``out=`` safely.
     """
 
-    __slots__ = ("_f64", "_i64")
+    __slots__ = ("_f64",)
 
     def __init__(self) -> None:
         self._f64: list[np.ndarray] = [
             np.empty(0, dtype=np.float64) for _ in range(SLOTS)
         ]
-        self._i64: list[np.ndarray] = [
-            np.empty(0, dtype=np.int64) for _ in range(SLOTS)
-        ]
-
-    @staticmethod
-    def _view(pool: list[np.ndarray], n: int, slot: int, dtype) -> np.ndarray:
-        buf = pool[slot]
-        if buf.shape[0] < n:
-            buf = np.empty(max(n, 2 * buf.shape[0]), dtype=dtype)
-            pool[slot] = buf
-        return buf[:n]
 
     def f64(self, n: int, slot: int = 0) -> np.ndarray:
         """A float64 view of length ``n`` (contents undefined)."""
-        return self._view(self._f64, n, slot, np.float64)
-
-    def i64(self, n: int, slot: int = 0) -> np.ndarray:
-        """An int64 view of length ``n`` (contents undefined)."""
-        return self._view(self._i64, n, slot, np.int64)
+        buf = self._f64[slot]
+        if buf.shape[0] < n:
+            buf = np.empty(max(n, 2 * buf.shape[0]), dtype=np.float64)
+            self._f64[slot] = buf
+        return buf[:n]
 
 
 def active_scratch() -> CellScratch | None:
@@ -118,164 +88,3 @@ def cell_scratch() -> Iterator[CellScratch]:
         yield scratch
     finally:
         _ACTIVE.scratch = None
-
-
-# ----------------------------------------------------------------------
-# Kernel generator protocol and the stacked-lanes driver
-# ----------------------------------------------------------------------
-_REG = obs_metrics.get_registry()
-_M_STACK_LANES = _REG.histogram(
-    "repro_stacked_lanes",
-    "Lanes per stacked-lanes group",
-    buckets=(1.0, 2.0, 4.0, 8.0, 16.0),
-)
-_M_STACKED_CELLS = _REG.counter(
-    "repro_stacked_cells_total", "Cells executed inside a stacked-lanes group"
-)
-_M_STACK_DIVERGENCES = _REG.counter(
-    "repro_stack_divergences_total",
-    "Lane divergences (assessments, early finishes) in stacked groups",
-)
-
-
-def drive_kernel(gen: Generator) -> Any:
-    """Drive one kernel generator to completion, servicing its requests.
-
-    Services ``("cumsum", deltas, out)`` requests with a local
-    ``np.cumsum(deltas, out=out)`` (bit-identical to inlining the call)
-    and ignores divergence markers, which only matter to the stacked
-    driver. Returns the generator's return value. This is the
-    sequential execution path :meth:`repro.sim.cpu.Core.run` and
-    :meth:`repro.sim.system.MultiDomainSystem.run` use.
-    """
-    reply = None
-    while True:
-        try:
-            request = gen.send(reply)
-        except StopIteration as stop:
-            return stop.value
-        if request[0] == "cumsum":
-            reply = np.cumsum(request[1], out=request[2])
-        else:
-            reply = None
-
-
-class StackedLanes:
-    """Drive K batch-compatible kernel generators as stacked lanes.
-
-    Each *lane* is one cell's kernel generator (typically
-    :meth:`repro.sim.system.MultiDomainSystem.run_gen`). The driver
-    resumes lanes round-robin; a lane runs — assessments, scalar
-    mop-up, cache resolution and all — until it yields its next
-    ``("cumsum", deltas, out)`` request, at which point its ``deltas``
-    are copied into row ``i`` of a shared ``(K, n)`` slab *immediately*
-    (the array may be a view of the thread's scratch arena, which the
-    next lane overwrites). Once every live lane has parked a request,
-    one ``np.cumsum(slab, axis=1)`` services the whole round and each
-    lane's reply is its row view. Row-wise accumulation runs the same
-    strictly-sequential float-addition chain per row as the lane's own
-    1-D cumsum, so results are bit-identical to sequential execution.
-
-    Divergence is cheap by construction: a lane that leaves the
-    vectorized pass (a resizing assessment, flagged by a
-    ``("diverge", kind, domain)`` marker, or an early finish while
-    peers still run) simply executes its scalar work inline during its
-    resumption and re-joins the stack at its next cumsum request —
-    correctness never depends on lanes staying in sync. Divergences
-    are counted, exported (``repro_stack_divergences_total``), and
-    traced as ``stack.diverge`` events.
-
-    A lane that raises is isolated: its exception is captured as its
-    result (see :attr:`results`) and the remaining lanes keep running.
-    """
-
-    def __init__(self, generators: list[Generator]):
-        self._gens = list(generators)
-        self.lanes = len(self._gens)
-        #: Per-lane generator return values, in input order; a lane
-        #: that raised holds its exception instance instead.
-        self.results: list[Any] = [None] * self.lanes
-        self.divergences = 0
-        self._cap = 0
-        self._slab: np.ndarray | None = None
-        self._out: np.ndarray | None = None
-
-    def _rows(self, count: int, width: int, live: int, live_width: int):
-        """Grow the slab pair to ``(count, >= width)``, keeping live rows."""
-        if self._slab is None or width > self._cap:
-            cap = max(width, 2 * self._cap, 64)
-            slab = np.empty((count, cap), dtype=np.float64)
-            if self._slab is not None and live:
-                slab[:live, :live_width] = self._slab[:live, :live_width]
-            self._slab = slab
-            # Replies handed out last round are views of the old ``_out``
-            # and stay valid (the old array outlives us through them);
-            # only fresh rows are ever written to the new one.
-            self._out = np.empty((count, cap), dtype=np.float64)
-            self._cap = cap
-        return self._slab
-
-    def run(self) -> "StackedLanes":
-        """Drive every lane to completion; returns ``self``."""
-        active = list(range(self.lanes))
-        replies: dict[int, Any] = {lane: None for lane in active}
-        _M_STACK_LANES.observe(float(self.lanes))
-        _M_STACKED_CELLS.inc(self.lanes)
-        with obs_trace.span("sim.stacked", lanes=self.lanes) as span:
-            while active:
-                order: list[int] = []
-                widths: list[int] = []
-                for lane in list(active):
-                    reply = replies[lane]
-                    replies[lane] = None
-                    while True:
-                        try:
-                            request = self._gens[lane].send(reply)
-                        except StopIteration as stop:
-                            self.results[lane] = stop.value
-                            active.remove(lane)
-                            if active:
-                                self._diverge(lane, "finish")
-                            break
-                        except Exception as exc:
-                            self.results[lane] = exc
-                            active.remove(lane)
-                            obs_trace.event(
-                                "stack.error",
-                                lane=lane,
-                                error=f"{type(exc).__name__}: {exc}",
-                            )
-                            break
-                        if request[0] == "cumsum":
-                            deltas = request[1]
-                            width = int(deltas.shape[0])
-                            row = len(order)
-                            live_width = max(widths) if widths else 0
-                            self._rows(self.lanes, width, row, live_width)
-                            self._slab[row, :width] = deltas
-                            order.append(lane)
-                            widths.append(width)
-                            break
-                        # Divergence marker: the lane ran an assessment
-                        # (resize / monitor commit) inline; resume it so
-                        # it re-joins at its next cumsum request.
-                        self._diverge(lane, request[1], domain=request[2])
-                        reply = None
-                if not order:
-                    continue
-                rows = len(order)
-                width = max(widths)
-                np.cumsum(
-                    self._slab[:rows, :width],
-                    axis=1,
-                    out=self._out[:rows, :width],
-                )
-                for row, lane in enumerate(order):
-                    replies[lane] = self._out[row, : widths[row]]
-            span.set(divergences=self.divergences)
-        return self
-
-    def _diverge(self, lane: int, kind: str, **attrs: Any) -> None:
-        self.divergences += 1
-        _M_STACK_DIVERGENCES.inc()
-        obs_trace.event("stack.diverge", lane=lane, kind=kind, **attrs)

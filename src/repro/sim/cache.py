@@ -12,8 +12,9 @@ Two implementations live here:
   *is* the LRU order), giving O(1) hit/install/evict instead of the
   O(associativity) list scans of the original model, and
   :meth:`SetAssociativeCache.access_run` resolves a whole run of line
-  addresses in one call — the batched entry point used by
-  :meth:`repro.sim.hierarchy.DomainMemory.access_block`.
+  addresses in one call — the batched entry point the L1 service
+  trace (:class:`repro.sim.hierarchy.L1ServiceTrace`) and the monitor
+  filter walk with.
 * :class:`ReferenceSetAssociativeCache` — the original per-access,
   list-based model, retained verbatim as the reference implementation
   for differential testing (``REPRO_SIM_KERNEL=reference`` selects it

@@ -33,11 +33,13 @@ see :mod:`repro.sim.kernelmode`):
   resolve returns the *actual* latencies, the exact reference stopping
   point within the run is found by binary search over the cumulative
   loop-top values, and :meth:`DomainMemory.commit_block` keeps exactly
-  that prefix (rolling the caches back over the rest). Runs never cross
+  that prefix (rolling the LLC back over the rest). Runs never cross
   a measurement boundary (warmup end / slice end) or the progress
   crossing; events at those edges fall back to the scalar step, which
   performs the boundary bookkeeping at exactly the reference
-  granularity.
+  granularity. A batched core always reads its L1 decisions from an
+  :class:`~repro.sim.hierarchy.L1ServiceTrace`: it installs a private
+  one over its own stream, which campaign cells swap for a shared one.
 * The **reference** kernel is the original one-call-per-access loop,
   retained verbatim for differential testing and as the before/after
   baseline of ``benchmarks/bench_kernel.py``. Timing jitter draws one
@@ -52,7 +54,6 @@ while its statistics stay frozen.
 from __future__ import annotations
 
 import enum
-from collections.abc import Generator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +62,8 @@ from repro.config import ArchConfig
 from repro.core.annotations import AnnotationVector
 from repro.errors import ConfigurationError, SimulationError
 from repro.monitor.umon import mix64_array
-from repro.sim.batch import active_scratch, drive_kernel
-from repro.sim.hierarchy import DomainMemory
+from repro.sim.batch import active_scratch
+from repro.sim.hierarchy import DomainMemory, L1ServiceTrace
 from repro.sim.kernelmode import batching_enabled
 from repro.sim.stats import DomainStats
 
@@ -224,12 +225,15 @@ class Core:
         # Jitter draws one RNG value per access, so jittered cores must
         # take the scalar loop to preserve the draw sequence. Speculative
         # block resolution additionally needs an LLC view that can
-        # snapshot/restore its state.
+        # snapshot/restore its state, and reads L1 decisions from a
+        # service trace over this core's stream.
         self._use_batched = (
             batching_enabled()
             and core_config.timing_jitter == 0
             and memory.supports_speculation
         )
+        if self._use_batched:
+            memory.install_l1_trace(L1ServiceTrace(stream, arch))
         # Running estimate of the average cycle cost per event, used only
         # to size batches against the remaining budget (never to decide
         # results — the stop point is computed exactly afterwards).
@@ -339,24 +343,7 @@ class Core:
         metric snapshots) functions of the instruction stream alone.
         """
         if self._use_batched:
-            return drive_kernel(self._batched_gen(until_cycle, progress_target))
-        return self._run_reference(until_cycle, progress_target)
-
-    def run_gen(
-        self, until_cycle: float, progress_target: int | None = None
-    ) -> "Generator":
-        """Generator form of :meth:`run` for external cumsum service.
-
-        Yields ``("cumsum", deltas, cum)`` requests (see
-        :meth:`_batched_gen`) and returns the :class:`StopReason` via
-        ``StopIteration.value``. A reference-kernel core never yields —
-        the whole quantum runs inside the first ``next()`` — so drivers
-        can treat every core uniformly. :func:`repro.sim.batch.drive_kernel`
-        services the requests locally; the stacked-lanes driver services
-        several cores' requests with one vectorized call instead.
-        """
-        if self._use_batched:
-            return (yield from self._batched_gen(until_cycle, progress_target))
+            return self._run_batched(until_cycle, progress_target)
         return self._run_reference(until_cycle, progress_target)
 
     def _run_reference(
@@ -389,9 +376,9 @@ class Core:
             self._mem_cursor += 1
         return StopReason.QUANTUM
 
-    def _batched_gen(
+    def _run_batched(
         self, until_cycle: float, progress_target: int | None
-    ) -> Generator:
+    ) -> StopReason:
         """Batched kernel: speculatively resolve event runs, commit exactly.
 
         Bit-exact with :meth:`_run_reference`. Each iteration picks a run
@@ -400,7 +387,7 @@ class Core:
         path at the reference's exact granularity), sized by a running
         cost estimate against the remaining cycle budget. The run is
         resolved *speculatively* through the hierarchy
-        (:meth:`DomainMemory.resolve_block`): caches advance and the
+        (:meth:`DomainMemory.resolve_block`): the LLC advances and the
         actual per-access latencies come back, but monitor and service
         counters are deferred. With real latencies in hand, one
         interleaved cumulative sum reproduces the scalar float-addition
@@ -408,21 +395,14 @@ class Core:
         finds exactly how many events the reference loop would have
         executed before the budget check stopped it.
         :meth:`DomainMemory.commit_block` then keeps that prefix, rolling
-        the caches back over the unexecuted tail (deterministic replay
-        from copy-on-write set snapshots) — so sizing is a pure
+        the LLC back over the unexecuted tail (deterministic replay
+        from lazily journaled set snapshots) — so sizing is a pure
         performance knob with no effect on results. Leftover runs shorter
         than :data:`MIN_BATCH` take the scalar step.
 
         Speculation is sound because within one ``run()`` call the LLC
         view is effectively private: other cores and resizes only act
         between calls, at quantum and assessment granularity.
-
-        The cumulative sum itself is delegated: the generator yields
-        ``("cumsum", deltas, cum)`` and expects ``np.cumsum(deltas)``
-        back from ``send``. ``deltas`` may live in the shared scratch
-        arena, so a driver interleaving several generators must copy it
-        before resuming any other lane; the reply only needs to stay
-        valid until this lane's next request.
         """
         stream = self.stream
         ev = stream.event_positions
@@ -550,7 +530,7 @@ class Core:
             deltas[0] = self.cycles
             deltas[1::2] = gaps * cpi
             deltas[2::2] = cpi + extras
-            tops = (yield ("cumsum", deltas, cum))[0::2]
+            tops = np.cumsum(deltas, out=cum)[0::2]
             # First event whose loop-top check would fail the budget.
             k = int(np.searchsorted(tops, until_cycle, side="left"))
             if k > n:

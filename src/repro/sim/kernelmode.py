@@ -3,9 +3,11 @@
 The simulator has two equivalent inner kernels:
 
 * ``batched`` — the production path: packed-recency caches
-  (:class:`repro.sim.cache.SetAssociativeCache`), block resolution of
-  memory-access runs through :meth:`repro.sim.hierarchy.DomainMemory.access_block`,
-  and vectorized stall accounting in :class:`repro.sim.cpu.Core`.
+  (:class:`repro.sim.cache.SetAssociativeCache`), speculative block
+  resolution of memory-access runs through
+  :meth:`repro.sim.hierarchy.DomainMemory.resolve_block` with L1
+  decisions from an :class:`repro.sim.hierarchy.L1ServiceTrace`, and
+  vectorized stall accounting in :class:`repro.sim.cpu.Core`.
 * ``reference`` — the original per-access kernel: list-based caches
   (:class:`repro.sim.cache.ReferenceSetAssociativeCache`) and the
   one-call-per-access core loop, retained for differential testing and

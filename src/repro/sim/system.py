@@ -19,7 +19,6 @@ charge leakage); the system owns all mechanism.
 
 from __future__ import annotations
 
-from collections.abc import Generator
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -30,7 +29,6 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.liveness import progress_beat
-from repro.sim.batch import drive_kernel
 from repro.sim.cpu import Core, CoreConfig, InstructionStream, StopReason
 from repro.sim.hierarchy import DomainMemory
 from repro.sim.kernelmode import kernel_mode
@@ -203,29 +201,33 @@ class MultiDomainSystem:
         with obs_trace.span(
             "sim.run", scheme=self.scheme.name, kernel=kernel_mode()
         ) as span:
-            now, quanta, completed = drive_kernel(self.run_gen(max_cycles))
+            now, quanta, completed = self._advance(max_cycles)
             span.set(
                 total_cycles=now,
                 quanta=quanta,
                 completed=completed,
                 **self._observability_attrs(),
             )
-        return self.finish(now, quanta, completed)
+        _M_RUNS.inc()
+        _M_QUANTA.inc(quanta)
+        _M_CYCLES.inc(now)
+        _REG.counter(
+            "repro_sim_resizes_total",
+            "Resizing actions recorded, by scheme",
+            scheme=self.scheme.name,
+        ).inc(sum(len(log) for log in self.trace_logs))
+        traces = [
+            ResizingTrace.from_pairs(log) for log in self.trace_logs
+        ]
+        return SystemResult(
+            stats=self.stats,
+            traces=traces,
+            total_cycles=now,
+            completed=completed,
+        )
 
-    def run_gen(self, max_cycles: int = 50_000_000) -> Generator:
-        """Generator form of :meth:`run` for the stacked-lanes driver.
-
-        Forwards the cores' ``("cumsum", deltas, out)`` requests
-        unchanged and flags every resizing assessment with a
-        ``("diverge", "assessment", domain)`` marker (reply ignored), so
-        a driver interleaving several systems can count lanes leaving
-        the vectorized pass. Returns ``(now, quanta, completed)``; the
-        caller passes that to :meth:`finish` for the
-        :class:`SystemResult`. No trace span is held across yields —
-        the span stack is thread-local and strictly nested, so
-        :meth:`run` opens it around the whole drive and a stacked
-        driver opens its own around all lanes.
-        """
+    def _advance(self, max_cycles: int) -> tuple[int, int, bool]:
+        """The quantum loop; returns ``(now, quanta, completed)``."""
         now = 0
         next_sample = 0
         quanta = 0
@@ -238,7 +240,7 @@ class MultiDomainSystem:
             for core in self.cores:
                 while core.cycles < quantum_end:
                     target = self.scheme.progress_target(core.domain)
-                    reason = yield from core.run_gen(float(quantum_end), target)
+                    reason = core.run(float(quantum_end), target)
                     if reason is StopReason.PROGRESS:
                         self.scheme.on_progress(self, core.domain, core.now)
                         if self.scheme.progress_target(core.domain) == target:
@@ -246,7 +248,6 @@ class MultiDomainSystem:
                                 "scheme did not advance the progress target "
                                 f"of domain {core.domain}"
                             )
-                        yield ("diverge", "assessment", core.domain)
                     else:
                         break
             now = quantum_end
@@ -270,29 +271,4 @@ class MultiDomainSystem:
         # ``finished`` stays False: completion checks are unaffected.
         for core in self.cores:
             core.stats.close_measurement_window(core.cycles, core.retired)
-        return (now, quanta, completed)
-
-    def finish(self, now: int, quanta: int, completed: bool) -> SystemResult:
-        """Book per-run metrics and assemble the :class:`SystemResult`.
-
-        Split from :meth:`run_gen` so both the sequential path and the
-        stacked-lanes driver finalize a run exactly once, with identical
-        accounting.
-        """
-        _M_RUNS.inc()
-        _M_QUANTA.inc(quanta)
-        _M_CYCLES.inc(now)
-        _REG.counter(
-            "repro_sim_resizes_total",
-            "Resizing actions recorded, by scheme",
-            scheme=self.scheme.name,
-        ).inc(sum(len(log) for log in self.trace_logs))
-        traces = [
-            ResizingTrace.from_pairs(log) for log in self.trace_logs
-        ]
-        return SystemResult(
-            stats=self.stats,
-            traces=traces,
-            total_cycles=now,
-            completed=completed,
-        )
+        return now, quanta, completed

@@ -1,4 +1,4 @@
-"""Tests for the prefork precompute warming used by lane stacking.
+"""Tests for the prefork precompute warming of forked worker pools.
 
 The supervisor warms pure, shareable state (L1 service traces, untangle
 rate tables) in the parent before forking workers; these tests pin the

@@ -82,40 +82,6 @@ class BatchableCell(SleepCell):
         return ("batchable",)
 
 
-class StackableCell(BatchableCell):
-    """A batchable cell that also opts into lane-stacked execution.
-
-    ``execute`` and ``execute_stacked`` return distinguishable values,
-    so a test can prove which path actually ran a cell.
-    """
-
-    def batch_group(self):
-        return ("stackable",)
-
-    def execute(self):
-        return f"seq:{self.ident}"
-
-    @staticmethod
-    def execute_stacked(cells, max_lanes=None):
-        return [f"stacked:{cell.ident}" for cell in cells]
-
-
-class FlakyStackCell(StackableCell):
-    """Stacked execution fails exactly the odd-numbered lanes."""
-
-    def batch_group(self):
-        return ("flaky-stack",)
-
-    @staticmethod
-    def execute_stacked(cells, max_lanes=None):
-        return [
-            RuntimeError("lane exploded")
-            if cell.ident % 2
-            else f"stacked:{cell.ident}"
-            for cell in cells
-        ]
-
-
 def _planner(engine, hints, slots=2):
     """A supervisor stripped to its planning state — no worker spawns."""
     supervisor = _Supervisor.__new__(_Supervisor)
@@ -451,60 +417,3 @@ class TestPeerLoad:
         # Equal cost: the peer with more stealable units is the victim
         # (its back chunk is cheapest, so ident 2 comes over).
         assert stolen[0][0] == 2
-
-
-class TestStackedDispatch:
-    def test_parallel_chunks_route_through_execute_stacked(self):
-        cells = [StackableCell(i, 0.0, hint=1.0) for i in range(6)]
-        engine = ExecutionEngine(jobs=2, batch_cells=3, stack_lanes=0)
-        outcomes = engine.run(cells)
-        assert [o.value for o in outcomes] == [
-            f"stacked:{i}" for i in range(6)
-        ]
-        snap = engine.telemetry.snapshot()
-        assert "stacked_cells" in snap and "lane_divergences" in snap
-
-    def test_serial_groups_route_through_execute_stacked(self):
-        cells = [StackableCell(i, 0.0, hint=1.0) for i in range(4)]
-        engine = ExecutionEngine(jobs=1, stack_lanes=0)
-        outcomes = engine.run(cells)
-        assert [o.value for o in outcomes] == [
-            f"stacked:{i}" for i in range(4)
-        ]
-
-    def test_stacking_off_by_default(self):
-        cells = [StackableCell(i, 0.0, hint=1.0) for i in range(4)]
-        engine = ExecutionEngine(jobs=1)
-        outcomes = engine.run(cells)
-        assert [o.value for o in outcomes] == [f"seq:{i}" for i in range(4)]
-
-    def test_failed_lane_falls_back_and_retries_sequentially(self):
-        cells = [FlakyStackCell(i, 0.0, hint=1.0) for i in range(4)]
-        engine = ExecutionEngine(jobs=1, stack_lanes=0, backoff_base=0.0)
-        outcomes = engine.run(cells)
-        assert all(o.status == "computed" for o in outcomes)
-        # Even lanes came out of the stack; odd lanes were isolated
-        # failures re-run through the sequential path.
-        assert [o.value for o in outcomes] == [
-            "stacked:0", "seq:1", "stacked:2", "seq:3"
-        ]
-
-    def test_real_cells_book_stacked_telemetry(self):
-        cells = [
-            MixSchemeCell(pairs=PAIRS, scheme="static", profile=TEST),
-            MixSchemeCell(
-                pairs=(("xz_1", "AES-128"), ("mcf_0", "SHA-256")),
-                scheme="static",
-                profile=TEST,
-            ),
-        ]
-        engine = ExecutionEngine(jobs=1, stack_lanes=0)
-        outcomes = engine.run(cells)
-        assert all(o.status == "computed" for o in outcomes)
-        assert engine.telemetry.snapshot()["stacked_cells"] == 2
-
-    def test_stack_lanes_validation(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            ExecutionEngine(jobs=1, stack_lanes=-1)

@@ -1,0 +1,95 @@
+"""Shared L1 service traces: mix cells reuse one walk per stream.
+
+``run_mix_scheme`` swaps every batched core's private trace for the
+process memo's shared one (:func:`repro.harness.experiment.share_l1_traces`),
+so a cell may start from a trace another scheme's cell already walked
+far past where this cell will stop. Results must be bit-identical to a
+run on private traces, rollbacks included.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.harness import experiment
+from repro.harness.experiment import (
+    SCHEME_NAMES,
+    build_mix_system,
+    run_mix_scheme,
+    warm_l1_traces,
+)
+from repro.harness.runconfig import TEST
+from repro.sim.hierarchy import DomainMemory
+
+PAIRS = [("gcc_2", "AES-128"), ("imagick_0", "SHA-256")]
+
+
+def _observables(total_cycles, rows):
+    return total_cycles, [
+        (w.ipc, w.assessments, w.visible_actions, w.leakage_bits,
+         w.partition_quartiles)
+        for w in rows
+    ]
+
+
+def _private_run(scheme: str):
+    """The cell on each core's own private trace (no memo)."""
+    system = build_mix_system(list(PAIRS), scheme, TEST)
+    outcome = system.run(max_cycles=TEST.max_cycles)
+    rows = [
+        experiment.WorkloadResult(
+            label=spec.name,
+            ipc=stats.ipc,
+            assessments=stats.assessments,
+            visible_actions=stats.visible_actions,
+            leakage_bits=stats.leakage_bits,
+            partition_quartiles=stats.partition_size_quartiles(),
+        )
+        for spec, stats in zip(system.domains, outcome.stats)
+    ]
+    return _observables(outcome.total_cycles, rows)
+
+
+@pytest.fixture()
+def empty_memo():
+    experiment._L1_TRACE_MEMO.clear()
+    yield experiment._L1_TRACE_MEMO
+    experiment._L1_TRACE_MEMO.clear()
+
+
+class TestSharedTraces:
+    def test_every_scheme_bit_identical(self, empty_memo):
+        """Every scheme in turn on one memo: later schemes start from
+        traces the earlier ones already walked, and each result equals
+        its private-trace run."""
+        for scheme in SCHEME_NAMES:
+            shared = run_mix_scheme(list(PAIRS), scheme, TEST)
+            assert _observables(
+                shared.total_cycles, shared.workloads
+            ) == _private_run(scheme), scheme
+        # One trace per stream, shared by every scheme.
+        assert len(empty_memo) == len(PAIRS)
+
+    def test_partial_commits_really_happen(self, empty_memo, monkeypatch):
+        """The equivalence above must cover rollbacks, not dodge them:
+        an untangle cell commits partial blocks on its shared traces."""
+        partial = []
+        commit = DomainMemory.commit_block
+
+        def counting_commit(self, token, count, *args, **kwargs):
+            if count < token[0].shape[0]:
+                partial.append(count)
+            return commit(self, token, count, *args, **kwargs)
+
+        monkeypatch.setattr(DomainMemory, "commit_block", counting_commit)
+        run_mix_scheme(list(PAIRS), "untangle", TEST)
+        assert partial
+
+    def test_memo_cap_enforced_at_insert(self, empty_memo, monkeypatch):
+        monkeypatch.setattr(experiment, "_L1_TRACE_MEMO_CAP", 1)
+        run_mix_scheme(list(PAIRS), "static", TEST)
+        assert len(empty_memo) == 1
+        # Warming stops at the cap instead of evicting what it warmed.
+        empty_memo.clear()
+        assert warm_l1_traces([(list(PAIRS), TEST)]) == 1
+        assert len(empty_memo) == 1

@@ -1,15 +1,17 @@
 """Differential tests: the batched kernel against the reference kernel.
 
 The packed-recency :class:`~repro.sim.cache.SetAssociativeCache` and the
-batched hierarchy path (:meth:`~repro.sim.hierarchy.DomainMemory.
+batched hierarchy path (traced :meth:`~repro.sim.hierarchy.DomainMemory.
 resolve_block` / :meth:`~repro.sim.hierarchy.DomainMemory.commit_block`)
 claim *bit-identical* behavior to the retained list-based reference
-kernel. These tests drive both implementations through randomized
+kernel. The cache tests drive both implementations through randomized
 operation sequences — accesses and access runs interleaved with
 ``resize_sets``, ``invalidate``, ``probe`` and snapshot/restore
 round-trips — and compare every observable after every step: hit/miss
 results, hit/miss/eviction/invalidation counters, resident counts, and
-the full resident set in recency order.
+the full resident set in recency order. The hierarchy tests compare
+traced resolves against scalar ``access()`` calls on a reference-kernel
+``DomainMemory`` with no trace.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.cache import ReferenceSetAssociativeCache, SetAssociativeCache
-from repro.sim.hierarchy import DomainMemory, MemoryLevel
+from repro.sim.cpu import InstructionStream
+from repro.sim.hierarchy import DomainMemory, L1ServiceTrace, MemoryLevel
 from repro.sim.kernelmode import KERNEL_ENV
 from repro.sim.partition import PartitionedLLC, SharedLLC
 
@@ -121,8 +124,12 @@ class RecordingMonitor:
         self.observed.append(line_addr)
 
 
-def _build_memory(tiny_arch, organization: str, monkeypatch, mode: str):
-    """One DomainMemory over a fresh LLC, built under the given kernel."""
+def _build_memory(tiny_arch, organization: str, monkeypatch, mode: str, stream=None):
+    """One DomainMemory over a fresh LLC, built under the given kernel.
+
+    With ``stream`` (an address array) the memory reads its L1 decisions
+    from a service trace over that stream, as a batched core's does.
+    """
     monkeypatch.setenv(KERNEL_ENV, mode)
     if organization == "partitioned":
         llc = PartitionedLLC(
@@ -137,15 +144,24 @@ def _build_memory(tiny_arch, organization: str, monkeypatch, mode: str):
         )
     monitor = RecordingMonitor()
     memory = DomainMemory(tiny_arch, llc.view(0), monitor=monitor)
+    if stream is not None:
+        memory.install_l1_trace(
+            L1ServiceTrace(InstructionStream(stream), tiny_arch)
+        )
     monkeypatch.delenv(KERNEL_ENV, raising=False)
     return memory, llc, monitor
 
 
 def _memory_state(memory, llc) -> tuple:
-    l1 = memory.l1
+    """Every hierarchy observable except the live L1's contents.
+
+    A traced memory never walks its live L1 (the trace stands in for
+    it), so the L1 is compared through its served hit/miss counters.
+    """
+    l1 = memory.l1.stats
     return (
         dict(memory.level_counts),
-        _state(l1),
+        (l1.hits, l1.misses),
         _state(llc.cache_of(0) if isinstance(llc, PartitionedLLC) else llc._cache),
         (llc.stats_of(0).hits, llc.stats_of(0).misses),
     )
@@ -161,14 +177,16 @@ def test_partial_commit_matches_scalar_prefix(
     Random runs with random commit prefixes (including 0 and full), with
     secret annotations, interleaved with partition resizes — the batched
     CPU kernel's whole contract against the hierarchy, checked directly.
+    Each run continues the trace's stream where the last commit stopped.
     """
+    rng = np.random.default_rng(seed)
+    stream = rng.integers(0, 200, size=300).astype(np.int64)
     batched, batched_llc, batched_monitor = _build_memory(
-        tiny_arch, organization, monkeypatch, "batched"
+        tiny_arch, organization, monkeypatch, "batched", stream
     )
     scalar, scalar_llc, scalar_monitor = _build_memory(
         tiny_arch, organization, monkeypatch, "reference"
     )
-    rng = np.random.default_rng(seed)
     sizes = sorted(
         lines
         for lines in range(
@@ -177,15 +195,17 @@ def test_partial_commit_matches_scalar_prefix(
             tiny_arch.llc_associativity,
         )
     )
+    pos = 0
     for step in range(30):
         n = int(rng.integers(1, 40))
-        addrs = rng.integers(0, 200, size=n).astype(np.int64)
+        addrs = stream[np.arange(pos, pos + n) % stream.shape[0]]
         excluded = rng.random(n) < 0.3
         k = int(rng.integers(0, n + 1))
 
         latencies, token = batched.resolve_block(addrs, speculative=True)
         assert latencies.shape == (n,)
         batched.commit_block(token, k, excluded)
+        pos += k
 
         scalar_latencies = [
             scalar.access(int(addrs[i]), bool(excluded[i])) for i in range(k)
@@ -206,15 +226,15 @@ def test_partial_commit_matches_scalar_prefix(
 
 def test_access_block_matches_scalar_loop(tiny_arch, monkeypatch):
     """The non-speculative one-shot path, annotations included."""
+    rng = np.random.default_rng(7)
+    addrs = rng.integers(0, 150, size=500).astype(np.int64)
+    excluded = rng.random(500) < 0.25
     batched, batched_llc, batched_monitor = _build_memory(
-        tiny_arch, "partitioned", monkeypatch, "batched"
+        tiny_arch, "partitioned", monkeypatch, "batched", addrs
     )
     scalar, scalar_llc, scalar_monitor = _build_memory(
         tiny_arch, "partitioned", monkeypatch, "reference"
     )
-    rng = np.random.default_rng(7)
-    addrs = rng.integers(0, 150, size=500).astype(np.int64)
-    excluded = rng.random(500) < 0.25
     latencies = batched.access_block(addrs, excluded)
     scalar_latencies = [
         scalar.access(int(a), bool(x)) for a, x in zip(addrs, excluded)
@@ -227,12 +247,14 @@ def test_access_block_matches_scalar_loop(tiny_arch, monkeypatch):
 
 def test_commit_zero_leaves_no_trace(tiny_arch, monkeypatch):
     """A fully rolled-back block is invisible (the mop-up boundary case)."""
+    stream = np.concatenate(
+        [np.arange(0, 32), [100, 101, 0]]
+    ).astype(np.int64)
     batched, batched_llc, _ = _build_memory(
-        tiny_arch, "partitioned", monkeypatch, "batched"
+        tiny_arch, "partitioned", monkeypatch, "batched", stream
     )
-    warm = np.arange(0, 32, dtype=np.int64)
-    batched.access_block(warm)
+    batched.access_block(stream[:32])
     before = _memory_state(batched, batched_llc)
-    _, token = batched.resolve_block(np.array([100, 101, 0], dtype=np.int64))
+    _, token = batched.resolve_block(stream[32:])
     batched.commit_block(token, 0)
     assert _memory_state(batched, batched_llc) == before

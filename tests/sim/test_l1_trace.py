@@ -1,10 +1,10 @@
-"""Unit tests for the shared L1 service trace and the traced resolve path.
+"""Unit tests for the L1 service trace and the traced resolve path.
 
-The end-to-end stacked-lanes suite already pins bit-identity of whole
-simulations; these tests pin the trace primitive directly — the cyclic
-walk, the warm/extend contract, geometry checking, and a differential
-drive of a traced ``DomainMemory`` against an untraced twin through the
-resolve/commit discipline, partial commits included.
+The trace is the batched kernel's only source of L1 decisions, so these
+tests pin it directly — the cyclic walk, the packed-bit lookups, the
+warm/extend contract, geometry checking — and drive a traced
+``DomainMemory`` through the resolve/commit discipline, partial commits
+included, against scalar ``access()`` calls on an untraced twin.
 """
 
 from __future__ import annotations
@@ -13,14 +13,17 @@ import numpy as np
 import pytest
 
 from repro.config import ArchConfig
+from repro.errors import SimulationError
+from repro.sim.cpu import Core, CoreConfig, InstructionStream
 from repro.sim.hierarchy import (
     _TRACE_EXTEND_BLOCK,
     DomainMemory,
     L1ServiceTrace,
     MemoryLevel,
 )
-from repro.sim.kernelmode import make_cache
-from repro.sim.partition import PartitionedLLC
+from repro.sim.kernelmode import KERNEL_ENV, make_cache
+from repro.sim.partition import PartitionedLLC, SharedLLC
+from repro.sim.stats import DomainStats
 
 
 def _cyclic(addrs: np.ndarray, start: int, n: int) -> np.ndarray:
@@ -38,50 +41,86 @@ def stream_addrs() -> np.ndarray:
     return rng.integers(0, 96, size=400, dtype=np.int64)
 
 
+def _trace(addrs: np.ndarray, arch: ArchConfig) -> L1ServiceTrace:
+    return L1ServiceTrace(InstructionStream(addrs), arch)
+
+
 class TestTraceWalk:
     def test_matches_live_l1_walk(self, tiny_arch, stream_addrs):
-        trace = L1ServiceTrace(stream_addrs, tiny_arch)
+        trace = _trace(stream_addrs, tiny_arch)
         n = 3 * stream_addrs.shape[0] + 37  # multiple wraps, ragged stop
         got = trace.hits(0, n)
 
         l1_sets = max(1, tiny_arch.l1_lines // tiny_arch.l1_associativity)
         replica = make_cache(l1_sets, tiny_arch.l1_associativity)
         expected, _ = replica.access_run(_cyclic(stream_addrs, 0, n))
-        assert np.array_equal(np.asarray(got), expected)
+        assert np.array_equal(got, expected)
 
     def test_slices_are_stable_across_growth(self, tiny_arch, stream_addrs):
-        trace = L1ServiceTrace(stream_addrs, tiny_arch)
-        early = np.asarray(trace.hits(0, 50)).copy()
+        trace = _trace(stream_addrs, tiny_arch)
+        early = trace.hits(0, 50).copy()
         view = trace.hits(0, 50)
-        # Force several buffer reallocations, then re-check the view.
-        trace.hits(0, 6 * stream_addrs.shape[0])
-        assert np.array_equal(np.asarray(view), early)
-        assert np.array_equal(np.asarray(trace.hits(0, 50)), early)
+        # Force the bit buffer to grow several times, then re-check.
+        trace.hits(0, 6 * _TRACE_EXTEND_BLOCK)
+        assert np.array_equal(view, early)
+        assert np.array_equal(trace.hits(0, 50), early)
+
+    def test_single_and_range_lookups_agree_across_bytes(
+        self, tiny_arch, stream_addrs
+    ):
+        trace = _trace(stream_addrs, tiny_arch)
+        n = 2 * _TRACE_EXTEND_BLOCK + 13
+        whole = trace.hits(0, n)
+        singles = [bool(trace.hit(pos)) for pos in range(n)]
+        assert whole.tolist() == singles
+        # Ranges starting and stopping at every offset within a byte.
+        for start in range(0, 40):
+            for stop in (start, start + 1, start + 7, start + 8, start + 9, 97):
+                if stop >= start:
+                    assert trace.hits(start, stop).tolist() == singles[start:stop]
+        # A lookup past the walked range extends the walk.
+        far = trace.walked + 5
+        assert bool(trace.hit(far)) == bool(trace.hits(far, far + 1)[0])
 
     def test_warm_covers_one_pass_plus_block(self, tiny_arch, stream_addrs):
-        trace = L1ServiceTrace(stream_addrs, tiny_arch)
+        trace = _trace(stream_addrs, tiny_arch)
         trace.warm()
-        walked = trace._walked
+        walked = trace.walked
         assert walked >= stream_addrs.shape[0] + _TRACE_EXTEND_BLOCK
         # A consumer staying inside the warmed range never extends.
         trace.hits(0, stream_addrs.shape[0])
-        assert trace._walked == walked
+        assert trace.walked == walked
         trace.warm()  # idempotent
-        assert trace._walked == walked
+        assert trace.walked == walked
 
     def test_empty_stream(self, tiny_arch):
-        trace = L1ServiceTrace(np.empty(0, dtype=np.int64), tiny_arch)
+        trace = _trace(np.array([-1, -1], dtype=np.int64), tiny_arch)
         trace.warm()  # a no-op, not an error
         with pytest.raises(ValueError):
             trace.hits(0, 1)
 
     def test_for_stream_filters_stall_slots(self, tiny_arch):
-        class FakeStream:
-            addresses = np.array([5, -1, 7, -1, 9], dtype=np.int64)
-            event_positions = np.array([0, 1, 2, 4])
-
-        trace = L1ServiceTrace.for_stream(FakeStream(), tiny_arch)
+        stream = InstructionStream(
+            np.array([5, -1, 7, -1, 9], dtype=np.int64),
+            stall_cycles=np.array([0, 3, 0, 0, 0], dtype=np.int64),
+        )
+        trace = L1ServiceTrace(stream, tiny_arch)
         assert trace._period == 3  # -1 stall slots dropped
+        assert trace.hits(0, 3).tolist() == [False, False, False]
+        assert trace._addrs.tolist() == [5, 7, 9]
+
+
+def _make_memory(arch: ArchConfig, organization: str = "partitioned"):
+    if organization == "partitioned":
+        llc = PartitionedLLC(
+            arch.llc_lines,
+            arch.llc_associativity,
+            arch.num_cores,
+            arch.default_partition_lines,
+        )
+    else:
+        llc = SharedLLC(arch.llc_lines, arch.llc_associativity, arch.num_cores)
+    return DomainMemory(arch, llc.view(0), monitor=RecordingMonitor()), llc
 
 
 class TestInstall:
@@ -91,10 +130,37 @@ class TestInstall:
             tiny_arch.l1_lines,
             tiny_arch.l1_associativity,
         )
-        trace = L1ServiceTrace(stream_addrs, other)
-        memory = _make_memory(tiny_arch)
+        trace = _trace(stream_addrs, other)
+        memory, _ = _make_memory(tiny_arch)
         with pytest.raises(ValueError, match="geometry"):
             memory.install_l1_trace(trace)
+
+    def test_resolve_without_trace_raises(self, tiny_arch, stream_addrs):
+        memory, _ = _make_memory(tiny_arch)
+        assert memory.l1_trace is None
+        with pytest.raises(SimulationError, match="trace"):
+            memory.resolve_block(stream_addrs[:16])
+
+    def test_batched_core_always_carries_a_trace(
+        self, tiny_arch, stream_addrs, monkeypatch
+    ):
+        def core(mode: str, jitter: int = 0) -> Core:
+            monkeypatch.setenv(KERNEL_ENV, mode)
+            memory, _ = _make_memory(tiny_arch)
+            return Core(
+                domain=0,
+                stream=InstructionStream(stream_addrs),
+                memory=memory,
+                arch=tiny_arch,
+                core_config=CoreConfig(timing_jitter=jitter),
+                stats=DomainStats(domain=0),
+            )
+
+        batched = core("batched")
+        assert batched.memory.l1_trace is not None
+        # Cores on the scalar path walk the live L1 instead.
+        assert core("batched", jitter=3).memory.l1_trace is None
+        assert core("reference").memory.l1_trace is None
 
 
 class RecordingMonitor:
@@ -105,56 +171,48 @@ class RecordingMonitor:
         self.observed.append(line_addr)
 
 
-def _make_memory(arch: ArchConfig) -> DomainMemory:
-    llc = PartitionedLLC(
-        arch.llc_lines,
-        arch.llc_associativity,
-        arch.num_cores,
-        arch.default_partition_lines,
-    )
-    return DomainMemory(arch, llc.view(0), monitor=RecordingMonitor())
-
-
 class TestTracedDifferential:
-    """Drive traced and untraced twins through resolve/commit lock-step."""
+    """Traced resolve/commit against scalar ``access()`` on an untraced twin."""
 
-    def _drive(self, tiny_arch, stream_addrs, commit_plan):
-        traced = _make_memory(tiny_arch)
-        plain = _make_memory(tiny_arch)
-        trace = L1ServiceTrace(stream_addrs, tiny_arch)
-        traced.install_l1_trace(trace)
+    def _drive(self, tiny_arch, stream_addrs, commit_plan, organization):
+        traced, traced_llc = _make_memory(tiny_arch, organization)
+        scalar, scalar_llc = _make_memory(tiny_arch, organization)
+        traced.install_l1_trace(_trace(stream_addrs, tiny_arch))
 
         rng = np.random.default_rng(11)
         pos = 0
         for block_len, count in commit_plan:
             block = _cyclic(stream_addrs, pos, block_len)
             excluded = rng.random(block_len) < 0.25
-            lat_traced, tok_traced = traced.resolve_block(block)
-            lat_plain, tok_plain = plain.resolve_block(block)
-            assert np.array_equal(lat_traced, lat_plain)
-            traced.commit_block(tok_traced, count, metric_excluded=excluded)
-            plain.commit_block(tok_plain, count, metric_excluded=excluded)
+            latencies, token = traced.resolve_block(block)
+            traced.commit_block(token, count, metric_excluded=excluded)
+            expected = [
+                scalar.access(int(block[i]), bool(excluded[i]))
+                for i in range(count)
+            ]
+            assert latencies[:count].tolist() == expected
             pos += count
 
-        assert traced.level_counts == plain.level_counts
+        assert traced.level_counts == scalar.level_counts
         # Eviction counts are not modeled on the traced L1, but the
         # served hit/miss counts must agree.
-        assert traced.l1.stats.hits == plain.l1.stats.hits
-        assert traced.l1.stats.misses == plain.l1.stats.misses
-        assert traced.monitor.observed == plain.monitor.observed
+        assert traced.l1.stats.hits == scalar.l1.stats.hits
+        assert traced.l1.stats.misses == scalar.l1.stats.misses
+        assert traced.monitor.observed == scalar.monitor.observed
         assert traced.level_counts[MemoryLevel.L1] > 0
         assert traced.level_counts[MemoryLevel.DRAM] > 0
-        return traced, plain
+        # The LLC genuinely walked both twins identically, rollback
+        # replays included.
+        t_stats = traced_llc.stats_of(0)
+        s_stats = scalar_llc.stats_of(0)
+        assert (t_stats.hits, t_stats.misses) == (s_stats.hits, s_stats.misses)
 
     def test_full_commits(self, tiny_arch, stream_addrs):
         plan = [(60, 60)] * 9  # wraps past the period
-        self._drive(tiny_arch, stream_addrs, plan)
+        for organization in ("partitioned", "shared"):
+            self._drive(tiny_arch, stream_addrs, plan, organization)
 
     def test_partial_commits_roll_back_and_replay(self, tiny_arch, stream_addrs):
         plan = [(50, 50), (64, 23), (64, 0), (40, 40), (80, 17), (64, 64)]
-        traced, plain = self._drive(tiny_arch, stream_addrs, plan)
-        # The LLC genuinely walked both twins identically, rollback
-        # replays included.
-        t_stats = traced.llc_view.kernel_binding()[0].stats
-        p_stats = plain.llc_view.kernel_binding()[0].stats
-        assert (t_stats.hits, t_stats.misses) == (p_stats.hits, p_stats.misses)
+        for organization in ("partitioned", "shared"):
+            self._drive(tiny_arch, stream_addrs, plan, organization)

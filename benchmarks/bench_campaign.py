@@ -1,5 +1,5 @@
-"""Campaign scheduler benchmark: fifo per-cell dispatch vs the
-cell-major batching / work-stealing supervisor.
+"""Campaign dispatch benchmark: per-cell vs chunked dispatch from the
+supervisor's shared queue.
 
 Measures what chunked dispatch (``repro.harness.exec``) buys on a
 mixed-scheme campaign and writes the results to ``BENCH_campaign.json`` at
@@ -8,14 +8,11 @@ the repository root:
 * **serial** — ``jobs=1``: the in-process reference whose results
   every parallel mode must reproduce byte-for-byte (run once, only to
   anchor bit-identity);
-* **percell** — ``jobs=4`` under the legacy ``fifo`` scheduler: one
-  cell per dispatch from a single shared queue, in submission order;
-* **stolen** — the ``steal`` scheduler with ``batch_cells=1``:
-  longest-expected-first seeding onto per-worker deques plus
-  steal-on-idle, still one cell per dispatch;
-* **batched** — the ``steal`` scheduler with ``batch_cells=8``: a
-  whole batch group rides in one chunk to one worker, sharing that
-  process's scratch arena and memoizers.
+* **percell** — ``jobs=4`` with ``batch_cells=1``: one cell per
+  dispatch from the shared longest-expected-first queue;
+* **batched** — ``jobs=4`` with ``batch_cells=8``: a whole batch
+  group rides in one chunk to one worker, sharing that process's
+  scratch arena and memoizers.
 
 The campaign leads with the untangle cells (scheme-major submission
 order, as real campaign drivers emit it), and the store is disabled,
@@ -23,19 +20,15 @@ as in legacy sessions. Every forked pool pre-solves the untangle rate
 table and pre-walks the L1 service traces in the parent before its
 workers fork, so no mode pays a per-worker solve; what separates the
 modes is dispatch overhead and how much per-process memoizer reuse
-(workload builds, shared traces) a worker's run of cells gets. Work
-stealing's own benefit is overlap — rebalancing stragglers across
-cores — so on a few-core host the ``stolen`` mode measures close to
-1.0x; it is recorded as measured (the ``campaign`` section records the
-host's core count for context). The steal scheduler's balancing
-guarantees are pinned deterministically by
+(workload builds, shared traces) a worker's run of cells gets. The
+supervisor's ordering guarantees are pinned deterministically by
 ``tests/harness/test_scheduler.py`` instead.
 
 Methodology matches ``bench_store.py``: every measurement runs in a
 fresh child interpreter (clean memoizers and metrics), repetitions are
 interleaved so all modes see the same machine drift, and the per-mode
-minimum is reported. The recorded *speedups* (percell/stolen and
-percell/batched on the same host) are the machine-independent
+minimum is reported. The recorded *speedup* (percell/batched on the
+same host) is the machine-independent
 quantities the perf regression check (:mod:`repro.harness.perfbaseline`,
 CI ``perf-smoke`` job) compares. All modes must be bit-identical to
 the serial reference, and every mode's telemetry must satisfy
@@ -82,14 +75,12 @@ FORMAT_VERSION = 1
 #: Engine parameters per measured mode.
 MODES: dict[str, dict] = {
     "serial": {"jobs": 1},
-    "percell": {"jobs": JOBS, "scheduler": "fifo"},
-    "stolen": {"jobs": JOBS, "scheduler": "steal", "batch_cells": 1},
-    "batched": {"jobs": JOBS, "scheduler": "steal", "batch_cells": 8},
+    "percell": {"jobs": JOBS, "batch_cells": 1},
+    "batched": {"jobs": JOBS, "batch_cells": 8},
 }
 
 #: Scheduling telemetry shipped from the child for the report.
 TELEMETRY_KEYS = (
-    "steals",
     "batches",
     "batched_cells",
     "wall_seconds",
@@ -165,7 +156,7 @@ def run_campaign(mode: str, quick: bool) -> dict:
 def _child_main(args) -> int:
     # The store would amortize the rate-table solve across workers and
     # sessions, hiding exactly the redundancy this benchmark measures;
-    # the scheduler must stand on its own in store-less sessions.
+    # dispatch must stand on its own in store-less sessions.
     os.environ["REPRO_PRECOMPUTE"] = "off"
     report = run_campaign(args.mode, args.child_quick)
     json.dump(report, sys.stdout)
@@ -179,7 +170,6 @@ def _measure(mode: str, quick: bool) -> dict:
     env = dict(os.environ)
     for name in (
         "REPRO_JOBS",
-        "REPRO_SCHED",
         "REPRO_BATCH_CELLS",
         "REPRO_CACHE",
         "REPRO_CACHE_DIR",
@@ -188,7 +178,6 @@ def _measure(mode: str, quick: bool) -> dict:
         "REPRO_FAULTS",
         "REPRO_PRECOMPUTE",
         "REPRO_STORE_DIR",
-        "REPRO_STORE_SHM",
         "REPRO_TRACE",
         "REPRO_METRICS",
         "REPRO_PROFILE",
@@ -207,7 +196,7 @@ def _measure(mode: str, quick: bool) -> dict:
 
 
 def bench_campaign(quick: bool, reps: int) -> dict:
-    walls: dict[str, list[float]] = {"percell": [], "stolen": [], "batched": []}
+    walls: dict[str, list[float]] = {"percell": [], "batched": []}
     telemetry: dict[str, dict] = {}
     fingerprints: list = []
 
@@ -217,15 +206,14 @@ def bench_campaign(quick: bool, reps: int) -> dict:
     print(f"  serial reference {serial['wall']:6.2f}s", flush=True)
 
     for rep in range(reps):
-        for mode in ("percell", "stolen", "batched"):
+        for mode in ("percell", "batched"):
             report = _measure(mode, quick)
             walls[mode].append(report["wall"])
             telemetry[mode] = report["telemetry"]
             fingerprints.append((mode, report["fingerprint"]))
             print(
                 f"  rep {rep + 1}/{reps} {mode:8s} {report['wall']:6.2f}s  "
-                f"chunks={report['telemetry']['batches']:3d} "
-                f"steals={report['telemetry']['steals']:3d}",
+                f"chunks={report['telemetry']['batches']:3d}",
                 flush=True,
             )
 
@@ -236,7 +224,6 @@ def bench_campaign(quick: bool, reps: int) -> dict:
         raise AssertionError(f"campaign results diverge across modes: {divergent}")
 
     percell = min(walls["percell"])
-    stolen = min(walls["stolen"])
     batched = min(walls["batched"])
     return {
         "campaign": {
@@ -253,12 +240,6 @@ def bench_campaign(quick: bool, reps: int) -> dict:
             "identical": identical,
             "telemetry": telemetry["percell"],
         },
-        "stolen": {
-            "seconds": stolen,
-            "speedup": percell / stolen,
-            "identical": identical,
-            "telemetry": telemetry["stolen"],
-        },
         "batched": {
             "seconds": batched,
             "speedup": percell / batched,
@@ -270,8 +251,8 @@ def bench_campaign(quick: bool, reps: int) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Benchmark campaign scheduling: fifo per-cell dispatch "
-        "vs work stealing (per-cell and chunked)."
+        description="Benchmark campaign dispatch: one cell per chunk vs "
+        "eight cells per chunk from the shared queue."
     )
     parser.add_argument(
         "--quick",
@@ -301,12 +282,12 @@ def main(argv: list[str] | None = None) -> int:
 
     reps = args.reps or (2 if args.quick else 3)
     print(
-        f"scheduler campaign (jobs={JOBS}, min of {reps}):",
+        f"dispatch campaign (jobs={JOBS}, min of {reps}):",
         flush=True,
     )
     results = bench_campaign(args.quick, reps)
 
-    for mode in ("percell", "stolen", "batched"):
+    for mode in ("percell", "batched"):
         entry = results[mode]
         speedup = (
             f"  speedup={entry['speedup']:5.2f}x" if "speedup" in entry else ""

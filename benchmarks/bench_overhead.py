@@ -196,7 +196,6 @@ def _measure(mode: str, quick: bool) -> dict:
     env = dict(os.environ)
     for name in (
         "REPRO_JOBS",
-        "REPRO_SCHED",
         "REPRO_BATCH_CELLS",
         "REPRO_CACHE",
         "REPRO_CACHE_DIR",
@@ -207,7 +206,6 @@ def _measure(mode: str, quick: bool) -> dict:
         "REPRO_FAULTS",
         "REPRO_PRECOMPUTE",
         "REPRO_STORE_DIR",
-        "REPRO_STORE_SHM",
         "REPRO_TRACE",
         "REPRO_METRICS",
         "REPRO_PROFILE",

@@ -133,7 +133,7 @@ def _child_main(args) -> int:
 # ----------------------------------------------------------------------
 def _measure(mode: str, store_dir: str | None, num_pairs: int) -> dict:
     env = dict(os.environ)
-    for name in ("REPRO_PRECOMPUTE", "REPRO_STORE_DIR", "REPRO_STORE_SHM"):
+    for name in ("REPRO_PRECOMPUTE", "REPRO_STORE_DIR"):
         env.pop(name, None)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     command = [

@@ -23,13 +23,10 @@ cells out over a process pool and cache results on disk under
 are bit-identical either way. ``--telemetry`` prints the engine's cache
 and timing counters to stderr afterwards.
 
-Parallel runs schedule through a work-stealing supervisor by default:
-``--sched steal`` (or ``REPRO_SCHED``) dispatches chunks of
-batch-compatible cells to one worker — sized by ``--batch-cells``
-(``0`` = auto) — seeded longest-expected-first from journal runtime
-history, with idle workers stealing from the most loaded peer;
-``--sched fifo`` restores legacy one-cell-at-a-time dispatch (see
-``docs/performance.md``).
+Parallel runs dispatch chunks of batch-compatible cells — sized by
+``--batch-cells`` (``0`` = auto) — from one shared queue ordered
+longest-expected-first from journal runtime history; every idle worker
+takes the front chunk (see ``docs/performance.md``).
 
 Cells additionally share a cross-cell *precompute store*
 (``docs/performance.md``): workload traces and Untangle rate tables are
@@ -70,7 +67,7 @@ import sys
 from pathlib import Path
 
 from repro.errors import CampaignInterrupted, ConfigurationError
-from repro.harness.exec import SCHEDULERS, ExecutionEngine, ResultCache
+from repro.harness.exec import ExecutionEngine, ResultCache
 from repro.harness.store import (
     PRECOMPUTE_ENV,
     STORE_DIR_ENV,
@@ -129,22 +126,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--sched",
-        choices=SCHEDULERS,
-        default=None,
-        help=(
-            "campaign scheduler: steal = per-worker deques with "
-            "work stealing (default), fifo = legacy per-cell global "
-            "queue (also: REPRO_SCHED)"
-        ),
-    )
-    parser.add_argument(
         "--batch-cells",
         type=int,
         default=None,
         metavar="N",
         help=(
-            "cells per dispatched chunk under the steal scheduler "
+            "cells per dispatched chunk "
             "(0 = auto per batch group, 1 = per-cell dispatch; "
             "also: REPRO_BATCH_CELLS)"
         ),
@@ -375,14 +362,6 @@ def build_engine(args: argparse.Namespace) -> ExecutionEngine:
         "yes",
         "on",
     )
-    scheduler = args.sched or (
-        os.environ.get("REPRO_SCHED", "").strip().lower() or "steal"
-    )
-    if scheduler not in SCHEDULERS:
-        raise ConfigurationError(
-            f"REPRO_SCHED={scheduler!r} is not a scheduler; accepted: "
-            + ", ".join(SCHEDULERS)
-        )
     batch_cells = args.batch_cells
     if batch_cells is None:
         raw_batch = os.environ.get("REPRO_BATCH_CELLS", "").strip()
@@ -429,7 +408,6 @@ def build_engine(args: argparse.Namespace) -> ExecutionEngine:
         faults=faults_from_env(),
         progress=progress,
         store=store,
-        scheduler=scheduler,
         batch_cells=batch_cells,
     )
 

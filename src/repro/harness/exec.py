@@ -50,8 +50,8 @@ dependable as the system under test:
 * **Graceful shutdown.** SIGINT/SIGTERM terminate workers cleanly,
   leave the journal valid, and surface a resume hint via
   :class:`~repro.errors.CampaignInterrupted`.
-* **Orphan reaping.** Startup sweeps shm store segments and fault-state
-  directories whose owning process died uncleanly (SIGKILL) — see
+* **Orphan reaping.** Startup sweeps fault-state directories whose
+  owning process died uncleanly (SIGKILL) — see
   :mod:`repro.harness.reaper`.
 * **Cache integrity.** Entries carry a payload checksum; corrupt,
   truncated, or version-mismatched entries are quarantined (renamed
@@ -94,7 +94,6 @@ from repro.harness.runconfig import RunProfile
 from repro.harness.streamstats import StreamingSummary
 from repro.harness.store import (
     STORE_DIR_ENV,
-    STORE_SHM_ENV,
     PrecomputeStore,
     apply_store_stats_delta,
     clear_active_store,
@@ -114,12 +113,6 @@ from repro.sim.batch import cell_scratch
 #: interpolation partition quartiles; unfinished slices report partial
 #: IPC instead of 0.)
 CACHE_FORMAT_VERSION = 3
-
-#: Supported campaign schedulers: ``steal`` (per-worker deques seeded
-#: longest-expected-first, idle workers steal from the most loaded
-#: peer) and ``fifo`` (the legacy single global queue, retained as the
-#: per-cell dispatch baseline of ``benchmarks/bench_campaign.py``).
-SCHEDULERS = ("steal", "fifo")
 
 #: Hard ceiling on cells per dispatched chunk (auto sizing stays below).
 MAX_BATCH_CELLS = 32
@@ -189,9 +182,6 @@ _M_CELL_SECONDS = _REG.histogram(
     "repro_exec_cell_seconds",
     "Per-cell wall time (completed cells)",
     buckets=obs_metrics.CELL_SECONDS_BUCKETS,
-)
-_M_STEALS = _REG.counter(
-    "repro_steals_total", "Chunks stolen from a peer worker's deque"
 )
 _M_BATCH_CELLS = _REG.histogram(
     "repro_batch_cells",
@@ -1045,8 +1035,6 @@ class EngineTelemetry:
     #: the campaign — a warm store drives both to zero.
     workload_builds: int = 0
     rmax_solves: int = 0
-    #: Chunks stolen from a peer worker's deque (steal scheduler only).
-    steals: int = 0
     #: Chunks sent to workers / cells carried by those chunks. Equal
     #: when ``batch_cells=1``; their ratio is the realized batch factor.
     batches_dispatched: int = 0
@@ -1142,7 +1130,6 @@ class EngineTelemetry:
             "store_quarantines": self.store_quarantines,
             "workload_builds": self.workload_builds,
             "rmax_solves": self.rmax_solves,
-            "steals": self.steals,
             "batches": self.batches_dispatched,
             "batched_cells": self.batched_cells,
             "records_dropped": self.records_dropped,
@@ -1228,7 +1215,7 @@ def backoff_delay(
 
 
 # ----------------------------------------------------------------------
-# Cost model (steal-scheduler seeding)
+# Cost model (longest-expected-first dispatch order)
 # ----------------------------------------------------------------------
 def _cost_family(label: str) -> str:
     """The scheduling family of a cell label (its trailing component).
@@ -1292,14 +1279,14 @@ def runtime_hints_from_entries(
 
 
 def expected_cost(cell: Any, hints: dict[Any, float]) -> float:
-    """Expected relative runtime of one cell, for LPT deque seeding.
+    """Expected relative runtime of one cell, for dispatch ordering.
 
     Preference order: measured journal history — the cell's own label,
     then its (family, profile), then the legacy bare family — then the
     cell's own ``cost_hint()`` (if it defines one), then the static
     family weight table. Only the *ordering* matters — an inaccurate
-    estimate degrades the seeding, never correctness, and work stealing
-    recovers the imbalance at run time.
+    estimate degrades the dispatch order, never correctness, and the
+    shared queue still hands every idle worker the next chunk.
     """
     family = _cost_family(cell.label)
     hint = hints.get(cell.label)
@@ -1474,7 +1461,7 @@ class _Chunk:
     """A run of batch-compatible cells dispatched to one worker as a unit."""
 
     cells: list[tuple[int, Any, str]]  # (index, cell, key)
-    #: Summed expected cost — orders LPT seeding and steal-victim choice.
+    #: Summed expected cost — orders the queue longest-expected-first.
     cost: float
 
 
@@ -1485,8 +1472,6 @@ class _Worker:
     process: Any
     conn: multiprocessing.connection.Connection
     id: int
-    #: Scheduling slot (deque index); stable across respawns.
-    slot: int
     #: Cells of the in-flight chunk that have not reported a result yet;
     #: ``chunk[0]`` is the cell currently executing (the deadline applies
     #: to it alone). Empty when the worker is idle.
@@ -1514,23 +1499,19 @@ class _Supervisor:
     rescheduled with backoff, and every other slot keeps streaming cells
     — no failure can stall the round or leak a pool slot.
 
-    Scheduling comes in two flavors, selected by ``engine.scheduler``:
+    Scheduling: pending cells are grouped into batch-compatible
+    *chunks* (cell-major batching: one worker runs a run of cells under
+    a shared scratch arena) and put on one shared queue in
+    longest-expected-first order (LPT, using journal runtime hints).
+    Every idle worker takes the front chunk, so the expensive work
+    starts first and the cheap tail fills whichever workers free up —
+    one straggler cannot serialize the end of a campaign behind a
+    static per-worker placement.
 
-    * ``steal`` (default): pending cells are grouped into batch-
-      compatible *chunks* (cell-major batching: one worker runs a run of
-      cells under a shared scratch arena) and seeded onto per-slot
-      deques longest-expected-first (LPT, using journal runtime hints).
-      A worker that drains its own deque steals the cheapest chunk from
-      the most loaded peer, so one straggler slot cannot serialize the
-      tail of a campaign.
-    * ``fifo``: the legacy single global queue with per-cell dispatch,
-      retained as the baseline ``benchmarks/bench_campaign.py`` measures
-      the steal scheduler against.
-
-    Either way, workers report results per *cell*, attempts/deadlines
-    are booked per cell, and outcomes are bit-identical to serial
-    execution. Backed-off retries always live in the global ``queue``
-    and take priority over unstarted chunks.
+    Workers report results per *cell*, attempts/deadlines are booked
+    per cell, and outcomes are bit-identical to serial execution.
+    Backed-off retries live in the retry ``queue`` and take priority
+    over unstarted chunks.
     """
 
     #: How long one poll of the worker pipes blocks, seconds. Bounds
@@ -1539,26 +1520,18 @@ class _Supervisor:
 
     def __init__(self, engine: "ExecutionEngine", pending):
         self.engine = engine
-        self.scheduler = engine.scheduler
         self.context = multiprocessing.get_context()
-        # (index, cell, key, ready_at): backed-off retries (and, under
-        # the fifo scheduler, all initial work). ready_at defers retries.
+        # (index, cell, key, ready_at): backed-off retries; ready_at
+        # defers each until its backoff has elapsed.
         self.queue: deque[tuple[int, Any, str, float]] = deque()
         self.attempts = {index: 0 for index, _, _ in pending}
         #: Cumulative elapsed seconds per cell across all its attempts —
         #: crashed/hung/failed attempts included, so telemetry no longer
         #: undercounts failed cells as zero-cost.
         self.elapsed = {index: 0.0 for index, _, _ in pending}
-        slots = min(engine.jobs, len(pending))
-        self.deques: list[deque[_Chunk]] = [deque() for _ in range(slots)]
-        if self.scheduler == "steal":
-            self.hints = engine._runtime_hints()
-            self._seed_deques(self._plan_chunks(pending))
-        else:
-            self.hints = {}
-            self.queue.extend(
-                (index, cell, key, 0.0) for index, cell, key in pending
-            )
+        self.slots = min(engine.jobs, len(pending))
+        self.hints = engine._runtime_hints()
+        self._enqueue(pending)
         #: Per-cell count of attempts that ended in a worker *death*
         #: (crash / deadline kill / stall kill) rather than a reported
         #: error — the poison circuit breaker's evidence.
@@ -1586,7 +1559,7 @@ class _Supervisor:
         self._next_worker_id = 0
         if self.context.get_start_method() == "fork":
             self._prefork_warm(pending)
-        self.workers = [self._spawn(slot) for slot in range(slots)]
+        self.workers = [self._spawn() for _ in range(self.slots)]
 
     def _prefork_warm(self, pending) -> None:
         """Warm shareable per-cell precompute before the workers fork.
@@ -1615,7 +1588,7 @@ class _Supervisor:
                 )
 
     # ------------------------------------------------------------------
-    # Chunk planning and deque seeding (steal scheduler)
+    # Chunk planning and ordering
     # ------------------------------------------------------------------
     def _chunk_cost(self, cells) -> float:
         return sum(expected_cost(cell, self.hints) for _, cell, _ in cells)
@@ -1645,7 +1618,7 @@ class _Supervisor:
         history; without it every cell in a group shares one estimate
         and the split never triggers.
         """
-        slots = max(1, len(self.deques))
+        slots = max(1, self.slots)
         groups: dict[Any, list] = {}
         order: list[tuple[Any, list]] = []  # plan order, groups coalesced
         for task in pending:
@@ -1696,27 +1669,25 @@ class _Supervisor:
         normal = [t for t, c in zip(cells, costs) if c <= threshold]
         return stragglers, normal
 
-    def _seed_deques(self, chunks: list[_Chunk]) -> None:
-        """Longest-processing-time-first seeding.
+    def _enqueue(self, pending) -> None:
+        """Plan ``pending`` into chunks and queue them longest-first.
 
-        Chunks are placed, most expensive first, onto the currently
-        least-loaded slot (the classic LPT greedy). Each deque therefore
-        holds its chunks in non-increasing cost order: owners pop
-        expensive work from the front, thieves steal cheap work from
-        the back.
+        ``self.chunks`` holds the unstarted chunks in non-increasing
+        expected cost (the LPT order); every idle worker takes from the
+        front. The sort is stable, so equal-cost chunks keep their
+        planned (input) order — without journal history every cell of
+        a family ties, and dispatch then follows the campaign's order.
         """
-        if not self.deques:
-            return
-        load = [0.0] * len(self.deques)
-        for chunk in sorted(
-            chunks, key=lambda chunk: chunk.cost, reverse=True
-        ):
-            slot = min(range(len(load)), key=lambda s: (load[s], s))
-            self.deques[slot].append(chunk)
-            load[slot] += chunk.cost
+        self.chunks: deque[_Chunk] = deque(
+            sorted(
+                self._plan_chunks(pending),
+                key=lambda chunk: chunk.cost,
+                reverse=True,
+            )
+        )
 
     # ------------------------------------------------------------------
-    def _spawn(self, slot: int) -> _Worker:
+    def _spawn(self) -> _Worker:
         parent_conn, child_conn = self.context.Pipe()
         worker_id = self._next_worker_id
         self._next_worker_id += 1
@@ -1737,7 +1708,6 @@ class _Supervisor:
             process=process,
             conn=parent_conn,
             id=worker_id,
-            slot=slot,
             last_beat=time.monotonic(),
         )
 
@@ -1757,13 +1727,13 @@ class _Supervisor:
             pass
 
     def _replace(self, worker: _Worker) -> None:
-        """Kill a crashed/hung worker; respawn into the same slot."""
+        """Kill a crashed/hung worker and spawn its replacement."""
         self._reap(worker)
         self.workers.remove(worker)
         # A replacement is always useful: the failed task is about to be
         # requeued by the caller (or other tasks are still queued), and
         # spawning is cheap next to multi-second simulation cells.
-        self.workers.append(self._spawn(worker.slot))
+        self.workers.append(self._spawn())
         self.engine.telemetry.workers_respawned += 1
         _M_WORKER["respawn"].inc()
         obs_trace.event("worker.respawn", worker=worker.id)
@@ -1782,72 +1752,33 @@ class _Supervisor:
             self._shutdown()
 
     def _work_remaining(self) -> bool:
-        return bool(self.queue) or any(self.deques)
+        return bool(self.queue or self.chunks)
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _next_chunk(self, slot: int, now: float):
+    def _next_chunk(self, now: float):
         """The next run of cells for an idle worker, or ``None``.
 
-        Backed-off retries (strictly older work) go first in both
-        scheduler modes; then the slot's own deque, front (most
-        expensive) first; then a steal from the most loaded peer.
+        A backed-off retry whose delay has elapsed (strictly older work)
+        goes first; otherwise the front — most expensive — chunk of the
+        shared queue.
         """
         for position, task in enumerate(self.queue):
             if task[3] <= now:
                 del self.queue[position]
                 index, cell, key, _ = task
                 return [(index, cell, key)]
-        if self.scheduler != "steal":
-            return None
-        own = self.deques[slot]
-        if own:
-            return own.popleft().cells
-        return self._steal(slot)
-
-    def _peer_load(self, slot: int) -> tuple[float, int]:
-        """A slot's remaining load: summed expected chunk cost.
-
-        Cost — not chunk count — is the victim-selection weight, so a
-        peer holding one huge straggler outranks a peer holding many
-        already-cheap chunks. Chunk count is only the tie-break (more
-        chunks = more stealable units when costs are equal, e.g. when
-        no journal history exists yet and every hint is identical).
-        """
-        peer = self.deques[slot]
-        return (sum(chunk.cost for chunk in peer), len(peer))
-
-    def _steal(self, slot: int):
-        """Steal the cheapest chunk from the most loaded peer deque."""
-        victim = None
-        victim_load: tuple[float, int] = (0.0, 0)
-        for other, peer in enumerate(self.deques):
-            if other == slot or not peer:
-                continue
-            load = self._peer_load(other)
-            if victim is None or load > victim_load:
-                victim, victim_load = other, load
-        if victim is None:
-            return None
-        chunk = self.deques[victim].pop()  # cheapest end
-        self.engine.telemetry.steals += 1
-        _M_STEALS.inc()
-        obs_trace.event(
-            "cell.steal",
-            thief=slot,
-            victim=victim,
-            cells=len(chunk.cells),
-            label=chunk.cells[0][1].label,
-        )
-        return chunk.cells
+        if self.chunks:
+            return self.chunks.popleft().cells
+        return None
 
     def _assign(self) -> Iterator[tuple[int, CellOutcome]]:
         now = time.monotonic()
         for worker in list(self.workers):
             if worker.chunk:
                 continue
-            cells = self._next_chunk(worker.slot, now)
+            cells = self._next_chunk(now)
             if cells is None:
                 continue
             yield from self._dispatch(worker, cells)
@@ -1925,30 +1856,25 @@ class _Supervisor:
             exitcode=worker.process.exitcode,
         )
         self._replace(worker)
-        self._requeue_unstarted(worker.slot, cells[1:])
+        self._requeue_unstarted(cells[1:])
         yield from self._attempt_failed(
             index, cell, key, "worker died before dispatch", worker_died=True
         )
 
-    def _requeue_unstarted(self, slot: int, cells) -> None:
+    def _requeue_unstarted(self, cells) -> None:
         """Return a dead chunk's not-yet-started cells to the schedule.
 
         These cells never incremented ``attempts`` and never reported a
-        result, so they come back unpenalized: ahead of other pending
-        work (they were next in line) and without consuming retries.
+        result, so they come back unpenalized: at the front of the
+        shared queue (they were next in line) and without consuming
+        retries.
         """
         if not cells:
             return
         cells = list(cells)
-        if self.scheduler == "steal":
-            self.deques[slot].appendleft(
-                _Chunk(cells=cells, cost=self._chunk_cost(cells))
-            )
-        else:
-            self.queue.extendleft(
-                (index, cell, key, 0.0)
-                for index, cell, key in reversed(cells)
-            )
+        self.chunks.appendleft(
+            _Chunk(cells=cells, cost=self._chunk_cost(cells))
+        )
 
     def _collect(self) -> Iterator[tuple[int, CellOutcome]]:
         handles: dict[Any, _Worker] = {}
@@ -2051,7 +1977,7 @@ class _Supervisor:
             "(worker killed)"
         )
         self._replace(worker)
-        self._requeue_unstarted(worker.slot, cells[1:])
+        self._requeue_unstarted(cells[1:])
         yield from self._attempt_failed(
             index, cell, key, error, worker_died=True
         )
@@ -2145,7 +2071,7 @@ class _Supervisor:
         )
         error = f"worker crashed (exit code {worker.process.exitcode})"
         self._replace(worker)
-        self._requeue_unstarted(worker.slot, cells[1:])
+        self._requeue_unstarted(cells[1:])
         yield from self._attempt_failed(
             index, cell, key, error, worker_died=True
         )
@@ -2167,7 +2093,7 @@ class _Supervisor:
         )
         error = f"timeout after {self.engine.timeout:.1f}s (worker killed)"
         self._replace(worker)
-        self._requeue_unstarted(worker.slot, cells[1:])
+        self._requeue_unstarted(cells[1:])
         yield from self._attempt_failed(
             index, cell, key, error, worker_died=True
         )
@@ -2313,20 +2239,14 @@ class ExecutionEngine:
         cells fan out, every distinct artifact the pending cells declare
         via ``store_needs()`` is precomputed once (``store.populate``,
         traced as a ``store.populate`` span); workers then attach
-        zero-copy instead of regenerating. The store is torn down
-        (shared-memory segments unlinked) when the run exits — the
-        SIGINT path included. ``None`` disables the layer; results are
+        zero-copy instead of regenerating. The store's in-process
+        attachments are released when the run exits — the SIGINT path
+        included. ``None`` disables the layer; results are
         bit-identical either way. Independent of ``cache``: the *result*
         cache memoizes finished cells, the store memoizes the expensive
         *inputs* of cells that do run.
-    scheduler:
-        ``"steal"`` (default) assigns cells to per-worker deques seeded
-        longest-expected-first and lets idle workers steal from the most
-        loaded peer; ``"fifo"`` is the legacy single global queue with
-        per-cell dispatch. Results are bit-identical either way — only
-        the order and placement of work differ.
     batch_cells:
-        Cells per dispatched chunk under the steal scheduler. ``None``
+        Cells per dispatched chunk. ``None``
         or ``0`` auto-sizes per batch group (see
         ``_Supervisor._plan_chunks``); ``1`` forces per-cell dispatch;
         larger values cap at :data:`MAX_BATCH_CELLS`.
@@ -2348,7 +2268,6 @@ class ExecutionEngine:
         faults: FaultPlan | None = None,
         progress: Callable[[str], None] | None = None,
         store: PrecomputeStore | None = None,
-        scheduler: str = "steal",
         batch_cells: int | None = None,
     ):
         if jobs < 1:
@@ -2368,15 +2287,9 @@ class ExecutionEngine:
             )
         if backoff_base < 0 or backoff_cap < 0:
             raise ConfigurationError("backoff delays must be >= 0")
-        if scheduler not in SCHEDULERS:
-            raise ConfigurationError(
-                f"unknown scheduler {scheduler!r}; accepted: "
-                + ", ".join(SCHEDULERS)
-            )
         if batch_cells is not None and batch_cells < 0:
             raise ConfigurationError("batch_cells must be >= 0")
         self.jobs = jobs
-        self.scheduler = scheduler
         #: ``None`` means auto-size per batch group; 0 normalizes to it.
         self.batch_cells = batch_cells if batch_cells else None
         self.cache = cache
@@ -2613,7 +2526,7 @@ class ExecutionEngine:
         """Runtime estimates from journal history, if any (per label,
         per (family, profile), and legacy per family).
 
-        Feeds the steal scheduler's LPT seeding; an empty dict (no
+        Feeds the supervisor's longest-first ordering; an empty dict (no
         journal, fresh journal, unreadable journal) falls back to the
         static family weights — scheduling quality degrades, never
         correctness.
@@ -2734,7 +2647,6 @@ class ExecutionEngine:
             campaign=campaign,
             jobs=self.jobs,
             cells=total,
-            scheduler=self.scheduler,
         )
         run_span.__enter__()
         journaled = (
@@ -2745,9 +2657,9 @@ class ExecutionEngine:
         quarantined_before = self.cache.quarantined if self.cache else 0
         stats_before = store_stats_snapshot()
         reset_claim()  # each campaign gets one REPRO_PROFILE capture
-        # Startup hygiene: reclaim shm segments and fault-state dirs a
-        # SIGKILL'd previous run could not tear down (owner-PID probed,
-        # so concurrent live campaigns are never touched).
+        # Startup hygiene: reclaim fault-state dirs a SIGKILL'd previous
+        # run could not tear down (owner-PID probed, so concurrent live
+        # campaigns are never touched).
         reap_orphans()
         self.manifest_path = None
         self._install_signals()
@@ -2826,7 +2738,6 @@ class ExecutionEngine:
                     # worker keeps hitting the failing backend.
                     clear_active_store()
                     os.environ.pop(STORE_DIR_ENV, None)
-                    os.environ.pop(STORE_SHM_ENV, None)
 
             if pending:
                 if self.jobs == 1:
@@ -2894,11 +2805,9 @@ class ExecutionEngine:
             )
             if self.store is not None:
                 # Teardown on every exit path — SIGINT included — so no
-                # /dev/shm segment outlives the run.
+                # attachment outlives the run.
                 self.store.release()
                 clear_active_store()
-                if self.store.directory is None:
-                    os.environ.pop(STORE_SHM_ENV, None)
             self.telemetry.wall_seconds += time.perf_counter() - start
             self.telemetry.publish()
             snap = self.telemetry.snapshot()
@@ -3055,18 +2964,17 @@ def engine_from_env(
       of re-running them.
     * ``REPRO_FAULTS``: fault-injection spec for chaos runs (see
       :mod:`repro.harness.faults`).
-    * ``REPRO_SCHED``: campaign scheduler, ``steal`` (default) or
-      ``fifo`` (legacy per-cell global queue).
-    * ``REPRO_BATCH_CELLS``: cells per dispatched chunk under the steal
-      scheduler (``0`` = auto-size per batch group, ``1`` = per-cell
-      dispatch).
+    * ``REPRO_BATCH_CELLS``: cells per dispatched chunk (``0`` =
+      auto-size per batch group, ``1`` = per-cell dispatch).
     * ``REPRO_PRECOMPUTE``: ``off`` disables the precompute store
       (legacy build-per-cell path); default on.
     * ``REPRO_STORE_DIR``: precompute-store directory. Defaults to
       ``<cache-dir>/store`` — using ``REPRO_CACHE_DIR`` or
       ``default_cache_dir`` even when ``REPRO_CACHE=0``, because the
       *result* cache and the *input* store are independent layers; with
-      no directory at all the store falls back to shared memory.
+      no directory at all there is no store, and cells build their own
+      inputs (prefork warming still shares traces and rate tables
+      copy-on-write with forked workers).
 
     Malformed values raise :class:`~repro.errors.ConfigurationError`
     naming the offending value and the accepted forms.
@@ -3086,12 +2994,6 @@ def engine_from_env(
         minimum=0,
         accepted="a non-negative integer retry budget per cell",
     )
-    scheduler = os.environ.get("REPRO_SCHED", "").strip().lower() or "steal"
-    if scheduler not in SCHEDULERS:
-        raise ConfigurationError(
-            f"REPRO_SCHED={scheduler!r} is not a scheduler; accepted: "
-            + ", ".join(SCHEDULERS)
-        )
     batch_cells = _int_from_env(
         "REPRO_BATCH_CELLS",
         default=0,
@@ -3151,8 +3053,6 @@ def engine_from_env(
             store = PrecomputeStore(explicit_dir)
         elif cache_dir is not None:
             store = PrecomputeStore(Path(cache_dir) / "store")
-        else:
-            store = PrecomputeStore()  # shared-memory backend
     return ExecutionEngine(
         jobs=jobs,
         cache=cache,
@@ -3165,6 +3065,5 @@ def engine_from_env(
         faults=faults_from_env(),
         progress=progress,
         store=store,
-        scheduler=scheduler,
         batch_cells=batch_cells,
     )

@@ -1,6 +1,6 @@
 """Perf regression check against the committed performance baselines.
 
-Two benchmark drivers record machine-independent *speedup ratios* at the
+Four benchmark drivers record machine-independent *speedup ratios* at the
 repository root (absolute wall-clock depends on the host; the ratio of
 two modes measured back-to-back on the same machine does not, to first
 order):
@@ -11,8 +11,8 @@ order):
   (``"kind": "store"``): a multi-mix campaign with the precompute store
   disabled vs cold vs warm;
 * ``benchmarks/bench_campaign.py`` → ``BENCH_campaign.json``
-  (``"kind": "campaign"``): a skewed-cost campaign under legacy per-cell
-  fifo dispatch vs the work-stealing scheduler (per-cell and batched);
+  (``"kind": "campaign"``): a mixed-scheme campaign dispatched one cell
+  per chunk vs eight cells per chunk from the shared queue;
 * ``benchmarks/bench_overhead.py`` → ``BENCH_overhead.json``
   (``"kind": "overhead"``): a control-plane-bound campaign of trivial
   cells under per-cell journal fsync + per-file cache writes vs the
@@ -33,7 +33,7 @@ CLI (the CI ``perf-smoke`` job)::
     PYTHONPATH=src python -m repro.harness.perfbaseline --current fresh.json
 
 The baseline defaults to the committed file matching the current
-payload's kind, so the same command line serves both checks.
+payload's kind, so the same command line serves every check.
 """
 
 from __future__ import annotations
@@ -94,7 +94,6 @@ def _speedups(payload: dict) -> dict[str, float]:
         }
     if payload.get("kind") == "campaign":
         return {
-            "campaign/stolen": float(payload["stolen"]["speedup"]),
             "campaign/batched": float(payload["batched"]["speedup"]),
         }
     if payload.get("kind") == "overhead":
@@ -119,7 +118,7 @@ def _identity_failures(payload: dict) -> list[str]:
     if payload.get("kind") == "campaign":
         return [
             f"campaign/{mode}"
-            for mode in ("percell", "stolen", "batched")
+            for mode in ("percell", "batched")
             if not payload[mode].get("identical", False)
         ]
     if payload.get("kind") == "overhead":

@@ -1,40 +1,25 @@
 """Startup reaping of resources orphaned by killed campaign runs.
 
 The engine tears its shared state down on every *survivable* exit path
-— normal completion, failure, SIGINT/SIGTERM, ``atexit`` — but nothing
-survives SIGKILL or a machine reset, which leak:
-
-* **Shared-memory store segments** (``/dev/shm/repro-<token>-<digest>``,
-  see :class:`repro.harness.store._ShmBackend`): each holds a workload
-  trace, so a few killed campaigns can pin hundreds of megabytes of
-  ``tmpfs`` until reboot.
-* **Fault-injection state directories**
-  (``$TMPDIR/repro-faults-*``, see
-  :func:`repro.harness.faults.faults_from_env`): tiny, but they
-  accumulate one per killed chaos run.
+— normal completion, failure, SIGINT/SIGTERM — but nothing survives
+SIGKILL or a machine reset, which leaks **fault-injection state
+directories** (``$TMPDIR/repro-faults-*``, see
+:func:`repro.harness.faults.faults_from_env`): tiny, but they
+accumulate one per killed chaos run.
 
 :func:`reap_orphans` runs at the start of every engine run and sweeps
-both, using the *owner PID* each resource records at creation time
-(``owner_pid`` in the segment header, ``owner.pid`` in the state dir):
-a resource whose owner is dead is provably orphaned and safe to remove;
-one whose owner is alive belongs to a concurrent campaign and is left
-alone. Resources with no readable owner stamp (foreign layouts, torn
-writes) are only reaped past a conservative age threshold, so the sweep
-can never race a segment that another process is mid-creating.
-
-Segment headers are read via the ``/dev/shm`` filesystem directly (not
-``multiprocessing.shared_memory.SharedMemory``) so probing never
-registers with the resource tracker; on platforms without ``/dev/shm``
-(macOS) the shm sweep is skipped — those platforms also reclaim POSIX
-shm on reboot, and the file-backed store is unaffected everywhere.
+them, using the *owner PID* each directory records at creation time
+(``owner.pid``): a directory whose owner is dead is provably orphaned
+and safe to remove; one whose owner is alive belongs to a concurrent
+campaign and is left alone. Directories with no readable owner stamp
+(torn writes) are only reaped past a conservative age threshold, so the
+sweep can never race a directory that another process is mid-creating.
 """
 
 from __future__ import annotations
 
 import errno
-import json
 import os
-import struct
 import tempfile
 import time
 from pathlib import Path
@@ -43,31 +28,16 @@ from repro.harness.faults import STATE_DIR_PREFIX, STATE_PID_FILE
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
-#: Where Linux exposes POSIX shared memory as plain files.
-SHM_ROOT = Path("/dev/shm")
-
-#: Prefix of store segments (see ``_ShmBackend._name``).
-SHM_PREFIX = "repro-"
-
-#: A segment with an unreadable header (no owner evidence) is reaped
-#: only once it is at least this old — far beyond any populate race.
-SHM_UNKNOWN_OWNER_AGE = 3600.0
-
-#: Same idea for fault-state dirs missing their ``owner.pid`` stamp.
+#: A fault-state dir missing its ``owner.pid`` stamp is reaped only
+#: once it is at least this old — far beyond any creation race.
 FAULT_STATE_UNKNOWN_OWNER_AGE = 600.0
 
-#: Read at most this much of a segment when probing for its header.
-_HEADER_PROBE_BYTES = 1 << 20
-
 _REG = obs_metrics.get_registry()
-_M_REAPED = {
-    kind: _REG.counter(
-        "repro_reaped_total",
-        "Orphaned resources reclaimed at startup",
-        kind=kind,
-    )
-    for kind in ("shm", "fault-state")
-}
+_M_REAPED = _REG.counter(
+    "repro_reaped_total",
+    "Orphaned resources reclaimed at startup",
+    kind="fault-state",
+)
 
 
 def _pid_alive(pid: int) -> bool:
@@ -85,61 +55,11 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def _segment_owner(path: Path) -> int | None:
-    """The ``owner_pid`` recorded in a store segment's header, if readable."""
-    try:
-        with open(path, "rb") as handle:
-            blob = handle.read(_HEADER_PROBE_BYTES)
-        (header_len,) = struct.unpack_from("<Q", blob, 0)
-        if header_len <= 0 or header_len > len(blob) - 8:
-            return None
-        header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
-        pid = header.get("owner_pid")
-        return int(pid) if pid is not None else None
-    except (OSError, ValueError, KeyError, struct.error):
-        return None
-
-
 def _age_seconds(path: Path) -> float:
     try:
         return max(0.0, time.time() - path.stat().st_mtime)
     except OSError:
         return 0.0
-
-
-def reap_orphan_shm(root: Path = SHM_ROOT) -> list[str]:
-    """Unlink ``repro-*`` shm segments whose owning process is dead.
-
-    Returns the reaped segment names. Segments with a live owner (a
-    concurrent campaign) are kept; segments with no readable owner
-    stamp are kept until :data:`SHM_UNKNOWN_OWNER_AGE` old.
-    """
-    if not root.is_dir():
-        return []
-    reaped: list[str] = []
-    try:
-        candidates = sorted(root.glob(f"{SHM_PREFIX}*"))
-    except OSError:
-        return []
-    for path in candidates:
-        if not path.is_file():
-            continue
-        owner = _segment_owner(path)
-        if owner is not None:
-            if _pid_alive(owner):
-                continue
-        elif _age_seconds(path) < SHM_UNKNOWN_OWNER_AGE:
-            continue
-        try:
-            path.unlink()
-        except OSError:
-            continue
-        reaped.append(path.name)
-        _M_REAPED["shm"].inc()
-        obs_trace.event(
-            "reap.shm", segment=path.name, owner=owner
-        )
-    return reaped
 
 
 def reap_orphan_fault_state(root: str | Path | None = None) -> list[str]:
@@ -179,7 +99,7 @@ def reap_orphan_fault_state(root: str | Path | None = None) -> list[str]:
         except OSError:
             continue
         reaped.append(str(path))
-        _M_REAPED["fault-state"].inc()
+        _M_REAPED.inc()
         obs_trace.event("reap.fault-state", path=str(path), owner=owner)
     return reaped
 
@@ -187,11 +107,8 @@ def reap_orphan_fault_state(root: str | Path | None = None) -> list[str]:
 def reap_orphans() -> dict[str, list[str]]:
     """Sweep every orphan class; called once per engine run.
 
-    Cheap when there is nothing to do (two directory scans), and every
+    Cheap when there is nothing to do (one directory scan), and every
     failure mode is contained: an unreadable entry is skipped, never
     raised — startup hygiene must not be able to break a campaign.
     """
-    return {
-        "shm": reap_orphan_shm(),
-        "fault_state": reap_orphan_fault_state(),
-    }
+    return {"fault_state": reap_orphan_fault_state()}

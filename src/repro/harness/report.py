@@ -199,7 +199,7 @@ def render_telemetry(telemetry: EngineTelemetry) -> str:
         factor = snap["batched_cells"] / snap["batches"]
         lines.append(
             f"  scheduling:   {snap['batches']} chunks dispatched "
-            f"({factor:.1f} cells/chunk), {snap['steals']} steals"
+            f"({factor:.1f} cells/chunk)"
         )
     if snap["quarantined"]:
         lines.append(

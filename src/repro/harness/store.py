@@ -11,19 +11,12 @@ This module is the content-addressed store for those artifacts:
 
 * **Workload traces** — the numpy arrays behind one
   :class:`~repro.workloads.workload.BuiltWorkload` (addresses,
-  annotation masks, stall cycles), keyed by the full composition inputs.
-  Two backends:
-
-  - a **file backend** (``<store-dir>/traces/``): arrays are ``.npy``
-    files attached with ``np.load(mmap_mode="r")`` — every process
-    mapping the same file shares one copy in the page cache, so
-    :class:`~repro.harness.exec.ExecutionEngine` workers attach
-    **zero-copy** whether they were forked or spawned;
-  - a **shared-memory backend** (``multiprocessing.shared_memory``)
-    for configurations with no usable directory: one segment per trace,
-    deterministically named from a session token exported through the
-    environment (``REPRO_STORE_SHM``) so forked workers inherit the
-    mapping and spawned workers re-attach by name.
+  annotation masks, stall cycles), keyed by the full composition inputs
+  and stored under ``<store-dir>/traces/``: arrays are ``.npy`` files
+  attached with ``np.load(mmap_mode="r")`` — every process mapping the
+  same file shares one copy in the page cache, so
+  :class:`~repro.harness.exec.ExecutionEngine` workers attach
+  **zero-copy** whether they were forked or spawned.
 
 * **Rmax tables** — a checksummed JSON artifact per channel-model key
   (``<store-dir>/rmax/``), consumed by the keyed memoizer in
@@ -39,21 +32,19 @@ recomputed.
 
 The *active* store is process-global (:func:`get_active_store`): the
 execution engine activates its store for the duration of a run and
-exports ``REPRO_STORE_DIR`` / ``REPRO_STORE_SHM`` so worker processes —
-fork or spawn — resolve the same store from the environment.
+exports ``REPRO_STORE_DIR`` so worker processes — fork or spawn —
+resolve the same store from the environment.
 ``REPRO_PRECOMPUTE=off`` (or ``--no-precompute-store``) disables the
 whole layer and forces the legacy in-process build path.
 """
 
 from __future__ import annotations
 
-import atexit
 import dataclasses
 import hashlib
 import json
 import os
 import shutil
-import struct
 import tempfile
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -67,10 +58,8 @@ from repro.obs import trace as obs_trace
 #: ``on`` (default) enables the precompute store; ``off`` forces the
 #: legacy build-everything-in-process path.
 PRECOMPUTE_ENV = "REPRO_PRECOMPUTE"
-#: Directory of the file-backed store (exported to workers).
+#: Directory of the store (exported to workers).
 STORE_DIR_ENV = "REPRO_STORE_DIR"
-#: Session token of the shared-memory-backed store (exported to workers).
-STORE_SHM_ENV = "REPRO_STORE_SHM"
 
 #: Bump when the trace layout changes incompatibly; old entries are then
 #: quarantined instead of misread.
@@ -170,30 +159,74 @@ def rmax_token(
 
 
 # ----------------------------------------------------------------------
-# File backend: memory-mapped .npy files under the store directory
+# The store
 # ----------------------------------------------------------------------
-class _FileBackend:
-    """Traces as directories of ``.npy`` files, attached via ``mmap``.
+class PrecomputeStore:
+    """Content-addressed store of precomputed campaign artifacts.
 
-    One entry is ``traces/<digest[:2]>/<digest>/`` holding ``meta.json``
-    (array names, dtypes, shapes, checksums, and the full key token for
-    on-disk debuggability) plus one ``<name>.npy`` per array. Entries
-    are written atomically (temp directory + ``os.replace``) so
-    concurrent campaigns can share one store directory safely.
+    ``directory`` is the store root. A trace entry is
+    ``traces/<digest[:2]>/<digest>/`` holding ``meta.json`` (array
+    names, dtypes, shapes, checksums, and the full key token for on-disk
+    debuggability) plus one ``<name>.npy`` per array, attached via
+    ``mmap``; Rmax artifacts are checksummed JSON files under ``rmax/``.
+    Entries are written atomically (temp file or directory +
+    ``os.replace``) so concurrent campaigns can share one store
+    directory safely.
     """
-
-    persistent = True
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
+        self._attached: dict[str, dict[str, np.ndarray]] = {}
+        self._rmax_cache: dict[str, list[dict[str, Any]]] = {}
 
-    def _entry(self, digest: str) -> Path:
-        return self.directory / "traces" / digest[:2] / digest
-
+    # ------------------------------------------------------------------
     def describe(self) -> str:
         return f"file:{self.directory}"
 
-    def _quarantine(self, entry: Path) -> None:
+    def export_env(self) -> None:
+        """Publish this store's directory for (fork or spawn) workers."""
+        os.environ[STORE_DIR_ENV] = str(self.directory.resolve())
+
+    # ------------------------------------------------------------------
+    # Trace arrays
+    # ------------------------------------------------------------------
+    def trace_arrays(
+        self,
+        token: dict[str, Any],
+        builder: Callable[[], dict[str, np.ndarray]],
+    ) -> dict[str, np.ndarray]:
+        """The named arrays for ``token``, building at most once per store.
+
+        A hit attaches a zero-copy mmap view; a miss runs ``builder``
+        and persists its arrays for every other process of the
+        campaign. Served arrays are read-only; the round-trip is
+        byte-exact (checksummed on first attach).
+        """
+        digest = store_digest(token)
+        cached = self._attached.get(digest)
+        if cached is not None:
+            _M_STORE[("trace", "hit")].inc()
+            return cached
+        loaded = self._load_trace(digest)
+        if loaded is not None:
+            _M_STORE[("trace", "hit")].inc()
+            _M_BYTES.inc(sum(a.nbytes for a in loaded.values()))
+            self._attached[digest] = loaded
+            return loaded
+        _M_STORE[("trace", "miss")].inc()
+        arrays = builder()
+        stored = self._store_trace(digest, token, arrays)
+        self._attached[digest] = stored
+        return stored
+
+    def has_trace(self, token: dict[str, Any]) -> bool:
+        digest = store_digest(token)
+        return digest in self._attached or self._load_trace(digest) is not None
+
+    def _trace_entry(self, digest: str) -> Path:
+        return self.directory / "traces" / digest[:2] / digest
+
+    def _quarantine_trace(self, entry: Path) -> None:
         _M_STORE[("trace", "quarantined")].inc()
         obs_trace.event("store.quarantine", kind="trace", path=str(entry))
         target = entry.with_name(entry.name + ".corrupt")
@@ -204,43 +237,43 @@ class _FileBackend:
         except OSError:
             shutil.rmtree(entry, ignore_errors=True)
 
-    def load(self, digest: str) -> dict[str, np.ndarray] | None:
-        entry = self._entry(digest)
+    def _load_trace(self, digest: str) -> dict[str, np.ndarray] | None:
+        entry = self._trace_entry(digest)
         try:
             meta = json.loads((entry / "meta.json").read_text())
         except OSError:
             return None  # genuinely absent — a plain miss
         except ValueError:
-            self._quarantine(entry)
+            self._quarantine_trace(entry)
             return None
         if (
             not isinstance(meta, dict)
             or meta.get("format") != STORE_FORMAT_VERSION
             or not isinstance(meta.get("arrays"), dict)
         ):
-            self._quarantine(entry)
+            self._quarantine_trace(entry)
             return None
         arrays: dict[str, np.ndarray] = {}
         for name, spec in meta["arrays"].items():
             try:
                 array = np.load(entry / f"{name}.npy", mmap_mode="r")
             except (OSError, ValueError):
-                self._quarantine(entry)
+                self._quarantine_trace(entry)
                 return None
             if (
                 str(array.dtype) != spec.get("dtype")
                 or list(array.shape) != spec.get("shape")
                 or _array_checksum(array) != spec.get("sha256")
             ):
-                self._quarantine(entry)
+                self._quarantine_trace(entry)
                 return None
             arrays[name] = array
         return arrays
 
-    def store(
+    def _store_trace(
         self, digest: str, token: dict[str, Any], arrays: dict[str, np.ndarray]
     ) -> dict[str, np.ndarray]:
-        entry = self._entry(digest)
+        entry = self._trace_entry(digest)
         entry.parent.mkdir(parents=True, exist_ok=True)
         tmp = Path(
             tempfile.mkdtemp(dir=entry.parent, prefix=f".{digest[:8]}-")
@@ -265,295 +298,13 @@ class _FileBackend:
         except OSError:
             shutil.rmtree(tmp, ignore_errors=True)
             return arrays  # store failed; serve the in-memory build
-        loaded = self.load(digest)
+        loaded = self._load_trace(digest)
         return loaded if loaded is not None else arrays
 
-    def release(self) -> None:  # files persist; nothing to unlink
-        pass
-
-
-# ----------------------------------------------------------------------
-# Shared-memory backend: one named segment per trace
-# ----------------------------------------------------------------------
-#: Segment layout: 8-byte little-endian header length, JSON header
-#: (array names -> dtype/shape/offset/nbytes), then the raw array bytes
-#: at 64-byte-aligned offsets.
-_SHM_ALIGN = 64
-
-
-def _shm_module():
-    from multiprocessing import shared_memory
-
-    return shared_memory
-
-
-def _defuse_shm(shm) -> None:
-    """Close a segment handle whose buffer may still be exported.
-
-    Zero-copy views served from the segment can outlive the store;
-    ``SharedMemory.close`` then raises ``BufferError`` (and its
-    ``__del__`` would print it as an ignored exception). Dropping the
-    handle's own references instead lets the numpy views keep the
-    mapping alive exactly as long as they need it — the fd is closed
-    and the name is already unlinked, so nothing leaks.
-    """
-    try:
-        shm.close()
-        return
-    except BufferError:
-        pass
-    try:
-        if shm._fd >= 0:
-            os.close(shm._fd)
-            shm._fd = -1
-    except (OSError, AttributeError):
-        pass
-    try:
-        shm._buf = None
-        shm._mmap = None
-    except AttributeError:
-        pass
-
-
-def _untrack_shm(shm) -> None:
-    """Detach a segment from the resource tracker.
-
-    An attaching (non-owning) process must not let Python's resource
-    tracker unlink a segment it does not own at interpreter exit — on
-    3.11 every ``SharedMemory(name)`` registers itself. Ownership and
-    unlinking are managed explicitly by the creating process.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
-
-
-class _ShmBackend:
-    """Traces in named POSIX shared-memory segments.
-
-    Used when no store directory is available (e.g. fully cache-less
-    runs). The engine process *owns* the segments: it creates them
-    during populate and unlinks them on teardown — including the SIGINT
-    path, plus an ``atexit`` net. Worker processes attach by
-    deterministic name (``repro-<token>-<digest16>``) derived from the
-    session token in ``REPRO_STORE_SHM``; a worker that cannot attach
-    falls back to building in-process rather than creating segments the
-    owner would never clean up.
-    """
-
-    persistent = False
-
-    def __init__(self, token: str, owner: bool):
-        self.token = token
-        self.owner = owner
-        self._segments: dict[str, Any] = {}  # digest -> SharedMemory
-        if owner:
-            atexit.register(self.release)
-
-    def describe(self) -> str:
-        return f"shm:{self.token}"
-
-    def _name(self, digest: str) -> str:
-        return f"repro-{self.token}-{digest[:16]}"
-
-    def _views(self, shm) -> dict[str, np.ndarray] | None:
-        buf = shm.buf
-        try:
-            (header_len,) = struct.unpack_from("<Q", buf, 0)
-            header = json.loads(bytes(buf[8 : 8 + header_len]).decode("utf-8"))
-            arrays: dict[str, np.ndarray] = {}
-            for name, spec in header["arrays"].items():
-                array = np.frombuffer(
-                    buf,
-                    dtype=np.dtype(spec["dtype"]),
-                    count=int(np.prod(spec["shape"], dtype=np.int64)),
-                    offset=spec["offset"],
-                ).reshape(spec["shape"])
-                array.flags.writeable = False
-                arrays[name] = array
-            return arrays
-        except (ValueError, KeyError, struct.error):
-            return None
-
-    def load(self, digest: str) -> dict[str, np.ndarray] | None:
-        shm_mod = _shm_module()
-        try:
-            shm = shm_mod.SharedMemory(name=self._name(digest), create=False)
-        except (FileNotFoundError, OSError):
-            return None
-        if not self.owner:
-            _untrack_shm(shm)
-        views = self._views(shm)
-        if views is None:
-            shm.close()
-            _M_STORE[("trace", "quarantined")].inc()
-            obs_trace.event(
-                "store.quarantine", kind="trace", path=self._name(digest)
-            )
-            return None
-        # Keep the segment referenced for as long as the views live.
-        self._segments[digest] = shm
-        return views
-
-    def store(
-        self, digest: str, token: dict[str, Any], arrays: dict[str, np.ndarray]
-    ) -> dict[str, np.ndarray]:
-        if not self.owner:
-            return arrays  # workers never create segments (see class doc)
-        # owner_pid lets repro.harness.reaper tell a segment whose owner
-        # was SIGKILL'd (stale, reap) from one backing a live campaign.
-        header: dict[str, Any] = {
-            "format": STORE_FORMAT_VERSION,
-            "owner_pid": os.getpid(),
-            "arrays": {},
-        }
-        payload = {
-            name: np.ascontiguousarray(array) for name, array in arrays.items()
-        }
-        # Reserve a generous header: offsets are only known once the
-        # header length is fixed, so size it from a draft with offsets.
-        draft = {
-            name: {
-                "dtype": str(array.dtype),
-                "shape": list(array.shape),
-                "offset": 0,
-                "nbytes": array.nbytes,
-            }
-            for name, array in payload.items()
-        }
-        header["arrays"] = draft
-        header_len = len(json.dumps(header).encode("utf-8")) + 16 * len(draft)
-        offset = 8 + header_len
-        for name, array in payload.items():
-            offset = (offset + _SHM_ALIGN - 1) // _SHM_ALIGN * _SHM_ALIGN
-            draft[name]["offset"] = offset
-            offset += array.nbytes
-        blob = json.dumps(header).encode("utf-8")
-        if len(blob) > header_len:  # pragma: no cover - 16B/array is ample
-            header_len = len(blob)
-        shm_mod = _shm_module()
-        try:
-            shm = shm_mod.SharedMemory(
-                name=self._name(digest), create=True, size=max(offset, 1)
-            )
-        except FileExistsError:
-            existing = self.load(digest)
-            return existing if existing is not None else arrays
-        except OSError:
-            return arrays
-        struct.pack_into("<Q", shm.buf, 0, len(blob))
-        shm.buf[8 : 8 + len(blob)] = blob
-        for name, array in payload.items():
-            start = draft[name]["offset"]
-            shm.buf[start : start + array.nbytes] = array.tobytes()
-        self._segments[digest] = shm
-        views = self._views(shm)
-        return views if views is not None else arrays
-
-    def release(self) -> None:
-        for shm in self._segments.values():
-            if self.owner:
-                try:
-                    shm.unlink()
-                except (FileNotFoundError, OSError):
-                    pass
-            _defuse_shm(shm)
-        self._segments.clear()
-
-
-# ----------------------------------------------------------------------
-# The store
-# ----------------------------------------------------------------------
-class PrecomputeStore:
-    """Content-addressed store of precomputed campaign artifacts.
-
-    Parameters
-    ----------
-    directory:
-        Root of the file-backed store (trace arrays under ``traces/``,
-        Rmax JSON artifacts under ``rmax/``). ``None`` selects the
-        shared-memory backend (traces only — Rmax artifacts need a
-        directory; without one the process-level memoizer plus fork
-        inheritance still dedupes solves within a campaign).
-    shm_token:
-        Attach to an existing shared-memory store by session token
-        (worker side). Ignored when ``directory`` is given.
-    """
-
-    def __init__(
-        self,
-        directory: str | Path | None = None,
-        *,
-        shm_token: str | None = None,
-    ):
-        self._attached: dict[str, dict[str, np.ndarray]] = {}
-        self._rmax_cache: dict[str, list[dict[str, Any]]] = {}
-        if directory is not None:
-            self.directory: Path | None = Path(directory)
-            self._backend: Any = _FileBackend(self.directory)
-        else:
-            self.directory = None
-            token = shm_token or os.urandom(4).hex()
-            self._backend = _ShmBackend(token, owner=shm_token is None)
-
     # ------------------------------------------------------------------
-    def describe(self) -> str:
-        return self._backend.describe()
-
-    def export_env(self) -> None:
-        """Publish this store's identity for (fork or spawn) workers."""
-        if self.directory is not None:
-            os.environ[STORE_DIR_ENV] = str(self.directory.resolve())
-            os.environ.pop(STORE_SHM_ENV, None)
-        else:
-            os.environ[STORE_SHM_ENV] = self._backend.token
-            os.environ.pop(STORE_DIR_ENV, None)
-
+    # Rmax artifacts
     # ------------------------------------------------------------------
-    # Trace arrays
-    # ------------------------------------------------------------------
-    def trace_arrays(
-        self,
-        token: dict[str, Any],
-        builder: Callable[[], dict[str, np.ndarray]],
-    ) -> dict[str, np.ndarray]:
-        """The named arrays for ``token``, building at most once per store.
-
-        A hit attaches zero-copy (mmap view or shared-memory view); a
-        miss runs ``builder`` and persists its arrays for every other
-        process of the campaign. Served arrays are read-only; the
-        round-trip is byte-exact (checksummed on first attach).
-        """
-        digest = store_digest(token)
-        cached = self._attached.get(digest)
-        if cached is not None:
-            _M_STORE[("trace", "hit")].inc()
-            return cached
-        loaded = self._backend.load(digest)
-        if loaded is not None:
-            _M_STORE[("trace", "hit")].inc()
-            _M_BYTES.inc(sum(a.nbytes for a in loaded.values()))
-            self._attached[digest] = loaded
-            return loaded
-        _M_STORE[("trace", "miss")].inc()
-        arrays = builder()
-        stored = self._backend.store(digest, token, arrays)
-        self._attached[digest] = stored
-        return stored
-
-    def has_trace(self, token: dict[str, Any]) -> bool:
-        digest = store_digest(token)
-        return digest in self._attached or self._backend.load(digest) is not None
-
-    # ------------------------------------------------------------------
-    # Rmax artifacts (file-backed only)
-    # ------------------------------------------------------------------
-    def _rmax_path(self, digest: str) -> Path | None:
-        if self.directory is None:
-            return None
+    def _rmax_path(self, digest: str) -> Path:
         return self.directory / "rmax" / f"{digest}.json"
 
     @staticmethod
@@ -581,8 +332,6 @@ class PrecomputeStore:
             _M_STORE[("rmax", "hit")].inc()
             return cached
         path = self._rmax_path(digest)
-        if path is None:
-            return None
         try:
             payload = json.loads(path.read_text())
         except OSError:
@@ -609,8 +358,6 @@ class PrecomputeStore:
         digest = store_digest(token)
         self._rmax_cache[digest] = entries
         path = self._rmax_path(digest)
-        if path is None:
-            return
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "format": STORE_FORMAT_VERSION,
@@ -672,16 +419,14 @@ class PrecomputeStore:
         return len(distinct)
 
     def release(self) -> None:
-        """Drop attachments; unlink shared-memory segments (owner only).
+        """Drop this process's attachments and cached Rmax entries.
 
-        Called by the engine on run exit — including the SIGINT path —
-        and again from ``atexit`` as a net. Idempotent; a file-backed
-        store keeps its on-disk entries (that persistence *is* the warm
-        path).
+        Called by the engine on run exit — including the SIGINT path.
+        Idempotent; the on-disk entries persist (that persistence *is*
+        the warm path).
         """
         self._attached.clear()
         self._rmax_cache.clear()
-        self._backend.release()
 
 
 # ----------------------------------------------------------------------
@@ -733,25 +478,18 @@ def get_active_store() -> PrecomputeStore | None:
 
     Resolution order: an explicit :func:`set_active_store` wins;
     otherwise the environment (``REPRO_PRECOMPUTE`` gate, then
-    ``REPRO_STORE_DIR`` or ``REPRO_STORE_SHM``) — which is how engine
-    workers, forked *or* spawned, find the campaign's store.
+    ``REPRO_STORE_DIR``) — which is how engine workers, forked *or*
+    spawned, find the campaign's store.
     """
     if _ACTIVE_SET:
         return _ACTIVE
     global _ENV_STORE
-    key = (
-        os.environ.get(PRECOMPUTE_ENV),
-        os.environ.get(STORE_DIR_ENV),
-        os.environ.get(STORE_SHM_ENV),
-    )
+    key = (os.environ.get(PRECOMPUTE_ENV), os.environ.get(STORE_DIR_ENV))
     if _ENV_STORE is not None and _ENV_STORE[0] == key:
         return _ENV_STORE[1]
     store: PrecomputeStore | None = None
-    if precompute_from_env():
-        if key[1]:
-            store = PrecomputeStore(key[1])
-        elif key[2]:
-            store = PrecomputeStore(shm_token=key[2])
+    if precompute_from_env() and key[1]:
+        store = PrecomputeStore(key[1])
     _ENV_STORE = (key, store)
     return store
 

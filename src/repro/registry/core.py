@@ -96,8 +96,9 @@ class Registration:
     scheme classes. ``store_needs(profile, params)`` mirrors
     ``MixSchemeCell.store_needs``: the precomputable artifacts cells of
     this scheme consume (e.g. the exact rate table the factory will
-    request). ``cost_weight`` seeds the work-stealing scheduler's cost
-    model when no journal history exists yet.
+    request). ``cost_weight`` is the relative cost the supervisor orders
+    its shared queue by (longest expected first) when no journal
+    history exists yet.
     """
 
     kind: str

@@ -1,9 +1,9 @@
 """Child process for cross-process precompute-store reattach tests.
 
 Run as ``python _store_child.py <spec> <crypto> <seed>`` with the store
-identity in the environment (``REPRO_STORE_DIR`` or
-``REPRO_STORE_SHM``) — exactly how a *spawned* engine worker finds the
-campaign's store: no inherited Python state, only the environment.
+directory in the environment (``REPRO_STORE_DIR``) — exactly how a
+*spawned* engine worker finds the campaign's store: no inherited Python
+state, only the environment.
 Prints a JSON line with the checksum of the attached arrays and the
 child's store counters, so the parent test can assert byte-identity and
 that the child attached (hit) instead of rebuilding (miss).

@@ -9,8 +9,7 @@ campaign and asserts the three properties the robustness layer promises
    fault, so no cell is double-counted or silently dropped.
 2. **Surviving results are bit-identical** to a fault-free run — fault
    handling may cost durability or retries, never correctness.
-3. **Nothing leaks** — no worker processes and no ``/dev/shm/repro-*``
-   segments outlive the run.
+3. **Nothing leaks** — no worker processes outlive the run.
 
 Plus the per-class contracts: crashes/hangs/stalls recover within the
 retry budget; a deterministic poison cell trips the circuit breaker
@@ -38,7 +37,6 @@ from repro.harness.journal import RunJournal
 from repro.harness.store import PrecomputeStore
 
 TOTAL = 6
-SHM_ROOT = Path("/dev/shm")
 REPO_ROOT = Path(__file__).resolve().parents[2]
 GROUPCOMMIT_CHILD = Path(__file__).with_name("_groupcommit_child.py")
 GC_CELLS = 6  # keep in sync with _groupcommit_child.CELLS
@@ -84,12 +82,6 @@ class MatrixCell:
         return payload
 
 
-def shm_segments() -> set[str]:
-    if not SHM_ROOT.is_dir():
-        return set()
-    return {p.name for p in SHM_ROOT.glob("repro-*")}
-
-
 def run_campaign(
     tmp_path: Path,
     faults: FaultPlan | None,
@@ -128,13 +120,12 @@ def assert_invariant(engine):
     ), snap
 
 
-def assert_no_leaks(shm_before: set[str]):
+def assert_no_leaks():
     # Workers are joined by supervisor shutdown; give the OS a beat.
     deadline = time.monotonic() + 5.0
     while multiprocessing.active_children() and time.monotonic() < deadline:
         time.sleep(0.05)
     assert not multiprocessing.active_children()
-    assert shm_segments() <= shm_before
 
 
 @pytest.fixture()
@@ -172,7 +163,6 @@ class TestFaultMatrix:
             state.mkdir()
             spec = f"{spec};state={state}"
         plan = parse_fault_spec(spec)
-        shm_before = shm_segments()
         engine, outcomes = run_campaign(tmp_path, plan, subdir=case)
 
         # Recovery: every cell completed despite the injected fault.
@@ -180,7 +170,7 @@ class TestFaultMatrix:
         assert_invariant(engine)
         # Bit-identity: fault handling never changes surviving results.
         assert [o.value for o in outcomes] == baseline
-        assert_no_leaks(shm_before)
+        assert_no_leaks()
         # A clean finish leaves no failure manifest behind.
         assert engine.manifest_path is None
 
@@ -218,7 +208,6 @@ class TestFaultMatrix:
         """A deterministically crashing cell is quarantined after the
         retry budget; the campaign completes and renders a manifest."""
         plan = parse_fault_spec("poison=m[3]")
-        shm_before = shm_segments()
         engine, outcomes = run_campaign(tmp_path, plan, subdir="poison")
 
         statuses = [o.status for o in outcomes]
@@ -231,7 +220,7 @@ class TestFaultMatrix:
         assert snap["failed"] == 1 and snap["poisoned"] == 1
         survivors = [o.value for o in outcomes if o.ok]
         assert survivors == baseline[:3] + baseline[4:]
-        assert_no_leaks(shm_before)
+        assert_no_leaks()
 
         # The failure manifest names the poisoned cell.
         assert engine.manifest_path is not None

@@ -29,18 +29,13 @@ def payload(raw_speedup=4.0, cells=None, fmt=1):
     }
 
 
-def campaign_payload(stolen=1.8, batched=2.0, identical=True):
+def campaign_payload(batched=2.0, identical=True):
     return {
         "format": 1,
         "kind": "campaign",
         "quick": False,
         "reps": 3,
         "percell": {"seconds": 4.0, "identical": identical},
-        "stolen": {
-            "seconds": 4.0 / stolen,
-            "speedup": stolen,
-            "identical": identical,
-        },
         "batched": {
             "seconds": 4.0 / batched,
             "speedup": batched,
@@ -115,9 +110,9 @@ class TestCompare:
     def test_campaign_kind_compares_its_own_measurements(self):
         assert compare(campaign_payload(), campaign_payload()) == []
         regressions = compare(
-            campaign_payload(stolen=0.9), campaign_payload(), tolerance=0.30
+            campaign_payload(batched=0.9), campaign_payload(), tolerance=0.30
         )
-        assert [r.measurement for r in regressions] == ["campaign/stolen"]
+        assert [r.measurement for r in regressions] == ["campaign/batched"]
 
     def test_campaign_identity_failure_outranks_timing(self):
         current = campaign_payload()

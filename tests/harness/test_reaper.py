@@ -1,19 +1,13 @@
-"""Startup reaping of SIGKILL-orphaned shm segments and fault state.
+"""Startup reaping of SIGKILL-orphaned fault state.
 
 Unit tests drive :mod:`repro.harness.reaper` against synthetic roots so
 the ownership rules are pinned exactly: dead owner → reaped, live owner
-→ kept, no readable owner → kept until conservatively old. The
-integration test orphans a *real* ``/dev/shm`` segment by SIGKILLing a
-child's whole process group (resource tracker included, as an OOM kill
-would) and proves the next startup sweep reclaims it.
+→ kept, no readable owner → kept until conservatively old.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import signal
-import struct
 import subprocess
 import sys
 import time
@@ -24,14 +18,8 @@ import pytest
 from repro.harness.faults import STATE_DIR_PREFIX, STATE_PID_FILE
 from repro.harness.reaper import (
     FAULT_STATE_UNKNOWN_OWNER_AGE,
-    SHM_ROOT,
-    SHM_UNKNOWN_OWNER_AGE,
     reap_orphan_fault_state,
-    reap_orphan_shm,
 )
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-CHILD = Path(__file__).with_name("_reaper_child.py")
 
 
 @pytest.fixture()
@@ -42,50 +30,9 @@ def dead_pid() -> int:
     return proc.pid
 
 
-def make_segment(root: Path, name: str, owner_pid: int | None) -> Path:
-    """Synthesize a store-segment file with the real header layout."""
-    header: dict = {"format": 1, "arrays": {}}
-    if owner_pid is not None:
-        header["owner_pid"] = owner_pid
-    blob = json.dumps(header).encode("utf-8")
-    path = root / name
-    path.write_bytes(struct.pack("<Q", len(blob)) + blob + b"\0" * 64)
-    return path
-
-
 def age(path: Path, seconds: float) -> None:
     stamp = time.time() - seconds
     os.utime(path, (stamp, stamp))
-
-
-class TestShmSweep:
-    def test_dead_owner_is_reaped(self, tmp_path, dead_pid):
-        path = make_segment(tmp_path, "repro-tok-aaaa", dead_pid)
-        assert reap_orphan_shm(tmp_path) == ["repro-tok-aaaa"]
-        assert not path.exists()
-
-    def test_live_owner_is_kept(self, tmp_path):
-        path = make_segment(tmp_path, "repro-tok-bbbb", os.getpid())
-        assert reap_orphan_shm(tmp_path) == []
-        assert path.exists()
-
-    def test_unreadable_header_kept_until_old(self, tmp_path):
-        path = tmp_path / "repro-torn"
-        path.write_bytes(b"\xff" * 32)  # torn write: no parseable header
-        assert reap_orphan_shm(tmp_path) == []
-        assert path.exists()
-        age(path, SHM_UNKNOWN_OWNER_AGE + 60)
-        assert reap_orphan_shm(tmp_path) == ["repro-torn"]
-        assert not path.exists()
-
-    def test_foreign_names_never_touched(self, tmp_path, dead_pid):
-        foreign = make_segment(tmp_path, "other-app-segment", dead_pid)
-        age(foreign, SHM_UNKNOWN_OWNER_AGE + 60)
-        assert reap_orphan_shm(tmp_path) == []
-        assert foreign.exists()
-
-    def test_missing_root_is_a_noop(self, tmp_path):
-        assert reap_orphan_shm(tmp_path / "nope") == []
 
 
 class TestFaultStateSweep:
@@ -113,37 +60,3 @@ class TestFaultStateSweep:
         age(path, FAULT_STATE_UNKNOWN_OWNER_AGE + 60)
         assert reap_orphan_fault_state(tmp_path) == [str(path)]
         assert not path.exists()
-
-
-@pytest.mark.skipif(not SHM_ROOT.is_dir(), reason="no /dev/shm on this OS")
-class TestSigkillOrphanIntegration:
-    def test_sigkilled_campaign_segment_is_reaped_at_next_start(self):
-        token = f"reaptest{os.getpid()}"
-        proc = subprocess.Popen(
-            [sys.executable, str(CHILD), token],
-            stdout=subprocess.PIPE,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
-            start_new_session=True,  # own group: the kill takes everything
-        )
-        try:
-            line = proc.stdout.readline()
-            assert line.startswith("SEGMENT "), line
-            name = line.split(None, 1)[1].strip()
-            segment = SHM_ROOT / name
-            assert segment.exists()
-
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait(timeout=30)
-            proc.stdout.close()
-
-            # SIGKILL ran no teardown: the segment is orphaned tmpfs.
-            assert segment.exists()
-            reaped = reap_orphan_shm()
-            assert name in reaped
-            assert not segment.exists()
-        finally:
-            if proc.poll() is None:
-                os.killpg(proc.pid, signal.SIGKILL)
-                proc.wait(timeout=30)
-            (SHM_ROOT / f"repro-{token}-{'ab' * 8}").unlink(missing_ok=True)

@@ -1,19 +1,20 @@
-"""Cell-major batching and the work-stealing supervisor scheduler.
+"""Cell-major batching and the supervisor's shared chunk queue.
 
-Pins the PR's scheduling guarantees:
+Pins the scheduling guarantees:
 
 * **Chunking** — batch-compatible cells are dispatched as chunks
   (``batch_cells`` explicit or auto-sized per group), with per-chunk
-  ``batch.dispatch`` events and exact batches/batched-cells telemetry;
-  the ``fifo`` scheduler keeps legacy per-cell dispatch.
-* **Work stealing** — a worker that drains its deque steals from the
-  most loaded peer, rescuing campaigns whose cost estimates inverted
-  reality; ``cell.steal`` trace events match the ``steals`` counter.
+  ``batch.dispatch`` events and exact batches/batched-cells telemetry.
+* **Shared queue** — chunks leave one queue longest-expected-first
+  (ties in input order), behind any ready retry; a dead worker's
+  unstarted tail goes back to the front. Every idle worker takes the
+  next chunk, which rescues campaigns whose cost estimates inverted
+  reality.
 * **Dead-at-dispatch accounting** — a worker that dies before receiving
   its chunk is booked as exactly one crash (never a timeout), and the
   cell retries through the normal backoff path.
-* **Bit identity** — steal/batched parallel results are byte-for-byte
-  the serial results, cache disabled.
+* **Bit identity** — batched parallel results are byte-for-byte the
+  serial results, cache disabled.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import pytest
 from repro.harness.exec import (
     ExecutionEngine,
     MixSchemeCell,
-    _Chunk,
     _Supervisor,
     cell_key,
     expected_cost,
@@ -86,7 +86,9 @@ def _planner(engine, hints, slots=2):
     """A supervisor stripped to its planning state — no worker spawns."""
     supervisor = _Supervisor.__new__(_Supervisor)
     supervisor.engine = engine
-    supervisor.deques = [deque() for _ in range(slots)]
+    supervisor.slots = slots
+    supervisor.queue = deque()
+    supervisor.chunks = deque()
     supervisor.hints = hints
     return supervisor
 
@@ -165,25 +167,9 @@ class TestChunking:
         assert snap["batches"] == 5
         assert snap["batched_cells"] == 5
 
-    def test_fifo_scheduler_dispatches_per_cell(self, monkeypatch, tmp_path):
-        sink = tmp_path / "trace.jsonl"
-        monkeypatch.setenv(TRACE_ENV, str(sink))
-        cells = [BatchableCell(i, 0.0, hint=1.0) for i in range(6)]
-        engine = ExecutionEngine(jobs=2, scheduler="fifo")
-        outcomes = engine.run(cells)
-        assert all(o.status == "computed" for o in outcomes)
-        snap = engine.telemetry.snapshot()
-        assert snap["batches"] == 6
-        assert snap["batched_cells"] == 6
-        assert snap["steals"] == 0
-        assert not read_events(sink, "batch.dispatch")
-        assert not read_events(sink, "cell.steal")
-
-    def test_unknown_scheduler_rejected(self):
+    def test_negative_batch_cells_rejected(self):
         from repro.errors import ConfigurationError
 
-        with pytest.raises(ConfigurationError):
-            ExecutionEngine(jobs=2, scheduler="lifo")
         with pytest.raises(ConfigurationError):
             ExecutionEngine(jobs=2, batch_cells=-1)
 
@@ -219,28 +205,50 @@ class TestDeadAtDispatch:
         assert len(read_events(sink, "worker.crash")) == 1
 
 
-class TestWorkStealing:
-    def test_stealing_rescues_inverted_cost_estimates(
-        self, monkeypatch, tmp_path
-    ):
-        """Deterministic straggler: the seeding hints are inverted (one
-        trivial cell claims to be enormous), so LPT parks all real work
-        on one deque — only stealing can spread it back out."""
-        sink = tmp_path / "trace.jsonl"
-        monkeypatch.setenv(TRACE_ENV, str(sink))
+class TestSharedQueue:
+    def test_chunks_leave_longest_first_behind_ready_retries(self):
+        """Dispatch order: a ready retry, then chunks by non-increasing
+        expected cost with ties in input order; a requeued tail goes
+        back to the front."""
+        costs = [1.0, 5.0, 3.0, 5.0, 1.0, 3.0]
+        cells = [SleepCell(i, 0.0, hint=c) for i, c in enumerate(costs)]
+        planner = _planner(ExecutionEngine(jobs=2), hints={})
+        planner._enqueue([(i, c, cell_key(c)) for i, c in enumerate(cells)])
+        now = time.monotonic()
+        backing_off = SleepCell(91, 0.0, hint=0.1)
+        ready = SleepCell(90, 0.0, hint=0.1)
+        planner.queue.append((91, backing_off, "k91", now + 1000.0))
+        planner.queue.append((90, ready, "k90", now))
+
+        assert [task[0] for task in planner._next_chunk(now)] == [90]
+        assert [task[0] for task in planner._next_chunk(now)] == [1]
+        # A dead worker's unstarted tail — however cheap — returns to
+        # the front of the queue.
+        tail = SleepCell(7, 0.0, hint=0.1)
+        planner._requeue_unstarted([(7, tail, cell_key(tail))])
+        order = []
+        while (chunk := planner._next_chunk(now)) is not None:
+            order.append([task[0] for task in chunk])
+        assert order == [[7], [3], [2], [5], [0], [4]]
+        # The retry still backing off never jumped the queue.
+        assert [task[0] for task in planner.queue] == [91]
+
+    def test_shared_queue_rescues_inverted_cost_estimates(self):
+        """Deterministic straggler: the hints are inverted (one trivial
+        cell claims to be enormous). A static per-worker placement
+        would park all real work behind it on one worker; the shared
+        queue hands every idle worker the next cell instead."""
         decoy = SleepCell(0, 0.05, hint=1000.0)
         real = [SleepCell(i, 0.3, hint=1.0) for i in range(1, 7)]
         engine = ExecutionEngine(jobs=2)
         outcomes = engine.run([decoy] + real)
         assert all(o.status == "computed" for o in outcomes)
         snap = engine.telemetry.snapshot()
-        # Without stealing the six real cells run serially on one
-        # worker (>= 1.8s); with stealing they split across both.
+        # Serialized on one worker the six real cells take >= 1.8s;
+        # shared, they split across both workers.
         assert snap["wall_seconds"] < 1.5
-        assert snap["steals"] >= 1
-        assert len(read_events(sink, "cell.steal")) == snap["steals"]
 
-    def test_steal_results_bit_identical_to_serial(self):
+    def test_batched_results_bit_identical_to_serial(self):
         cells = [
             MixSchemeCell(pairs=PAIRS, scheme=scheme, profile=TEST)
             for scheme in ("static", "shared", "time")
@@ -251,7 +259,7 @@ class TestWorkStealing:
             assert a.cell.encode(a.value) == b.cell.encode(b.value)
 
 
-class TestResumeUnderSteal:
+class TestResumeUnderBatching:
     def test_invariant_holds_with_replays_and_batches(self, tmp_path):
         journal = RunJournal(tmp_path / "journal.jsonl")
         old = [BatchableCell(i, 0.0, hint=1.0) for i in range(6)]
@@ -382,38 +390,3 @@ class TestCostAwarePlanning:
         snap = engine.telemetry.snapshot()
         assert snap["batches"] == 2  # straggler singleton + the rest
         assert snap["batched_cells"] == 6
-
-
-class TestPeerLoad:
-    def _supervisor_with_deques(self, deques):
-        supervisor = _planner(
-            ExecutionEngine(jobs=2), hints={}, slots=len(deques)
-        )
-        for slot, chunks in enumerate(deques):
-            supervisor.deques[slot].extend(chunks)
-        return supervisor
-
-    @staticmethod
-    def _chunk(ident, cost):
-        cell = BatchableCell(ident, 0.0, hint=cost)
-        return _Chunk(cells=[(ident, cell, f"k{ident}")], cost=cost)
-
-    def test_victim_is_costliest_peer_not_longest(self):
-        heavy = [self._chunk(0, 10.0)]
-        many = [self._chunk(i, 1.0) for i in range(1, 4)]
-        supervisor = self._supervisor_with_deques([[], heavy, many])
-        assert supervisor._peer_load(1) == (10.0, 1)
-        assert supervisor._peer_load(2) == (3.0, 3)
-        stolen = supervisor._steal(0)
-        assert stolen is not None
-        assert stolen[0][0] == 0  # came from the heavy deque
-        assert supervisor.engine.telemetry.steals == 1
-
-    def test_chunk_count_breaks_cost_ties(self):
-        one = [self._chunk(0, 2.0)]
-        two = [self._chunk(1, 1.0), self._chunk(2, 1.0)]
-        supervisor = self._supervisor_with_deques([[], one, two])
-        stolen = supervisor._steal(0)
-        # Equal cost: the peer with more stealable units is the victim
-        # (its back chunk is cheapest, so ident 2 comes over).
-        assert stolen[0][0] == 2

@@ -2,15 +2,15 @@
 
 The guarantees the campaign path depends on:
 
-* **Bit-identity** — arrays served from either backend (file mmap or
-  shared memory) and Rmax entries round-tripped through the JSON
-  artifact are byte-for-byte what the legacy build path produces, for
-  any ``(spec, crypto, scale, seed, secret)``.
+* **Bit-identity** — arrays served from the store's mmap'd ``.npy``
+  files and Rmax entries round-tripped through the JSON artifact are
+  byte-for-byte what the legacy build path produces, for any
+  ``(spec, crypto, scale, seed, secret)``.
 * **Cross-process reattach** — a process with *no inherited Python
   state* (the spawn / respawned-worker case) resolves the same store
   from the environment and attaches without rebuilding.
-* **Teardown** — shared-memory segments are unlinked on every engine
-  exit path, the SIGINT path included; no ``/dev/shm`` leak.
+* **Teardown** — the store's attachments are released and the active
+  store cleared on every engine exit path, the SIGINT path included.
 * **Integrity** — corrupt artifacts are quarantined (``*.corrupt``) and
   recomputed, never trusted or silently re-read.
 * **Accounting** — a warm campaign reports zero workload compositions
@@ -47,7 +47,6 @@ from repro.harness.sensitivity import build_spec_only_stream_direct
 from repro.harness.store import (
     PRECOMPUTE_ENV,
     STORE_DIR_ENV,
-    STORE_SHM_ENV,
     PrecomputeStore,
     cached_build_workload,
     cached_spec_stream,
@@ -84,7 +83,7 @@ CHILD = Path(__file__).with_name("_store_child.py")
 def _clean_store_state(monkeypatch):
     """Every test starts with no active store, no env overrides, and an
     empty rate-table memoizer (both are process-global)."""
-    for name in (PRECOMPUTE_ENV, STORE_DIR_ENV, STORE_SHM_ENV):
+    for name in (PRECOMPUTE_ENV, STORE_DIR_ENV):
         monkeypatch.delenv(name, raising=False)
     clear_active_store()
     clear_rate_table_cache()
@@ -106,10 +105,6 @@ def assert_arrays_equal(a: dict[str, np.ndarray], b: dict[str, np.ndarray]):
     for name in a:
         assert a[name].dtype == b[name].dtype, name
         assert np.array_equal(np.asarray(a[name]), np.asarray(b[name])), name
-
-
-def shm_segments(token: str) -> list[Path]:
-    return sorted(Path("/dev/shm").glob(f"repro-{token}-*"))
 
 
 # ----------------------------------------------------------------------
@@ -149,7 +144,7 @@ class TestTokens:
 
 
 # ----------------------------------------------------------------------
-# compose/assemble split + backend round-trips
+# compose/assemble split + store round-trips
 # ----------------------------------------------------------------------
 class TestBitIdentity:
     def test_store_path_matches_direct_build(self, tmp_path):
@@ -205,55 +200,9 @@ class TestBitIdentity:
         assert np.array_equal(direct.stream.addresses, legacy.stream.addresses)
 
 
-class TestShmBackend:
-    def test_round_trip_and_unlink_on_release(self):
-        store = PrecomputeStore()  # shared-memory backend
-        token_str = store._backend.token
-        built = compose_workload_arrays(SPEC, CRYPTO, SCALE, seed=0)
-        served = store.trace_arrays(
-            workload_token(SPEC, CRYPTO, SCALE, 0, 0), lambda: built
-        )
-        assert_arrays_equal(built, served)
-        assert shm_segments(token_str), "segment should exist while attached"
-        store.release()
-        assert shm_segments(token_str) == [], "release must unlink segments"
-        # Views handed out before release stay readable: the mapping is
-        # kept alive by the views themselves (name already unlinked).
-        assert int(np.asarray(served["addresses"])[:16].sum()) == int(
-            built["addresses"][:16].sum()
-        )
-
-    def test_non_owner_never_creates_segments(self):
-        attached = PrecomputeStore(shm_token="feedface")
-        built = compose_workload_arrays(SPEC, CRYPTO, SCALE, seed=0)
-        served = attached.trace_arrays(
-            workload_token(SPEC, CRYPTO, SCALE, 0, 0), lambda: built
-        )
-        assert_arrays_equal(built, served)
-        assert shm_segments("feedface") == []
-
-    def test_spawned_process_reattaches_by_name(self):
-        """A fresh interpreter (the spawn worker case) attaches via
-        REPRO_STORE_SHM without rebuilding, byte-identically — and its
-        exit must not unlink the owner's segment (resource tracker)."""
-        store = PrecomputeStore()
-        token_str = store._backend.token
-        built = ensure_workload_trace(store, SPEC, CRYPTO, SCALE, 0)
-        try:
-            report = _run_child({STORE_SHM_ENV: token_str})
-            assert report["sha256"] == arrays_checksum(built)
-            assert report["hits"] == 1 and report["misses"] == 0
-            assert report["builds"] == 0
-            # The child exited; the owner's segment must still be live.
-            assert shm_segments(token_str)
-        finally:
-            store.release()
-        assert shm_segments(token_str) == []
-
-
 def _run_child(env_overrides: dict[str, str]) -> dict:
     env = dict(os.environ)
-    for name in (PRECOMPUTE_ENV, STORE_DIR_ENV, STORE_SHM_ENV):
+    for name in (PRECOMPUTE_ENV, STORE_DIR_ENV):
         env.pop(name, None)
     env.update(env_overrides)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
@@ -435,12 +384,6 @@ class TestActiveStoreResolution:
         monkeypatch.setenv(PRECOMPUTE_ENV, "off")
         assert get_active_store() is None
 
-    def test_shm_token_resolves_attaching_store(self, monkeypatch):
-        monkeypatch.setenv(STORE_SHM_ENV, "cafecafe")
-        store = get_active_store()
-        assert store is not None and store.directory is None
-        assert store._backend.owner is False
-
 
 class TestEngineFromEnvStore:
     def test_store_survives_result_cache_off(self, monkeypatch, tmp_path):
@@ -462,11 +405,9 @@ class TestEngineFromEnvStore:
         engine = engine_from_env()
         assert engine.store.directory == tmp_path / "elsewhere"
 
-    def test_no_directory_falls_back_to_shared_memory(self, monkeypatch):
+    def test_no_directory_means_no_store(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        engine = engine_from_env()
-        assert engine.store is not None
-        assert engine.store.directory is None
+        assert engine_from_env().store is None
 
     def test_malformed_precompute_rejected(self, monkeypatch):
         monkeypatch.setenv(PRECOMPUTE_ENV, "sometimes")
@@ -541,7 +482,6 @@ class TestEngineIntegration:
         clear_rate_table_cache()
         clear_active_store()
         os.environ.pop(STORE_DIR_ENV, None)
-        os.environ.pop(STORE_SHM_ENV, None)
         engine = ExecutionEngine(jobs=1)
         encodes = _encodes(engine.run(_cells()))
         clear_rate_table_cache()
@@ -619,8 +559,7 @@ class _InterruptCell:
         return [("trace", SPEC, CRYPTO, SCALE, 0)]
 
     def execute(self):
-        store = get_active_store()
-        self.observed.append(shm_segments(store._backend.token))
+        self.observed.append(dict(get_active_store()._attached))
         raise KeyboardInterrupt
 
     @staticmethod
@@ -637,19 +576,19 @@ class _InterruptCell:
 
 
 class TestTeardown:
-    def test_sigint_path_unlinks_shared_memory(self):
-        store = PrecomputeStore()  # shm backend
-        token_str = store._backend.token
+    def test_sigint_path_releases_attachments(self, tmp_path):
+        store = PrecomputeStore(tmp_path / "s")
         observed: list = []
         engine = ExecutionEngine(jobs=1, retries=0, store=store)
         with pytest.raises(CampaignInterrupted):
             engine.run([_InterruptCell(observed)])
-        # Populate really placed the trace in shared memory mid-run...
+        # Populate really attached the trace mid-run...
         assert observed and observed[0]
-        # ...and the interrupt path unlinked every segment and scrubbed
-        # the env so no later worker reattaches to a dead name.
-        assert shm_segments(token_str) == []
-        assert STORE_SHM_ENV not in os.environ
+        # ...and the interrupt path released it and deactivated the
+        # store, while the on-disk entry stays for the next run.
+        assert store._attached == {}
+        assert get_active_store() is not store
+        assert any((tmp_path / "s" / "traces").rglob("meta.json"))
         assert engine.telemetry.interrupted
 
 

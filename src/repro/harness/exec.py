@@ -251,19 +251,22 @@ class MixSchemeCell:
         """Pre-compute shared pure state in the dispatching process.
 
         The supervisor calls this once, right before forking workers:
-        L1 service traces and untangle rate tables are pure functions
-        of the cell inputs, so one walk/solve here is inherited
-        copy-on-write by every worker instead of being repeated per
-        worker that draws a chunk needing it. Purely an optimization —
-        results are identical without it.
+        untangle rate tables, L1 service traces and the monitor traces
+        of each cell's built monitors are pure functions of the cell
+        inputs, so one solve/walk here is inherited copy-on-write by
+        every worker instead of being repeated per worker that draws a
+        chunk needing it. Rate tables go first: building the schemes
+        whose monitors name the traces needs them. Purely an
+        optimization — results are identical without it.
         """
         from repro.harness.experiment import warm_l1_traces, warm_rate_tables
 
-        warmed = warm_l1_traces(
-            [(list(cell.pairs), cell.profile) for cell in cells]
-        )
-        warmed += warm_rate_tables(
+        warmed = warm_rate_tables(
             [(cell.scheme, cell.profile, cell.scheme_params)
+             for cell in cells]
+        )
+        warmed += warm_l1_traces(
+            [(list(cell.pairs), cell.profile, cell.scheme, cell.scheme_params)
              for cell in cells]
         )
         return warmed

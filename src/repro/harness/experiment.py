@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.config import ArchConfig
 from repro.errors import ConfigurationError
 from repro.harness.exec import ExecutionEngine, MixSchemeCell
@@ -27,7 +29,9 @@ from repro.registry import (
     scheme_store_needs,
 )
 from repro.schemes.untangle import get_rate_table, get_worst_case_rate_table
-from repro.sim.hierarchy import L1ServiceTrace
+from repro.sim.cpu import CoreConfig, InstructionStream
+from repro.sim.hierarchy import L1ServiceTrace, MonitorTrace
+from repro.sim.kernelmode import batching_enabled
 from repro.sim.system import DomainSpec, MultiDomainSystem
 from repro.workloads.mixes import get_mix
 
@@ -255,67 +259,161 @@ def run_mix_scheme(
     )
 
 
-#: Process-level L1 service-trace memo: traces are pure functions of
-#: (stream identity, L1 geometry), so successive cells in one process —
+#: Process-level stream-trace memo: L1 service traces and monitor traces
+#: are pure functions of (stream identity, L1 geometry) — plus, for a
+#: monitor trace, what it encodes — so successive cells in one process —
 #: the schemes of one mix, the partition sizes of one benchmark — reuse
 #: each other's walks the same way ``cached_build_workload`` reuses
-#: compositions. Cleared wholesale when an insert would pass the cap, to
-#: bound memory on huge campaigns.
+#: compositions. One memo and one cap serve both kinds. Cleared
+#: wholesale when an insert would pass the cap, to bound memory on huge
+#: campaigns.
 _L1_TRACE_MEMO: dict = {}
 _L1_TRACE_MEMO_CAP = 128
 
 
-def _memo_trace(key: tuple, stream, arch: ArchConfig) -> L1ServiceTrace:
-    """The memo's trace for workload ``key`` on ``arch``'s L1, walked lazily."""
-    # The L1 geometry rides the key so one memo serves mixed-profile
-    # call sites without ever cross-installing.
-    trace_key = (key, arch.l1_lines, arch.l1_associativity)
+def _memo_insert(trace_key: tuple, build):
     trace = _L1_TRACE_MEMO.get(trace_key)
     if trace is None:
         if len(_L1_TRACE_MEMO) >= _L1_TRACE_MEMO_CAP:
             _L1_TRACE_MEMO.clear()
-        trace = L1ServiceTrace(stream, arch)
+        trace = build()
         _L1_TRACE_MEMO[trace_key] = trace
     return trace
 
 
+def _l1_key(key: tuple, arch: ArchConfig) -> tuple:
+    # The L1 geometry rides the key so one memo serves mixed-profile
+    # call sites without ever cross-installing.
+    return (key, arch.l1_lines, arch.l1_associativity)
+
+
+def _memo_trace(key: tuple, stream, arch: ArchConfig) -> L1ServiceTrace:
+    """The memo's trace for workload ``key`` on ``arch``'s L1, walked lazily."""
+    return _memo_insert(
+        _l1_key(key, arch), lambda: L1ServiceTrace(stream, arch)
+    )
+
+
+def _memo_monitor_trace(
+    key: tuple, stream, arch: ArchConfig, spec: tuple
+) -> MonitorTrace:
+    """The memo's monitor trace encoding ``spec`` for workload ``key``.
+
+    An unfiltered trace reads the memo's L1 trace of the same stream, so
+    the two share one L1 walk.
+    """
+    l1_trace = _memo_trace(key, stream, arch)
+    return _memo_insert(
+        _l1_key(key, arch) + spec,
+        lambda: MonitorTrace(stream, arch, *spec, l1_trace=l1_trace),
+    )
+
+
 def share_l1_traces(system: MultiDomainSystem, keys: list[tuple]) -> None:
-    """Swap each batched core's private L1 trace for the memo's shared one.
+    """Swap each batched core's private traces for the memo's shared ones.
 
     ``keys`` holds one workload identity per domain; a key must determine
-    its stream's contents exactly. Cores on the scalar path carry no
-    trace and are left alone. Results are bit-identical either way.
+    its stream's contents exactly. Both the L1 service trace and, for a
+    monitored domain, the monitor trace its built monitor needs are
+    swapped. Cores on the scalar path carry no trace and are left alone.
+    Results are bit-identical either way.
     """
     for key, core in zip(keys, system.cores):
-        if core.memory.l1_trace is not None:
-            core.memory.install_l1_trace(
-                _memo_trace(key, core.stream, system.arch)
+        memory = core.memory
+        if memory.l1_trace is None:
+            continue
+        memory.install_l1_trace(_memo_trace(key, core.stream, system.arch))
+        spec = memory.monitor_trace_spec
+        if spec is not None:
+            memory.install_monitor_trace(
+                _memo_monitor_trace(key, core.stream, system.arch, spec)
             )
 
 
-def warm_l1_traces(entries: list[tuple[list[tuple[str, str]], RunProfile]]) -> int:
-    """Pre-walk the L1 service trace of every distinct workload stream.
+def _monitor_trace_specs(entries: list[tuple]) -> dict[tuple, list]:
+    """Per-domain monitor-trace specs of each distinct scheme config.
 
-    ``entries`` holds ``(pairs, profile)`` per upcoming cell. The
-    parallel engine calls this in the *parent* process right before
-    forking its workers: traces (and the workload builds they require)
-    are pure functions of the cell inputs, so one walk here is inherited
-    copy-on-write by every forked worker, instead of each worker
-    repeating it. Warming stops at the memo cap rather than evict what
-    it warmed. Returns the number of traces walked.
+    A spec depends on the scheme, its parameters and the profile, not on
+    the streams, so the scheme builds its monitors once per config on a
+    system of one-instruction placeholder streams: learning the specs
+    then costs no workload assembly, and no transient memory a forked
+    worker would inherit.
     """
+    specs: dict[tuple, list] = {}
+    for entry in entries:
+        if len(entry) < 3 or _scheme_config(entry) in specs:
+            continue
+        pairs, profile, scheme, params = entry
+        placeholder = DomainSpec(
+            "placeholder", InstructionStream(np.zeros(1, dtype=np.int64)),
+            CoreConfig(),
+        )
+        system = MultiDomainSystem(
+            profile.arch(len(pairs)),
+            [placeholder] * len(pairs),
+            make_scheme(scheme, profile, len(pairs), dict(params or ()) or None),
+            quantum=profile.quantum,
+            sample_interval=profile.sample_interval,
+        )
+        specs[_scheme_config(entry)] = [
+            m.monitor_trace_spec for m in system.memories
+        ]
+    return specs
+
+
+def _scheme_config(entry: tuple) -> tuple:
+    pairs, profile, scheme, params = entry
+    return scheme, tuple(params or ()), profile, len(pairs)
+
+
+def warm_l1_traces(entries: list[tuple]) -> int:
+    """Walk every distinct stream trace a set of cells will read to its cycle.
+
+    ``entries`` holds ``(pairs, profile)`` per upcoming cell — optionally
+    ``(pairs, profile, scheme_name, scheme_params)``, which also warms
+    the monitor traces that scheme's built monitors read (the feed mode,
+    sizes and sampling come from the monitors themselves, so any
+    registered scheme warms correctly). The parallel engine calls this
+    in the *parent* process right before forking its workers, after the
+    rate tables (building an Untangle scheme needs its table): traces
+    (and the workload builds they require) are pure functions of the
+    cell inputs, so one walk here is inherited copy-on-write by every
+    forked worker, which then walks nothing. Warming stops at the memo
+    cap rather than evict what it warmed, and does nothing when the
+    batched kernel (the only trace reader) is off. Returns the number
+    of traces walked.
+    """
+    if not batching_enabled():
+        return 0
+    specs = _monitor_trace_specs(entries)
     warmed = 0
-    for pairs, profile in entries:
+    for entry in entries:
+        pairs, profile = entry[0], entry[1]
         arch = profile.arch(len(pairs))
-        for key in _workload_keys(pairs, profile):
-            if (key, arch.l1_lines, arch.l1_associativity) in _L1_TRACE_MEMO:
+        keys = _workload_keys(pairs, profile)
+        domain_specs = (
+            specs[_scheme_config(entry)] if len(entry) > 2 else [None] * len(keys)
+        )
+        for key, spec in zip(keys, domain_specs):
+            trace_keys = [_l1_key(key, arch)]
+            if spec is not None:
+                trace_keys.append(_l1_key(key, arch) + spec)
+            memo = [_L1_TRACE_MEMO.get(k) for k in trace_keys]
+            if all(trace is not None and trace.cycle_found for trace in memo):
                 continue
-            if len(_L1_TRACE_MEMO) >= _L1_TRACE_MEMO_CAP:
+            if len(_L1_TRACE_MEMO) + memo.count(None) > _L1_TRACE_MEMO_CAP:
                 return warmed
-            spec, crypto, scale, seed = key
-            built = cached_build_workload(spec, crypto, scale, seed=seed)
-            _memo_trace(key, built.stream, arch).warm()
-            warmed += 1
+            spec_name, crypto, scale, seed = key
+            stream = cached_build_workload(
+                spec_name, crypto, scale, seed=seed
+            ).stream
+            traces = [_memo_trace(key, stream, arch)]
+            if spec is not None:
+                traces.append(_memo_monitor_trace(key, stream, arch, spec))
+            for trace in traces:
+                if not trace.cycle_found:
+                    trace.warm()
+                    warmed += 1
     return warmed
 
 

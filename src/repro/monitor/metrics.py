@@ -53,20 +53,11 @@ class TimingDependentView:
     def observe(self, line_addr: int) -> None:
         self._inner.observe(line_addr)
 
-    def observe_block(
-        self, addrs: np.ndarray, hashes: np.ndarray | None = None
-    ) -> None:
-        block = getattr(self._inner, "observe_block", None)
-        if block is not None:
-            block(addrs, hashes)
-            return
-        observe = self._inner.observe
-        for line_addr in addrs.tolist():
-            observe(line_addr)
+    def observe_code(self, code: int) -> None:
+        self._inner.observe_code(code)  # type: ignore[attr-defined]
 
-    @property
-    def uses_address_hashes(self) -> bool:
-        return bool(getattr(self._inner, "uses_address_hashes", False))
+    def observe_codes(self, codes: np.ndarray) -> None:
+        self._inner.observe_codes(codes)  # type: ignore[attr-defined]
 
     def hits_per_size(self) -> np.ndarray:
         return self._inner.hits_per_size()
@@ -80,3 +71,7 @@ class TimingDependentView:
     @property
     def candidate_sizes(self) -> list[int]:
         return self._inner.candidate_sizes  # type: ignore[attr-defined]
+
+    @property
+    def sampling_shift(self) -> int:
+        return self._inner.sampling_shift  # type: ignore[attr-defined]

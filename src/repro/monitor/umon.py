@@ -20,6 +20,14 @@ Two operating modes matter for the paper:
 Set sampling (``sampling_shift``) monitors only lines whose address
 hashes into ``1 / 2**shift`` of the space and scales counts back up,
 like UMON's sampled shadow sets.
+
+The batched kernel never feeds addresses: a domain's feed, sampling
+decisions and reuse distances are a pure function of its stream, so
+:class:`repro.sim.hierarchy.MonitorTrace` computes them once per stream
+as one *code* per memory-access position — the bin index, or
+:data:`UNSAMPLED` / :data:`UNFED` — and :meth:`UMONMonitor.observe_codes`
+replays only the windowed bin accumulation, whose ``reset_window()``
+timing is the one part that depends on the schedule.
 """
 
 from __future__ import annotations
@@ -32,6 +40,15 @@ from repro.errors import ConfigurationError
 from repro.monitor.window import COLD_DISTANCE, ReuseDistanceTracker
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+#: Monitor-trace code of an access the monitor is not fed (an L1/filter
+#: hit, or a secret-annotated access under Principle 1).
+UNFED = 255
+#: Monitor-trace code of a fed access the set-sampling filter drops.
+UNSAMPLED = 254
+#: Most candidate sizes a monitor trace can encode: bin indexes
+#: ``0..len(sizes)`` must stay below the two sentinel codes.
+MAX_TRACE_SIZES = 253
 
 
 def _mix64(x: int) -> int:
@@ -59,8 +76,8 @@ def mix64_array(addrs: np.ndarray) -> np.ndarray:
     Bit-identical to the scalar finalizer: the int64 → uint64 cast is the
     two's-complement reinterpretation (``x & _MASK64``), and uint64
     multiplication wraps modulo ``2**64`` exactly like the masked Python
-    product. Streams hash their addresses once through this and reuse the
-    result every pass (:attr:`repro.sim.cpu.InstructionStream.hashed_addresses`).
+    product. Monitor traces hash a stream's addresses once through this
+    (:class:`repro.sim.hierarchy.MonitorTrace`).
     """
     x = addrs.astype(np.uint64)
     x = (x ^ (x >> _U64_SHIFT)) * _U64_MULT1
@@ -132,9 +149,8 @@ class UMONMonitor:
         return self._window
 
     @property
-    def uses_address_hashes(self) -> bool:
-        """Whether :meth:`observe_block` can use precomputed address hashes."""
-        return self._sampling_mask != 0
+    def sampling_shift(self) -> int:
+        return self._sampling_shift
 
     # ------------------------------------------------------------------
     def observe(self, line_addr: int) -> None:
@@ -163,45 +179,48 @@ class UMONMonitor:
             self._bins *= 0.5
             self._epoch_accesses *= 0.5
 
-    def observe_block(
-        self, addrs: np.ndarray, hashes: np.ndarray | None = None
-    ) -> None:
-        """Feed a run of post-L1 accesses in one call.
+    def observe_code(self, code: int) -> None:
+        """Feed one monitor-trace code; equivalent to :meth:`observe`.
 
-        Equivalent, counter for counter and bit for bit, to calling
-        :meth:`observe` once per address in order: the sampling filter
-        applies the same hash test (vectorized), reuse distances come
-        from one tracker run, and the bin/epoch accumulation replays the
-        per-access ``+= 1.0`` / halving sequence on local Python floats
-        (IEEE-754 identical to the numpy scalar ops) before writing back.
-        ``hashes`` optionally carries precomputed SplitMix64 hashes
-        aligned with ``addrs``.
+        ``code`` is what :meth:`observe` would compute for the access at
+        this position of the stream: :data:`UNFED`, :data:`UNSAMPLED`,
+        or the bin index (see :class:`repro.sim.hierarchy.MonitorTrace`).
+        The trace has already advanced the stack tracker's equivalent,
+        so only the counters and the windowed bins move here.
         """
-        self.total_observed += int(addrs.shape[0])
-        if self._sampling_mask:
-            if hashes is None:
-                hashes = mix64_array(addrs)
-            keep = (hashes & np.uint64(self._sampling_mask)) == 0
-            addrs = addrs[keep]
-            self.sampled_observed += int(addrs.shape[0])
-            if not addrs.shape[0]:
-                return
-        else:
-            self.sampled_observed += int(addrs.shape[0])
-        distances = self._tracker.observe_run(addrs.tolist())
-        sizes = self._sizes
-        cold_bin = len(sizes)
-        shift = self._sampling_shift
+        if code == UNFED:
+            return
+        self.total_observed += 1
+        if code == UNSAMPLED:
+            return
+        self.sampled_observed += 1
+        self._bins[code] += 1.0
+        self._epoch_accesses += 1.0
+        if self._epoch_accesses * self._scale > self._window:
+            self._bins *= 0.5
+            self._epoch_accesses *= 0.5
+
+    def observe_codes(self, codes: np.ndarray) -> None:
+        """Feed a run of monitor-trace codes (uint8) in one call.
+
+        Equivalent, counter for counter and bit for bit, to
+        :meth:`observe_code` once per code in order: the bin/epoch
+        accumulation replays the per-access ``+= 1.0`` / halving
+        sequence on local Python floats (IEEE-754 identical to the numpy
+        scalar ops) before writing back.
+        """
+        sampled = codes[codes < UNSAMPLED]
+        self.total_observed += int(codes.shape[0]) - int(
+            np.count_nonzero(codes == UNFED)
+        )
+        self.sampled_observed += int(sampled.shape[0])
+        if not sampled.shape[0]:
+            return
         scale = self._scale
         window = self._window
         bins = self._bins.tolist()
         epoch = self._epoch_accesses
-        find_bin = bisect.bisect_right
-        for distance in distances:
-            if distance < 0:
-                bin_index = cold_bin
-            else:
-                bin_index = find_bin(sizes, distance << shift)
+        for bin_index in sampled.tobytes():
             bins[bin_index] += 1.0
             epoch += 1.0
             if epoch * scale > window:

@@ -13,9 +13,10 @@ infrastructure both depend on:
   (Section 5.2's end-to-end property; zero action leakage).
 * **kernel-identity** — results are bit-identical under the
   ``reference`` and ``batched`` simulation kernels.
-* **trace-sharing** — a cell is bit-identical whether its L1 service
-  traces start empty or were already walked further by another
-  scheme's cell (the process trace memo mix cells share).
+* **trace-sharing** — a cell is bit-identical whether its stream traces
+  (L1 service and monitor traces, the process memo mix cells share)
+  start empty or were already walked to their cycle by another
+  scheme's cell and prefork warming.
 * **store-tokens** — cache keys and precompute-store needs are stable
   across interpreter processes (fresh ``PYTHONHASHSEED``), so caches
   and stores survive restarts.
@@ -46,6 +47,7 @@ from repro.harness.experiment import (
     _L1_TRACE_MEMO,
     build_mix_system,
     run_mix_scheme,
+    warm_l1_traces,
 )
 from repro.harness.runconfig import PROFILES, TEST, RunProfile
 from repro.registry.core import (
@@ -53,6 +55,7 @@ from repro.registry.core import (
     Registration,
     unregistered_scheme_classes,
 )
+from repro.sim.hierarchy import MonitorTrace
 from repro.sim.kernelmode import KERNEL_ENV
 from repro.sim.system import DomainSpec, MultiDomainSystem
 from repro.workloads.workload import build_workload
@@ -236,19 +239,25 @@ def _check_trace_sharing(
     other = "shared" if registration.name == "static" else "static"
     _L1_TRACE_MEMO.clear()
     fresh = run_mix_scheme(list(pairs), registration.name, profile)
-    consumed = {key: trace.walked for key, trace in _L1_TRACE_MEMO.items()}
     _L1_TRACE_MEMO.clear()
+    # Another scheme's cell walks the shared L1 traces, then prefork
+    # warming walks every trace this scheme reads — the monitor traces
+    # its built monitors name included — to its repeating pass.
     run_mix_scheme(list(pairs), other, profile)
-    for key, walked in consumed.items():
-        # Walk every shared trace past all the fresh cell consumed.
-        _L1_TRACE_MEMO[key].hit(walked)
+    warm_l1_traces([(list(pairs), profile, registration.name, ())])
+    walked = list(_L1_TRACE_MEMO.values())
+    assert all(trace.cycle_found for trace in walked), (
+        "prefork warming left a stream trace short of its cycle"
+    )
     shared = run_mix_scheme(list(pairs), registration.name, profile)
     assert MixSchemeCell.encode(fresh) == MixSchemeCell.encode(shared), (
-        f"scheme {registration.name!r} diverges when its L1 service "
-        f"traces were walked further by a {other!r} cell"
+        f"scheme {registration.name!r} diverges when its stream traces "
+        f"were walked to their cycle by a {other!r} cell and warming"
     )
+    monitors = sum(isinstance(trace, MonitorTrace) for trace in walked)
     return (
-        f"{len(consumed)} trace(s) shared with a {other!r} cell, "
+        f"{len(walked) - monitors} L1 and {monitors} monitor trace(s) "
+        f"walked to their cycle by a {other!r} cell and warming, "
         "bit-identical to fresh traces"
     )
 

@@ -38,8 +38,10 @@ see :mod:`repro.sim.kernelmode`):
   crossing; events at those edges fall back to the scalar step, which
   performs the boundary bookkeeping at exactly the reference
   granularity. A batched core always reads its L1 decisions from an
-  :class:`~repro.sim.hierarchy.L1ServiceTrace`: it installs a private
-  one over its own stream, which campaign cells swap for a shared one.
+  :class:`~repro.sim.hierarchy.L1ServiceTrace` and, when monitored,
+  its monitor codes from a :class:`~repro.sim.hierarchy.MonitorTrace`:
+  it installs private ones over its own stream, which campaign cells
+  swap for shared ones walked once per stream.
 * The **reference** kernel is the original one-call-per-access loop,
   retained verbatim for differential testing and as the before/after
   baseline of ``benchmarks/bench_kernel.py``. Timing jitter draws one
@@ -61,9 +63,8 @@ import numpy as np
 from repro.config import ArchConfig
 from repro.core.annotations import AnnotationVector
 from repro.errors import ConfigurationError, SimulationError
-from repro.monitor.umon import mix64_array
 from repro.sim.batch import active_scratch
-from repro.sim.hierarchy import DomainMemory, L1ServiceTrace
+from repro.sim.hierarchy import DomainMemory, L1ServiceTrace, MonitorTrace
 from repro.sim.kernelmode import batching_enabled
 from repro.sim.stats import DomainStats
 
@@ -105,7 +106,6 @@ class InstructionStream:
         "cum_public",
         "public_per_pass",
         "max_stall",
-        "_hashed",
     )
 
     def __init__(
@@ -149,22 +149,6 @@ class InstructionStream:
         counted = (~annotations.progress_excluded).astype(np.int64)
         self.cum_public = np.concatenate(([0], np.cumsum(counted)))
         self.public_per_pass = int(self.cum_public[-1])
-        self._hashed: np.ndarray | None = None
-
-    @property
-    def hashed_addresses(self) -> np.ndarray:
-        """SplitMix64 hash of every address, computed once and cached.
-
-        Set-sampling monitors decide per address whether to observe it by
-        hashing it (:func:`repro.monitor.umon.mix64_array`); since the
-        stream is re-executed pass after pass, hashing each address once
-        up front turns that decision into an array mask. Entries at
-        non-memory positions (address ``-1``) are meaningless and never
-        consumed.
-        """
-        if self._hashed is None:
-            self._hashed = mix64_array(self.addresses)
-        return self._hashed
 
     @property
     def memory_instruction_count(self) -> int:
@@ -225,15 +209,22 @@ class Core:
         # Jitter draws one RNG value per access, so jittered cores must
         # take the scalar loop to preserve the draw sequence. Speculative
         # block resolution additionally needs an LLC view that can
-        # snapshot/restore its state, and reads L1 decisions from a
-        # service trace over this core's stream.
+        # snapshot/restore its state, and reads L1 decisions and monitor
+        # codes from traces over this core's stream (walked lazily, so
+        # a caller swapping in shared traces pays nothing for these).
         self._use_batched = (
             batching_enabled()
             and core_config.timing_jitter == 0
             and memory.supports_speculation
         )
         if self._use_batched:
-            memory.install_l1_trace(L1ServiceTrace(stream, arch))
+            l1_trace = L1ServiceTrace(stream, arch)
+            memory.install_l1_trace(l1_trace)
+            spec = memory.monitor_trace_spec
+            if spec is not None:
+                memory.install_monitor_trace(
+                    MonitorTrace(stream, arch, *spec, l1_trace=l1_trace)
+                )
         # Running estimate of the average cycle cost per event, used only
         # to size batches against the remaining budget (never to decide
         # results — the stop point is computed exactly afterwards).
@@ -413,13 +404,8 @@ class Core:
         memory = self.memory
         stats = self.stats
         addresses = stream.addresses
-        excluded = stream.annotations.metric_excluded
         stalls = stream.stall_cycles
         cum_public = stream.cum_public
-        hashes = stream.hashed_addresses if memory.monitor_wants_hashes else None
-        # Annotation/hash slices only matter to the monitor feed; without
-        # a monitor, commit_block never reads them.
-        has_monitor = memory.monitor is not None
 
         crossing = (
             self._public_crossing_rel(progress_target)
@@ -489,27 +475,16 @@ class Core:
 
             idx = ev[cursor:stop]
             addrs = addresses[idx]
-            commit_excluded = None
-            commit_hashes = None
             if stalls is None:
                 mem_mask = None
                 latencies, token = memory.resolve_block(addrs)
                 extras = latencies * inv_mlp
-                if has_monitor:
-                    commit_excluded = excluded[idx]
-                    commit_hashes = hashes[idx] if hashes is not None else None
             else:
                 extras = np.zeros(n, dtype=np.float64)
                 mem_mask = addrs >= 0
                 if mem_mask.any():
-                    mem_idx = idx[mem_mask]
-                    latencies, token = memory.resolve_block(addresses[mem_idx])
+                    latencies, token = memory.resolve_block(addrs[mem_mask])
                     extras[mem_mask] = latencies * inv_mlp
-                    if has_monitor:
-                        commit_excluded = excluded[mem_idx]
-                        commit_hashes = (
-                            hashes[mem_idx] if hashes is not None else None
-                        )
                 else:
                     token = None
                 extras = extras + stalls[idx]
@@ -537,7 +512,7 @@ class Core:
                 k = n
             if token is not None:
                 kept = k if mem_mask is None else int(np.count_nonzero(mem_mask[:k]))
-                memory.commit_block(token, kept, commit_excluded, commit_hashes)
+                memory.commit_block(token, kept)
             last = int(idx[k - 1])
             self.cycles = float(tops[k])
             self.retired += last + 1 - rel_pos

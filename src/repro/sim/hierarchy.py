@@ -19,10 +19,11 @@ but the *filter itself* depends on who is asking:
   baseline), the monitor observes live-L1-missing accesses including
   secret ones — the secret-dependent metric that motivates the paper.
 
-Two paths resolve accesses. :meth:`DomainMemory.access` resolves one
-access against the live L1 (the reference kernel's path, and the path of
-jittered cores and way-partitioned LLCs). The batched kernel instead
-pairs :meth:`DomainMemory.resolve_block` with
+Two paths resolve accesses. :meth:`DomainMemory.access` without traces
+resolves one access against the live L1 and feeds the monitor through
+the live L1 or the shadow filter (the reference kernel's path, and the
+path of jittered cores and way-partitioned LLCs). The batched kernel
+instead pairs :meth:`DomainMemory.resolve_block` with
 :meth:`DomainMemory.commit_block`: a run is resolved *speculatively* —
 the LLC advanced, monitor and service counters deferred — so the kernel
 can learn every access's actual latency first, compute exactly where
@@ -31,24 +32,36 @@ typically), and then commit only that prefix, rolling the LLC back over
 the unexecuted tail via lazily journaled set snapshots.
 
 The batched path reads its L1 decisions from an :class:`L1ServiceTrace`
-instead of walking the live L1. That is exact: within a run, the L1
-state depends only on the address sequence, the monitor only on its
-filtered subsequence, and the LLC only on the L1-missing subsequence —
-none feeds back into another — and a rolled-back replay is
-deterministic from the restored state. The shadow monitor filter
-advances only at commit time (it never influences latencies), so
-speculation needs no filter snapshots.
+and its monitor input from a :class:`MonitorTrace`, both indexed by the
+domain's committed stream position. That is exact: within a run, the
+L1 state depends only on the address sequence, the monitor's feed only
+on the public subsequence (through the shadow filter) or on the L1's
+misses, and the LLC only on the L1-missing subsequence — none feeds
+back into another — and a rolled-back replay is deterministic from the
+restored state. Each trace walks whole passes of the cyclic stream and
+stops at the first pass that ends in the state it started in: from
+then on every pass repeats it exactly. The monitor reading a trace
+fixed before the run is Principle 1 made structural — it cannot see
+timing.
 """
 
 from __future__ import annotations
 
 import enum
+from time import perf_counter
 from typing import Protocol
 
 import numpy as np
 
 from repro.config import ArchConfig
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
+from repro.monitor.umon import (
+    MAX_TRACE_SIZES,
+    UNFED,
+    UNSAMPLED,
+    mix64_array,
+)
+from repro.monitor.window import COLD_DISTANCE, ReuseDistanceTracker
 from repro.sim.kernelmode import make_cache
 from repro.sim.partition import LLCView
 
@@ -57,16 +70,105 @@ from repro.sim.partition import LLCView
 #: so ``ways.pop(addr, MISSING) is None`` is a one-lookup hit test.
 MISSING = object()
 
-#: Minimum positions an :class:`L1ServiceTrace` walk extends by at once
-#: (a multiple of 8, so every walk starts on a byte boundary): resolves
-#: request a few hundred positions at a time, and thousands of tiny
-#: ``access_run`` calls would be overhead-bound. :meth:`L1ServiceTrace.warm`
-#: also walks one block past the stream period so cores that consume a
-#: little more than one full pass (the common case) never extend at all.
-_TRACE_EXTEND_BLOCK = 8192
+
+def _cache_state(cache) -> tuple:
+    """A cache's full LRU state: every set's lines, LRU-first."""
+    return tuple(tuple(ways) for ways in cache._sets)
 
 
-class L1ServiceTrace:
+class _PassTrace:
+    """Per-position outputs of a deterministic walk over a cyclic stream.
+
+    A stream wraps forever (cores re-run it for pressure), so position
+    ``pos`` lies in pass ``pos // period``. Subclasses walk one whole
+    pass at a time (:meth:`_walk_pass`), append its outputs as one
+    immutable ``bytes`` object, and compare their walk state at the pass
+    boundary with the state one boundary earlier. Equal states mean the
+    pass just walked repeats forever — the walkers are deterministic
+    state machines fed the same pass of input — so the walk stops, the
+    walk state is dropped, and every later position reads the last
+    pass. Until then the trace walks lazily, as far as a reader asks.
+    """
+
+    __slots__ = ("_period", "_passes", "_repeats")
+
+    def __init__(self, period: int):
+        self._period = period
+        self._passes: list[bytes] = []
+        self._repeats = False
+
+    @property
+    def passes_walked(self) -> int:
+        """Whole passes of the stream walked so far."""
+        return len(self._passes)
+
+    @property
+    def cycle_found(self) -> bool:
+        """Whether the last walked pass is known to repeat forever."""
+        return self._repeats
+
+    def warm(self) -> None:
+        """Walk until the repeating pass is found; a no-op afterwards.
+
+        Campaign engines call this in the parent process before forking
+        workers, which then inherit a finished trace copy-on-write and
+        never walk at all.
+        """
+        while self._period and not self._repeats:
+            self._walk_pass()
+
+    def _pass(self, index: int) -> bytes:
+        passes = self._passes
+        while index >= len(passes):
+            if self._repeats:
+                return passes[-1]
+            self._walk_pass()
+        return passes[index]
+
+    def _read(self, start: int, stop: int, piece):
+        """``piece(pass_bytes, offset, n)`` arrays concatenated over a range."""
+        period = self._period
+        if period == 0:
+            raise ValueError("cannot trace a stream with no memory accesses")
+        index, offset = divmod(start, period)
+        n = stop - start
+        if offset + n <= period:
+            return piece(self._pass(index), offset, n)
+        pieces = []
+        while n:
+            take = min(n, period - offset)
+            pieces.append(piece(self._pass(index), offset, take))
+            n -= take
+            index += 1
+            offset = 0
+        return np.concatenate(pieces)
+
+    def _walk_pass(self) -> None:
+        raise NotImplementedError
+
+
+def _memory_addresses(stream) -> np.ndarray:
+    """The stream's memory-access addresses, int32 when they fit."""
+    addrs = stream.addresses[stream.mem_positions]
+    if addrs.shape[0] and addrs.max() <= np.iinfo(np.int32).max:
+        addrs = addrs.astype(np.int32)
+    return addrs
+
+
+def _unpack_bits(bits: bytes, offset: int, n: int) -> np.ndarray:
+    first = offset >> 3
+    packed = np.frombuffer(
+        bits, dtype=np.uint8, count=((offset + n + 7) >> 3) - first, offset=first
+    )
+    start = offset & 7
+    return np.unpackbits(packed, bitorder="little")[start : start + n].view(bool)
+
+
+def _code_view(codes: bytes, offset: int, n: int) -> np.ndarray:
+    return np.frombuffer(codes, dtype=np.uint8, count=n, offset=offset)
+
+
+class L1ServiceTrace(_PassTrace):
     """Precomputed L1 hit/miss decisions for one workload stream.
 
     The private L1 is unaffected by the LLC, the monitor, and the other
@@ -78,95 +180,200 @@ class L1ServiceTrace:
     cell, can be served from a single walk of the L1 instead of each
     re-walking it with journaling and rollback.
 
-    The trace walks the stream's memory-access sequence lazily and
-    cyclically (streams wrap for pressure maintenance) through
-    :meth:`~repro.sim.cache.SetAssociativeCache.access_run` on a
+    The trace walks whole passes of the stream's memory-access sequence
+    through :meth:`~repro.sim.cache.SetAssociativeCache.access_run` on a
     private replica built by the same :func:`~repro.sim.kernelmode.make_cache`
     the live hierarchy uses — so the recorded decisions are bit-identical
-    to the decisions the core's own L1 would have made. Decisions are
-    stored one bit per position in an append-only ``bytearray``, and the
-    trace keeps its own copy of the memory-access addresses — int32 when
-    they fit — instead of the whole stream, so a memoized trace costs
-    about 4 bytes per memory access plus a bit per walked position.
+    to the decisions the core's own L1 would have made — and stops at
+    the first pass whose end state equals its start state (with LRU,
+    usually pass 1, found after walking two). Decisions are stored one
+    bit per walked position; the replica and the trace's int32 copy of
+    the addresses live only until the repeat is found.
     """
 
-    __slots__ = ("geometry", "_stream", "_addrs", "_period", "_cache",
-                 "_bits", "_walked")
+    __slots__ = ("geometry", "_stream", "_addrs", "_cache", "_state")
 
     def __init__(self, stream, config: ArchConfig):
+        super().__init__(int(stream.mem_positions.shape[0]))
         l1_sets = max(1, config.l1_lines // config.l1_associativity)
         self.geometry = (l1_sets, config.l1_associativity)
         self._stream = stream  # copied from on the first walk
         self._addrs: np.ndarray | None = None
-        self._period = int(stream.mem_positions.shape[0])
         self._cache = None
-        self._bits = bytearray()
-        self._walked = 0
-
-    def warm(self) -> None:
-        """Eagerly walk one full pass of the stream.
-
-        Campaign engines call this in the parent process before forking
-        workers: the walked bits are inherited copy-on-write, so each
-        worker only extends the trace past the first pass instead of
-        replaying it from zero.
-        """
-        target = self._period + _TRACE_EXTEND_BLOCK
-        if self._period and self._walked < target:
-            self._extend(target)
-
-    @property
-    def walked(self) -> int:
-        """Positions walked so far (every lookup below this is free)."""
-        return self._walked
+        self._state: tuple | None = None
 
     def hit(self, pos: int) -> int:
         """1 if absolute access position ``pos`` hits in the L1, else 0."""
-        if pos >= self._walked:
-            self._extend(pos + 1)
-        return (self._bits[pos >> 3] >> (pos & 7)) & 1
+        index, offset = divmod(pos, self._period)
+        passes = self._passes
+        bits = passes[index] if index < len(passes) else self._pass(index)
+        return (bits[offset >> 3] >> (offset & 7)) & 1
 
     def hits(self, start: int, stop: int) -> np.ndarray:
         """Hit/miss booleans for absolute access positions [start, stop)."""
         if stop <= start:
             return np.zeros(0, dtype=bool)
-        if stop > self._walked:
-            self._extend(stop)
-        first = start >> 3
-        packed = np.frombuffer(
-            self._bits, dtype=np.uint8, count=((stop + 7) >> 3) - first,
-            offset=first,
-        )
-        offset = start & 7
-        unpacked = np.unpackbits(packed, bitorder="little")
-        return unpacked[offset : offset + stop - start].view(bool)
+        return self._read(start, stop, _unpack_bits)
 
-    def _extend(self, target: int) -> None:
-        if self._period == 0:
-            raise ValueError("cannot trace a stream with no memory accesses")
-        # Walk well past the request (bounded overshoot of one block),
-        # and to a whole byte so the next walk starts byte-aligned.
-        target = max(target, self._walked + _TRACE_EXTEND_BLOCK)
-        target = (target + 7) & ~7
-        if self._addrs is None:
-            addrs = self._stream.addresses[self._stream.mem_positions]
-            if addrs.max() <= np.iinfo(np.int32).max:
-                addrs = addrs.astype(np.int32)
-            self._addrs = addrs
+    def _walk_pass(self) -> None:
+        if self._cache is None:
+            self._addrs = _memory_addresses(self._stream)
             self._stream = None
             self._cache = make_cache(*self.geometry)
-        segments = []
-        walked = self._walked
-        while walked < target:
-            offset = walked % self._period
-            n = min(self._period - offset, target - walked)
-            segment, _ = self._cache.access_run(self._addrs[offset : offset + n])
-            segments.append(segment)
-            walked += n
-        self._bits += np.packbits(
-            np.concatenate(segments), bitorder="little"
-        ).tobytes()
-        self._walked = walked
+            self._state = _cache_state(self._cache)
+        hits, _ = self._cache.access_run(self._addrs)
+        self._passes.append(np.packbits(hits, bitorder="little").tobytes())
+        state = _cache_state(self._cache)
+        if state == self._state:
+            self._repeats = True
+            self._addrs = self._cache = self._state = None
+        else:
+            self._state = state
+
+
+class MonitorTrace(_PassTrace):
+    """Precomputed monitor input for one stream: one code byte per access.
+
+    Principle 1 makes a monitor's input a function of the retired public
+    access stream alone, and this simulator's conventional feed (live-L1
+    misses) is one too. So for one (stream, L1 geometry, candidate
+    sizes, sampling shift, feed mode) everything :meth:`UMONMonitor.observe
+    <repro.monitor.umon.UMONMonitor.observe>` computes per access — is it
+    fed, does set sampling keep it, which hits-per-size bin does its
+    reuse distance land in — is fixed before any run. The trace records
+    it as :data:`~repro.monitor.umon.UNFED`,
+    :data:`~repro.monitor.umon.UNSAMPLED` or the bin index; monitors
+    replay only the windowed bin accumulation
+    (:meth:`~repro.monitor.umon.UMONMonitor.observe_codes`).
+
+    ``filtered`` selects the feed. ``True`` (Untangle-style schemes):
+    public accesses missing in a shadow L1 walked by public accesses
+    only. ``False`` (conventional schemes): every live-L1 miss, read
+    from ``l1_trace``. With no candidate sizes every kept access codes
+    bin 0 and no reuse distances are computed (feed-only monitors).
+
+    Passes are walked whole: feed mask, sampling mask, one
+    :meth:`~repro.monitor.window.ReuseDistanceTracker.observe_run`, one
+    ``searchsorted``. The repeat check compares the shadow filter's
+    state and the tracker's recency order (which alone decides every
+    future reuse distance); an unfiltered trace additionally waits for
+    the L1 trace to repeat at or before the pass. Walk state — filter,
+    tracker, address and sampling copies — is dropped at the repeat, so
+    a finished trace holds one byte per walked position.
+    """
+
+    __slots__ = ("geometry", "spec", "_stream", "_l1", "_addrs",
+                 "_sampled", "_public", "_filter", "_tracker", "_state")
+
+    def __init__(
+        self,
+        stream,
+        config: ArchConfig,
+        sizes: tuple[int, ...],
+        sampling_shift: int,
+        filtered: bool,
+        l1_trace: L1ServiceTrace | None = None,
+    ):
+        super().__init__(int(stream.mem_positions.shape[0]))
+        sizes = tuple(int(size) for size in sizes)
+        if len(sizes) > MAX_TRACE_SIZES:
+            raise ConfigurationError(
+                f"a monitor trace encodes at most {MAX_TRACE_SIZES} "
+                f"candidate sizes, got {len(sizes)}"
+            )
+        l1_sets = max(1, config.l1_lines // config.l1_associativity)
+        self.geometry = (l1_sets, config.l1_associativity)
+        if not filtered:
+            if l1_trace is None or l1_trace.geometry != self.geometry:
+                raise ValueError(
+                    "an unfiltered monitor trace reads an L1 trace of the "
+                    "same geometry"
+                )
+        #: What the trace encodes: ``(sizes, sampling_shift, filtered)``.
+        self.spec = (sizes, int(sampling_shift), bool(filtered))
+        self._stream = stream  # copied from on the first walk
+        self._l1 = None if filtered else l1_trace
+        self._addrs: np.ndarray | None = None
+        self._sampled: np.ndarray | None = None
+        self._public: np.ndarray | None = None
+        self._filter = None
+        self._tracker: ReuseDistanceTracker | None = None
+        self._state: tuple | None = None
+
+    def code(self, pos: int) -> int:
+        """The code of absolute access position ``pos``."""
+        index, offset = divmod(pos, self._period)
+        passes = self._passes
+        codes = passes[index] if index < len(passes) else self._pass(index)
+        return codes[offset]
+
+    def codes(self, start: int, stop: int) -> np.ndarray:
+        """uint8 codes for absolute access positions [start, stop)."""
+        if stop <= start:
+            return np.zeros(0, dtype=np.uint8)
+        return self._read(start, stop, _code_view)
+
+    def _walk_state(self) -> tuple:
+        tracker_order = ()
+        if self._tracker is not None:
+            last = self._tracker._last_position
+            tracker_order = tuple(sorted(last, key=last.__getitem__))
+        filter_state = (
+            _cache_state(self._filter) if self._filter is not None else None
+        )
+        return filter_state, tracker_order
+
+    def _walk_pass(self) -> None:
+        sizes, shift, filtered = self.spec
+        if self._addrs is None:
+            stream = self._stream
+            self._stream = None
+            self._addrs = _memory_addresses(stream)
+            if shift:
+                mask = np.uint64((1 << shift) - 1)
+                self._sampled = (mix64_array(self._addrs) & mask) == 0
+            if filtered:
+                excluded = stream.annotations.metric_excluded[stream.mem_positions]
+                self._public = np.flatnonzero(~excluded)
+                self._filter = make_cache(*self.geometry)
+            if sizes:
+                self._tracker = ReuseDistanceTracker()
+            self._state = self._walk_state()
+        index = len(self._passes)
+        if filtered:
+            public = self._public
+            filter_hits, _ = self._filter.access_run(self._addrs[public])
+            fed = public[~filter_hits]
+        else:
+            period = self._period
+            fed = np.flatnonzero(
+                ~self._l1.hits(index * period, (index + 1) * period)
+            )
+        codes = np.full(self._period, UNFED, dtype=np.uint8)
+        if self._sampled is not None:
+            codes[fed] = UNSAMPLED
+            fed = fed[self._sampled[fed]]
+        if self._tracker is not None:
+            distances = np.array(
+                self._tracker.observe_run(self._addrs[fed].tolist()),
+                dtype=np.int64,
+            )
+            bins = np.searchsorted(sizes, distances << shift, side="right")
+            bins[distances == COLD_DISTANCE] = len(sizes)
+            codes[fed] = bins
+        else:
+            codes[fed] = 0
+        self._passes.append(codes.tobytes())
+        state = self._walk_state()
+        feed_repeats = filtered or (
+            self._l1.cycle_found and self._l1.passes_walked <= index + 1
+        )
+        if feed_repeats and state == self._state:
+            self._repeats = True
+            self._l1 = self._addrs = self._sampled = self._public = None
+            self._filter = self._tracker = self._state = None
+        else:
+            self._state = state
 
 
 class MemoryLevel(enum.IntEnum):
@@ -218,6 +425,8 @@ class DomainMemory:
         "level_counts",
         "_l1_trace",
         "_l1_trace_pos",
+        "_monitor_trace",
+        "phases",
     )
 
     def __init__(
@@ -233,8 +442,8 @@ class DomainMemory:
         self.monitor = monitor
         self.monitor_respects_annotations = monitor_respects_annotations
         # The shadow tag directory filtering the monitored stream (same
-        # geometry as the L1 it models). Only at commit time, never
-        # speculatively — see resolve/commit.
+        # geometry as the L1 it models) on the untraced path; a traced
+        # memory reads the filter's verdicts from its monitor trace.
         self._monitor_filter = (
             make_cache(l1_sets, config.l1_associativity)
             if monitor is not None and monitor_respects_annotations
@@ -246,11 +455,20 @@ class DomainMemory:
         self.level_counts = {level: 0 for level in MemoryLevel}
         self._l1_trace: L1ServiceTrace | None = None
         self._l1_trace_pos = 0
+        self._monitor_trace: MonitorTrace | None = None
+        #: Phase-time accumulator while a traced ``sim.run`` is active
+        #: (:class:`repro.sim.stats.KernelPhases`); ``None`` times nothing.
+        self.phases = None
 
     @property
     def l1_trace(self) -> L1ServiceTrace | None:
         """The installed L1 service trace (``None`` on the scalar path)."""
         return self._l1_trace
+
+    @property
+    def monitor_trace(self) -> MonitorTrace | None:
+        """The installed monitor trace (``None`` on the scalar path)."""
+        return self._monitor_trace
 
     def install_l1_trace(self, trace: L1ServiceTrace) -> None:
         """Serve L1 decisions from a (possibly shared) service trace.
@@ -266,7 +484,8 @@ class DomainMemory:
         commit, which is what makes speculative rollback free on the L1
         side. ``l1.stats`` keeps hit/miss counts for served accesses;
         eviction counts are not modeled on the traced path (no consumer
-        reads them).
+        reads them). A monitored memory also needs a monitor trace
+        (:meth:`install_monitor_trace`).
         """
         if trace.geometry != (self.l1.num_sets, self.l1.associativity):
             raise ValueError(
@@ -277,17 +496,47 @@ class DomainMemory:
         self._l1_trace_pos = 0
 
     @property
-    def monitor_wants_hashes(self) -> bool:
-        """Whether precomputed address hashes would help the monitor.
+    def monitor_trace_spec(self) -> tuple | None:
+        """The ``(sizes, sampling_shift, filtered)`` a monitor trace needs.
 
-        True when the monitor set-samples by SplitMix64 address hash
-        (see :class:`repro.monitor.umon.UMONMonitor`); callers that hold
-        a per-stream hash cache can then pass it to
-        :meth:`commit_block` and skip re-hashing per observation.
+        ``None`` without a monitor. Read off the built monitor: one that
+        consumes codes (:meth:`UMONMonitor.observe_codes
+        <repro.monitor.umon.UMONMonitor.observe_codes>`) needs its
+        candidate sizes and sampling shift encoded; any other sink only
+        needs to know which accesses it is fed (no sizes, no sampling).
+        ``filtered`` is the annotation-respecting shadow-filter feed.
         """
-        return self.monitor is not None and bool(
-            getattr(self.monitor, "uses_address_hashes", False)
-        )
+        monitor = self.monitor
+        if monitor is None:
+            return None
+        if hasattr(monitor, "observe_codes"):
+            sizes = tuple(monitor.candidate_sizes)
+            shift = int(monitor.sampling_shift)
+        else:
+            sizes, shift = (), 0
+        return sizes, shift, bool(self.monitor_respects_annotations)
+
+    def install_monitor_trace(self, trace: MonitorTrace) -> None:
+        """Feed the monitor from a (possibly shared) monitor trace.
+
+        The trace is indexed by the same committed stream position as
+        the L1 trace, so it must cover the same memory-access sequence
+        and encode this memory's :attr:`monitor_trace_spec`. The shadow
+        filter is then never walked, and the monitor never sees an
+        address it would have to hash or look up in a stack.
+        """
+        if trace.geometry != (self.l1.num_sets, self.l1.associativity):
+            raise ValueError(
+                f"monitor trace geometry {trace.geometry} does not match "
+                f"the L1 ({self.l1.num_sets} sets x "
+                f"{self.l1.associativity} ways)"
+            )
+        if trace.spec != self.monitor_trace_spec:
+            raise ValueError(
+                f"monitor trace encodes {trace.spec}, this memory's "
+                f"monitor needs {self.monitor_trace_spec}"
+            )
+        self._monitor_trace = trace
 
     def access(self, line_addr: int, metric_excluded: bool = False) -> int:
         """Perform one memory access; returns its round-trip latency.
@@ -296,25 +545,48 @@ class DomainMemory:
         the caches normally (the data still moves!) but are hidden from
         the monitor when annotations are respected — and excluded from
         its shadow filter, so they cannot even shift which public
-        accesses the monitor sees. With a trace installed the L1
-        decision is the trace's next position (the batched kernel's
-        scalar mop-up); without one the live L1 is walked.
+        accesses the monitor sees. With traces installed the L1 decision
+        and the monitor code are the traces' next position (the batched
+        kernel's scalar mop-up; the annotation is already in the monitor
+        trace); without them the live L1 and the shadow filter are
+        walked.
         """
+        trace = self._l1_trace
+        if trace is None:
+            return self._access_untraced(line_addr, metric_excluded)
+        phases = self.phases
+        if phases is not None:
+            t0 = perf_counter()
+        pos = self._l1_trace_pos
+        self._l1_trace_pos = pos + 1
+        hit = trace.hit(pos)
+        if phases is not None:
+            t1 = perf_counter()
+            phases.l1_read_s += t1 - t0
+        if self.monitor is not None:
+            self._observe_at(pos, line_addr)
+            if phases is not None:
+                t2 = perf_counter()
+                phases.monitor_feed_s += t2 - t1
+                t1 = t2
+        stats = self.l1.stats
+        if hit:
+            stats.hits += 1
+            self.level_counts[MemoryLevel.L1] += 1
+            return self._l1_latency
+        stats.misses += 1
+        latency = self._llc_access(line_addr)
+        if phases is not None:
+            phases.llc_walk_s += perf_counter() - t1
+        return latency
+
+    def _access_untraced(self, line_addr: int, metric_excluded: bool) -> int:
+        """The reference path: walk the live L1 and the shadow filter."""
         filter_cache = self._monitor_filter
         if filter_cache is not None and not metric_excluded:
             if not filter_cache.access(line_addr):
                 self.monitor.observe(line_addr)
-        trace = self._l1_trace
-        if trace is not None:
-            pos = self._l1_trace_pos
-            self._l1_trace_pos = pos + 1
-            stats = self.l1.stats
-            if trace.hit(pos):
-                stats.hits += 1
-                self.level_counts[MemoryLevel.L1] += 1
-                return self._l1_latency
-            stats.misses += 1
-        elif self.l1.access(line_addr):
+        if self.l1.access(line_addr):
             self.level_counts[MemoryLevel.L1] += 1
             return self._l1_latency
         if (
@@ -323,11 +595,29 @@ class DomainMemory:
             and (not self.monitor_respects_annotations or not metric_excluded)
         ):
             self.monitor.observe(line_addr)
+        return self._llc_access(line_addr)
+
+    def _llc_access(self, line_addr: int) -> int:
         if self.llc_view.access(line_addr):
             self.level_counts[MemoryLevel.LLC] += 1
             return self._llc_latency
         self.level_counts[MemoryLevel.DRAM] += 1
         return self._dram_latency
+
+    def _observe_at(self, pos: int, line_addr: int) -> None:
+        """Feed the monitor the trace code of one access position."""
+        trace = self._monitor_trace
+        if trace is None:
+            raise SimulationError(
+                "a traced memory with a monitor needs an installed monitor "
+                "trace (see install_monitor_trace)"
+            )
+        code = trace.code(pos)
+        observe_code = getattr(self.monitor, "observe_code", None)
+        if observe_code is not None:
+            observe_code(code)
+        elif code != UNFED:
+            self.monitor.observe(line_addr)
 
     @property
     def supports_speculation(self) -> bool:
@@ -362,11 +652,22 @@ class DomainMemory:
                 "resolve_block needs an installed L1 service trace "
                 "(see install_l1_trace)"
             )
+        if self.monitor is not None and self._monitor_trace is None:
+            raise SimulationError(
+                "resolve_block with a monitor needs an installed monitor "
+                "trace (see install_monitor_trace)"
+            )
+        phases = self.phases
+        if phases is not None:
+            t0 = perf_counter()
         n = int(addrs.shape[0])
         pos = self._l1_trace_pos
         miss_mask = ~trace.hits(pos, pos + n)
         miss_addrs = addrs[miss_mask]
         latencies = np.full(n, self._l1_latency, dtype=np.int64)
+        if phases is not None:
+            t1 = perf_counter()
+            phases.l1_read_s += t1 - t0
         if miss_addrs.shape[0]:
             llc_snapshot, llc_hits = self._llc_walk(miss_addrs, speculative)
             latencies[miss_mask] = np.where(
@@ -375,6 +676,8 @@ class DomainMemory:
         else:
             llc_snapshot = None
             llc_hits = miss_addrs.astype(bool)
+        if phases is not None:
+            phases.llc_walk_s += perf_counter() - t1
         token = (addrs, miss_mask, llc_hits, speculative, llc_snapshot)
         return latencies, token
 
@@ -449,87 +752,17 @@ class DomainMemory:
             domain_stats.misses += miss
         return snapshot, np.array(out, dtype=bool)
 
-    def _feed_monitor(
-        self,
-        addrs: np.ndarray,
-        count: int,
-        metric_excluded: np.ndarray | None,
-        hashes: np.ndarray | None,
-        miss_mask: np.ndarray,
-    ) -> None:
-        """Offer a committed prefix's accesses to the monitor.
-
-        ``addrs``/``miss_mask`` cover exactly the committed prefix
-        (length ``count``); ``metric_excluded``/``hashes`` are aligned
-        with the original block and sliced here. With a shadow filter
-        (annotations respected), the public subsequence is walked
-        through the filter and its misses are observed — the L1's
-        ``miss_mask`` plays no part, so secret lines resident in the
-        real L1 cannot shift what the monitor sees. Without one, the
-        legacy L1-missing feed applies.
-        """
-        monitor = self.monitor
-        if monitor is None:
-            return
-        filter_cache = self._monitor_filter
-        if filter_cache is not None:
-            if metric_excluded is not None:
-                public = ~metric_excluded[:count]
-                public_addrs = addrs[public]
-            else:
-                public = None
-                public_addrs = addrs
-            if not public_addrs.shape[0]:
-                return
-            filter_hits, _ = filter_cache.access_run(public_addrs)
-            keep = ~filter_hits
-            monitored = public_addrs[keep]
-            if not monitored.shape[0]:
-                return
-            if hashes is not None:
-                kept_hashes = hashes[:count]
-                if public is not None:
-                    kept_hashes = kept_hashes[public]
-                monitored_hashes = kept_hashes[keep]
-            else:
-                monitored_hashes = None
-        else:
-            if self.monitor_respects_annotations and metric_excluded is not None:
-                keep = miss_mask & ~metric_excluded[:count]
-            else:
-                keep = miss_mask
-            monitored = addrs[keep]
-            if not monitored.shape[0]:
-                return
-            monitored_hashes = (
-                hashes[:count][keep] if hashes is not None else None
-            )
-        observe_block = getattr(monitor, "observe_block", None)
-        if observe_block is not None:
-            observe_block(monitored, monitored_hashes)
-        else:
-            observe = monitor.observe
-            for line_addr in monitored.tolist():
-                observe(line_addr)
-
-    def commit_block(
-        self,
-        token: tuple,
-        count: int,
-        metric_excluded: np.ndarray | None = None,
-        hashes: np.ndarray | None = None,
-    ) -> None:
+    def commit_block(self, token: tuple, count: int) -> None:
         """Commit the first ``count`` accesses of a resolved block.
 
         Advancing the trace position by ``count`` *is* the L1 commit.
         When ``count`` covers the whole block this then just applies the
-        deferred effects (service counters, monitor observations). A
-        partial commit first restores the LLC snapshot and re-walks the
-        kept prefix's misses for state (the walk is deterministic from
-        the restored state, so its hit pattern equals the original
-        resolve's prefix), so the final state is exactly as if only
-        those accesses had happened. ``metric_excluded`` and ``hashes``
-        are aligned with the block's address array.
+        deferred effects (service counters, monitor codes). A partial
+        commit first restores the LLC snapshot and re-walks the kept
+        prefix's misses for state (the walk is deterministic from the
+        restored state, so its hit pattern equals the original resolve's
+        prefix), so the final state is exactly as if only those accesses
+        had happened.
         """
         addrs, miss_mask, llc_hits, speculative, llc_snapshot = token
         if count < int(addrs.shape[0]):
@@ -538,14 +771,20 @@ class DomainMemory:
             miss_mask = miss_mask[:count]
             kept_misses = int(np.count_nonzero(miss_mask))
             if llc_snapshot is not None:
+                phases = self.phases
+                if phases is not None:
+                    t0 = perf_counter()
                 self.llc_view.restore_snapshot(llc_snapshot)
                 if kept_misses:
                     self._llc_walk(addrs[:count][miss_mask], False)
+                if phases is not None:
+                    phases.llc_walk_s += perf_counter() - t0
             llc_hits = llc_hits[:kept_misses]
             addrs = addrs[:count]
         if not count:
             return
-        self._l1_trace_pos += count
+        pos = self._l1_trace_pos
+        self._l1_trace_pos = pos + count
         num_misses = int(np.count_nonzero(miss_mask))
         counts = self.level_counts
         counts[MemoryLevel.L1] += count - num_misses
@@ -555,27 +794,30 @@ class DomainMemory:
         stats = self.l1.stats
         stats.hits += count - num_misses
         stats.misses += num_misses
-        self._feed_monitor(addrs, count, metric_excluded, hashes, miss_mask)
+        if self.monitor is not None:
+            self._feed_monitor(addrs, pos, count)
 
-    def access_block(
-        self,
-        addrs: np.ndarray,
-        metric_excluded: np.ndarray | None = None,
-        hashes: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Resolve and commit a run of memory accesses in one call.
+    def _feed_monitor(self, addrs: np.ndarray, pos: int, count: int) -> None:
+        """Offer a committed prefix's monitor codes to the monitor.
 
-        Returns the per-access round-trip latencies as an int64 array.
-        ``metric_excluded`` (aligned boolean array) carries the secret
-        annotations; ``hashes`` optionally carries precomputed SplitMix64
-        address hashes for a set-sampling monitor. Needs an installed
-        trace, like :meth:`resolve_block`. State and counters afterwards
-        are exactly as if :meth:`access` had been called once per
-        address in order.
+        ``addrs`` covers exactly the committed prefix, which starts at
+        trace position ``pos``. Code-consuming monitors replay the codes;
+        any other sink observes the addresses the trace marks as fed.
         """
-        latencies, token = self.resolve_block(addrs, speculative=False)
-        self.commit_block(token, int(addrs.shape[0]), metric_excluded, hashes)
-        return latencies
+        phases = self.phases
+        if phases is not None:
+            t0 = perf_counter()
+        codes = self._monitor_trace.codes(pos, pos + count)
+        monitor = self.monitor
+        observe_codes = getattr(monitor, "observe_codes", None)
+        if observe_codes is not None:
+            observe_codes(codes)
+        else:
+            observe = monitor.observe
+            for line_addr in addrs[codes != UNFED].tolist():
+                observe(line_addr)
+        if phases is not None:
+            phases.monitor_feed_s += perf_counter() - t0
 
     def reset_level_counts(self) -> None:
         """Zero the per-level service counters (used at warmup end)."""

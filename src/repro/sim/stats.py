@@ -14,6 +14,42 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+@dataclass(slots=True)
+class KernelPhases:
+    """Where one system run's kernel time went, summed per phase (seconds).
+
+    Filled only while tracing is on — every timed block then pays one
+    ``perf_counter`` pair, and nothing at all otherwise — and reported as
+    ``sim.run`` span attributes (:meth:`span_attrs`). ``core_s`` is all
+    of ``Core.run``; the memory phases nested inside it are split out,
+    and the rest is the core's own timing model.
+    """
+
+    #: L1 service-trace reads (trace walks they trigger included).
+    l1_read_s: float = 0.0
+    #: LLC walks: speculative resolves, rollback replays, scalar accesses.
+    llc_walk_s: float = 0.0
+    #: Monitor-trace reads and monitor bin accumulation.
+    monitor_feed_s: float = 0.0
+    #: Everything inside ``Core.run``.
+    core_s: float = 0.0
+    #: Scheme hooks: assessments, allocation, delayed resizes, sampling.
+    scheme_s: float = 0.0
+
+    def span_attrs(self) -> dict[str, float]:
+        """The ``phase_*`` attributes of the ``sim.run`` span."""
+        memory = self.l1_read_s + self.llc_walk_s + self.monitor_feed_s
+        return {
+            "phase_l1_read_s": round(self.l1_read_s, 6),
+            "phase_llc_walk_s": round(self.llc_walk_s, 6),
+            "phase_monitor_feed_s": round(self.monitor_feed_s, 6),
+            # Batch planning, the interleaved stall cumsum and stop
+            # search, boundary bookkeeping: Core.run minus its memory.
+            "phase_stall_s": round(self.core_s - memory, 6),
+            "phase_scheme_s": round(self.scheme_s, 6),
+        }
+
+
 @dataclass
 class PartitionSample:
     """One sample of a domain's partition size at a point in time."""

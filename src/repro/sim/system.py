@@ -20,6 +20,7 @@ charge leakage); the system owns all mechanism.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Protocol
 
 from repro.config import ArchConfig
@@ -32,7 +33,7 @@ from repro.obs.liveness import progress_beat
 from repro.sim.cpu import Core, CoreConfig, InstructionStream, StopReason
 from repro.sim.hierarchy import DomainMemory
 from repro.sim.kernelmode import kernel_mode
-from repro.sim.stats import DomainStats
+from repro.sim.stats import DomainStats, KernelPhases
 
 # Per-run (never per-access) simulator metrics: incremented once when a
 # system run finishes, so the recording cost is invisible next to the
@@ -196,12 +197,48 @@ class MultiDomainSystem:
             "monitor_sampled": sampled,
         }
 
+    def _trace_passes(self) -> tuple[int, int]:
+        """Passes walked so far by the distinct installed L1/monitor traces."""
+        l1 = {
+            id(m.l1_trace): m.l1_trace.passes_walked
+            for m in self.memories
+            if m.l1_trace is not None
+        }
+        monitor = {
+            id(m.monitor_trace): m.monitor_trace.passes_walked
+            for m in self.memories
+            if m.monitor_trace is not None
+        }
+        return sum(l1.values()), sum(monitor.values())
+
     def run(self, max_cycles: int = 50_000_000) -> SystemResult:
-        """Advance the system until every domain's slice finishes."""
+        """Advance the system until every domain's slice finishes.
+
+        While tracing is on, the ``sim.run`` span also carries where the
+        kernel time went (:class:`~repro.sim.stats.KernelPhases`) and
+        how many stream passes this run's trace reads had to walk.
+        """
         with obs_trace.span(
             "sim.run", scheme=self.scheme.name, kernel=kernel_mode()
         ) as span:
-            now, quanta, completed = self._advance(max_cycles)
+            phases = KernelPhases() if obs_trace.tracing_enabled() else None
+            if phases is None:
+                now, quanta, completed = self._advance(max_cycles, None)
+            else:
+                l1_before, monitor_before = self._trace_passes()
+                for memory in self.memories:
+                    memory.phases = phases
+                try:
+                    now, quanta, completed = self._advance(max_cycles, phases)
+                finally:
+                    for memory in self.memories:
+                        memory.phases = None
+                l1_after, monitor_after = self._trace_passes()
+                span.set(
+                    **phases.span_attrs(),
+                    l1_trace_passes=l1_after - l1_before,
+                    monitor_trace_passes=monitor_after - monitor_before,
+                )
             span.set(
                 total_cycles=now,
                 quanta=quanta,
@@ -226,12 +263,18 @@ class MultiDomainSystem:
             completed=completed,
         )
 
-    def _advance(self, max_cycles: int) -> tuple[int, int, bool]:
-        """The quantum loop; returns ``(now, quanta, completed)``."""
+    def _advance(
+        self, max_cycles: int, phases: KernelPhases | None
+    ) -> tuple[int, int, bool]:
+        """The quantum loop; returns ``(now, quanta, completed)``.
+
+        With ``phases``, each core run and each scheme hook is timed.
+        """
         now = 0
         next_sample = 0
         quanta = 0
         completed = False
+        t0 = 0.0
         while now < max_cycles:
             if self.all_finished:
                 completed = True
@@ -240,26 +283,37 @@ class MultiDomainSystem:
             for core in self.cores:
                 while core.cycles < quantum_end:
                     target = self.scheme.progress_target(core.domain)
+                    if phases is not None:
+                        t0 = perf_counter()
                     reason = core.run(float(quantum_end), target)
-                    if reason is StopReason.PROGRESS:
-                        self.scheme.on_progress(self, core.domain, core.now)
-                        if self.scheme.progress_target(core.domain) == target:
-                            raise SimulationError(
-                                "scheme did not advance the progress target "
-                                f"of domain {core.domain}"
-                            )
-                    else:
+                    if phases is not None:
+                        t1 = perf_counter()
+                        phases.core_s += t1 - t0
+                        t0 = t1
+                    if reason is not StopReason.PROGRESS:
                         break
+                    self.scheme.on_progress(self, core.domain, core.now)
+                    if phases is not None:
+                        phases.scheme_s += perf_counter() - t0
+                    if self.scheme.progress_target(core.domain) == target:
+                        raise SimulationError(
+                            "scheme did not advance the progress target "
+                            f"of domain {core.domain}"
+                        )
             now = quantum_end
             quanta += 1
             # Liveness evidence for the engine's worker heartbeats:
             # a quantum is thousands of simulated accesses, so this
             # is far off the hot path.
             progress_beat()
+            if phases is not None:
+                t0 = perf_counter()
             self.scheme.on_quantum(self, now)
             if now >= next_sample:
                 self.sample_partition_sizes(now)
                 next_sample = now + self.sample_interval
+            if phases is not None:
+                phases.scheme_s += perf_counter() - t0
         # The loop's finished-check runs at quantum tops only, so a run
         # whose last core retires during the final quantum at exactly
         # max_cycles would otherwise be misreported as incomplete.

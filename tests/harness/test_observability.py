@@ -346,3 +346,55 @@ class TestSimulatorSpans:
         # Untangle builds UMON monitors; they observed real accesses.
         assert attrs["monitor_observed"] > 0
         assert attrs["monitor_sampled"] > 0
+
+    @pytest.mark.parametrize("scheme", ["time", "untangle"])
+    def test_sim_run_phases_cover_the_run(self, monkeypatch, tmp_path, scheme):
+        """The kernel phase timers account for >= 95% of ``sim.run``."""
+        from repro.harness import experiment
+        from repro.harness.runconfig import TEST
+
+        sink = tmp_path / "trace.jsonl"
+        monkeypatch.setenv(TRACE_ENV, str(sink))
+        # A fresh memo, so this run walks its own traces.
+        monkeypatch.setattr(experiment, "_L1_TRACE_MEMO", {})
+        experiment.run_mix_scheme(
+            [("gcc_2", "AES-128"), ("imagick_0", "SHA-256")], scheme, TEST
+        )
+        (sim,) = [
+            span
+            for span in map(json.loads, sink.read_text().splitlines())
+            if span["kind"] == "span" and span["name"] == "sim.run"
+        ]
+        attrs = sim["attrs"]
+        phases = [
+            attrs[name]
+            for name in (
+                "phase_l1_read_s",
+                "phase_llc_walk_s",
+                "phase_monitor_feed_s",
+                "phase_stall_s",
+                "phase_scheme_s",
+            )
+        ]
+        assert all(value > 0 for value in phases)
+        assert sum(phases) >= 0.95 * sim["dur"]
+        assert sum(phases) <= sim["dur"]
+        # Both streams' L1 and monitor traces were walked to their cycle
+        # during this run (two or three passes each).
+        assert 2 * 2 <= attrs["l1_trace_passes"] <= 2 * 2
+        assert 2 * 2 <= attrs["monitor_trace_passes"] <= 2 * 3
+
+    def test_untraced_run_reads_no_clock(self, monkeypatch):
+        """With tracing off the kernel takes no phase timestamps."""
+        import repro.sim.hierarchy as hierarchy
+        import repro.sim.system as system
+        from repro.harness.experiment import run_mix_scheme
+        from repro.harness.runconfig import TEST
+
+        def no_clock():
+            raise AssertionError("perf_counter read with tracing off")
+
+        monkeypatch.delenv(TRACE_ENV, raising=False)
+        monkeypatch.setattr(hierarchy, "perf_counter", no_clock)
+        monkeypatch.setattr(system, "perf_counter", no_clock)
+        run_mix_scheme([("gcc_2", "AES-128")], "untangle", TEST)

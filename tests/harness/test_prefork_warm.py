@@ -10,7 +10,11 @@ from __future__ import annotations
 import pytest
 
 import repro.harness.experiment as experiment
-from repro.harness.experiment import warm_l1_traces, warm_rate_tables
+from repro.harness.experiment import (
+    run_mix_scheme,
+    warm_l1_traces,
+    warm_rate_tables,
+)
 from repro.harness.runconfig import TEST
 from repro.workloads.mixes import get_mix
 
@@ -59,14 +63,40 @@ class TestWarmRateTables:
 
 
 class TestWarmL1Traces:
-    def test_second_warm_is_memoized(self):
+    @pytest.fixture()
+    def memo(self):
         experiment._L1_TRACE_MEMO.clear()
+        yield experiment._L1_TRACE_MEMO
+        experiment._L1_TRACE_MEMO.clear()
+
+    def test_second_warm_is_memoized(self, memo):
         pairs = list(get_mix(1))[:2]
         entries = [(pairs, TEST)]
         assert warm_l1_traces(entries) == 2
-        # Same entries again: everything already memoized.
+        # Every trace is walked to its repeating pass (pass 1 under LRU).
+        walked = {key: trace.passes_walked for key, trace in memo.items()}
+        assert all(trace.cycle_found for trace in memo.values())
+        assert set(walked.values()) == {2}
+        # Same entries again: everything already walked, nothing walks.
         assert warm_l1_traces(entries) == 0
-        # Every trace is warmed past one full stream pass.
-        for trace in experiment._L1_TRACE_MEMO.values():
-            assert trace._walked >= trace._period
-        experiment._L1_TRACE_MEMO.clear()
+        assert {key: t.passes_walked for key, t in memo.items()} == walked
+
+    def test_monitor_traces_follow_the_built_monitors(self, memo):
+        pairs = list(get_mix(1))[:2]
+        entries = [
+            (pairs, TEST, scheme, ())
+            for scheme in ("static", "time", "untangle")
+        ]
+        # Two L1 traces, plus one monitor trace per stream for each of
+        # the two monitored schemes; static builds no monitor.
+        assert warm_l1_traces(entries) == 6
+        feeds = sorted(key[-1] for key in memo if len(key) > 3)
+        # Time monitors live-L1 misses; Untangle filters public accesses.
+        assert feeds == [False, False, True, True]
+        for trace in memo.values():
+            assert trace.cycle_found and trace.passes_walked <= 3
+        walked = {key: trace.passes_walked for key, trace in memo.items()}
+        # Cells on warmed traces walk nothing further.
+        for scheme in ("time", "untangle"):
+            run_mix_scheme(pairs, scheme, TEST)
+        assert {key: t.passes_walked for key, t in memo.items()} == walked

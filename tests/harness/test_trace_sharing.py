@@ -19,7 +19,7 @@ from repro.harness.experiment import (
     warm_l1_traces,
 )
 from repro.harness.runconfig import TEST
-from repro.sim.hierarchy import DomainMemory
+from repro.sim.hierarchy import DomainMemory, MonitorTrace
 
 PAIRS = [("gcc_2", "AES-128"), ("imagick_0", "SHA-256")]
 
@@ -67,8 +67,37 @@ class TestSharedTraces:
             assert _observables(
                 shared.total_cycles, shared.workloads
             ) == _private_run(scheme), scheme
-        # One trace per stream, shared by every scheme.
-        assert len(empty_memo) == len(PAIRS)
+        # One L1 trace per stream, shared by every scheme, and one
+        # monitor trace per stream for each distinct monitor encoding.
+        l1_keys = [key for key in empty_memo if len(key) == 3]
+        assert len(l1_keys) == len(PAIRS)
+        specs: dict[tuple, int] = {}
+        for key in empty_memo:
+            if len(key) > 3:
+                specs[key[3:]] = specs.get(key[3:], 0) + 1
+        assert specs and set(specs.values()) == {len(PAIRS)}
+
+    def test_memoized_traces_hold_a_byte_per_walked_position(self, empty_memo):
+        """Once its cycle is found a shared trace keeps only its outputs:
+        one bit (L1) or one byte (monitor) per walked position."""
+        for scheme in ("time", "untangle"):
+            run_mix_scheme(list(PAIRS), scheme, TEST)
+        warm_l1_traces([(list(PAIRS), TEST, "time", ()),
+                        (list(PAIRS), TEST, "untangle", ())])
+        assert any(isinstance(t, MonitorTrace) for t in empty_memo.values())
+        for trace in empty_memo.values():
+            assert trace.cycle_found
+            positions = trace.passes_walked * trace._period
+            held = sum(len(walked) for walked in trace._passes)
+            assert held <= positions
+            # The walk state (replica caches, tracker, address copies)
+            # is gone.
+            walk_state = [
+                getattr(trace, slot)
+                for slot in type(trace).__slots__
+                if slot not in ("geometry", "spec")
+            ]
+            assert all(value is None for value in walk_state)
 
     def test_partial_commits_really_happen(self, empty_memo, monkeypatch):
         """The equivalence above must cover rollbacks, not dodge them:

@@ -1,12 +1,15 @@
 """Tests for the UMON-style utilization monitor."""
 
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.monitor.umon import UMONMonitor
+from repro.monitor.umon import UNFED, UNSAMPLED, UMONMonitor, _mix64
+from repro.monitor.window import COLD_DISTANCE, ReuseDistanceTracker
 from repro.sim.cache import SetAssociativeCache
 
 SIZES = [4, 8, 16, 32]
@@ -132,9 +135,9 @@ class TestSampling:
     def test_sampled_observed_batched_matches_scalar(self):
         batched = UMONMonitor(SIZES, sampling_shift=1)
         scalar = UMONMonitor(SIZES, sampling_shift=1)
-        addrs = np.arange(200, dtype=np.int64)
-        batched.observe_block(addrs)
-        for addr in range(200):
+        addrs = list(range(200))
+        batched.observe_codes(_codes(addrs, SIZES, 1))
+        for addr in addrs:
             scalar.observe(addr)
         assert batched.sampled_observed == scalar.sampled_observed > 0
 
@@ -174,56 +177,88 @@ def test_curve_never_exceeds_observed_accesses(seed):
     assert monitor.hits_per_size()[-1] <= n
 
 
+def _codes(addrs, sizes, shift, fed=None) -> np.ndarray:
+    """The monitor-trace codes of an address run, computed independently.
+
+    Mirrors :meth:`UMONMonitor.observe` decision by decision on its own
+    tracker; ``fed`` (default: all) marks which accesses the monitor is
+    offered at all.
+    """
+    tracker = ReuseDistanceTracker()
+    mask = (1 << shift) - 1
+    codes = []
+    for index, addr in enumerate(addrs):
+        if fed is not None and not fed[index]:
+            codes.append(UNFED)
+        elif _mix64(addr) & mask:
+            codes.append(UNSAMPLED)
+        else:
+            distance = tracker.observe(addr)
+            if distance == COLD_DISTANCE:
+                codes.append(len(sizes))
+            else:
+                codes.append(bisect.bisect_right(sizes, distance << shift))
+    return np.array(codes, dtype=np.uint8)
+
+
 def _monitor_state(monitor):
+    """Every windowed observable (code-fed monitors keep no stack)."""
     return (
         monitor.total_observed,
+        monitor.sampled_observed,
         monitor.hits_per_size().tolist(),
         monitor.epoch_accesses(),
-        monitor._tracker._clock,
-        dict(monitor._tracker._last_position),
     )
 
 
-class TestObserveBlock:
-    """The batched monitor path is bit-identical to the scalar one."""
+class TestObserveCodes:
+    """Replaying trace codes is bit-identical to observing addresses."""
 
     @settings(max_examples=30, deadline=None)
     @given(
         shift=st.sampled_from([0, 1, 3]),
         window=st.sampled_from([50, 100_000]),
         runs=st.lists(
-            st.lists(st.integers(0, 60), min_size=0, max_size=80),
+            st.lists(
+                st.tuples(st.integers(0, 60), st.booleans()),
+                min_size=0,
+                max_size=80,
+            ),
             min_size=1,
             max_size=4,
         ),
-        precompute_hashes=st.booleans(),
+        scalar_codes=st.booleans(),
     )
-    def test_matches_observe_loop(self, shift, window, runs, precompute_hashes):
-        from repro.monitor.umon import mix64_array
-
-        batched = UMONMonitor(SIZES, window=window, sampling_shift=shift)
+    def test_matches_observe_loop(self, shift, window, runs, scalar_codes):
+        flat = [access for run in runs for access in run]
+        codes = _codes(
+            [addr for addr, _ in flat], SIZES, shift, [fed for _, fed in flat]
+        )
+        coded = UMONMonitor(SIZES, window=window, sampling_shift=shift)
         scalar = UMONMonitor(SIZES, window=window, sampling_shift=shift)
+        start = 0
         for run in runs:
-            addrs = np.array(run, dtype=np.int64)
-            hashes = (
-                mix64_array(addrs)
-                if precompute_hashes and batched.uses_address_hashes
-                else None
-            )
-            batched.observe_block(addrs, hashes)
-            for addr in run:
-                scalar.observe(addr)
-            assert _monitor_state(batched) == _monitor_state(scalar)
+            chunk = codes[start : start + len(run)]
+            start += len(run)
+            if scalar_codes:
+                for code in chunk.tolist():
+                    coded.observe_code(code)
+            else:
+                coded.observe_codes(chunk)
+            for addr, fed in run:
+                if fed:
+                    scalar.observe(addr)
+            assert _monitor_state(coded) == _monitor_state(scalar)
 
     def test_small_window_halving_sequence_is_exact(self):
         """The mid-run aging halvings replay bit-for-bit."""
-        batched = UMONMonitor(SIZES, window=8)
+        coded = UMONMonitor(SIZES, window=8)
         scalar = UMONMonitor(SIZES, window=8)
-        addrs = np.arange(100, dtype=np.int64) % 12
-        batched.observe_block(addrs)
-        for addr in addrs.tolist():
+        addrs = (np.arange(100) % 12).tolist()
+        coded.observe_codes(_codes(addrs, SIZES, 0))
+        for addr in addrs:
             scalar.observe(addr)
-        assert _monitor_state(batched) == _monitor_state(scalar)
+        assert _monitor_state(coded) == _monitor_state(scalar)
 
 
 @settings(max_examples=30, deadline=None)

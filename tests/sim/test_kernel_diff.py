@@ -21,9 +21,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.annotations import AnnotationVector
 from repro.sim.cache import ReferenceSetAssociativeCache, SetAssociativeCache
 from repro.sim.cpu import InstructionStream
-from repro.sim.hierarchy import DomainMemory, L1ServiceTrace, MemoryLevel
+from repro.sim.hierarchy import (
+    DomainMemory,
+    L1ServiceTrace,
+    MemoryLevel,
+    MonitorTrace,
+)
 from repro.sim.kernelmode import KERNEL_ENV
 from repro.sim.partition import PartitionedLLC, SharedLLC
 
@@ -124,11 +130,15 @@ class RecordingMonitor:
         self.observed.append(line_addr)
 
 
-def _build_memory(tiny_arch, organization: str, monkeypatch, mode: str, stream=None):
+def _build_memory(
+    tiny_arch, organization: str, monkeypatch, mode: str, stream=None,
+    excluded=None,
+):
     """One DomainMemory over a fresh LLC, built under the given kernel.
 
-    With ``stream`` (an address array) the memory reads its L1 decisions
-    from a service trace over that stream, as a batched core's does.
+    With ``stream`` (an address array, optionally with per-access secret
+    flags ``excluded``) the memory reads its L1 decisions and monitor
+    feed from traces over that stream, as a batched core's does.
     """
     monkeypatch.setenv(KERNEL_ENV, mode)
     if organization == "partitioned":
@@ -145,11 +155,28 @@ def _build_memory(tiny_arch, organization: str, monkeypatch, mode: str, stream=N
     monitor = RecordingMonitor()
     memory = DomainMemory(tiny_arch, llc.view(0), monitor=monitor)
     if stream is not None:
-        memory.install_l1_trace(
-            L1ServiceTrace(InstructionStream(stream), tiny_arch)
+        if excluded is None:
+            excluded = np.zeros(stream.shape[0], dtype=bool)
+        annotated = InstructionStream(
+            stream, AnnotationVector(excluded, np.zeros_like(excluded))
+        )
+        l1_trace = L1ServiceTrace(annotated, tiny_arch)
+        memory.install_l1_trace(l1_trace)
+        memory.install_monitor_trace(
+            MonitorTrace(
+                annotated, tiny_arch, *memory.monitor_trace_spec,
+                l1_trace=l1_trace,
+            )
         )
     monkeypatch.delenv(KERNEL_ENV, raising=False)
     return memory, llc, monitor
+
+
+def _access_block(memory: DomainMemory, addrs: np.ndarray) -> np.ndarray:
+    """Resolve and commit a whole run in one non-speculative call."""
+    latencies, token = memory.resolve_block(addrs, speculative=False)
+    memory.commit_block(token, int(addrs.shape[0]))
+    return latencies
 
 
 def _memory_state(memory, llc) -> tuple:
@@ -181,8 +208,9 @@ def test_partial_commit_matches_scalar_prefix(
     """
     rng = np.random.default_rng(seed)
     stream = rng.integers(0, 200, size=300).astype(np.int64)
+    secret = rng.random(300) < 0.3
     batched, batched_llc, batched_monitor = _build_memory(
-        tiny_arch, organization, monkeypatch, "batched", stream
+        tiny_arch, organization, monkeypatch, "batched", stream, secret
     )
     scalar, scalar_llc, scalar_monitor = _build_memory(
         tiny_arch, organization, monkeypatch, "reference"
@@ -198,13 +226,14 @@ def test_partial_commit_matches_scalar_prefix(
     pos = 0
     for step in range(30):
         n = int(rng.integers(1, 40))
-        addrs = stream[np.arange(pos, pos + n) % stream.shape[0]]
-        excluded = rng.random(n) < 0.3
+        window = np.arange(pos, pos + n) % stream.shape[0]
+        addrs = stream[window]
+        excluded = secret[window]
         k = int(rng.integers(0, n + 1))
 
         latencies, token = batched.resolve_block(addrs, speculative=True)
         assert latencies.shape == (n,)
-        batched.commit_block(token, k, excluded)
+        batched.commit_block(token, k)
         pos += k
 
         scalar_latencies = [
@@ -230,12 +259,12 @@ def test_access_block_matches_scalar_loop(tiny_arch, monkeypatch):
     addrs = rng.integers(0, 150, size=500).astype(np.int64)
     excluded = rng.random(500) < 0.25
     batched, batched_llc, batched_monitor = _build_memory(
-        tiny_arch, "partitioned", monkeypatch, "batched", addrs
+        tiny_arch, "partitioned", monkeypatch, "batched", addrs, excluded
     )
     scalar, scalar_llc, scalar_monitor = _build_memory(
         tiny_arch, "partitioned", monkeypatch, "reference"
     )
-    latencies = batched.access_block(addrs, excluded)
+    latencies = _access_block(batched, addrs)
     scalar_latencies = [
         scalar.access(int(a), bool(x)) for a, x in zip(addrs, excluded)
     ]
@@ -253,7 +282,7 @@ def test_commit_zero_leaves_no_trace(tiny_arch, monkeypatch):
     batched, batched_llc, _ = _build_memory(
         tiny_arch, "partitioned", monkeypatch, "batched", stream
     )
-    batched.access_block(stream[:32])
+    _access_block(batched, stream[:32])
     before = _memory_state(batched, batched_llc)
     _, token = batched.resolve_block(stream[32:])
     batched.commit_block(token, 0)

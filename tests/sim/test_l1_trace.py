@@ -2,7 +2,7 @@
 
 The trace is the batched kernel's only source of L1 decisions, so these
 tests pin it directly — the cyclic walk, the packed-bit lookups, the
-warm/extend contract, geometry checking — and drive a traced
+walk-to-the-cycle contract, geometry checking — and drive a traced
 ``DomainMemory`` through the resolve/commit discipline, partial commits
 included, against scalar ``access()`` calls on an untraced twin.
 """
@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from repro.config import ArchConfig
+from repro.core.annotations import AnnotationVector
 from repro.errors import SimulationError
 from repro.sim.cpu import Core, CoreConfig, InstructionStream
 from repro.sim.hierarchy import (
-    _TRACE_EXTEND_BLOCK,
     DomainMemory,
     L1ServiceTrace,
     MemoryLevel,
+    MonitorTrace,
 )
 from repro.sim.kernelmode import KERNEL_ENV, make_cache
 from repro.sim.partition import PartitionedLLC, SharedLLC
@@ -60,8 +61,8 @@ class TestTraceWalk:
         trace = _trace(stream_addrs, tiny_arch)
         early = trace.hits(0, 50).copy()
         view = trace.hits(0, 50)
-        # Force the bit buffer to grow several times, then re-check.
-        trace.hits(0, 6 * _TRACE_EXTEND_BLOCK)
+        # Walk on to the cycle and read far past it, then re-check.
+        trace.hits(0, 6 * stream_addrs.shape[0])
         assert np.array_equal(view, early)
         assert np.array_equal(trace.hits(0, 50), early)
 
@@ -69,29 +70,35 @@ class TestTraceWalk:
         self, tiny_arch, stream_addrs
     ):
         trace = _trace(stream_addrs, tiny_arch)
-        n = 2 * _TRACE_EXTEND_BLOCK + 13
+        period = stream_addrs.shape[0]
+        n = 4 * period + 13
         whole = trace.hits(0, n)
         singles = [bool(trace.hit(pos)) for pos in range(n)]
         assert whole.tolist() == singles
-        # Ranges starting and stopping at every offset within a byte.
-        for start in range(0, 40):
-            for stop in (start, start + 1, start + 7, start + 8, start + 9, 97):
-                if stop >= start:
+        # Ranges starting and stopping at every offset within a byte,
+        # inside the first pass and straddling pass boundaries.
+        for base in (0, period - 20, 3 * period - 20):
+            for start in range(base, base + 40):
+                for stop in (start, start + 1, start + 7, start + 8,
+                             start + 9, start + 97):
                     assert trace.hits(start, stop).tolist() == singles[start:stop]
-        # A lookup past the walked range extends the walk.
-        far = trace.walked + 5
-        assert bool(trace.hit(far)) == bool(trace.hits(far, far + 1)[0])
 
-    def test_warm_covers_one_pass_plus_block(self, tiny_arch, stream_addrs):
+    def test_warm_walks_to_the_cycle(self, tiny_arch, stream_addrs):
         trace = _trace(stream_addrs, tiny_arch)
         trace.warm()
-        walked = trace.walked
-        assert walked >= stream_addrs.shape[0] + _TRACE_EXTEND_BLOCK
-        # A consumer staying inside the warmed range never extends.
-        trace.hits(0, stream_addrs.shape[0])
-        assert trace.walked == walked
-        trace.warm()  # idempotent
-        assert trace.walked == walked
+        # LRU state after any pass >= 1 is the same: pass 1 repeats,
+        # found after walking two passes; the walk state is dropped.
+        assert trace.cycle_found
+        assert trace.passes_walked == 2
+        assert trace._cache is None and trace._addrs is None
+        trace.warm()  # a second warm walks nothing
+        period = stream_addrs.shape[0]
+        far = 1000 * period + 7
+        assert trace.hits(far, far + 2 * period).tolist() == (
+            trace.hits(period + 7, period + 7 + 2 * period).tolist()
+        )
+        assert trace.hit(far) == trace.hit(period + 7)
+        assert trace.passes_walked == 2
 
     def test_empty_stream(self, tiny_arch):
         trace = _trace(np.array([-1, -1], dtype=np.int64), tiny_arch)
@@ -106,8 +113,16 @@ class TestTraceWalk:
         )
         trace = L1ServiceTrace(stream, tiny_arch)
         assert trace._period == 3  # -1 stall slots dropped
-        assert trace.hits(0, 3).tolist() == [False, False, False]
-        assert trace._addrs.tolist() == [5, 7, 9]
+        # Addresses 5, 7, 9 miss cold, then hit on every later pass.
+        assert trace.hits(0, 6).tolist() == [False] * 3 + [True] * 3
+
+
+def _annotated(addrs: np.ndarray, seed: int = 11) -> InstructionStream:
+    """A stream over ``addrs`` with a quarter of the accesses secret."""
+    excluded = np.random.default_rng(seed).random(addrs.shape[0]) < 0.25
+    return InstructionStream(
+        addrs, AnnotationVector(excluded, np.zeros_like(excluded))
+    )
 
 
 def _make_memory(arch: ArchConfig, organization: str = "partitioned"):
@@ -123,6 +138,15 @@ def _make_memory(arch: ArchConfig, organization: str = "partitioned"):
     return DomainMemory(arch, llc.view(0), monitor=RecordingMonitor()), llc
 
 
+def _install_traces(memory: DomainMemory, stream, arch: ArchConfig) -> None:
+    """Install an L1 and a monitor trace over ``stream``, as a core does."""
+    l1_trace = L1ServiceTrace(stream, arch)
+    memory.install_l1_trace(l1_trace)
+    memory.install_monitor_trace(
+        MonitorTrace(stream, arch, *memory.monitor_trace_spec, l1_trace=l1_trace)
+    )
+
+
 class TestInstall:
     def test_geometry_mismatch_raises(self, tiny_arch, stream_addrs):
         other = ArchConfig.scaled()
@@ -134,12 +158,22 @@ class TestInstall:
         memory, _ = _make_memory(tiny_arch)
         with pytest.raises(ValueError, match="geometry"):
             memory.install_l1_trace(trace)
+        with pytest.raises(ValueError, match="geometry"):
+            memory.install_monitor_trace(
+                MonitorTrace(InstructionStream(stream_addrs), other, (), 0, True)
+            )
 
     def test_resolve_without_trace_raises(self, tiny_arch, stream_addrs):
         memory, _ = _make_memory(tiny_arch)
         assert memory.l1_trace is None
         with pytest.raises(SimulationError, match="trace"):
             memory.resolve_block(stream_addrs[:16])
+        # A monitored memory needs its monitor trace too.
+        memory.install_l1_trace(_trace(stream_addrs, tiny_arch))
+        with pytest.raises(SimulationError, match="monitor trace"):
+            memory.resolve_block(stream_addrs[:16])
+        with pytest.raises(SimulationError, match="monitor trace"):
+            memory.access(int(stream_addrs[0]))
 
     def test_batched_core_always_carries_a_trace(
         self, tiny_arch, stream_addrs, monkeypatch
@@ -158,6 +192,7 @@ class TestInstall:
 
         batched = core("batched")
         assert batched.memory.l1_trace is not None
+        assert batched.memory.monitor_trace.spec == ((), 0, True)
         # Cores on the scalar path walk the live L1 instead.
         assert core("batched", jitter=3).memory.l1_trace is None
         assert core("reference").memory.l1_trace is None
@@ -175,19 +210,20 @@ class TestTracedDifferential:
     """Traced resolve/commit against scalar ``access()`` on an untraced twin."""
 
     def _drive(self, tiny_arch, stream_addrs, commit_plan, organization):
+        stream = _annotated(stream_addrs)
+        excluded = stream.annotations.metric_excluded
         traced, traced_llc = _make_memory(tiny_arch, organization)
         scalar, scalar_llc = _make_memory(tiny_arch, organization)
-        traced.install_l1_trace(_trace(stream_addrs, tiny_arch))
+        _install_traces(traced, stream, tiny_arch)
 
-        rng = np.random.default_rng(11)
         pos = 0
         for block_len, count in commit_plan:
             block = _cyclic(stream_addrs, pos, block_len)
-            excluded = rng.random(block_len) < 0.25
+            flags = _cyclic(excluded, pos, count)
             latencies, token = traced.resolve_block(block)
-            traced.commit_block(token, count, metric_excluded=excluded)
+            traced.commit_block(token, count)
             expected = [
-                scalar.access(int(block[i]), bool(excluded[i]))
+                scalar.access(int(block[i]), bool(flags[i]))
                 for i in range(count)
             ]
             assert latencies[:count].tolist() == expected

@@ -315,14 +315,19 @@ def share_l1_traces(system: MultiDomainSystem, keys: list[tuple]) -> None:
     ``keys`` holds one workload identity per domain; a key must determine
     its stream's contents exactly. Both the L1 service trace and, for a
     monitored domain, the monitor trace its built monitor needs are
-    swapped. Cores on the scalar path carry no trace and are left alone.
+    swapped. A domain with a fixed LLC partition gets a fresh LLC service
+    trace over the shared L1 trace (so that is never walked twice); LLC
+    traces are not memoized, since each is one (stream, partition size)
+    pair. Cores on the scalar path carry no trace and are left alone.
     Results are bit-identical either way.
     """
     for key, core in zip(keys, system.cores):
         memory = core.memory
         if memory.l1_trace is None:
             continue
-        memory.install_l1_trace(_memo_trace(key, core.stream, system.arch))
+        memory.install_l1_trace(
+            _memo_trace(key, core.stream, system.arch), core.stream
+        )
         spec = memory.monitor_trace_spec
         if spec is not None:
             memory.install_monitor_trace(

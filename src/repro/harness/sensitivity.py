@@ -125,6 +125,10 @@ def run_benchmark_at_size(
 
     All sizes of one benchmark run the same stream, so they share one
     L1 service trace from the process memo (:func:`share_l1_traces`).
+    The Static partition is fixed, so the cell also walks one LLC
+    service trace of its own over that L1 trace and then reads every
+    access's latency off it; the quantum changes nothing but how often
+    the core stops.
     """
     arch = ArchConfig.scaled(num_cores=1)
     scale = profile.workload_scale

@@ -48,18 +48,20 @@ class StaticScheme(BaseScheme):
 
     def build(self, system: "MultiDomainSystem") -> None:
         arch = self.arch
-        if self._organization == "way":
-            from repro.sim.waypart import WayPartitionedLLC
-
-            llc_class = WayPartitionedLLC
-        else:
-            llc_class = PartitionedLLC
-        self.llc = llc_class(
+        geometry = dict(
             total_lines=arch.llc_lines,
             associativity=arch.llc_associativity,
             num_domains=arch.num_cores,
             initial_lines=self._partition_lines,
         )
+        if self._organization == "way":
+            from repro.sim.waypart import WayPartitionedLLC
+
+            self.llc = WayPartitionedLLC(**geometry)
+        else:
+            # Fixed for good: each domain's LLC service is then a pure
+            # function of its own stream (an LLC service trace).
+            self.llc = PartitionedLLC(**geometry, resizable=False)
         self.monitors = [None] * arch.num_cores
         system.memories = [
             DomainMemory(arch, self.llc.view(domain))

@@ -27,21 +27,31 @@ see :mod:`repro.sim.kernelmode`):
 
 * The **batched** kernel resolves whole *runs* of events — every memory
   access and stall between two stop events (quantum top, progress
-  target) — in one speculative :meth:`DomainMemory.resolve_block` call,
-  accumulating cycles with a vectorized interleaved cumulative sum that
-  reproduces the scalar float-addition chain bit for bit. Because the
-  resolve returns the *actual* latencies, the exact reference stopping
-  point within the run is found by binary search over the cumulative
-  loop-top values, and :meth:`DomainMemory.commit_block` keeps exactly
-  that prefix (rolling the LLC back over the rest). Runs never cross
-  a measurement boundary (warmup end / slice end) or the progress
+  target) — at once, accumulating cycles with a vectorized interleaved
+  cumulative sum that reproduces the scalar float-addition chain bit
+  for bit. Because the resolve returns the *actual* latencies, the
+  exact reference stopping point within the run is found by binary
+  search over the cumulative loop-top values. Runs never cross a
+  measurement boundary (warmup end / slice end) or the progress
   crossing; events at those edges fall back to the scalar step, which
   performs the boundary bookkeeping at exactly the reference
   granularity. A batched core always reads its L1 decisions from an
   :class:`~repro.sim.hierarchy.L1ServiceTrace` and, when monitored,
   its monitor codes from a :class:`~repro.sim.hierarchy.MonitorTrace`:
   it installs private ones over its own stream, which campaign cells
-  swap for shared ones walked once per stream.
+  swap for shared ones walked once per stream. Two kinds of LLC view
+  resolve differently:
+
+  - A resizable or shared view is resolved *speculatively*
+    (:meth:`DomainMemory.resolve_block` advances the LLC), and
+    :meth:`DomainMemory.commit_block` keeps exactly the executed prefix,
+    rolling the LLC back over the rest.
+  - A fixed private partition (Static) also gets an
+    :class:`~repro.sim.hierarchy.LLCServiceTrace`, which fixes every
+    latency by stream position. Resolving ahead then changes nothing,
+    so the core resolves one long run, keeps it across ``run()`` calls,
+    and commits it slice by slice: a quantum stop costs one binary
+    search and a counter commit.
 * The **reference** kernel is the original one-call-per-access loop,
   retained verbatim for differential testing and as the before/after
   baseline of ``benchmarks/bench_kernel.py``. Timing jitter draws one
@@ -71,6 +81,10 @@ from repro.sim.stats import DomainStats
 #: Smallest event run worth dispatching as a batch; shorter runs go
 #: through the scalar step (batch setup would cost more than it saves).
 MIN_BATCH = 8
+
+#: Longest run a core with fixed latencies resolves and keeps across
+#: ``run()`` calls (bounds the kept arrays to ~64 KB per core).
+KEPT_RUN_EVENTS = 4096
 
 
 class StopReason(enum.Enum):
@@ -159,6 +173,28 @@ class InstructionStream:
         return self.memory_instruction_count / self.length
 
 
+@dataclass(slots=True, eq=False)
+class _KeptRun:
+    """A fixed-latency event run resolved once, committed slice by slice.
+
+    The run covers events ``[start, start + len(idx))`` of pass number
+    ``wraps``, resolved with the core at pass position ``rel_start``.
+    ``tops[j]`` is the loop-top cycle value before the run's ``j``-th
+    event, from one sequential cumulative sum started at the core's
+    cycles when the run was resolved; ``mem_before[j]`` (stall streams
+    only) counts the memory accesses among the first ``j`` events, which
+    index ``levels``.
+    """
+
+    wraps: int
+    start: int
+    rel_start: int
+    idx: np.ndarray
+    tops: np.ndarray
+    levels: np.ndarray
+    mem_before: np.ndarray | None
+
+
 @dataclass
 class CoreConfig:
     """Per-core execution parameters derived from the workload."""
@@ -211,7 +247,9 @@ class Core:
         # block resolution additionally needs an LLC view that can
         # snapshot/restore its state, and reads L1 decisions and monitor
         # codes from traces over this core's stream (walked lazily, so
-        # a caller swapping in shared traces pays nothing for these).
+        # a caller swapping in shared traces pays nothing for these). A
+        # fixed private LLC partition also gets a trace of its service
+        # levels, which fixes every latency by stream position.
         self._use_batched = (
             batching_enabled()
             and core_config.timing_jitter == 0
@@ -219,7 +257,7 @@ class Core:
         )
         if self._use_batched:
             l1_trace = L1ServiceTrace(stream, arch)
-            memory.install_l1_trace(l1_trace)
+            memory.install_l1_trace(l1_trace, stream)
             spec = memory.monitor_trace_spec
             if spec is not None:
                 memory.install_monitor_trace(
@@ -241,6 +279,8 @@ class Core:
         self._rel_pos: int = 0
         self._mem_cursor: int = 0
         self._pass_public_base: int = 0
+        self._wraps: int = 0
+        self._kept: _KeptRun | None = None
         self._measuring = self._warmup_end == 0
         if self._measuring:
             self.stats.begin_measurement(0.0, 0)
@@ -309,6 +349,7 @@ class Core:
         self._rel_pos = 0
         self._mem_cursor = 0
         self._pass_public_base = self.public_retired
+        self._wraps += 1
 
     def _public_crossing_rel(self, progress_target: int) -> int | None:
         """Pass-relative position where public progress reaches the target.
@@ -370,38 +411,48 @@ class Core:
     def _run_batched(
         self, until_cycle: float, progress_target: int | None
     ) -> StopReason:
-        """Batched kernel: speculatively resolve event runs, commit exactly.
+        """Batched kernel: resolve event runs ahead, commit exactly.
 
         Bit-exact with :meth:`_run_reference`. Each iteration picks a run
         of upcoming events capped so that none could cross the progress
         target or a measurement boundary (those must fire from the scalar
-        path at the reference's exact granularity), sized by a running
-        cost estimate against the remaining cycle budget. The run is
-        resolved *speculatively* through the hierarchy
-        (:meth:`DomainMemory.resolve_block`): the LLC advances and the
-        actual per-access latencies come back, but monitor and service
-        counters are deferred. With real latencies in hand, one
-        interleaved cumulative sum reproduces the scalar float-addition
-        chain bit for bit, and a binary search over its loop-top values
-        finds exactly how many events the reference loop would have
-        executed before the budget check stopped it.
-        :meth:`DomainMemory.commit_block` then keeps that prefix, rolling
-        the LLC back over the unexecuted tail (deterministic replay
-        from lazily journaled set snapshots) — so sizing is a pure
-        performance knob with no effect on results. Leftover runs shorter
-        than :data:`MIN_BATCH` take the scalar step.
+        path at the reference's exact granularity). With real latencies
+        in hand, one interleaved cumulative sum reproduces the scalar
+        float-addition chain bit for bit, and a binary search over its
+        loop-top values finds exactly how many events the reference loop
+        would have executed before the budget check stopped it. Leftover
+        runs shorter than :data:`MIN_BATCH` take the scalar step.
 
-        Speculation is sound because within one ``run()`` call the LLC
-        view is effectively private: other cores and resizes only act
-        between calls, at quantum and assessment granularity.
+        How a run's latencies are learned depends on the memory:
+
+        * *Speculative* (LLC views that can be resized or are shared):
+          the run is sized by a running cost estimate against the
+          remaining cycle budget and resolved through the hierarchy
+          (:meth:`DomainMemory.resolve_block`) — the LLC advances, the
+          monitor and service counters are deferred — and
+          :meth:`DomainMemory.commit_block` keeps the executed prefix,
+          rolling the LLC back over the unexecuted tail (deterministic
+          replay from lazily journaled set snapshots). Sizing is thus a
+          pure performance knob. Speculation is sound because within one
+          ``run()`` call the LLC view is effectively private: other
+          cores and resizes only act between calls, at quantum and
+          assessment granularity.
+        * *Fixed* (an LLC service trace fixes every latency by stream
+          position, :attr:`DomainMemory.latencies_fixed`): the run
+          extends to the cap, up to :data:`KEPT_RUN_EVENTS` events, is
+          resolved once (:meth:`DomainMemory.resolve_levels`, which
+          changes nothing) and is *kept* across ``run()`` calls; each
+          call commits the slice that executes
+          (:meth:`DomainMemory.commit_levels`). See :meth:`_kept_run`
+          for why continuing a kept run is exact.
         """
         stream = self.stream
         ev = stream.event_positions
         num_events = int(ev.shape[0])
         length = stream.length
-        cpi = self._cpi
         inv_mlp = self._inv_mlp
         memory = self.memory
+        fixed = memory.latencies_fixed
         stats = self.stats
         addresses = stream.addresses
         stalls = stream.stall_cycles
@@ -445,14 +496,21 @@ class Core:
                 cap = int(np.searchsorted(ev, max_pos, side="right"))
                 if cap < stop:
                     stop = cap
-            # Size the run to just under the remaining budget, so runs
-            # commit fully (no rollback). Over- and undershoot are both
-            # safe — the commit point is computed exactly from actual
-            # latencies — so this is a pure performance knob.
             cap_stop = stop
-            want = int(0.9 * (until_cycle - self.cycles) / self._est_cost)
-            if cursor + want < stop:
-                stop = cursor + want
+            if fixed:
+                run = self._kept_run(cursor, rel_pos, stop)
+                if run is not None:
+                    self._commit_kept(run, cursor, rel_pos, until_cycle)
+                    continue
+            else:
+                # Size the run to just under the remaining budget, so
+                # runs commit fully (no rollback). Over- and undershoot
+                # are both safe — the commit point is computed exactly
+                # from actual latencies — so this is a pure performance
+                # knob.
+                want = int(0.9 * (until_cycle - self.cycles) / self._est_cost)
+                if cursor + want < stop:
+                    stop = cursor + want
             n = stop - cursor
             if n < MIN_BATCH:
                 # Scalar mop-up for the quantum tail (cheaper than a tiny
@@ -488,24 +546,10 @@ class Core:
                 else:
                     token = None
                 extras = extras + stalls[idx]
-            # Interleave (gap advance, event retire) deltas and fold them
-            # with one strictly-sequential cumulative sum; even entries
-            # are the reference loop-top cycle values before each event.
             # Under cell-major batching a chunk-shared scratch arena
             # backs the delta/cumsum buffers (every entry is written
             # before it is read, so reuse is bit-identical to np.empty).
-            gaps = idx - np.concatenate(([rel_pos], idx[:-1] + 1))
-            scratch = active_scratch()
-            if scratch is not None:
-                deltas = scratch.f64(2 * n + 1, slot=0)
-                cum = scratch.f64(2 * n + 1, slot=1)
-            else:
-                deltas = np.empty(2 * n + 1, dtype=np.float64)
-                cum = None
-            deltas[0] = self.cycles
-            deltas[1::2] = gaps * cpi
-            deltas[2::2] = cpi + extras
-            tops = np.cumsum(deltas, out=cum)[0::2]
+            tops = self._loop_tops(rel_pos, idx, extras, active_scratch())
             # First event whose loop-top check would fail the budget.
             k = int(np.searchsorted(tops, until_cycle, side="left"))
             if k > n:
@@ -525,3 +569,104 @@ class Core:
             )
             self._check_boundaries()
         return StopReason.QUANTUM
+
+    def _loop_tops(self, rel_pos, idx, extras, scratch) -> np.ndarray:
+        """Loop-top cycle values before each event of a run, and after it.
+
+        Interleaves (gap advance, event retire) deltas and folds them
+        with one strictly sequential cumulative sum started at the
+        core's cycles; the even entries are the reference loop's
+        loop-top values. ``scratch`` (a :class:`~repro.sim.batch.CellScratch`
+        or ``None``) backs the buffers, so the result is then a view
+        that lives only until the next run.
+        """
+        n = int(idx.shape[0])
+        gaps = idx - np.concatenate(([rel_pos], idx[:-1] + 1))
+        if scratch is not None:
+            deltas = scratch.f64(2 * n + 1, slot=0)
+            cum = scratch.f64(2 * n + 1, slot=1)
+        else:
+            deltas = np.empty(2 * n + 1, dtype=np.float64)
+            cum = None
+        deltas[0] = self.cycles
+        deltas[1::2] = gaps * self._cpi
+        deltas[2::2] = self._cpi + extras
+        return np.cumsum(deltas, out=cum)[0::2]
+
+    def _kept_run(self, cursor: int, rel_pos: int, stop: int) -> _KeptRun | None:
+        """The kept run that continues at ``cursor``, resolving one if needed.
+
+        The kept run is reused only while it still describes the core's
+        state exactly: same pass, ``cursor`` inside it, the loop-top
+        value there equal to the core's cycles (``tops`` is one
+        sequential sum, so continuing it adds the same deltas in the
+        same order as resolving afresh from here would) at the position
+        after the last committed event, and the current ``stop`` cap at
+        or beyond its end. Otherwise a new run of up to
+        :data:`KEPT_RUN_EVENTS` events before ``stop`` is resolved;
+        ``None`` when fewer than :data:`MIN_BATCH` remain.
+        """
+        run = self._kept
+        if run is not None:
+            j = cursor - run.start
+            idx = run.idx
+            if (
+                run.wraps == self._wraps
+                and 0 <= j < idx.shape[0]
+                and run.start + idx.shape[0] <= stop
+                and run.tops[j] == self.cycles
+                and rel_pos == (int(idx[j - 1]) + 1 if j else run.rel_start)
+            ):
+                return run
+        self._kept = None
+        n = min(stop, cursor + KEPT_RUN_EVENTS) - cursor
+        if n < MIN_BATCH:
+            return None
+        stream = self.stream
+        stalls = stream.stall_cycles
+        idx = stream.event_positions[cursor : cursor + n]
+        if stalls is None:
+            mem_before = None
+            levels, latencies = self.memory.resolve_levels(n)
+            extras = latencies * self._inv_mlp
+        else:
+            mem_mask = stream.addresses[idx] >= 0
+            mem_before = np.concatenate(([0], np.cumsum(mem_mask)))
+            levels, latencies = self.memory.resolve_levels(int(mem_before[-1]))
+            extras = np.zeros(n, dtype=np.float64)
+            extras[mem_mask] = latencies * self._inv_mlp
+            extras = extras + stalls[idx]
+        # Contiguous, so every later searchsorted reads it in place.
+        tops = np.ascontiguousarray(self._loop_tops(rel_pos, idx, extras, None))
+        self._kept = run = _KeptRun(
+            self._wraps, cursor, rel_pos, idx, tops, levels, mem_before
+        )
+        return run
+
+    def _commit_kept(
+        self, run: _KeptRun, cursor: int, rel_pos: int, until_cycle: float
+    ) -> None:
+        """Execute a kept run from ``cursor`` until the budget or its end."""
+        tops = run.tops
+        n = int(run.idx.shape[0])
+        j = cursor - run.start
+        # First event whose loop-top check would fail the budget; every
+        # loop top up to j is at most the core's cycles, below it.
+        k = int(tops.searchsorted(until_cycle, side="left"))
+        if k > n:
+            k = n
+        if run.mem_before is None:
+            first, past = j, k
+        else:
+            first, past = int(run.mem_before[j]), int(run.mem_before[k])
+        self.memory.commit_levels(run.levels[first:past])
+        last = int(run.idx[k - 1])
+        cum_public = self.stream.cum_public
+        self.cycles = float(tops[k])
+        self.retired += last + 1 - rel_pos
+        self.public_retired += int(cum_public[last + 1] - cum_public[rel_pos])
+        self._rel_pos = last + 1
+        self._mem_cursor = run.start + k
+        if k == n:
+            self._kept = None
+        self._check_boundaries()

@@ -29,7 +29,12 @@ the LLC advanced, monitor and service counters deferred — so the kernel
 can learn every access's actual latency first, compute exactly where
 the reference scalar loop would have stopped (a cycle budget,
 typically), and then commit only that prefix, rolling the LLC back over
-the unexecuted tail via lazily journaled set snapshots.
+the unexecuted tail via lazily journaled set snapshots. A memory whose
+LLC partition is private and never resized walks no LLC at all: an
+:class:`LLCServiceTrace` fixes every access's service level by stream
+position (:meth:`DomainMemory.resolve_levels` /
+:meth:`DomainMemory.commit_levels`), so resolving ahead costs nothing
+to undo.
 
 The batched path reads its L1 decisions from an :class:`L1ServiceTrace`
 and its monitor input from a :class:`MonitorTrace`, both indexed by the
@@ -38,7 +43,9 @@ L1 state depends only on the address sequence, the monitor's feed only
 on the public subsequence (through the shadow filter) or on the L1's
 misses, and the LLC only on the L1-missing subsequence — none feeds
 back into another — and a rolled-back replay is deterministic from the
-restored state. Each trace walks whole passes of the cyclic stream and
+restored state. A fixed private partition sees only its own domain's
+L1-missing subsequence, so its hits are a function of the stream too.
+Each trace walks whole passes of the cyclic stream and
 stops at the first pass that ends in the state it started in: from
 then on every pass repeats it exactly. The monitor reading a trace
 fixed before the run is Principle 1 made structural — it cannot see
@@ -384,6 +391,91 @@ class MemoryLevel(enum.IntEnum):
     DRAM = 3
 
 
+class LLCServiceTrace(_PassTrace):
+    """Precomputed service levels of one stream on a fixed LLC partition.
+
+    A set partition that is private to one domain and never resized
+    behaves exactly like a private set-associative cache fed that
+    domain's L1-missing subsequence, which ``l1_trace`` fixes. So the
+    level that serves each access — :class:`MemoryLevel` ``L1``, ``LLC``
+    or ``DRAM`` — is a pure function of the stream, and the trace
+    records it as one byte per position.
+
+    Passes are walked whole: the pass's miss mask from ``l1_trace``,
+    one :meth:`~repro.sim.cache.SetAssociativeCache.access_run` over the
+    missing addresses on a replica partition built by the same
+    :func:`~repro.sim.kernelmode.make_cache` as the live one (so its
+    decisions match access for access), then the level codes. The walk
+    stops at the first pass whose end state equals its start state once
+    the L1 trace has repeated at or before that pass (the condition the
+    unfiltered :class:`MonitorTrace` feed uses); the replica, the
+    address copy and the L1 reference are dropped there.
+
+    Each trace belongs to one memory and is not shared through the
+    campaign memo: every (stream, partition size) pair is its own
+    trace, and a Figure 11 cell is exactly one such pair.
+    """
+
+    __slots__ = ("geometry", "_stream", "_l1", "_addrs", "_cache", "_state")
+
+    def __init__(
+        self,
+        stream,
+        config: ArchConfig,
+        llc_geometry: tuple[int, int],
+        l1_trace: L1ServiceTrace,
+    ):
+        super().__init__(int(stream.mem_positions.shape[0]))
+        l1_sets = max(1, config.l1_lines // config.l1_associativity)
+        if l1_trace.geometry != (l1_sets, config.l1_associativity):
+            raise ValueError(
+                "an LLC service trace reads an L1 trace of the configured "
+                "L1 geometry"
+            )
+        #: ``(sets, ways)`` of the partition the trace models.
+        self.geometry = tuple(int(value) for value in llc_geometry)
+        self._stream = stream  # copied from on the first walk
+        self._l1: L1ServiceTrace | None = l1_trace
+        self._addrs: np.ndarray | None = None
+        self._cache = None
+        self._state: tuple | None = None
+
+    def level(self, pos: int) -> int:
+        """The service level code of absolute access position ``pos``."""
+        index, offset = divmod(pos, self._period)
+        passes = self._passes
+        levels = passes[index] if index < len(passes) else self._pass(index)
+        return levels[offset]
+
+    def levels(self, start: int, stop: int) -> np.ndarray:
+        """uint8 level codes for absolute access positions [start, stop)."""
+        if stop <= start:
+            return np.zeros(0, dtype=np.uint8)
+        return self._read(start, stop, _code_view)
+
+    def _walk_pass(self) -> None:
+        if self._cache is None:
+            self._addrs = _memory_addresses(self._stream)
+            self._stream = None
+            self._cache = make_cache(*self.geometry)
+            self._state = _cache_state(self._cache)
+        index = len(self._passes)
+        period = self._period
+        l1 = self._l1
+        missed = ~l1.hits(index * period, (index + 1) * period)
+        llc_hits, _ = self._cache.access_run(self._addrs[missed])
+        levels = np.full(period, MemoryLevel.L1, dtype=np.uint8)
+        levels[missed] = np.where(llc_hits, MemoryLevel.LLC, MemoryLevel.DRAM)
+        self._passes.append(levels.tobytes())
+        state = _cache_state(self._cache)
+        input_repeats = l1.cycle_found and l1.passes_walked <= index + 1
+        if input_repeats and state == self._state:
+            self._repeats = True
+            self._l1 = self._addrs = self._cache = self._state = None
+        else:
+            self._state = state
+
+
 class MonitorSink(Protocol):
     """Destination for monitored (L1-filtered) memory accesses."""
 
@@ -422,10 +514,13 @@ class DomainMemory:
         "_l1_latency",
         "_llc_latency",
         "_dram_latency",
+        "_level_latency",
+        "_config",
         "level_counts",
         "_l1_trace",
         "_l1_trace_pos",
         "_monitor_trace",
+        "_llc_trace",
         "phases",
     )
 
@@ -452,10 +547,16 @@ class DomainMemory:
         self._l1_latency = config.l1_latency
         self._llc_latency = config.llc_latency
         self._dram_latency = config.dram_latency
+        # Latency by MemoryLevel code (index 0 unused).
+        self._level_latency = (
+            0, config.l1_latency, config.llc_latency, config.dram_latency
+        )
+        self._config = config
         self.level_counts = {level: 0 for level in MemoryLevel}
         self._l1_trace: L1ServiceTrace | None = None
         self._l1_trace_pos = 0
         self._monitor_trace: MonitorTrace | None = None
+        self._llc_trace: LLCServiceTrace | None = None
         #: Phase-time accumulator while a traced ``sim.run`` is active
         #: (:class:`repro.sim.stats.KernelPhases`); ``None`` times nothing.
         self.phases = None
@@ -470,8 +571,27 @@ class DomainMemory:
         """The installed monitor trace (``None`` on the scalar path)."""
         return self._monitor_trace
 
-    def install_l1_trace(self, trace: L1ServiceTrace) -> None:
-        """Serve L1 decisions from a (possibly shared) service trace.
+    @property
+    def llc_trace(self) -> LLCServiceTrace | None:
+        """The installed LLC service trace (``None`` unless the LLC is fixed)."""
+        return self._llc_trace
+
+    @property
+    def fixed_llc_geometry(self) -> tuple[int, int] | None:
+        """``(sets, ways)`` of a private, never-resized LLC view, else ``None``."""
+        return getattr(self.llc_view, "fixed_geometry", None)
+
+    @property
+    def latencies_fixed(self) -> bool:
+        """Whether every access's latency is fixed by its stream position.
+
+        True once an LLC service trace is installed: resolving ahead
+        (:meth:`resolve_levels`) then changes no state at all.
+        """
+        return self._llc_trace is not None
+
+    def install_l1_trace(self, trace: L1ServiceTrace, stream) -> None:
+        """Serve L1 decisions from a (possibly shared) service trace of ``stream``.
 
         Afterwards the live ``l1`` cache object is never walked: resolves
         slice the trace at this domain's committed stream position and
@@ -485,7 +605,9 @@ class DomainMemory:
         side. ``l1.stats`` keeps hit/miss counts for served accesses;
         eviction counts are not modeled on the traced path (no consumer
         reads them). A monitored memory also needs a monitor trace
-        (:meth:`install_monitor_trace`).
+        (:meth:`install_monitor_trace`). Over a fixed LLC partition
+        (:attr:`fixed_llc_geometry`) this also installs a fresh
+        :class:`LLCServiceTrace` of ``stream`` that reads ``trace``.
         """
         if trace.geometry != (self.l1.num_sets, self.l1.associativity):
             raise ValueError(
@@ -494,6 +616,11 @@ class DomainMemory:
             )
         self._l1_trace = trace
         self._l1_trace_pos = 0
+        geometry = self.fixed_llc_geometry
+        if geometry is not None:
+            self.install_llc_trace(
+                LLCServiceTrace(stream, self._config, geometry, trace)
+            )
 
     @property
     def monitor_trace_spec(self) -> tuple | None:
@@ -538,6 +665,29 @@ class DomainMemory:
             )
         self._monitor_trace = trace
 
+    def install_llc_trace(self, trace: LLCServiceTrace) -> None:
+        """Serve LLC decisions from a service trace of this memory's stream.
+
+        Only for a fixed LLC view (:attr:`fixed_llc_geometry`), and over
+        the installed L1 trace: the trace is indexed by the same
+        committed stream position. Afterwards neither the live L1 nor
+        the live LLC partition is walked — resolves read service levels
+        and commits apply counters — so, as with the L1, the live LLC's
+        stats and contents are not modeled on this path (no consumer
+        reads them; ``level_counts`` and ``l1.stats`` stay exact). A
+        fixed partition is Static's, which monitors nothing, so a
+        monitored memory is rejected rather than fed from a second path.
+        """
+        geometry = self.fixed_llc_geometry
+        if trace.geometry != geometry:
+            raise ValueError(
+                f"LLC trace geometry {trace.geometry} does not match this "
+                f"memory's fixed LLC partition {geometry}"
+            )
+        if self.monitor is not None:
+            raise ValueError("an LLC service trace serves unmonitored memories")
+        self._llc_trace = trace
+
     def access(self, line_addr: int, metric_excluded: bool = False) -> int:
         """Perform one memory access; returns its round-trip latency.
 
@@ -554,6 +704,8 @@ class DomainMemory:
         trace = self._l1_trace
         if trace is None:
             return self._access_untraced(line_addr, metric_excluded)
+        if self._llc_trace is not None:
+            return self._access_fixed()
         phases = self.phases
         if phases is not None:
             t0 = perf_counter()
@@ -579,6 +731,24 @@ class DomainMemory:
         if phases is not None:
             phases.llc_walk_s += perf_counter() - t1
         return latency
+
+    def _access_fixed(self) -> int:
+        """The traced access of a fixed LLC: one service-level read."""
+        phases = self.phases
+        if phases is not None:
+            t0 = perf_counter()
+        pos = self._l1_trace_pos
+        self._l1_trace_pos = pos + 1
+        level = self._llc_trace.level(pos)
+        if phases is not None:
+            phases.llc_walk_s += perf_counter() - t0
+        stats = self.l1.stats
+        if level == MemoryLevel.L1:
+            stats.hits += 1
+        else:
+            stats.misses += 1
+        self.level_counts[level] += 1
+        return self._level_latency[level]
 
     def _access_untraced(self, line_addr: int, metric_excluded: bool) -> int:
         """The reference path: walk the live L1 and the shadow filter."""
@@ -644,7 +814,8 @@ class DomainMemory:
         counters are untouched until :meth:`commit_block` applies them
         for the prefix that really executed. With ``speculative=True``
         the touched LLC sets are journaled so a partial commit can roll
-        the tail back.
+        the tail back. A memory with an LLC service trace resolves
+        through :meth:`resolve_levels` instead.
         """
         trace = self._l1_trace
         if trace is None:
@@ -656,6 +827,11 @@ class DomainMemory:
             raise SimulationError(
                 "resolve_block with a monitor needs an installed monitor "
                 "trace (see install_monitor_trace)"
+            )
+        if self._llc_trace is not None:
+            raise SimulationError(
+                "a memory with an LLC service trace resolves through "
+                "resolve_levels"
             )
         phases = self.phases
         if phases is not None:
@@ -752,6 +928,34 @@ class DomainMemory:
             domain_stats.misses += miss
         return snapshot, np.array(out, dtype=bool)
 
+    def resolve_levels(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Service levels and latencies of the next ``n`` uncommitted accesses.
+
+        Needs an installed LLC service trace. Reads the trace at the
+        committed position and changes nothing, so a caller may resolve
+        far ahead and commit the levels slice by slice
+        (:meth:`commit_levels`) as its accesses actually execute.
+        """
+        phases = self.phases
+        if phases is not None:
+            t0 = perf_counter()
+        pos = self._l1_trace_pos
+        levels = self._llc_trace.levels(pos, pos + n)
+        latencies = np.array(self._level_latency, dtype=np.int64)[levels]
+        if phases is not None:
+            phases.llc_walk_s += perf_counter() - t0
+        return levels, latencies
+
+    def commit_levels(self, levels: np.ndarray) -> None:
+        """Commit the next ``len(levels)`` accesses, resolved by :meth:`resolve_levels`.
+
+        ``levels`` are those accesses' service levels, in order.
+        """
+        count = int(levels.shape[0])
+        if count:
+            _, l1_hits, llc_hits, _ = np.bincount(levels, minlength=4).tolist()
+            self._commit_counts(count, count - l1_hits, llc_hits)
+
     def commit_block(self, token: tuple, count: int) -> None:
         """Commit the first ``count`` accesses of a resolved block.
 
@@ -784,18 +988,27 @@ class DomainMemory:
         if not count:
             return
         pos = self._l1_trace_pos
-        self._l1_trace_pos = pos + count
-        num_misses = int(np.count_nonzero(miss_mask))
+        self._commit_counts(
+            count,
+            int(np.count_nonzero(miss_mask)),
+            int(np.count_nonzero(llc_hits)),
+        )
+        if self.monitor is not None:
+            self._feed_monitor(addrs, pos, count)
+
+    def _commit_counts(self, count: int, num_misses: int, num_llc: int) -> None:
+        """Commit the next ``count`` accesses' position and service counters.
+
+        Advancing the committed position is the L1 commit.
+        """
+        self._l1_trace_pos += count
         counts = self.level_counts
         counts[MemoryLevel.L1] += count - num_misses
-        num_llc = int(np.count_nonzero(llc_hits))
         counts[MemoryLevel.LLC] += num_llc
         counts[MemoryLevel.DRAM] += num_misses - num_llc
         stats = self.l1.stats
         stats.hits += count - num_misses
         stats.misses += num_misses
-        if self.monitor is not None:
-            self._feed_monitor(addrs, pos, count)
 
     def _feed_monitor(self, addrs: np.ndarray, pos: int, count: int) -> None:
         """Offer a committed prefix's monitor codes to the monitor.

@@ -55,6 +55,11 @@ class LLCView:
     #: to the reference loop for cores attached to them.
     supports_speculation = False
 
+    #: ``(sets, ways)`` of a private partition that can never be resized
+    #: (its hits are then a pure function of the domain's own accesses,
+    #: see :class:`~repro.sim.hierarchy.LLCServiceTrace`), else ``None``.
+    fixed_geometry: tuple[int, int] | None = None
+
     def access(self, line_addr: int) -> bool:  # pragma: no cover - interface
         raise NotImplementedError
 
@@ -102,6 +107,10 @@ class PartitionedLLC:
         Starting partition size per domain (one value for all domains).
     num_domains:
         Number of security domains.
+    resizable:
+        ``False`` fixes every partition at ``initial_lines`` for good
+        (:meth:`resize` raises), which lets each domain's hierarchy serve
+        its LLC decisions from a per-stream trace.
     """
 
     def __init__(
@@ -110,6 +119,7 @@ class PartitionedLLC:
         associativity: int,
         num_domains: int,
         initial_lines: int,
+        resizable: bool = True,
     ):
         if num_domains < 1:
             raise ConfigurationError("need at least one domain")
@@ -121,6 +131,7 @@ class PartitionedLLC:
         self.total_lines = total_lines
         self.associativity = associativity
         self.num_domains = num_domains
+        self.resizable = resizable
         self._sizes = [initial_lines] * num_domains
         self._caches = [
             make_cache(sets_for_lines(initial_lines, associativity), associativity)
@@ -176,6 +187,11 @@ class PartitionedLLC:
 
     def resize(self, domain: int, new_lines: int) -> ResizeOutcome:
         """Resize a domain's partition, enforcing the capacity invariant."""
+        if not self.resizable:
+            raise SimulationError(
+                "this LLC's partitions are fixed; it cannot resize domain "
+                f"{domain}"
+            )
         old_lines = self._sizes[domain]
         if new_lines == old_lines:
             outcome = ResizeOutcome(domain, old_lines, new_lines, 0)
@@ -231,6 +247,14 @@ class PartitionView(LLCView):
     @property
     def partition_lines(self) -> int:
         return self._llc.size_of(self._domain)
+
+    @property
+    def fixed_geometry(self) -> tuple[int, int] | None:
+        llc = self._llc
+        if llc.resizable:
+            return None
+        cache = llc._caches[self._domain]
+        return cache.num_sets, cache.associativity
 
 
 class SharedLLC:

@@ -27,13 +27,16 @@ class KernelPhases:
 
     #: L1 service-trace reads (trace walks they trigger included).
     l1_read_s: float = 0.0
-    #: LLC walks: speculative resolves, rollback replays, scalar accesses.
+    #: LLC walks: speculative resolves, rollback replays, scalar accesses;
+    #: for a fixed partition, LLC service-trace reads and the trace walks
+    #: (L1 trace walks included) they trigger.
     llc_walk_s: float = 0.0
     #: Monitor-trace reads and monitor bin accumulation.
     monitor_feed_s: float = 0.0
     #: Everything inside ``Core.run``.
     core_s: float = 0.0
-    #: Scheme hooks: assessments, allocation, delayed resizes, sampling.
+    #: Scheme hooks: progress targets, assessments, allocation, delayed
+    #: resizes, sampling.
     scheme_s: float = 0.0
 
     def span_attrs(self) -> dict[str, float]:

@@ -197,19 +197,17 @@ class MultiDomainSystem:
             "monitor_sampled": sampled,
         }
 
-    def _trace_passes(self) -> tuple[int, int]:
-        """Passes walked so far by the distinct installed L1/monitor traces."""
-        l1 = {
-            id(m.l1_trace): m.l1_trace.passes_walked
-            for m in self.memories
-            if m.l1_trace is not None
-        }
-        monitor = {
-            id(m.monitor_trace): m.monitor_trace.passes_walked
-            for m in self.memories
-            if m.monitor_trace is not None
-        }
-        return sum(l1.values()), sum(monitor.values())
+    def _trace_passes(self) -> tuple[int, int, int]:
+        """Passes walked so far by the distinct installed L1/monitor/LLC traces."""
+        walked = []
+        for kind in ("l1_trace", "monitor_trace", "llc_trace"):
+            traces = {
+                id(trace): trace.passes_walked
+                for trace in (getattr(m, kind) for m in self.memories)
+                if trace is not None
+            }
+            walked.append(sum(traces.values()))
+        return tuple(walked)
 
     def run(self, max_cycles: int = 50_000_000) -> SystemResult:
         """Advance the system until every domain's slice finishes.
@@ -225,7 +223,7 @@ class MultiDomainSystem:
             if phases is None:
                 now, quanta, completed = self._advance(max_cycles, None)
             else:
-                l1_before, monitor_before = self._trace_passes()
+                before = self._trace_passes()
                 for memory in self.memories:
                     memory.phases = phases
                 try:
@@ -233,11 +231,15 @@ class MultiDomainSystem:
                 finally:
                     for memory in self.memories:
                         memory.phases = None
-                l1_after, monitor_after = self._trace_passes()
+                l1, monitor, llc = (
+                    after - start
+                    for after, start in zip(self._trace_passes(), before)
+                )
                 span.set(
                     **phases.span_attrs(),
-                    l1_trace_passes=l1_after - l1_before,
-                    monitor_trace_passes=monitor_after - monitor_before,
+                    l1_trace_passes=l1,
+                    monitor_trace_passes=monitor,
+                    llc_trace_passes=llc,
                 )
             span.set(
                 total_cycles=now,
@@ -273,33 +275,45 @@ class MultiDomainSystem:
         now = 0
         next_sample = 0
         quanta = 0
-        completed = False
-        t0 = 0.0
-        while now < max_cycles:
-            if self.all_finished:
-                completed = True
-                break
-            quantum_end = now + self.quantum
-            for core in self.cores:
+        scheme = self.scheme
+        cores = self.cores
+        quantum = self.quantum
+        progress = StopReason.PROGRESS
+        # A core's slice finishes only inside ``Core.run``, so whether
+        # every slice has finished is re-read as each core stops.
+        finished = self.all_finished
+        # Phase sums stay in locals until the loop ends: updating an
+        # attribute after each timed block would add untimed work.
+        core_s = scheme_s = t0 = 0.0
+        while now < max_cycles and not finished:
+            quantum_end = now + quantum
+            until = float(quantum_end)
+            finished = True
+            for core in cores:
                 while core.cycles < quantum_end:
-                    target = self.scheme.progress_target(core.domain)
-                    if phases is not None:
+                    if phases is None:
+                        target = scheme.progress_target(core.domain)
+                        reason = core.run(until, target)
+                    else:
                         t0 = perf_counter()
-                    reason = core.run(float(quantum_end), target)
-                    if phases is not None:
+                        target = scheme.progress_target(core.domain)
                         t1 = perf_counter()
-                        phases.core_s += t1 - t0
-                        t0 = t1
-                    if reason is not StopReason.PROGRESS:
+                        reason = core.run(until, target)
+                        t2 = perf_counter()
+                        scheme_s += t1 - t0
+                        core_s += t2 - t1
+                        t0 = t2
+                    if reason is not progress:
                         break
-                    self.scheme.on_progress(self, core.domain, core.now)
-                    if phases is not None:
-                        phases.scheme_s += perf_counter() - t0
-                    if self.scheme.progress_target(core.domain) == target:
+                    scheme.on_progress(self, core.domain, core.now)
+                    if scheme.progress_target(core.domain) == target:
                         raise SimulationError(
                             "scheme did not advance the progress target "
                             f"of domain {core.domain}"
                         )
+                    if phases is not None:
+                        scheme_s += perf_counter() - t0
+                finished = finished and core.stats.finished
             now = quantum_end
             quanta += 1
             # Liveness evidence for the engine's worker heartbeats:
@@ -308,17 +322,19 @@ class MultiDomainSystem:
             progress_beat()
             if phases is not None:
                 t0 = perf_counter()
-            self.scheme.on_quantum(self, now)
+            scheme.on_quantum(self, now)
             if now >= next_sample:
                 self.sample_partition_sizes(now)
                 next_sample = now + self.sample_interval
             if phases is not None:
-                phases.scheme_s += perf_counter() - t0
-        # The loop's finished-check runs at quantum tops only, so a run
-        # whose last core retires during the final quantum at exactly
-        # max_cycles would otherwise be misreported as incomplete.
-        if not completed:
-            completed = self.all_finished
+                scheme_s += perf_counter() - t0
+        if phases is not None:
+            phases.core_s += core_s
+            phases.scheme_s += scheme_s
+        # ``finished`` is as of the last quantum's stops, so a run whose
+        # last core retires during the final quantum at exactly
+        # max_cycles still counts as completed.
+        completed = finished
         # Close the measurement window of any domain whose slice the
         # max_cycles cap cut short, so partial slices report IPC over
         # the instructions that actually ran instead of a silent 0.

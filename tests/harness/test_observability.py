@@ -347,9 +347,17 @@ class TestSimulatorSpans:
         assert attrs["monitor_observed"] > 0
         assert attrs["monitor_sampled"] > 0
 
-    @pytest.mark.parametrize("scheme", ["time", "untangle"])
-    def test_sim_run_phases_cover_the_run(self, monkeypatch, tmp_path, scheme):
-        """The kernel phase timers account for >= 95% of ``sim.run``."""
+    _PHASES = (
+        "phase_l1_read_s",
+        "phase_llc_walk_s",
+        "phase_monitor_feed_s",
+        "phase_stall_s",
+        "phase_scheme_s",
+    )
+
+    @staticmethod
+    def _cold_sim_run(monkeypatch, tmp_path, scheme) -> dict:
+        """The ``sim.run`` span of one traced two-domain run, cold memo."""
         from repro.harness import experiment
         from repro.harness.runconfig import TEST
 
@@ -365,17 +373,14 @@ class TestSimulatorSpans:
             for span in map(json.loads, sink.read_text().splitlines())
             if span["kind"] == "span" and span["name"] == "sim.run"
         ]
+        return sim
+
+    @pytest.mark.parametrize("scheme", ["time", "untangle"])
+    def test_sim_run_phases_cover_the_run(self, monkeypatch, tmp_path, scheme):
+        """The kernel phase timers account for >= 95% of ``sim.run``."""
+        sim = self._cold_sim_run(monkeypatch, tmp_path, scheme)
         attrs = sim["attrs"]
-        phases = [
-            attrs[name]
-            for name in (
-                "phase_l1_read_s",
-                "phase_llc_walk_s",
-                "phase_monitor_feed_s",
-                "phase_stall_s",
-                "phase_scheme_s",
-            )
-        ]
+        phases = [attrs[name] for name in self._PHASES]
         assert all(value > 0 for value in phases)
         assert sum(phases) >= 0.95 * sim["dur"]
         assert sum(phases) <= sim["dur"]
@@ -383,6 +388,22 @@ class TestSimulatorSpans:
         # during this run (two or three passes each).
         assert 2 * 2 <= attrs["l1_trace_passes"] <= 2 * 2
         assert 2 * 2 <= attrs["monitor_trace_passes"] <= 2 * 3
+        assert attrs["llc_trace_passes"] == 0
+
+    def test_static_run_phases_cover_the_run(self, monkeypatch, tmp_path):
+        """Static's fixed partitions read LLC service traces, no monitor."""
+        sim = self._cold_sim_run(monkeypatch, tmp_path, "static")
+        attrs = sim["attrs"]
+        phases = [attrs[name] for name in self._PHASES]
+        assert sum(phases) >= 0.95 * sim["dur"]
+        assert sum(phases) <= sim["dur"]
+        assert attrs["phase_monitor_feed_s"] == 0
+        assert attrs["monitor_trace_passes"] == 0
+        # The LLC trace reads walked both streams' traces (the L1 walks
+        # they trigger included) during this run.
+        assert attrs["phase_llc_walk_s"] > 0
+        assert attrs["llc_trace_passes"] > 0
+        assert attrs["l1_trace_passes"] > 0
 
     def test_untraced_run_reads_no_clock(self, monkeypatch):
         """With tracing off the kernel takes no phase timestamps."""

@@ -1,13 +1,18 @@
 """Tests for the LLC sensitivity study harness (Figure 11)."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.config import ArchConfig
 from repro.harness.runconfig import TEST
 from repro.harness.sensitivity import (
     SensitivityCurve,
     classify_benchmarks,
+    run_benchmark_at_size,
     run_sensitivity_curve,
 )
+from repro.sim.kernelmode import KERNEL_ENV
 from repro.workloads.spec import SPEC_BENCHMARKS
 
 
@@ -58,3 +63,20 @@ class TestMeasuredCurves:
         normalized = curve.normalized_ipc
         for earlier, later in zip(normalized, normalized[1:]):
             assert later >= earlier - 0.08
+
+
+def test_fixed_partition_ipc_ignores_the_quantum(monkeypatch):
+    """A lone benchmark's IPC on a fixed partition is a function of its
+    stream and partition alone: the interleaving quantum and the kernel
+    cannot change it (the model's claim that fixed partitions do not
+    interact, and the premise of the kept-run kernel path)."""
+    benchmark = SPEC_BENCHMARKS["parest_0"]
+    size = ArchConfig.scaled(num_cores=1).supported_partition_lines[2]
+    ipcs = {
+        run_benchmark_at_size(benchmark, size, replace(TEST, quantum=quantum))
+        for quantum in (125, 250, 4000)
+    }
+    monkeypatch.setenv(KERNEL_ENV, "reference")
+    ipcs.add(run_benchmark_at_size(benchmark, size, TEST))
+    assert len(ipcs) == 1
+    assert ipcs.pop() > 0

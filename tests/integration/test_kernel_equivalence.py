@@ -7,16 +7,24 @@ scheme under ``REPRO_SIM_KERNEL=reference`` and ``=batched`` and
 compares everything an experiment reports: total cycles, per-workload
 IPC, assessment counts, visible actions, leakage bits, and the
 partition-size quartiles (which pin the whole resizing trace).
+
+Static partitions are fixed, so a batched Static core resolves long
+runs once and keeps them across quantum stops; a second Static case
+drives that path through stall streams, pass wraps, measurement
+boundaries and a ``max_cycles`` cap at several quanta.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.harness.experiment import run_mix_scheme
+from repro.harness.experiment import make_scheme, run_mix_scheme
 from repro.harness.runconfig import TEST
+from repro.schemes.static import StaticScheme
 from repro.sim.kernelmode import KERNEL_ENV
+from repro.sim.system import DomainSpec, MultiDomainSystem
 from repro.workloads.mixes import get_mix
+from repro.workloads.workload import build_workload
 
 SCHEMES = ("static", "shared", "time", "untangle")
 
@@ -46,6 +54,115 @@ def test_batched_kernel_is_bit_identical(scheme, monkeypatch):
     monkeypatch.setenv(KERNEL_ENV, "batched")
     batched = run_mix_scheme(pairs, scheme, TEST)
     assert _fingerprint(batched) == _fingerprint(reference)
+
+
+#: Crypto halves with secret-dependent stalls (under a nonzero secret),
+#: so both streams carry stall events; the second domain wraps its
+#: stream many times.
+STALL_PAIRS = (("gcc_2", "RSA-2048"), ("imagick_0", "ECDSA"))
+
+
+def _static_run(
+    pairs, secret: int, quantum: int, max_cycles: int, scheme=None
+) -> tuple:
+    domains = []
+    for index, (spec, crypto) in enumerate(pairs):
+        built = build_workload(
+            spec, crypto, TEST.workload_scale,
+            seed=TEST.seed + index, secret=secret,
+        )
+        assert (built.stream.stall_cycles is not None) == bool(secret)
+        domains.append(DomainSpec(f"{spec}+{crypto}", built.stream, built.core_config))
+    system = MultiDomainSystem(
+        TEST.arch(len(domains)),
+        domains,
+        scheme or make_scheme("static", TEST, len(domains)),
+        quantum=quantum,
+        sample_interval=TEST.sample_interval,
+    )
+    result = system.run(max_cycles=max_cycles)
+    return (
+        result.total_cycles,
+        result.completed,
+        tuple(
+            (
+                stats.ipc,
+                stats.finished,
+                stats.measured_instructions,
+                stats.measured_cycles,
+                core.cycles,
+                core.retired,
+                tuple(memory.level_counts.values()),
+                (memory.l1.stats.hits, memory.l1.stats.misses),
+            )
+            for stats, core, memory in zip(
+                result.stats, system.cores, system.memories
+            )
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    ("secret", "quantum", "max_cycles"),
+    [
+        (0b1011_0110, 7, TEST.max_cycles),
+        (0b1011_0110, 125, TEST.max_cycles),
+        (0b1011_0110, 4000, TEST.max_cycles),
+        # Cuts the first domain's slice short (close_measurement_window).
+        (0b1011_0110, 125, 30_000),
+        # No stall events: the kept run indexes levels by event.
+        (0, 125, TEST.max_cycles),
+    ],
+)
+def test_static_kept_runs_are_bit_identical(
+    secret, quantum, max_cycles, monkeypatch
+):
+    monkeypatch.setenv(KERNEL_ENV, "reference")
+    reference = _static_run(STALL_PAIRS, secret, quantum, max_cycles)
+    monkeypatch.setenv(KERNEL_ENV, "batched")
+    batched = _static_run(STALL_PAIRS, secret, quantum, max_cycles)
+    assert batched == reference
+    assert batched[1] == (max_cycles == TEST.max_cycles)
+
+
+class _CheckpointScheme(StaticScheme):
+    """Static partitions plus progress checkpoints armed between quanta.
+
+    A checkpoint appearing after a core resolved a run without one moves
+    the core's stop cap below that run's end, so the kept run must be
+    dropped rather than executed past the checkpoint.
+    """
+
+    def __init__(self, arch):
+        super().__init__(arch)
+        self._targets = [None] * arch.num_cores
+        self.checkpoints: list[tuple[int, int]] = []
+
+    def progress_target(self, domain):
+        return self._targets[domain]
+
+    def on_quantum(self, system, now):
+        if now % 1000 == 0:
+            for core in system.cores:
+                if self._targets[core.domain] is None:
+                    self._targets[core.domain] = core.public_retired + 37
+
+    def on_progress(self, system, domain, now):
+        self.checkpoints.append((domain, now))
+        self._targets[domain] = None
+
+
+def test_kept_runs_stop_at_checkpoints_armed_later(monkeypatch):
+    runs = {}
+    for mode in ("reference", "batched"):
+        monkeypatch.setenv(KERNEL_ENV, mode)
+        scheme = _CheckpointScheme(TEST.arch(len(STALL_PAIRS)))
+        runs[mode] = (
+            _static_run(STALL_PAIRS, 0b1011_0110, 125, TEST.max_cycles, scheme),
+            scheme.checkpoints,
+        )
+    assert runs["batched"] == runs["reference"]
+    assert len(runs["batched"][1]) > 10
 
 
 def test_unknown_kernel_mode_is_rejected(monkeypatch):

@@ -161,7 +161,7 @@ def _build_memory(
             stream, AnnotationVector(excluded, np.zeros_like(excluded))
         )
         l1_trace = L1ServiceTrace(annotated, tiny_arch)
-        memory.install_l1_trace(l1_trace)
+        memory.install_l1_trace(l1_trace, annotated)
         memory.install_monitor_trace(
             MonitorTrace(
                 annotated, tiny_arch, *memory.monitor_trace_spec,

@@ -141,7 +141,7 @@ def _make_memory(arch: ArchConfig, organization: str = "partitioned"):
 def _install_traces(memory: DomainMemory, stream, arch: ArchConfig) -> None:
     """Install an L1 and a monitor trace over ``stream``, as a core does."""
     l1_trace = L1ServiceTrace(stream, arch)
-    memory.install_l1_trace(l1_trace)
+    memory.install_l1_trace(l1_trace, stream)
     memory.install_monitor_trace(
         MonitorTrace(stream, arch, *memory.monitor_trace_spec, l1_trace=l1_trace)
     )
@@ -154,10 +154,11 @@ class TestInstall:
             tiny_arch.l1_lines,
             tiny_arch.l1_associativity,
         )
-        trace = _trace(stream_addrs, other)
+        stream = InstructionStream(stream_addrs)
+        trace = L1ServiceTrace(stream, other)
         memory, _ = _make_memory(tiny_arch)
         with pytest.raises(ValueError, match="geometry"):
-            memory.install_l1_trace(trace)
+            memory.install_l1_trace(trace, stream)
         with pytest.raises(ValueError, match="geometry"):
             memory.install_monitor_trace(
                 MonitorTrace(InstructionStream(stream_addrs), other, (), 0, True)
@@ -169,7 +170,8 @@ class TestInstall:
         with pytest.raises(SimulationError, match="trace"):
             memory.resolve_block(stream_addrs[:16])
         # A monitored memory needs its monitor trace too.
-        memory.install_l1_trace(_trace(stream_addrs, tiny_arch))
+        stream = InstructionStream(stream_addrs)
+        memory.install_l1_trace(L1ServiceTrace(stream, tiny_arch), stream)
         with pytest.raises(SimulationError, match="monitor trace"):
             memory.resolve_block(stream_addrs[:16])
         with pytest.raises(SimulationError, match="monitor trace"):

@@ -202,7 +202,7 @@ def test_trace_fed_monitor_matches_observe_oracle(tiny_arch, filtered, shift, se
     traced, traced_monitor = _memory(tiny_arch, filtered, shift, window=40)
     oracle, oracle_monitor = _memory(tiny_arch, filtered, shift, window=40)
     l1_trace, trace = _traces(stream, tiny_arch, shift, filtered)
-    traced.install_l1_trace(l1_trace)
+    traced.install_l1_trace(l1_trace, stream)
     traced.install_monitor_trace(trace)
 
     rng = np.random.default_rng(100 + seed)

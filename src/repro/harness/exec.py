@@ -105,7 +105,6 @@ from repro.harness.store import (
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.liveness import progress_beat, progress_value
-from repro.sim.batch import cell_scratch
 
 #: Bump when the cached payload layout or the simulator's semantics
 #: change incompatibly; old entries are then quarantined, not misread.
@@ -1387,10 +1386,7 @@ def _worker_main(
     """Worker loop: receive chunks of ``(index, cell)`` tasks, send back
     one result message per cell.
 
-    Cell-major batching: a chunk's cells run back-to-back under one
-    shared :func:`~repro.sim.batch.cell_scratch` arena, so the hot numpy
-    buffers of the cumsum/searchsorted cores are allocated once per
-    chunk instead of once per call. Results stream home *per cell* (the
+    A chunk's cells run back-to-back. Results stream home *per cell* (the
     message shape is unchanged from per-cell dispatch), so supervisor
     accounting, deadlines, and retry bookkeeping see individual cells —
     and results stay bit-identical to serial execution.
@@ -1429,29 +1425,28 @@ def _worker_main(
                 return
             if chunk is None:
                 return
-            with cell_scratch():
-                for message in _chunk_messages(chunk, faults, worker_id):
-                    # A finished cell is progress even if the cell's own
-                    # execution never beat (non-simulation cells).
-                    progress_beat()
+            for message in _chunk_messages(chunk, faults, worker_id):
+                # A finished cell is progress even if the cell's own
+                # execution never beat (non-simulation cells).
+                progress_beat()
+                try:
+                    with send_lock:
+                        conn.send(message)
+                except Exception as exc:  # e.g. an unpicklable result
                     try:
                         with send_lock:
-                            conn.send(message)
-                    except Exception as exc:  # e.g. an unpicklable result
-                        try:
-                            with send_lock:
-                                conn.send(
-                                    (
-                                        message[0],
-                                        "error",
-                                        "result not transferable: "
-                                        f"{type(exc).__name__}: {exc}",
-                                        message[3],
-                                        message[4],
-                                    )
+                            conn.send(
+                                (
+                                    message[0],
+                                    "error",
+                                    "result not transferable: "
+                                    f"{type(exc).__name__}: {exc}",
+                                    message[3],
+                                    message[4],
                                 )
-                        except Exception:
-                            return
+                            )
+                    except Exception:
+                        return
     finally:
         stop_beats.set()
 
@@ -2205,8 +2200,8 @@ class ExecutionEngine:
         slow-but-working cells survive while hung ones die early.
     heartbeat:
         Interval in seconds of worker liveness heartbeats (default 1).
-        Each beat carries the worker's progress counter (advanced per
-        simulation quantum and per finished cell), letting the
+        Each beat carries the worker's progress counter (advanced by 16
+        every 16 simulation quanta, and per finished cell), letting the
         supervisor distinguish slow from hung mid-chunk: frozen
         progress fires a ``worker.unresponsive`` warning after ~3
         intervals, and — when a ``timeout`` or ``stall_timeout``
@@ -2833,64 +2828,60 @@ class ExecutionEngine:
 
     # ------------------------------------------------------------------
     def _run_serial(self, pending):
-        # One scratch arena for the whole serial run: the serial path is
-        # effectively a single maximal chunk, so it amortizes the hot
-        # numpy buffers exactly like a batched worker does.
-        with cell_scratch():
-            for index, cell, key in pending:
-                if self._interrupted:
-                    raise KeyboardInterrupt
-                attempts = 0
-                error: str | None = None
-                # Accumulated *execution* time across attempts. Backoff
-                # sleeps are excluded, matching the supervised parallel
-                # path (which books only real worker time) — a retried
-                # serial cell used to report wall_seconds inflated by
-                # its own backoff delays.
-                elapsed = 0.0
-                value = None
-                status = "failed"
-                while attempts <= self.retries:
-                    attempts += 1
-                    attempt_start = time.perf_counter()
-                    try:
-                        value, wall = _execute_cell(cell, self.faults)
-                        elapsed += wall
-                        status = "computed"
-                        error = None
-                        break
-                    except KeyboardInterrupt:
-                        raise
-                    except Exception as exc:  # graceful degradation
-                        elapsed += time.perf_counter() - attempt_start
-                        error = f"{type(exc).__name__}: {exc}"
-                        if attempts <= self.retries:
-                            delay = backoff_delay(
-                                key,
-                                attempts,
-                                self.backoff_base,
-                                self.backoff_cap,
-                            )
-                            self.telemetry.backoff_seconds += delay
-                            _M_BACKOFF.inc(delay)
-                            obs_trace.event(
-                                "cell.retry",
-                                label=cell.label,
-                                attempt=attempts,
-                                delay=delay,
-                                error=error,
-                            )
-                            if delay:
-                                time.sleep(delay)
-                yield index, CellOutcome(
-                    cell=cell,
-                    key=key,
-                    value=value,
-                    status=status,
-                    wall_seconds=elapsed,
-                    attempts=attempts,
-                    error=error,
-                )
+        for index, cell, key in pending:
+            if self._interrupted:
+                raise KeyboardInterrupt
+            attempts = 0
+            error: str | None = None
+            # Accumulated *execution* time across attempts. Backoff
+            # sleeps are excluded, matching the supervised parallel
+            # path (which books only real worker time) — a retried
+            # serial cell used to report wall_seconds inflated by
+            # its own backoff delays.
+            elapsed = 0.0
+            value = None
+            status = "failed"
+            while attempts <= self.retries:
+                attempts += 1
+                attempt_start = time.perf_counter()
+                try:
+                    value, wall = _execute_cell(cell, self.faults)
+                    elapsed += wall
+                    status = "computed"
+                    error = None
+                    break
+                except KeyboardInterrupt:
+                    raise
+                except Exception as exc:  # graceful degradation
+                    elapsed += time.perf_counter() - attempt_start
+                    error = f"{type(exc).__name__}: {exc}"
+                    if attempts <= self.retries:
+                        delay = backoff_delay(
+                            key,
+                            attempts,
+                            self.backoff_base,
+                            self.backoff_cap,
+                        )
+                        self.telemetry.backoff_seconds += delay
+                        _M_BACKOFF.inc(delay)
+                        obs_trace.event(
+                            "cell.retry",
+                            label=cell.label,
+                            attempt=attempts,
+                            delay=delay,
+                            error=error,
+                        )
+                        if delay:
+                            time.sleep(delay)
+            yield index, CellOutcome(
+                cell=cell,
+                key=key,
+                value=value,
+                status=status,
+                wall_seconds=elapsed,
+                attempts=attempts,
+                error=error,
+            )
 
 # ----------------------------------------------------------------------
 # Environment wiring (shared by the CLI and the benchmark harness)

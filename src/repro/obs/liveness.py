@@ -38,7 +38,7 @@ _PROGRESS = _Progress()
 def progress_beat(amount: int = 1) -> None:
     """Advance this process's progress counter by ``amount`` units.
 
-    Called from coarse-grained work loops (per simulation quantum, per
+    Called from coarse-grained work loops (every 16 simulation quanta, per
     finished cell). The heartbeat thread only ever *reads* the counter,
     so a plain attribute increment under the GIL is race-free enough —
     a lost update merely delays liveness evidence by one beat.

@@ -25,33 +25,37 @@ is proportional to the number of memory accesses, not instructions.
 Two inner kernels implement that walk (selected by ``REPRO_SIM_KERNEL``,
 see :mod:`repro.sim.kernelmode`):
 
-* The **batched** kernel resolves whole *runs* of events — every memory
-  access and stall between two stop events (quantum top, progress
-  target) — at once, accumulating cycles with a vectorized interleaved
-  cumulative sum that reproduces the scalar float-addition chain bit
-  for bit. Because the resolve returns the *actual* latencies, the
-  exact reference stopping point within the run is found by binary
-  search over the cumulative loop-top values. Runs never cross a
-  measurement boundary (warmup end / slice end) or the progress
-  crossing; events at those edges fall back to the scalar step, which
-  performs the boundary bookkeeping at exactly the reference
-  granularity. A batched core always reads its L1 decisions from an
-  :class:`~repro.sim.hierarchy.L1ServiceTrace` and, when monitored,
-  its monitor codes from a :class:`~repro.sim.hierarchy.MonitorTrace`:
-  it installs private ones over its own stream, which campaign cells
-  swap for shared ones walked once per stream. Two kinds of LLC view
-  resolve differently:
+* The **batched** kernel resolves whole *runs* of events — memory
+  accesses and stalls — at once, accumulating cycles with a vectorized
+  interleaved cumulative sum that reproduces the scalar float-addition
+  chain bit for bit. Because the resolve returns the *actual* latencies,
+  the exact reference stopping point within the run — the cycle budget
+  or the progress crossing — is found by binary search over the
+  cumulative loop-top values. Runs never cross a measurement boundary
+  (warmup end / slice end); events at those edges fall back to the
+  scalar step, which performs the boundary bookkeeping at exactly the
+  reference granularity. A batched core always reads its L1 decisions
+  from an :class:`~repro.sim.hierarchy.L1ServiceTrace` and, when
+  monitored, its monitor codes from a
+  :class:`~repro.sim.hierarchy.MonitorTrace`: it installs private ones
+  over its own stream, which campaign cells swap for shared ones walked
+  once per stream. Each run is resolved once
+  (:meth:`DomainMemory.resolve_levels`), *kept* across ``run()`` calls
+  and committed slice by slice (:meth:`DomainMemory.commit_levels`): a
+  quantum or progress stop costs one binary search and a counter
+  commit. How far a run reaches depends on the LLC view:
 
-  - A resizable or shared view is resolved *speculatively*
-    (:meth:`DomainMemory.resolve_block` advances the LLC), and
-    :meth:`DomainMemory.commit_block` keeps exactly the executed prefix,
-    rolling the LLC back over the rest.
   - A fixed private partition (Static) also gets an
     :class:`~repro.sim.hierarchy.LLCServiceTrace`, which fixes every
-    latency by stream position. Resolving ahead then changes nothing,
-    so the core resolves one long run, keeps it across ``run()`` calls,
-    and commits it slice by slice: a quantum stop costs one binary
-    search and a counter commit.
+    latency by stream position; resolving ahead changes nothing.
+  - Any other private partition (Time, Untangle, Threshold) is walked
+    ahead. Only a real resize changes it from outside, and the resize
+    settles the walk first (:meth:`DomainMemory.settle`), which marks
+    the kept run stale. Both kinds keep up to :data:`KEPT_RUN_EVENTS`
+    events.
+  - A shared view is touched by other domains between calls, so its
+    runs are sized to the remaining cycle budget and every ``run()``
+    call ends with a settle.
 * The **reference** kernel is the original one-call-per-access loop,
   retained verbatim for differential testing and as the before/after
   baseline of ``benchmarks/bench_kernel.py``. Timing jitter draws one
@@ -73,7 +77,6 @@ import numpy as np
 from repro.config import ArchConfig
 from repro.core.annotations import AnnotationVector
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.batch import active_scratch
 from repro.sim.hierarchy import DomainMemory, L1ServiceTrace, MonitorTrace
 from repro.sim.kernelmode import batching_enabled
 from repro.sim.stats import DomainStats
@@ -82,8 +85,9 @@ from repro.sim.stats import DomainStats
 #: through the scalar step (batch setup would cost more than it saves).
 MIN_BATCH = 8
 
-#: Longest run a core with fixed latencies resolves and keeps across
-#: ``run()`` calls (bounds the kept arrays to ~64 KB per core).
+#: Longest run a core resolves and keeps across ``run()`` calls (bounds
+#: the kept arrays to ~140 KB per core and the outstanding LLC walk to
+#: this many accesses).
 KEPT_RUN_EVENTS = 4096
 
 
@@ -175,21 +179,26 @@ class InstructionStream:
 
 @dataclass(slots=True, eq=False)
 class _KeptRun:
-    """A fixed-latency event run resolved once, committed slice by slice.
+    """An event run resolved once, committed slice by slice.
 
     The run covers events ``[start, start + len(idx))`` of pass number
-    ``wraps``, resolved with the core at pass position ``rel_start``.
-    ``tops[j]`` is the loop-top cycle value before the run's ``j``-th
+    ``wraps``, resolved while the memory was at ``epoch``. ``extras[j]``
+    is what the run's ``j``-th event adds to the cycles beyond its issue
+    slot. ``tops[j]`` is the loop-top cycle value before the ``j``-th
     event, from one sequential cumulative sum started at the core's
-    cycles when the run was resolved; ``mem_before[j]`` (stall streams
-    only) counts the memory accesses among the first ``j`` events, which
-    index ``levels``.
+    cycles at event ``origin`` with the core at pass position
+    ``rel_origin`` (events before ``origin`` have executed).
+    ``mem_before[j]`` (stall streams only) counts the memory accesses
+    among the first ``j`` events, which index ``levels``.
     """
 
     wraps: int
+    epoch: int
     start: int
-    rel_start: int
+    origin: int
+    rel_origin: int
     idx: np.ndarray
+    extras: np.ndarray
     tops: np.ndarray
     levels: np.ndarray
     mem_before: np.ndarray | None
@@ -243,18 +252,21 @@ class Core:
             else None
         )
         # Jitter draws one RNG value per access, so jittered cores must
-        # take the scalar loop to preserve the draw sequence. Speculative
-        # block resolution additionally needs an LLC view that can
-        # snapshot/restore its state, and reads L1 decisions and monitor
-        # codes from traces over this core's stream (walked lazily, so
-        # a caller swapping in shared traces pays nothing for these). A
-        # fixed private LLC partition also gets a trace of its service
+        # take the scalar loop to preserve the draw sequence. Walking
+        # ahead additionally needs an LLC view that can snapshot/restore
+        # its state, and reads L1 decisions and monitor codes from
+        # traces over this core's stream (walked lazily, so a caller
+        # swapping in shared traces pays nothing for these). A fixed
+        # private LLC partition also gets a trace of its service
         # levels, which fixes every latency by stream position.
         self._use_batched = (
             batching_enabled()
             and core_config.timing_jitter == 0
             and memory.supports_speculation
         )
+        # Other domains touch a shared view between calls: its runs are
+        # sized to the budget, and each call ends with a settle.
+        self._settle_each_call = self._use_batched and not memory.private_llc
         if self._use_batched:
             l1_trace = L1ServiceTrace(stream, arch)
             memory.install_l1_trace(l1_trace, stream)
@@ -264,8 +276,9 @@ class Core:
                     MonitorTrace(stream, arch, *spec, l1_trace=l1_trace)
                 )
         # Running estimate of the average cycle cost per event, used only
-        # to size batches against the remaining budget (never to decide
-        # results — the stop point is computed exactly afterwards).
+        # to size a shared view's runs against the remaining budget
+        # (never to decide results — the stop point is computed exactly
+        # afterwards).
         events = max(1, int(stream.event_positions.shape[0]))
         self._est_cost = (
             self._cpi * (stream.length / events)
@@ -375,7 +388,10 @@ class Core:
         metric snapshots) functions of the instruction stream alone.
         """
         if self._use_batched:
-            return self._run_batched(until_cycle, progress_target)
+            reason = self._run_batched(until_cycle, progress_target)
+            if self._settle_each_call:
+                self.memory.settle()
+            return reason
         return self._run_reference(until_cycle, progress_target)
 
     def _run_reference(
@@ -413,50 +429,29 @@ class Core:
     ) -> StopReason:
         """Batched kernel: resolve event runs ahead, commit exactly.
 
-        Bit-exact with :meth:`_run_reference`. Each iteration picks a run
-        of upcoming events capped so that none could cross the progress
-        target or a measurement boundary (those must fire from the scalar
-        path at the reference's exact granularity). With real latencies
-        in hand, one interleaved cumulative sum reproduces the scalar
-        float-addition chain bit for bit, and a binary search over its
-        loop-top values finds exactly how many events the reference loop
-        would have executed before the budget check stopped it. Leftover
-        runs shorter than :data:`MIN_BATCH` take the scalar step.
+        Bit-exact with :meth:`_run_reference`. Each iteration continues
+        the kept run (:meth:`_kept_run`), or resolves a new one, and
+        commits the events the reference loop would execute now: with
+        real latencies in hand, one interleaved cumulative sum
+        reproduces the scalar float-addition chain bit for bit, and a
+        binary search over its loop-top values finds exactly where the
+        budget check stops; the progress crossing caps the commit the
+        same way. Runs stop short of the next measurement boundary,
+        which (like any window shorter than :data:`MIN_BATCH`) is
+        stepped by the scalar path.
 
-        How a run's latencies are learned depends on the memory:
-
-        * *Speculative* (LLC views that can be resized or are shared):
-          the run is sized by a running cost estimate against the
-          remaining cycle budget and resolved through the hierarchy
-          (:meth:`DomainMemory.resolve_block`) — the LLC advances, the
-          monitor and service counters are deferred — and
-          :meth:`DomainMemory.commit_block` keeps the executed prefix,
-          rolling the LLC back over the unexecuted tail (deterministic
-          replay from lazily journaled set snapshots). Sizing is thus a
-          pure performance knob. Speculation is sound because within one
-          ``run()`` call the LLC view is effectively private: other
-          cores and resizes only act between calls, at quantum and
-          assessment granularity.
-        * *Fixed* (an LLC service trace fixes every latency by stream
-          position, :attr:`DomainMemory.latencies_fixed`): the run
-          extends to the cap, up to :data:`KEPT_RUN_EVENTS` events, is
-          resolved once (:meth:`DomainMemory.resolve_levels`, which
-          changes nothing) and is *kept* across ``run()`` calls; each
-          call commits the slice that executes
-          (:meth:`DomainMemory.commit_levels`). See :meth:`_kept_run`
-          for why continuing a kept run is exact.
+        Continuing a kept run is exact while its levels are: a fixed
+        partition's never change, a private partition changes from
+        outside only when resized, which settles the walk and bumps the
+        memory's epoch, and a shared view settles at the end of each
+        call. Run length is a pure performance knob — the commit point
+        is computed exactly from actual latencies.
         """
         stream = self.stream
         ev = stream.event_positions
         num_events = int(ev.shape[0])
         length = stream.length
-        inv_mlp = self._inv_mlp
-        memory = self.memory
-        fixed = memory.latencies_fixed
         stats = self.stats
-        addresses = stream.addresses
-        stalls = stream.stall_cycles
-        cum_public = stream.cum_public
 
         crossing = (
             self._public_crossing_rel(progress_target)
@@ -479,11 +474,6 @@ class Core:
                 continue
 
             rel_pos = self._rel_pos
-            # Events at or past the crossing never execute this pass.
-            if crossing is None:
-                stop = num_events
-            else:
-                stop = int(np.searchsorted(ev, crossing, side="left"))
             # Keep retired strictly below the next measurement boundary.
             if not self._measuring:
                 boundary = self._warmup_end
@@ -491,170 +481,140 @@ class Core:
                 boundary = self._slice_end
             else:
                 boundary = -1
+            cap = num_events
             if boundary >= 0:
                 max_pos = rel_pos + boundary - self.retired - 2
                 cap = int(np.searchsorted(ev, max_pos, side="right"))
-                if cap < stop:
-                    stop = cap
-            cap_stop = stop
-            if fixed:
-                run = self._kept_run(cursor, rel_pos, stop)
-                if run is not None:
-                    self._commit_kept(run, cursor, rel_pos, until_cycle)
-                    continue
-            else:
-                # Size the run to just under the remaining budget, so
-                # runs commit fully (no rollback). Over- and undershoot
-                # are both safe — the commit point is computed exactly
-                # from actual latencies — so this is a pure performance
-                # knob.
-                want = int(0.9 * (until_cycle - self.cycles) / self._est_cost)
-                if cursor + want < stop:
-                    stop = cursor + want
-            n = stop - cursor
-            if n < MIN_BATCH:
-                # Scalar mop-up for the quantum tail (cheaper than a tiny
-                # speculative batch, which would always roll back). Events
-                # in [cursor, cap_stop) are strictly before the crossing
-                # and the measurement boundary, so only the cycle budget
-                # can stop early; a zero-length window is the capped
-                # boundary event itself, which steps once as the
-                # reference would.
-                end = cap_stop if cap_stop > cursor else cursor + 1
-                while True:
-                    next_event = int(ev[cursor])
-                    self._advance_nonmem(next_event - self._rel_pos)
-                    self._execute_event(next_event)
-                    cursor += 1
-                    if cursor >= end or self.cycles >= until_cycle:
-                        break
-                self._mem_cursor = cursor
+            # Events at or past the crossing never execute this call.
+            stop = cap
+            if crossing is not None:
+                before = int(np.searchsorted(ev, crossing, side="left"))
+                if before < stop:
+                    stop = before
+            run = self._kept_run(cursor, rel_pos, cap, stop, until_cycle)
+            if run is not None:
+                self._commit_kept(run, cursor, rel_pos, until_cycle, stop)
                 continue
-
-            idx = ev[cursor:stop]
-            addrs = addresses[idx]
-            if stalls is None:
-                mem_mask = None
-                latencies, token = memory.resolve_block(addrs)
-                extras = latencies * inv_mlp
-            else:
-                extras = np.zeros(n, dtype=np.float64)
-                mem_mask = addrs >= 0
-                if mem_mask.any():
-                    latencies, token = memory.resolve_block(addrs[mem_mask])
-                    extras[mem_mask] = latencies * inv_mlp
-                else:
-                    token = None
-                extras = extras + stalls[idx]
-            # Under cell-major batching a chunk-shared scratch arena
-            # backs the delta/cumsum buffers (every entry is written
-            # before it is read, so reuse is bit-identical to np.empty).
-            tops = self._loop_tops(rel_pos, idx, extras, active_scratch())
-            # First event whose loop-top check would fail the budget.
-            k = int(np.searchsorted(tops, until_cycle, side="left"))
-            if k > n:
-                k = n
-            if token is not None:
-                kept = k if mem_mask is None else int(np.count_nonzero(mem_mask[:k]))
-                memory.commit_block(token, kept)
-            last = int(idx[k - 1])
-            self.cycles = float(tops[k])
-            self.retired += last + 1 - rel_pos
-            self.public_retired += int(cum_public[last + 1] - cum_public[rel_pos])
-            self._rel_pos = last + 1
-            self._mem_cursor = cursor + k
-            # Refresh the batch-sizing estimate (perf only, never results).
-            self._est_cost = 0.5 * (
-                self._est_cost + (float(tops[k]) - float(tops[0])) / k
-            )
-            self._check_boundaries()
+            # Scalar mop-up for a window too short to batch. Events in
+            # [cursor, stop) are strictly before the crossing and the
+            # measurement boundary, so only the cycle budget can stop
+            # early; a zero-length window is the capped boundary event
+            # itself, which steps once as the reference would.
+            end = stop if stop > cursor else cursor + 1
+            while True:
+                next_event = int(ev[cursor])
+                self._advance_nonmem(next_event - self._rel_pos)
+                self._execute_event(next_event)
+                cursor += 1
+                if cursor >= end or self.cycles >= until_cycle:
+                    break
+            self._mem_cursor = cursor
         return StopReason.QUANTUM
 
-    def _loop_tops(self, rel_pos, idx, extras, scratch) -> np.ndarray:
+    def _loop_tops(self, rel_pos, idx, extras) -> np.ndarray:
         """Loop-top cycle values before each event of a run, and after it.
 
         Interleaves (gap advance, event retire) deltas and folds them
         with one strictly sequential cumulative sum started at the
         core's cycles; the even entries are the reference loop's
-        loop-top values. ``scratch`` (a :class:`~repro.sim.batch.CellScratch`
-        or ``None``) backs the buffers, so the result is then a view
-        that lives only until the next run.
+        loop-top values.
         """
         n = int(idx.shape[0])
         gaps = idx - np.concatenate(([rel_pos], idx[:-1] + 1))
-        if scratch is not None:
-            deltas = scratch.f64(2 * n + 1, slot=0)
-            cum = scratch.f64(2 * n + 1, slot=1)
-        else:
-            deltas = np.empty(2 * n + 1, dtype=np.float64)
-            cum = None
+        deltas = np.empty(2 * n + 1, dtype=np.float64)
         deltas[0] = self.cycles
         deltas[1::2] = gaps * self._cpi
         deltas[2::2] = self._cpi + extras
-        return np.cumsum(deltas, out=cum)[0::2]
+        return np.cumsum(deltas)[0::2]
 
-    def _kept_run(self, cursor: int, rel_pos: int, stop: int) -> _KeptRun | None:
+    def _kept_run(
+        self, cursor: int, rel_pos: int, cap: int, stop: int, until_cycle: float
+    ) -> _KeptRun | None:
         """The kept run that continues at ``cursor``, resolving one if needed.
 
-        The kept run is reused only while it still describes the core's
-        state exactly: same pass, ``cursor`` inside it, the loop-top
-        value there equal to the core's cycles (``tops`` is one
-        sequential sum, so continuing it adds the same deltas in the
-        same order as resolving afresh from here would) at the position
-        after the last committed event, and the current ``stop`` cap at
-        or beyond its end. Otherwise a new run of up to
-        :data:`KEPT_RUN_EVENTS` events before ``stop`` is resolved;
-        ``None`` when fewer than :data:`MIN_BATCH` remain.
+        The kept run is reused while its levels still hold — same pass,
+        same memory epoch, ``cursor`` inside it, and the measurement cap
+        ``cap`` at or beyond its end. If the core stands where its
+        loop-top sum expects (the position after the last committed
+        event, with equal cycles) the run continues as is: ``tops`` is
+        one sequential sum, so continuing it adds the same deltas in the
+        same order as resolving afresh from here would. After a stop in
+        the middle of a gap (a progress stop) only the loop tops from
+        ``cursor`` on are summed again. Otherwise a new run of up to
+        :data:`KEPT_RUN_EVENTS` events before ``cap`` is resolved — for
+        a shared view, only as many as the remaining budget is
+        estimated to need before ``stop``; ``None`` when fewer than
+        :data:`MIN_BATCH` remain.
         """
         run = self._kept
+        memory = self.memory
         if run is not None:
             j = cursor - run.start
             idx = run.idx
             if (
-                run.wraps == self._wraps
+                run.epoch == memory.epoch
+                and run.wraps == self._wraps
                 and 0 <= j < idx.shape[0]
-                and run.start + idx.shape[0] <= stop
-                and run.tops[j] == self.cycles
-                and rel_pos == (int(idx[j - 1]) + 1 if j else run.rel_start)
+                and run.start + idx.shape[0] <= cap
             ):
+                at = int(idx[j - 1]) + 1 if j > run.origin else run.rel_origin
+                if rel_pos != at or run.tops[j] != self.cycles:
+                    run.tops[j:] = self._loop_tops(rel_pos, idx[j:], run.extras[j:])
+                    run.origin = j
+                    run.rel_origin = rel_pos
                 return run
         self._kept = None
-        n = min(stop, cursor + KEPT_RUN_EVENTS) - cursor
+        limit = cap
+        if self._settle_each_call:
+            want = cursor + int(0.9 * (until_cycle - self.cycles) / self._est_cost)
+            limit = min(stop, want)
+        n = min(limit, cursor + KEPT_RUN_EVENTS) - cursor
         if n < MIN_BATCH:
             return None
         stream = self.stream
         stalls = stream.stall_cycles
         idx = stream.event_positions[cursor : cursor + n]
+        addrs = stream.addresses[idx]
         if stalls is None:
             mem_before = None
-            levels, latencies = self.memory.resolve_levels(n)
+            levels, latencies = memory.resolve_levels(n, addrs)
             extras = latencies * self._inv_mlp
         else:
-            mem_mask = stream.addresses[idx] >= 0
+            mem_mask = addrs >= 0
             mem_before = np.concatenate(([0], np.cumsum(mem_mask)))
-            levels, latencies = self.memory.resolve_levels(int(mem_before[-1]))
+            levels, latencies = memory.resolve_levels(
+                int(mem_before[-1]), addrs[mem_mask]
+            )
             extras = np.zeros(n, dtype=np.float64)
             extras[mem_mask] = latencies * self._inv_mlp
             extras = extras + stalls[idx]
-        # Contiguous, so every later searchsorted reads it in place.
-        tops = np.ascontiguousarray(self._loop_tops(rel_pos, idx, extras, None))
+        # Contiguous, so every later searchsorted reads it in place. The
+        # epoch is read after the resolve, which may have settled.
+        tops = np.ascontiguousarray(self._loop_tops(rel_pos, idx, extras))
         self._kept = run = _KeptRun(
-            self._wraps, cursor, rel_pos, idx, tops, levels, mem_before
+            self._wraps, memory.epoch, cursor, 0, rel_pos,
+            idx, extras, tops, levels, mem_before,
         )
         return run
 
     def _commit_kept(
-        self, run: _KeptRun, cursor: int, rel_pos: int, until_cycle: float
+        self,
+        run: _KeptRun,
+        cursor: int,
+        rel_pos: int,
+        until_cycle: float,
+        stop: int,
     ) -> None:
-        """Execute a kept run from ``cursor`` until the budget or its end."""
+        """Execute a kept run from ``cursor`` until the budget, ``stop`` or its end."""
         tops = run.tops
         n = int(run.idx.shape[0])
         j = cursor - run.start
         # First event whose loop-top check would fail the budget; every
         # loop top up to j is at most the core's cycles, below it.
         k = int(tops.searchsorted(until_cycle, side="left"))
-        if k > n:
-            k = n
+        limit = min(n, stop - run.start)
+        if k > limit:
+            k = limit
         if run.mem_before is None:
             first, past = j, k
         else:
@@ -667,6 +627,11 @@ class Core:
         self.public_retired += int(cum_public[last + 1] - cum_public[rel_pos])
         self._rel_pos = last + 1
         self._mem_cursor = run.start + k
+        if self._settle_each_call:
+            # Refresh the run-sizing estimate (perf only, never results).
+            self._est_cost = 0.5 * (
+                self._est_cost + (float(tops[k]) - float(tops[j])) / (k - j)
+            )
         if k == n:
             self._kept = None
         self._check_boundaries()

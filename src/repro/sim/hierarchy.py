@@ -23,18 +23,20 @@ Two paths resolve accesses. :meth:`DomainMemory.access` without traces
 resolves one access against the live L1 and feeds the monitor through
 the live L1 or the shadow filter (the reference kernel's path, and the
 path of jittered cores and way-partitioned LLCs). The batched kernel
-instead pairs :meth:`DomainMemory.resolve_block` with
-:meth:`DomainMemory.commit_block`: a run is resolved *speculatively* —
-the LLC advanced, monitor and service counters deferred — so the kernel
-can learn every access's actual latency first, compute exactly where
-the reference scalar loop would have stopped (a cycle budget,
-typically), and then commit only that prefix, rolling the LLC back over
-the unexecuted tail via lazily journaled set snapshots. A memory whose
-LLC partition is private and never resized walks no LLC at all: an
-:class:`LLCServiceTrace` fixes every access's service level by stream
-position (:meth:`DomainMemory.resolve_levels` /
-:meth:`DomainMemory.commit_levels`), so resolving ahead costs nothing
-to undo.
+instead resolves a run of accesses ahead with
+:meth:`DomainMemory.resolve_levels` and commits it slice by slice, as
+the accesses actually execute, with :meth:`DomainMemory.commit_levels`.
+A resolve over a live LLC view walks it ahead through lazily journaled
+set snapshots; :meth:`DomainMemory.settle` later rolls the uncommitted
+tail back and re-walks the committed prefix's misses, so the LLC ends
+exactly as if only the committed accesses had happened. A private
+partition settles only when it must: before its LLC resizes it, before
+the next resolve and before a scalar access. A shared view settles at
+the end of every ``Core.run`` call, since other domains touch its sets
+in between. A memory whose LLC partition is private and never resized
+walks no LLC at all: an :class:`LLCServiceTrace` fixes every access's
+service level by stream position, so resolving ahead costs nothing to
+undo.
 
 The batched path reads its L1 decisions from an :class:`L1ServiceTrace`
 and its monitor input from a :class:`MonitorTrace`, both indexed by the
@@ -183,9 +185,9 @@ class L1ServiceTrace(_PassTrace):
     the address sequence alone (see the module docstring's feedback
     argument). That makes the pattern *shareable* — every cell that
     simulates the same stream (all partition sizes of one benchmark,
-    every scheme of one mix), and every speculative replay within one
-    cell, can be served from a single walk of the L1 instead of each
-    re-walking it with journaling and rollback.
+    every scheme of one mix), and every re-walk within one cell, can be
+    served from a single walk of the L1 instead of each re-walking it
+    with journaling and rollback.
 
     The trace walks whole passes of the stream's memory-access sequence
     through :meth:`~repro.sim.cache.SetAssociativeCache.access_run` on a
@@ -515,12 +517,17 @@ class DomainMemory:
         "_llc_latency",
         "_dram_latency",
         "_level_latency",
+        "_latency_table",
         "_config",
         "level_counts",
         "_l1_trace",
         "_l1_trace_pos",
         "_monitor_trace",
         "_llc_trace",
+        "_walk",
+        "epoch",
+        "llc_walked",
+        "llc_settles",
         "phases",
     )
 
@@ -551,12 +558,23 @@ class DomainMemory:
         self._level_latency = (
             0, config.l1_latency, config.llc_latency, config.dram_latency
         )
+        self._latency_table = np.array(self._level_latency, dtype=np.int64)
         self._config = config
         self.level_counts = {level: 0 for level in MemoryLevel}
         self._l1_trace: L1ServiceTrace | None = None
         self._l1_trace_pos = 0
         self._monitor_trace: MonitorTrace | None = None
         self._llc_trace: LLCServiceTrace | None = None
+        # The outstanding LLC walk of the last resolve:
+        # (start position, addresses, L1-miss mask, journal snapshot).
+        self._walk: tuple | None = None
+        #: Bumped by every settle that rolls a walked-ahead tail back:
+        #: levels resolved under an older epoch are stale.
+        self.epoch = 0
+        #: LLC accesses walked (resolve walks, settle re-walks, scalar
+        #: accesses) and settles that rolled a tail back.
+        self.llc_walked = 0
+        self.llc_settles = 0
         #: Phase-time accumulator while a traced ``sim.run`` is active
         #: (:class:`repro.sim.stats.KernelPhases`); ``None`` times nothing.
         self.phases = None
@@ -577,18 +595,17 @@ class DomainMemory:
         return self._llc_trace
 
     @property
+    def private_llc(self) -> bool:
+        """Whether only this domain touches its LLC view's state.
+
+        Read from the view (:attr:`~repro.sim.partition.LLCView.private`).
+        """
+        return bool(getattr(self.llc_view, "private", False))
+
+    @property
     def fixed_llc_geometry(self) -> tuple[int, int] | None:
         """``(sets, ways)`` of a private, never-resized LLC view, else ``None``."""
         return getattr(self.llc_view, "fixed_geometry", None)
-
-    @property
-    def latencies_fixed(self) -> bool:
-        """Whether every access's latency is fixed by its stream position.
-
-        True once an LLC service trace is installed: resolving ahead
-        (:meth:`resolve_levels`) then changes no state at all.
-        """
-        return self._llc_trace is not None
 
     def install_l1_trace(self, trace: L1ServiceTrace, stream) -> None:
         """Serve L1 decisions from a (possibly shared) service trace of ``stream``.
@@ -597,17 +614,17 @@ class DomainMemory:
         slice the trace at this domain's committed stream position and
         only the L1-missing subsequence pays a per-access LLC walk. The
         caller must install the trace *before* the first access (a
-        later install replaces an unused one), the trace must cover
-        exactly this domain's memory-access sequence in order, and
-        resolves must alternate strictly with commits (the batched
-        kernel's discipline) — the trace position advances only at
-        commit, which is what makes speculative rollback free on the L1
-        side. ``l1.stats`` keeps hit/miss counts for served accesses;
-        eviction counts are not modeled on the traced path (no consumer
-        reads them). A monitored memory also needs a monitor trace
-        (:meth:`install_monitor_trace`). Over a fixed LLC partition
-        (:attr:`fixed_llc_geometry`) this also installs a fresh
-        :class:`LLCServiceTrace` of ``stream`` that reads ``trace``.
+        later install replaces an unused one), and the trace must cover
+        exactly this domain's memory-access sequence in order. The
+        trace position advances only at commit, which is what makes
+        walking ahead free on the L1 side. ``l1.stats`` keeps hit/miss
+        counts for served accesses; eviction counts are not modeled on
+        the traced path (no consumer reads them). A monitored memory
+        also needs a monitor trace (:meth:`install_monitor_trace`).
+        Over a fixed LLC partition (:attr:`fixed_llc_geometry`) this
+        also installs a fresh :class:`LLCServiceTrace` of ``stream``
+        that reads ``trace``; over any other private view the memory
+        binds itself as the partition's settle owner (:meth:`settle`).
         """
         if trace.geometry != (self.l1.num_sets, self.l1.associativity):
             raise ValueError(
@@ -616,6 +633,8 @@ class DomainMemory:
             )
         self._l1_trace = trace
         self._l1_trace_pos = 0
+        if self.private_llc:
+            self.llc_view.bind_settle(self)
         geometry = self.fixed_llc_geometry
         if geometry is not None:
             self.install_llc_trace(
@@ -698,14 +717,17 @@ class DomainMemory:
         accesses the monitor sees. With traces installed the L1 decision
         and the monitor code are the traces' next position (the batched
         kernel's scalar mop-up; the annotation is already in the monitor
-        trace); without them the live L1 and the shadow filter are
-        walked.
+        trace), and an outstanding walk is settled first; without them
+        the live L1 and the shadow filter are walked.
         """
         trace = self._l1_trace
         if trace is None:
             return self._access_untraced(line_addr, metric_excluded)
         if self._llc_trace is not None:
             return self._access_fixed()
+        if self._walk is not None:
+            self.settle()
+            self._walk = None
         phases = self.phases
         if phases is not None:
             t0 = perf_counter()
@@ -768,6 +790,7 @@ class DomainMemory:
         return self._llc_access(line_addr)
 
     def _llc_access(self, line_addr: int) -> int:
+        self.llc_walked += 1
         if self.llc_view.access(line_addr):
             self.level_counts[MemoryLevel.LLC] += 1
             return self._llc_latency
@@ -791,7 +814,7 @@ class DomainMemory:
 
     @property
     def supports_speculation(self) -> bool:
-        """Whether the LLC view can snapshot/restore for speculative runs."""
+        """Whether the LLC view can snapshot/restore, so it can be walked ahead."""
         return bool(getattr(self.llc_view, "supports_speculation", False))
 
     @property
@@ -799,66 +822,76 @@ class DomainMemory:
         """Upper bound on any single access's latency (a DRAM miss)."""
         return self._dram_latency
 
-    def resolve_block(
-        self, addrs: np.ndarray, speculative: bool = True
-    ) -> tuple[np.ndarray, tuple]:
-        """Speculatively resolve a run's latencies; the LLC advances, nothing else.
+    def resolve_levels(
+        self, n: int, addrs: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Service levels and latencies of the next ``n`` uncommitted accesses.
 
-        L1 decisions are a slice of the installed trace at this
-        domain's committed position — no dict walk, no journal, and
-        rollback is free (the position only advances at commit). Only
-        the L1-missing subsequence walks the LLC, through one lazily
-        journaled loop over the view's raw packed-recency dicts
-        (:meth:`_llc_walk`). The returned int64 latencies are the
-        *actual* per-access values; the monitor and the service
-        counters are untouched until :meth:`commit_block` applies them
-        for the prefix that really executed. With ``speculative=True``
-        the touched LLC sets are journaled so a partial commit can roll
-        the tail back. A memory with an LLC service trace resolves
-        through :meth:`resolve_levels` instead.
+        With an LLC service trace installed the levels are read from it
+        at the committed position and nothing changes (``addrs`` is not
+        needed). Otherwise ``addrs`` holds those accesses' line
+        addresses: the outstanding walk is settled, the L1 decisions are
+        a slice of the L1 trace, and the L1-missing subsequence walks
+        the live LLC view ahead through one lazily journaled loop
+        (:meth:`_llc_walk`). Either way a caller may resolve far ahead
+        and commit the levels slice by slice (:meth:`commit_levels`) as
+        its accesses actually execute; :meth:`settle` rolls back
+        whatever of a walk the commits did not cover.
         """
+        llc_trace = self._llc_trace
+        if llc_trace is None:
+            if self._walk is not None:
+                self.settle()
+            levels = self._walk_ahead(n, addrs)
+        else:
+            phases = self.phases
+            if phases is not None:
+                t0 = perf_counter()
+            pos = self._l1_trace_pos
+            levels = llc_trace.levels(pos, pos + n)
+            if phases is not None:
+                phases.llc_walk_s += perf_counter() - t0
+        return levels, self._latency_table[levels]
+
+    def _walk_ahead(self, n: int, addrs: np.ndarray | None) -> np.ndarray:
+        """Levels of the next ``n`` accesses, walking the live LLC ahead."""
         trace = self._l1_trace
         if trace is None:
             raise SimulationError(
-                "resolve_block needs an installed L1 service trace "
+                "resolve_levels needs an installed L1 service trace "
                 "(see install_l1_trace)"
             )
         if self.monitor is not None and self._monitor_trace is None:
             raise SimulationError(
-                "resolve_block with a monitor needs an installed monitor "
+                "resolve_levels with a monitor needs an installed monitor "
                 "trace (see install_monitor_trace)"
             )
-        if self._llc_trace is not None:
-            raise SimulationError(
-                "a memory with an LLC service trace resolves through "
-                "resolve_levels"
+        if addrs is None or int(addrs.shape[0]) != n:
+            raise ValueError(
+                "walking a live LLC view needs the n accesses' addresses"
             )
         phases = self.phases
         if phases is not None:
             t0 = perf_counter()
-        n = int(addrs.shape[0])
         pos = self._l1_trace_pos
         miss_mask = ~trace.hits(pos, pos + n)
         miss_addrs = addrs[miss_mask]
-        latencies = np.full(n, self._l1_latency, dtype=np.int64)
+        # Level codes: L1 (1) on an L1 hit, LLC (2) or DRAM (3) on a miss.
+        levels = miss_mask.astype(np.uint8) + np.uint8(1)
         if phases is not None:
             t1 = perf_counter()
             phases.l1_read_s += t1 - t0
+        snapshot = None
         if miss_addrs.shape[0]:
-            llc_snapshot, llc_hits = self._llc_walk(miss_addrs, speculative)
-            latencies[miss_mask] = np.where(
-                llc_hits, self._llc_latency, self._dram_latency
-            )
-        else:
-            llc_snapshot = None
-            llc_hits = miss_addrs.astype(bool)
+            snapshot, llc_hits = self._llc_walk(miss_addrs, True)
+            levels[miss_mask] += ~llc_hits
+        self._walk = (pos, addrs, miss_mask, snapshot)
         if phases is not None:
             phases.llc_walk_s += perf_counter() - t1
-        token = (addrs, miss_mask, llc_hits, speculative, llc_snapshot)
-        return latencies, token
+        return levels
 
     def _llc_walk(
-        self, addrs: np.ndarray, speculative: bool
+        self, addrs: np.ndarray, journaled: bool
     ) -> tuple[tuple | None, np.ndarray]:
         """One-loop LLC walk over the view's raw packed-recency dicts.
 
@@ -868,10 +901,11 @@ class DomainMemory:
         touched instead of in an eager pre-pass. Returns the snapshot in
         the exact layout the view's ``restore_snapshot`` expects (a
         shared view carries its per-domain counters alongside the cache
-        snapshot), plus the per-access hit vector.
+        snapshot; ``None`` unless ``journaled``), plus the per-access
+        hit vector.
         """
         cache, offset, domain_stats = self.llc_view.kernel_binding()
-        if speculative:
+        if journaled:
             journal: dict | None = {}
             stats = cache.stats
             cache_snapshot = (
@@ -926,75 +960,66 @@ class DomainMemory:
         if domain_stats is not None:
             domain_stats.hits += hit
             domain_stats.misses += miss
+        self.llc_walked += hit + miss
         return snapshot, np.array(out, dtype=bool)
-
-    def resolve_levels(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Service levels and latencies of the next ``n`` uncommitted accesses.
-
-        Needs an installed LLC service trace. Reads the trace at the
-        committed position and changes nothing, so a caller may resolve
-        far ahead and commit the levels slice by slice
-        (:meth:`commit_levels`) as its accesses actually execute.
-        """
-        phases = self.phases
-        if phases is not None:
-            t0 = perf_counter()
-        pos = self._l1_trace_pos
-        levels = self._llc_trace.levels(pos, pos + n)
-        latencies = np.array(self._level_latency, dtype=np.int64)[levels]
-        if phases is not None:
-            phases.llc_walk_s += perf_counter() - t0
-        return levels, latencies
 
     def commit_levels(self, levels: np.ndarray) -> None:
         """Commit the next ``len(levels)`` accesses, resolved by :meth:`resolve_levels`.
 
         ``levels`` are those accesses' service levels, in order.
+        Advancing the committed position is the L1 commit; the service
+        counters follow, and a monitor is fed the slice's codes. The LLC
+        is not touched: a walk already left it as these accesses do.
         """
         count = int(levels.shape[0])
-        if count:
-            _, l1_hits, llc_hits, _ = np.bincount(levels, minlength=4).tolist()
-            self._commit_counts(count, count - l1_hits, llc_hits)
-
-    def commit_block(self, token: tuple, count: int) -> None:
-        """Commit the first ``count`` accesses of a resolved block.
-
-        Advancing the trace position by ``count`` *is* the L1 commit.
-        When ``count`` covers the whole block this then just applies the
-        deferred effects (service counters, monitor codes). A partial
-        commit first restores the LLC snapshot and re-walks the kept
-        prefix's misses for state (the walk is deterministic from the
-        restored state, so its hit pattern equals the original resolve's
-        prefix), so the final state is exactly as if only those accesses
-        had happened.
-        """
-        addrs, miss_mask, llc_hits, speculative, llc_snapshot = token
-        if count < int(addrs.shape[0]):
-            if not speculative:
-                raise ValueError("partial commit requires a speculative resolve")
-            miss_mask = miss_mask[:count]
-            kept_misses = int(np.count_nonzero(miss_mask))
-            if llc_snapshot is not None:
-                phases = self.phases
-                if phases is not None:
-                    t0 = perf_counter()
-                self.llc_view.restore_snapshot(llc_snapshot)
-                if kept_misses:
-                    self._llc_walk(addrs[:count][miss_mask], False)
-                if phases is not None:
-                    phases.llc_walk_s += perf_counter() - t0
-            llc_hits = llc_hits[:kept_misses]
-            addrs = addrs[:count]
         if not count:
             return
         pos = self._l1_trace_pos
-        self._commit_counts(
-            count,
-            int(np.count_nonzero(miss_mask)),
-            int(np.count_nonzero(llc_hits)),
-        )
+        _, l1_hits, llc_hits, _ = np.bincount(levels, minlength=4).tolist()
+        self._commit_counts(count, count - l1_hits, llc_hits)
         if self.monitor is not None:
-            self._feed_monitor(addrs, pos, count)
+            self._feed_monitor(pos, count)
+
+    def settle(self, timed: bool = True) -> None:
+        """Roll back the part of the outstanding walk no commit covered.
+
+        Restores the walk's journal and re-walks the committed prefix's
+        misses (deterministic from the restored state, so they hit and
+        miss as they did), leaving the LLC exactly as if only the
+        committed accesses had happened, and bumps :attr:`epoch`: levels
+        resolved past the committed position are stale. A tail that
+        walked no LLC access needs no rollback and bumps nothing: the
+        walk stays outstanding, since the levels resolved past the
+        committed position are L1 hits whatever the LLC holds.
+
+        Runs before the next resolve, before a scalar access, before
+        the LLC really resizes a private partition (its settle owner,
+        see :meth:`~repro.sim.partition.PartitionedLLC.bind_settle`), at
+        the end of each ``Core.run`` call over a shared view, and when a
+        system run ends. ``timed=False`` books no phase time: a settle
+        inside a scheme hook is already timed as scheme time.
+        """
+        walk = self._walk
+        if walk is None:
+            return
+        start, addrs, miss_mask, snapshot = walk
+        done = self._l1_trace_pos - start
+        if snapshot is None or not miss_mask[done:].any():
+            # Nothing walked past the committed position: the LLC is
+            # exact, and the walk stays readable for later commits.
+            return
+        self._walk = None
+        phases = self.phases if timed else None
+        if phases is not None:
+            t0 = perf_counter()
+        self.llc_view.restore_snapshot(snapshot)
+        kept = miss_mask[:done]
+        if kept.any():
+            self._llc_walk(addrs[:done][kept], False)
+        self.epoch += 1
+        self.llc_settles += 1
+        if phases is not None:
+            phases.llc_walk_s += perf_counter() - t0
 
     def _commit_counts(self, count: int, num_misses: int, num_llc: int) -> None:
         """Commit the next ``count`` accesses' position and service counters.
@@ -1010,12 +1035,12 @@ class DomainMemory:
         stats.hits += count - num_misses
         stats.misses += num_misses
 
-    def _feed_monitor(self, addrs: np.ndarray, pos: int, count: int) -> None:
-        """Offer a committed prefix's monitor codes to the monitor.
+    def _feed_monitor(self, pos: int, count: int) -> None:
+        """Offer the monitor the codes of ``count`` accesses committed at ``pos``.
 
-        ``addrs`` covers exactly the committed prefix, which starts at
-        trace position ``pos``. Code-consuming monitors replay the codes;
-        any other sink observes the addresses the trace marks as fed.
+        Code-consuming monitors replay the codes; any other sink
+        observes the addresses the trace marks as fed, read from the
+        outstanding walk.
         """
         phases = self.phases
         if phases is not None:
@@ -1026,8 +1051,10 @@ class DomainMemory:
         if observe_codes is not None:
             observe_codes(codes)
         else:
+            start, addrs = self._walk[:2]
+            first = pos - start
             observe = monitor.observe
-            for line_addr in addrs[codes != UNFED].tolist():
+            for line_addr in addrs[first : first + count][codes != UNFED].tolist():
                 observe(line_addr)
         if phases is not None:
             phases.monitor_feed_s += perf_counter() - t0

@@ -3,10 +3,11 @@
 The simulator has two equivalent inner kernels:
 
 * ``batched`` — the production path: packed-recency caches
-  (:class:`repro.sim.cache.SetAssociativeCache`), speculative block
-  resolution of memory-access runs through
-  :meth:`repro.sim.hierarchy.DomainMemory.resolve_block` with L1
-  decisions from an :class:`repro.sim.hierarchy.L1ServiceTrace`, and
+  (:class:`repro.sim.cache.SetAssociativeCache`), memory-access runs
+  resolved ahead through
+  :meth:`repro.sim.hierarchy.DomainMemory.resolve_levels` with L1
+  decisions from an :class:`repro.sim.hierarchy.L1ServiceTrace`, kept
+  across quantum and progress stops and committed slice by slice, and
   vectorized stall accounting in :class:`repro.sim.cpu.Core`.
 * ``reference`` — the original per-access kernel: list-based caches
   (:class:`repro.sim.cache.ReferenceSetAssociativeCache`) and the

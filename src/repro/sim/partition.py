@@ -8,6 +8,13 @@ that is how :class:`PartitionedLLC` models it. Resizing a domain re-hashes
 its lines into the new set count (surviving lines keep their data, as in
 a real set-repartitioning where some sets are reassigned).
 
+Only :meth:`PartitionedLLC.resize` changes a partition from outside its
+own domain, so a batched memory may walk its private partition ahead of
+the accesses it has committed. The memory binds itself as the
+partition's *settle owner* (:meth:`PartitionView.bind_settle`), and a
+real resize first has it settle — roll the walked-ahead tail back —
+before the sets are re-hashed.
+
 :class:`SharedLLC` is the insecure baseline: one cache shared by all
 domains, with per-domain statistics, where workloads conflict.
 """
@@ -54,6 +61,12 @@ class LLCView:
     #: with :meth:`access_run`; the batched CPU kernel simply falls back
     #: to the reference loop for cores attached to them.
     supports_speculation = False
+
+    #: Whether only this view's domain touches the state behind it. A
+    #: private view changes from outside only through a resize its LLC
+    #: announces to the bound settle owner; any other view may change
+    #: between two of its domain's ``Core.run`` calls.
+    private = False
 
     #: ``(sets, ways)`` of a private partition that can never be resized
     #: (its hits are then a pure function of the domain's own accesses,
@@ -137,6 +150,7 @@ class PartitionedLLC:
             make_cache(sets_for_lines(initial_lines, associativity), associativity)
             for _ in range(num_domains)
         ]
+        self._settle_owners: list = [None] * num_domains
         self.resizes: list[ResizeOutcome] = []
 
     # ------------------------------------------------------------------
@@ -176,6 +190,21 @@ class PartitionedLLC:
             raise ConfigurationError(f"domain {domain} out of range")
         return PartitionView(self, domain)
 
+    def bind_settle(self, domain: int, owner) -> None:
+        """Make ``owner`` the memory that walks the domain's partition.
+
+        Before a real :meth:`resize` of that partition the LLC calls
+        ``owner.settle(timed=False)`` (see
+        :meth:`repro.sim.hierarchy.DomainMemory.settle`). One owner per
+        partition: binding it again is a no-op, binding another raises.
+        """
+        bound = self._settle_owners[domain]
+        if bound is not None and bound is not owner:
+            raise SimulationError(
+                f"domain {domain}'s partition already has a settle owner"
+            )
+        self._settle_owners[domain] = owner
+
     def access(self, domain: int, line_addr: int) -> bool:
         """Access a line within the domain's partition."""
         return self._caches[domain].access(line_addr)
@@ -203,6 +232,11 @@ class PartitionedLLC:
                 f"resizing domain {domain} to {new_lines} lines would exceed "
                 f"the {self.total_lines}-line LLC ({others} allocated elsewhere)"
             )
+        owner = self._settle_owners[domain]
+        if owner is not None:
+            # Called from a scheme hook, whose time the system books as
+            # scheme time: the settle is not timed a second time.
+            owner.settle(timed=False)
         lost = self._caches[domain].resize_sets(
             sets_for_lines(new_lines, self.associativity)
         )
@@ -218,6 +252,7 @@ class PartitionView(LLCView):
     __slots__ = ("_llc", "_domain")
 
     supports_speculation = True
+    private = True
 
     def __init__(self, llc: PartitionedLLC, domain: int):
         self._llc = llc
@@ -229,6 +264,13 @@ class PartitionView(LLCView):
     def access_run(self, addrs: np.ndarray) -> np.ndarray:
         return self._llc.access_run(self._domain, addrs)
 
+    def bind_settle(self, owner) -> None:
+        """Bind the memory that walks this partition.
+
+        See :meth:`PartitionedLLC.bind_settle`.
+        """
+        self._llc.bind_settle(self._domain, owner)
+
     def snapshot_for(self, addrs: np.ndarray) -> object:
         return self._llc._caches[self._domain].snapshot_for(addrs)
 
@@ -238,8 +280,8 @@ class PartitionView(LLCView):
     def kernel_binding(self) -> tuple:
         """(backing cache, address offset, per-domain stats or None).
 
-        Lets the fused hierarchy kernel loop walk the backing cache
-        directly; a partition view has no address tagging and no separate
+        Lets the hierarchy's LLC walk loop the backing cache directly;
+        a partition view has no address tagging and no separate
         per-domain counters (the cache's own stats are the domain's).
         """
         return self._llc._caches[self._domain], 0, None
@@ -355,7 +397,7 @@ class SharedView(LLCView):
     def kernel_binding(self) -> tuple:
         """(backing cache, address offset, per-domain stats).
 
-        The fused kernel loop adds the offset to every address (the
+        The hierarchy's LLC walk adds the offset to every address (the
         shared LLC's domain tagging) and bulk-updates the domain's
         hit/miss stats, mirroring :meth:`SharedLLC.access_run`.
         """

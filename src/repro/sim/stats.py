@@ -27,9 +27,10 @@ class KernelPhases:
 
     #: L1 service-trace reads (trace walks they trigger included).
     l1_read_s: float = 0.0
-    #: LLC walks: speculative resolves, rollback replays, scalar accesses;
-    #: for a fixed partition, LLC service-trace reads and the trace walks
-    #: (L1 trace walks included) they trigger.
+    #: LLC walks: walks ahead, settles (rollback and re-walk) outside
+    #: scheme hooks, scalar accesses; for a fixed partition, LLC
+    #: service-trace reads and the trace walks (L1 trace walks included)
+    #: they trigger.
     llc_walk_s: float = 0.0
     #: Monitor-trace reads and monitor bin accumulation.
     monitor_feed_s: float = 0.0

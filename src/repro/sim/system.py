@@ -183,7 +183,10 @@ class MultiDomainSystem:
         Resizing-action counts come from the trace logs the scheme
         appends to; monitor observation counters come from whatever
         UMON-style monitors the scheme built (schemes without monitors
-        — Static, Shared — report zeros).
+        — Static, Shared — report zeros). ``llc_walked`` counts the LLC
+        accesses the memories walked, re-walks included, and
+        ``llc_settles`` the settles that rolled a walked-ahead tail back
+        (:meth:`~repro.sim.hierarchy.DomainMemory.settle`).
         """
         monitors = [
             m for m in getattr(self.scheme, "monitors", []) or [] if m is not None
@@ -195,6 +198,8 @@ class MultiDomainSystem:
             "assessments": sum(s.assessments for s in self.stats),
             "monitor_observed": observed,
             "monitor_sampled": sampled,
+            "llc_walked": sum(m.llc_walked for m in self.memories),
+            "llc_settles": sum(m.llc_settles for m in self.memories),
         }
 
     def _trace_passes(self) -> tuple[int, int, int]:
@@ -284,13 +289,14 @@ class MultiDomainSystem:
         finished = self.all_finished
         # Phase sums stay in locals until the loop ends: updating an
         # attribute after each timed block would add untimed work.
-        core_s = scheme_s = t0 = 0.0
+        core_s = scheme_s = t0 = until = 0.0
         while now < max_cycles and not finished:
-            quantum_end = now + quantum
-            until = float(quantum_end)
+            now += quantum
+            # Equal to float(now): integers below 2**53 add exactly.
+            until += quantum
             finished = True
             for core in cores:
-                while core.cycles < quantum_end:
+                while core.cycles < until:
                     if phases is None:
                         target = scheme.progress_target(core.domain)
                         reason = core.run(until, target)
@@ -302,9 +308,10 @@ class MultiDomainSystem:
                         t2 = perf_counter()
                         scheme_s += t1 - t0
                         core_s += t2 - t1
-                        t0 = t2
                     if reason is not progress:
                         break
+                    if phases is not None:
+                        t0 = t2
                     scheme.on_progress(self, core.domain, core.now)
                     if scheme.progress_target(core.domain) == target:
                         raise SimulationError(
@@ -314,12 +321,13 @@ class MultiDomainSystem:
                     if phases is not None:
                         scheme_s += perf_counter() - t0
                 finished = finished and core.stats.finished
-            now = quantum_end
             quanta += 1
-            # Liveness evidence for the engine's worker heartbeats:
-            # a quantum is thousands of simulated accesses, so this
-            # is far off the hot path.
-            progress_beat()
+            # Liveness evidence for the engine's worker heartbeats,
+            # one unit per quantum, handed over every 16 quanta: a
+            # Static core may do little work per quantum, and a beat
+            # per quantum is then a visible share of the loop.
+            if not quanta & 15:
+                progress_beat(16)
             if phases is not None:
                 t0 = perf_counter()
             scheme.on_quantum(self, now)
@@ -328,8 +336,15 @@ class MultiDomainSystem:
                 next_sample = now + self.sample_interval
             if phases is not None:
                 scheme_s += perf_counter() - t0
+        # Leave every LLC exactly as the committed accesses left it.
         if phases is not None:
-            phases.core_s += core_s
+            t0 = perf_counter()
+        for memory in self.memories:
+            memory.settle(timed=False)
+        if phases is not None:
+            settle_s = perf_counter() - t0
+            phases.llc_walk_s += settle_s
+            phases.core_s += core_s + settle_s
             phases.scheme_s += scheme_s
         # ``finished`` is as of the last quantum's stops, so a run whose
         # last core retires during the final quantum at exactly

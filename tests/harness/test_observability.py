@@ -399,11 +399,47 @@ class TestSimulatorSpans:
         assert sum(phases) <= sim["dur"]
         assert attrs["phase_monitor_feed_s"] == 0
         assert attrs["monitor_trace_passes"] == 0
+        # Fixed partitions never walk or settle their live LLC.
+        assert attrs["llc_walked"] == attrs["llc_settles"] == 0
         # The LLC trace reads walked both streams' traces (the L1 walks
         # they trigger included) during this run.
         assert attrs["phase_llc_walk_s"] > 0
         assert attrs["llc_trace_passes"] > 0
         assert attrs["l1_trace_passes"] > 0
+
+    def test_llc_work_counters_bound_the_walk(self, monkeypatch, tmp_path):
+        """A Time cell walks each committed LLC access once, plus at most
+        one kept run's walk per settle: a settle rolls back a walk of at
+        most ``KEPT_RUN_EVENTS`` accesses and re-walks only its committed
+        part, which the count of committed accesses already holds."""
+        from repro.harness import experiment
+        from repro.harness.runconfig import TEST
+        from repro.sim.cpu import KEPT_RUN_EVENTS
+        from repro.sim.hierarchy import MemoryLevel
+
+        sink = tmp_path / "trace.jsonl"
+        monkeypatch.setenv(TRACE_ENV, str(sink))
+        system = experiment.build_mix_system(
+            [("gcc_2", "AES-128"), ("imagick_0", "SHA-256")], "time", TEST
+        )
+        system.run(max_cycles=TEST.max_cycles)
+        (sim,) = [
+            span
+            for span in map(json.loads, sink.read_text().splitlines())
+            if span["kind"] == "span" and span["name"] == "sim.run"
+        ]
+        walked = sim["attrs"]["llc_walked"]
+        settles = sim["attrs"]["llc_settles"]
+        memories = system.memories
+        assert walked == sum(memory.llc_walked for memory in memories)
+        assert settles == sum(memory.llc_settles for memory in memories)
+        committed = sum(
+            memory.level_counts[MemoryLevel.LLC]
+            + memory.level_counts[MemoryLevel.DRAM]
+            for memory in memories
+        )
+        assert settles > 0
+        assert committed <= walked <= committed + settles * KEPT_RUN_EVENTS
 
     def test_untraced_run_reads_no_clock(self, monkeypatch):
         """With tracing off the kernel takes no phase timestamps."""

@@ -99,20 +99,23 @@ class TestSharedTraces:
             ]
             assert all(value is None for value in walk_state)
 
-    def test_partial_commits_really_happen(self, empty_memo, monkeypatch):
+    def test_walked_ahead_tails_really_settle(self, empty_memo, monkeypatch):
         """The equivalence above must cover rollbacks, not dodge them:
-        an untangle cell commits partial blocks on its shared traces."""
-        partial = []
-        commit = DomainMemory.commit_block
+        time and untangle cells walk their partitions ahead on shared
+        traces and really settle walked-ahead tails back."""
+        settled: dict[str, int] = {}
+        settle = DomainMemory.settle
 
-        def counting_commit(self, token, count, *args, **kwargs):
-            if count < token[0].shape[0]:
-                partial.append(count)
-            return commit(self, token, count, *args, **kwargs)
+        def counting_settle(self, *args, **kwargs):
+            before = self.llc_settles
+            settle(self, *args, **kwargs)
+            if self.llc_settles > before:
+                settled[scheme] = settled.get(scheme, 0) + 1
 
-        monkeypatch.setattr(DomainMemory, "commit_block", counting_commit)
-        run_mix_scheme(list(PAIRS), "untangle", TEST)
-        assert partial
+        monkeypatch.setattr(DomainMemory, "settle", counting_settle)
+        for scheme in ("time", "untangle"):
+            run_mix_scheme(list(PAIRS), scheme, TEST)
+        assert settled.get("time") and settled.get("untangle"), settled
 
     def test_memo_cap_enforced_at_insert(self, empty_memo, monkeypatch):
         monkeypatch.setattr(experiment, "_L1_TRACE_MEMO_CAP", 1)

@@ -8,18 +8,25 @@ compares everything an experiment reports: total cycles, per-workload
 IPC, assessment counts, visible actions, leakage bits, and the
 partition-size quartiles (which pin the whole resizing trace).
 
-Static partitions are fixed, so a batched Static core resolves long
-runs once and keeps them across quantum stops; a second Static case
-drives that path through stall streams, pass wraps, measurement
-boundaries and a ``max_cycles`` cap at several quanta.
+A batched core resolves long runs once and keeps them across quantum
+and progress stops. Static partitions are fixed, so their runs never go
+stale; a second Static case drives that path through stall streams,
+pass wraps, measurement boundaries and a ``max_cycles`` cap at several
+quanta. Private resizable partitions walk their LLC ahead and settle
+the walked tail back when resized; a third case resizes them in the
+middle of kept runs, at quantum and progress stops, over the same
+streams, and also compares the LLC contents the run leaves behind.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
 from repro.harness.experiment import make_scheme, run_mix_scheme
 from repro.harness.runconfig import TEST
+from repro.schemes.base import BaseScheme
 from repro.schemes.static import StaticScheme
 from repro.sim.kernelmode import KERNEL_ENV
 from repro.sim.system import DomainSpec, MultiDomainSystem
@@ -65,6 +72,19 @@ STALL_PAIRS = (("gcc_2", "RSA-2048"), ("imagick_0", "ECDSA"))
 def _static_run(
     pairs, secret: int, quantum: int, max_cycles: int, scheme=None
 ) -> tuple:
+    return _system_run(pairs, secret, quantum, max_cycles, scheme)[0]
+
+
+def _system_run(
+    pairs, secret: int, quantum: int, max_cycles: int, scheme=None,
+    inexact=False,
+):
+    """One system run: its observables, and the system it left behind.
+
+    ``inexact`` sets a 3-wide issue and a memory-level parallelism of 3:
+    instruction and stall cycles are then no binary fractions, cycle sums
+    round, and the order in which the kernel adds them matters.
+    """
     domains = []
     for index, (spec, crypto) in enumerate(pairs):
         built = build_workload(
@@ -72,16 +92,22 @@ def _static_run(
             seed=TEST.seed + index, secret=secret,
         )
         assert (built.stream.stall_cycles is not None) == bool(secret)
-        domains.append(DomainSpec(f"{spec}+{crypto}", built.stream, built.core_config))
+        core_config = built.core_config
+        if inexact:
+            core_config = dataclasses.replace(core_config, mlp=3.0)
+        domains.append(DomainSpec(f"{spec}+{crypto}", built.stream, core_config))
+    arch = TEST.arch(len(domains))
+    if inexact:
+        arch = dataclasses.replace(arch, issue_width=3)
     system = MultiDomainSystem(
-        TEST.arch(len(domains)),
+        arch,
         domains,
         scheme or make_scheme("static", TEST, len(domains)),
         quantum=quantum,
         sample_interval=TEST.sample_interval,
     )
     result = system.run(max_cycles=max_cycles)
-    return (
+    observed = (
         result.total_cycles,
         result.completed,
         tuple(
@@ -100,6 +126,7 @@ def _static_run(
             )
         ),
     )
+    return observed, system
 
 
 @pytest.mark.parametrize(
@@ -163,6 +190,96 @@ def test_kept_runs_stop_at_checkpoints_armed_later(monkeypatch):
         )
     assert runs["batched"] == runs["reference"]
     assert len(runs["batched"][1]) > 10
+
+
+class _ResizingScheme(BaseScheme):
+    """Private resizable partitions, resized in the middle of kept runs.
+
+    Every domain stops each ``period`` public instructions, and every
+    other stop resizes its partition (the stops in between keep the
+    walked-ahead run, which resumes inside a gap); every third quantum
+    resizes one domain too. Sizes cycle through a fixed order within
+    the LLC's capacity, so both shrinks and expands land while a batched
+    core holds a walked-ahead run.
+    """
+
+    name = "resizing"
+    SIZES = (64, 1024, 16, 256, 512, 32, 768, 128, 384)
+
+    def __init__(self, arch, period: int = 409):
+        super().__init__(arch)
+        self._period = period
+        self._targets = [period] * arch.num_cores
+        self._next = [0] * arch.num_cores
+        self._quanta = 0
+
+    def build(self, system):
+        self._build_partitioned(system, None, True)
+
+    def _resize(self, domain):
+        self.llc.resize(domain, self.SIZES[self._next[domain] % len(self.SIZES)])
+        self._next[domain] += 1
+
+    def progress_target(self, domain):
+        return self._targets[domain]
+
+    def on_progress(self, system, domain, now):
+        if self._targets[domain] // self._period % 2:
+            self._resize(domain)
+        self._targets[domain] += self._period
+
+    def on_quantum(self, system, now):
+        self._quanta += 1
+        if self._quanta % 3 == 0:
+            self._resize(self._quanta // 3 % self.arch.num_cores)
+
+
+def _llc_contents(system) -> tuple:
+    """Each partition's resident lines in recency order, and its counters."""
+    llc = system.scheme.llc
+    return tuple(
+        (
+            cache.num_sets,
+            cache.resident_addresses(),
+            (cache.stats.hits, cache.stats.misses, cache.stats.evictions),
+        )
+        for cache in map(llc.cache_of, range(llc.num_domains))
+    )
+
+
+@pytest.mark.parametrize(
+    ("secret", "quantum", "max_cycles", "inexact"),
+    [
+        (0b1011_0110, 7, TEST.max_cycles, False),
+        (0b1011_0110, 125, TEST.max_cycles, False),
+        (0b1011_0110, 4000, TEST.max_cycles, False),
+        # Cuts the first domain's slice short (close_measurement_window).
+        (0b1011_0110, 125, 30_000, False),
+        # No stall events: the kept run indexes levels by event.
+        (0, 125, TEST.max_cycles, False),
+        # Rounding cycle sums: a kept run resumed after a progress stop
+        # inside a gap must re-sum its loop tops from the core's cycles.
+        (0b1011_0110, 125, TEST.max_cycles, True),
+        (0, 4000, TEST.max_cycles, True),
+    ],
+)
+def test_private_resizable_kept_runs_are_bit_identical(
+    secret, quantum, max_cycles, inexact, monkeypatch
+):
+    runs = {}
+    for mode in ("reference", "batched"):
+        monkeypatch.setenv(KERNEL_ENV, mode)
+        scheme = _ResizingScheme(TEST.arch(len(STALL_PAIRS)))
+        observed, system = _system_run(
+            STALL_PAIRS, secret, quantum, max_cycles, scheme, inexact
+        )
+        runs[mode] = (observed, _llc_contents(system), scheme.llc.resizes)
+        settles = sum(memory.llc_settles for memory in system.memories)
+    assert runs["batched"] == runs["reference"]
+    assert runs["batched"][0][1] == (max_cycles == TEST.max_cycles)
+    # Real resizes landed mid-run and really rolled walked tails back.
+    assert len(runs["batched"][2]) > 10
+    assert settles > 0
 
 
 def test_unknown_kernel_mode_is_rejected(monkeypatch):

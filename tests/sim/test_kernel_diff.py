@@ -2,12 +2,13 @@
 
 The packed-recency :class:`~repro.sim.cache.SetAssociativeCache` and the
 batched hierarchy path (traced :meth:`~repro.sim.hierarchy.DomainMemory.
-resolve_block` / :meth:`~repro.sim.hierarchy.DomainMemory.commit_block`)
-claim *bit-identical* behavior to the retained list-based reference
-kernel. The cache tests drive both implementations through randomized
-operation sequences — accesses and access runs interleaved with
-``resize_sets``, ``invalidate``, ``probe`` and snapshot/restore
-round-trips — and compare every observable after every step: hit/miss
+resolve_levels` / :meth:`~repro.sim.hierarchy.DomainMemory.commit_levels`
+/ :meth:`~repro.sim.hierarchy.DomainMemory.settle`) claim *bit-identical*
+behavior to the retained list-based reference kernel. The cache tests
+drive both implementations through randomized operation sequences —
+accesses and access runs interleaved with ``resize_sets``,
+``invalidate``, ``probe`` and snapshot/restore round-trips — and
+compare every observable after every step: hit/miss
 results, hit/miss/eviction/invalidation counters, resident counts, and
 the full resident set in recency order. The hierarchy tests compare
 traced resolves against scalar ``access()`` calls on a reference-kernel
@@ -173,9 +174,9 @@ def _build_memory(
 
 
 def _access_block(memory: DomainMemory, addrs: np.ndarray) -> np.ndarray:
-    """Resolve and commit a whole run in one non-speculative call."""
-    latencies, token = memory.resolve_block(addrs, speculative=False)
-    memory.commit_block(token, int(addrs.shape[0]))
+    """Resolve and commit a whole run."""
+    levels, latencies = memory.resolve_levels(int(addrs.shape[0]), addrs)
+    memory.commit_levels(levels)
     return latencies
 
 
@@ -199,12 +200,14 @@ def _memory_state(memory, llc) -> tuple:
 def test_partial_commit_matches_scalar_prefix(
     tiny_arch, monkeypatch, organization, seed
 ):
-    """resolve_block + commit_block(k) == k scalar accesses, exactly.
+    """resolve_levels + commits of k accesses + settle == k scalar accesses.
 
-    Random runs with random commit prefixes (including 0 and full), with
-    secret annotations, interleaved with partition resizes — the batched
-    CPU kernel's whole contract against the hierarchy, checked directly.
-    Each run continues the trace's stream where the last commit stopped.
+    Random runs with random commit prefixes (including 0 and full),
+    committed in one or two slices, with secret annotations, interleaved
+    with partition resizes (which settle the walk themselves) — the
+    batched CPU kernel's whole contract against the hierarchy, checked
+    directly. Each run continues the trace's stream where the last
+    commit stopped.
     """
     rng = np.random.default_rng(seed)
     stream = rng.integers(0, 200, size=300).astype(np.int64)
@@ -231,30 +234,37 @@ def test_partial_commit_matches_scalar_prefix(
         excluded = secret[window]
         k = int(rng.integers(0, n + 1))
 
-        latencies, token = batched.resolve_block(addrs, speculative=True)
+        levels, latencies = batched.resolve_levels(n, addrs)
         assert latencies.shape == (n,)
-        batched.commit_block(token, k)
+        split = int(rng.integers(0, k + 1))
+        batched.commit_levels(levels[:split])
+        batched.commit_levels(levels[split:k])
+        resize = organization == "partitioned" and step % 7 == 3
+        if not resize:
+            batched.settle()
         pos += k
 
         scalar_latencies = [
             scalar.access(int(addrs[i]), bool(excluded[i])) for i in range(k)
         ]
         assert latencies[:k].tolist() == scalar_latencies
-
-        assert _memory_state(batched, batched_llc) == _memory_state(
-            scalar, scalar_llc
-        )
         assert batched_monitor.observed == scalar_monitor.observed
 
-        if organization == "partitioned" and step % 7 == 3:
-            new_lines = int(rng.choice(sizes))
+        if resize:
+            # A real resize: it must settle the walk before re-hashing.
+            new_lines = int(
+                rng.choice([x for x in sizes if x != batched_llc.size_of(0)])
+            )
             outcome_b = batched_llc.resize(0, new_lines)
             outcome_s = scalar_llc.resize(0, new_lines)
             assert outcome_b == outcome_s
+        assert _memory_state(batched, batched_llc) == _memory_state(
+            scalar, scalar_llc
+        )
 
 
 def test_access_block_matches_scalar_loop(tiny_arch, monkeypatch):
-    """The non-speculative one-shot path, annotations included."""
+    """A whole run resolved and committed at once, annotations included."""
     rng = np.random.default_rng(7)
     addrs = rng.integers(0, 150, size=500).astype(np.int64)
     excluded = rng.random(500) < 0.25
@@ -275,7 +285,7 @@ def test_access_block_matches_scalar_loop(tiny_arch, monkeypatch):
 
 
 def test_commit_zero_leaves_no_trace(tiny_arch, monkeypatch):
-    """A fully rolled-back block is invisible (the mop-up boundary case)."""
+    """A fully rolled-back walk is invisible (the mop-up boundary case)."""
     stream = np.concatenate(
         [np.arange(0, 32), [100, 101, 0]]
     ).astype(np.int64)
@@ -284,6 +294,9 @@ def test_commit_zero_leaves_no_trace(tiny_arch, monkeypatch):
     )
     _access_block(batched, stream[:32])
     before = _memory_state(batched, batched_llc)
-    _, token = batched.resolve_block(stream[32:])
-    batched.commit_block(token, 0)
+    epoch = batched.epoch
+    batched.resolve_levels(3, stream[32:])
+    assert _memory_state(batched, batched_llc) != before  # walked ahead
+    batched.settle()
     assert _memory_state(batched, batched_llc) == before
+    assert (batched.epoch, batched.llc_settles) == (epoch + 1, 1)

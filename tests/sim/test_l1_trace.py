@@ -168,12 +168,12 @@ class TestInstall:
         memory, _ = _make_memory(tiny_arch)
         assert memory.l1_trace is None
         with pytest.raises(SimulationError, match="trace"):
-            memory.resolve_block(stream_addrs[:16])
+            memory.resolve_levels(16, stream_addrs[:16])
         # A monitored memory needs its monitor trace too.
         stream = InstructionStream(stream_addrs)
         memory.install_l1_trace(L1ServiceTrace(stream, tiny_arch), stream)
         with pytest.raises(SimulationError, match="monitor trace"):
-            memory.resolve_block(stream_addrs[:16])
+            memory.resolve_levels(16, stream_addrs[:16])
         with pytest.raises(SimulationError, match="monitor trace"):
             memory.access(int(stream_addrs[0]))
 
@@ -209,7 +209,7 @@ class RecordingMonitor:
 
 
 class TestTracedDifferential:
-    """Traced resolve/commit against scalar ``access()`` on an untraced twin."""
+    """Traced resolve/commit/settle against scalar ``access()`` on an untraced twin."""
 
     def _drive(self, tiny_arch, stream_addrs, commit_plan, organization):
         stream = _annotated(stream_addrs)
@@ -222,8 +222,9 @@ class TestTracedDifferential:
         for block_len, count in commit_plan:
             block = _cyclic(stream_addrs, pos, block_len)
             flags = _cyclic(excluded, pos, count)
-            latencies, token = traced.resolve_block(block)
-            traced.commit_block(token, count)
+            levels, latencies = traced.resolve_levels(block_len, block)
+            traced.commit_levels(levels[:count])
+            traced.settle()
             expected = [
                 scalar.access(int(block[i]), bool(flags[i]))
                 for i in range(count)

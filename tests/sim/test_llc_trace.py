@@ -135,7 +135,7 @@ class TestFixedPartition:
             DomainMemory(tiny_arch, resizable.view(0)).install_llc_trace(trace)
         memory = _fixed_memory(tiny_arch)
         memory.install_llc_trace(trace)
-        assert memory.latencies_fixed
+        assert memory.llc_trace is trace
 
     def test_batched_core_installs_an_llc_trace_only_when_fixed(
         self, tiny_arch, stream_addrs
@@ -160,7 +160,6 @@ class TestFixedResolve:
         l1_trace = L1ServiceTrace(stream, tiny_arch)
         memory = _fixed_memory(tiny_arch)
         memory.install_l1_trace(l1_trace, stream)
-        assert memory.latencies_fixed
         assert memory.llc_trace.geometry == GEOMETRY
         assert memory.llc_trace._l1 is l1_trace
         resizable = PartitionedLLC(tiny_arch.llc_lines, 4, tiny_arch.num_cores, 16)
@@ -194,15 +193,9 @@ class TestFixedResolve:
         # Nothing walked the live partition.
         assert traced.llc_view._llc.stats_of(0).accesses == 0
 
-    def test_speculative_resolves_and_monitors_are_rejected(
-        self, tiny_arch, stream_addrs
-    ):
+    def test_monitored_memories_are_rejected(self, tiny_arch, stream_addrs):
         stream = InstructionStream(stream_addrs)
         l1_trace = L1ServiceTrace(stream, tiny_arch)
-        memory = _fixed_memory(tiny_arch)
-        memory.install_l1_trace(l1_trace, stream)
-        with pytest.raises(SimulationError, match="resolve_levels"):
-            memory.resolve_block(stream_addrs[:16])
 
         class Sink:
             def observe(self, line_addr: int) -> None:
@@ -241,5 +234,5 @@ def test_static_batched_run_never_walks_or_restores_the_llc(monkeypatch):
     )
     result = system.run(max_cycles=TEST.max_cycles)
     assert result.completed
-    assert all(memory.latencies_fixed for memory in system.memories)
+    assert all(memory.llc_trace is not None for memory in system.memories)
     assert all(stats.ipc > 0 for stats in result.stats)

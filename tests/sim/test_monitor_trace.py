@@ -189,8 +189,8 @@ def _monitor_state(monitor: UMONMonitor) -> tuple:
 def test_trace_fed_monitor_matches_observe_oracle(tiny_arch, filtered, shift, seed):
     """Bin for bin and counter for counter, across at least five passes.
 
-    The traced memory commits random prefixes of speculative blocks
-    (rolling the rest back), mops up with scalar ``access()`` calls, and
+    The traced memory commits random prefixes of walked-ahead runs
+    (settling the rest back), mops up with scalar ``access()`` calls, and
     both monitors reset their windows at the same points; the untraced
     twin feeds ``UMONMonitor.observe`` through the live L1 and shadow
     filter.
@@ -220,10 +220,11 @@ def test_trace_fed_monitor_matches_observe_oracle(tiny_arch, filtered, shift, se
         else:
             n = int(rng.integers(1, 40))
             window = np.arange(pos, pos + n) % period
-            latencies, token = traced.resolve_block(addrs[window])
+            levels, latencies = traced.resolve_levels(n, addrs[window])
             k = int(rng.integers(0, n + 1)) if rng.random() < 0.4 else n
             partials += k < n
-            traced.commit_block(token, k)
+            traced.commit_levels(levels[:k])
+            traced.settle()
             expected = [
                 oracle.access(int(addrs[i]), bool(excluded[i]))
                 for i in window[:k]

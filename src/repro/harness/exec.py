@@ -2200,8 +2200,8 @@ class ExecutionEngine:
         slow-but-working cells survive while hung ones die early.
     heartbeat:
         Interval in seconds of worker liveness heartbeats (default 1).
-        Each beat carries the worker's progress counter (advanced by 16
-        every 16 simulation quanta, and per finished cell), letting the
+        Each beat carries the worker's progress counter (advanced per
+        simulation quantum and per finished cell), letting the
         supervisor distinguish slow from hung mid-chunk: frozen
         progress fires a ``worker.unresponsive`` warning after ~3
         intervals, and — when a ``timeout`` or ``stall_timeout``

@@ -8,7 +8,8 @@ count of coarse work units completed in the current process:
 
 * :class:`~repro.sim.system.MultiDomainSystem` beats once per scheduling
   quantum (thousands of simulated accesses, so the overhead is
-  unmeasurable), and
+  unmeasurable); a system of fixed partitions, which runs no quantum
+  loop, beats after each core run the quanta that run spanned, and
 * the engine's worker loop beats once per finished cell,
 
 so a cell that is *computing* advances the counter between heartbeats,
@@ -38,7 +39,7 @@ _PROGRESS = _Progress()
 def progress_beat(amount: int = 1) -> None:
     """Advance this process's progress counter by ``amount`` units.
 
-    Called from coarse-grained work loops (every 16 simulation quanta, per
+    Called from coarse-grained work loops (per simulation quantum, per
     finished cell). The heartbeat thread only ever *reads* the counter,
     so a plain attribute increment under the GIL is race-free enough —
     a lost update merely delays liveness evidence by one beat.

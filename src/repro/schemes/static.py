@@ -71,3 +71,22 @@ class StaticScheme(BaseScheme):
     def on_quantum(self, system: "MultiDomainSystem", now: int) -> None:
         # No assessments, no pending actions.
         return None
+
+    @property
+    def quantum_free(self) -> bool:
+        """Whether this scheme does nothing at quanta or progress points.
+
+        True only while the class keeps Static's own :meth:`on_quantum`
+        and the inherited ``progress_target`` and ``partition_size``: a
+        subclass that adds per-quantum work or progress checkpoints
+        keeps the system's quantum loop and gets its hook calls. Over
+        fixed set partitions the system then runs each core straight
+        to its finishing quantum (:meth:`MultiDomainSystem.quantum_free
+        <repro.sim.system.MultiDomainSystem.quantum_free>`).
+        """
+        cls = type(self)
+        return (
+            cls.on_quantum is StaticScheme.on_quantum
+            and cls.progress_target is BaseScheme.progress_target
+            and cls.partition_size is BaseScheme.partition_size
+        )

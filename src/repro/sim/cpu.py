@@ -47,7 +47,12 @@ see :mod:`repro.sim.kernelmode`):
 
   - A fixed private partition (Static) also gets an
     :class:`~repro.sim.hierarchy.LLCServiceTrace`, which fixes every
-    latency by stream position; resolving ahead changes nothing.
+    latency by stream position; resolving ahead changes nothing. Such
+    a core (:attr:`Core.service_fixed`) is not stopped at quanta at
+    all when the scheme has no work between them: the system runs it
+    once, to the iteration that finishes its slice
+    (``run(..., until_finished=True)``), and once more to the last
+    quantum boundary.
   - Any other private partition (Time, Untangle, Threshold) is walked
     ahead. Only a real resize changes it from outside, and the resize
     settles the walk first (:meth:`DomainMemory.settle`), which marks
@@ -98,6 +103,8 @@ class StopReason(enum.Enum):
     QUANTUM = "quantum"
     #: The public-progress target was reached (Untangle assessment point).
     PROGRESS = "progress"
+    #: The measured slice finished (only when asked, see :meth:`Core.run`).
+    FINISHED = "finished"
 
 
 class InstructionStream:
@@ -294,6 +301,9 @@ class Core:
         self._pass_public_base: int = 0
         self._wraps: int = 0
         self._kept: _KeptRun | None = None
+        #: Loop-top cycles of the iteration that finished the slice, set
+        #: by a ``run(..., until_finished=True)`` call that stopped there.
+        self.finish_top: float | None = None
         self._measuring = self._warmup_end == 0
         if self._measuring:
             self.stats.begin_measurement(0.0, 0)
@@ -308,6 +318,17 @@ class Core:
     def now(self) -> int:
         """Current local time as an integer timestamp."""
         return int(self.cycles)
+
+    @property
+    def service_fixed(self) -> bool:
+        """Whether every access's latency is fixed by its stream position.
+
+        True for a batched core whose memory reads an
+        :class:`~repro.sim.hierarchy.LLCServiceTrace` (a fixed private
+        partition): nothing another domain or a scheme does between
+        quanta can change what this core executes.
+        """
+        return self._use_batched and self.memory.llc_trace is not None
 
     # ------------------------------------------------------------------
     def _check_boundaries(self) -> None:
@@ -379,19 +400,39 @@ class Core:
         return index if index <= self.stream.length else None
 
     # ------------------------------------------------------------------
-    def run(self, until_cycle: float, progress_target: int | None = None) -> StopReason:
+    def run(
+        self,
+        until_cycle: float,
+        progress_target: int | None = None,
+        *,
+        until_finished: bool = False,
+    ) -> StopReason:
         """Execute until the cycle budget or the public-progress target.
 
         The core stops *exactly* at the instruction where the public
         progress counter reaches ``progress_target`` — this precision is
         what makes Untangle's assessment points (and hence its utilization
         metric snapshots) functions of the instruction stream alone.
+
+        With ``until_finished`` (batched cores only) the call also stops
+        after the loop iteration that finishes the measured slice,
+        returns :attr:`StopReason.FINISHED` and records that iteration's
+        loop-top cycles in :attr:`finish_top`. Without a progress target,
+        ``run(a)`` then ``run(b)`` leaves the core as ``run(b)`` alone
+        does, whatever the iteration the first call stopped at, so a
+        caller can learn when the slice finishes and then carry on.
         """
         if self._use_batched:
-            reason = self._run_batched(until_cycle, progress_target)
+            reason = self._run_batched(
+                until_cycle, progress_target, until_finished
+            )
             if self._settle_each_call:
                 self.memory.settle()
             return reason
+        if until_finished:
+            raise SimulationError(
+                "only a batched core stops where its slice finishes"
+            )
         return self._run_reference(until_cycle, progress_target)
 
     def _run_reference(
@@ -425,7 +466,10 @@ class Core:
         return StopReason.QUANTUM
 
     def _run_batched(
-        self, until_cycle: float, progress_target: int | None
+        self,
+        until_cycle: float,
+        progress_target: int | None,
+        until_finished: bool = False,
     ) -> StopReason:
         """Batched kernel: resolve event runs ahead, commit exactly.
 
@@ -446,6 +490,12 @@ class Core:
         memory's epoch, and a shared view settles at the end of each
         call. Run length is a pure performance knob — the commit point
         is computed exactly from actual latencies.
+
+        ``until_finished`` stops after the iteration that finishes the
+        slice. Only a one-step iteration can finish it — a committed
+        run and a multi-event scalar window both end short of the
+        boundary — so that iteration's loop top is ``top``, the cycles
+        at the top of the outer loop.
         """
         stream = self.stream
         ev = stream.event_positions
@@ -458,7 +508,12 @@ class Core:
             if progress_target is not None
             else None
         )
+        finishing = until_finished and not stats.finished
+        top = self.cycles
         while self.cycles < until_cycle:
+            if finishing and stats.finished:
+                break
+            top = self.cycles
             if progress_target is not None and self.public_retired >= progress_target:
                 return StopReason.PROGRESS
             cursor = self._mem_cursor
@@ -509,6 +564,9 @@ class Core:
                 if cursor >= end or self.cycles >= until_cycle:
                     break
             self._mem_cursor = cursor
+        if finishing and stats.finished:
+            self.finish_top = top
+            return StopReason.FINISHED
         return StopReason.QUANTUM
 
     def _loop_tops(self, rel_pos, idx, extras) -> np.ndarray:

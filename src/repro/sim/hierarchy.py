@@ -47,7 +47,8 @@ misses, and the LLC only on the L1-missing subsequence — none feeds
 back into another — and a rolled-back replay is deterministic from the
 restored state. A fixed private partition sees only its own domain's
 L1-missing subsequence, so its hits are a function of the stream too.
-Each trace walks whole passes of the cyclic stream and
+Each trace walks passes of the cyclic stream (an LLC service trace
+walks its current pass block by block, only as far as it is read) and
 stops at the first pass that ends in the state it started in: from
 then on every pass repeats it exactly. The monitor reading a trace
 fixed before the run is Principle 1 made structural — it cannot see
@@ -90,7 +91,8 @@ class _PassTrace:
 
     A stream wraps forever (cores re-run it for pressure), so position
     ``pos`` lies in pass ``pos // period``. Subclasses walk one whole
-    pass at a time (:meth:`_walk_pass`), append its outputs as one
+    pass at a time (:meth:`_walk_pass`; :class:`LLCServiceTrace` also
+    walks part of one, see :meth:`_slice`), append its outputs as one
     immutable ``bytes`` object, and compare their walk state at the pass
     boundary with the state one boundary earlier. Equal states mean the
     pass just walked repeats forever — the walkers are deterministic
@@ -142,15 +144,19 @@ class _PassTrace:
         index, offset = divmod(start, period)
         n = stop - start
         if offset + n <= period:
-            return piece(self._pass(index), offset, n)
+            return self._slice(index, offset, n, piece)
         pieces = []
         while n:
             take = min(n, period - offset)
-            pieces.append(piece(self._pass(index), offset, take))
+            pieces.append(self._slice(index, offset, take, piece))
             n -= take
             index += 1
             offset = 0
         return np.concatenate(pieces)
+
+    def _slice(self, index: int, offset: int, n: int, piece):
+        """``n`` outputs of pass ``index`` from ``offset`` on."""
+        return piece(self._pass(index), offset, n)
 
     def _walk_pass(self) -> None:
         raise NotImplementedError
@@ -393,6 +399,11 @@ class MemoryLevel(enum.IntEnum):
     DRAM = 3
 
 
+#: Positions an :class:`LLCServiceTrace` walks at a time: a read past
+#: the walked part of the current pass walks on to the next multiple.
+LLC_TRACE_BLOCK = 8192
+
+
 class LLCServiceTrace(_PassTrace):
     """Precomputed service levels of one stream on a fixed LLC partition.
 
@@ -403,22 +414,40 @@ class LLCServiceTrace(_PassTrace):
     or ``DRAM`` — is a pure function of the stream, and the trace
     records it as one byte per position.
 
-    Passes are walked whole: the pass's miss mask from ``l1_trace``,
-    one :meth:`~repro.sim.cache.SetAssociativeCache.access_run` over the
+    The current pass is walked in blocks, only as far as it is read:
+    a read past the walked part walks on to the next multiple of
+    :data:`LLC_TRACE_BLOCK` positions (or the pass end). A block is the
+    block's miss mask from ``l1_trace``, one
+    :meth:`~repro.sim.cache.SetAssociativeCache.access_run` over the
     missing addresses on a replica partition built by the same
     :func:`~repro.sim.kernelmode.make_cache` as the live one (so its
-    decisions match access for access), then the level codes. The walk
-    stops at the first pass whose end state equals its start state once
-    the L1 trace has repeated at or before that pass (the condition the
-    unfiltered :class:`MonitorTrace` feed uses); the replica, the
-    address copy and the L1 reference are dropped there.
+    decisions match access for access), then the level codes, written
+    into a buffer of one byte per position that is reused from pass to
+    pass (reads of it are copies). A completed pass is stored as
+    immutable ``bytes`` and checked for repetition: the walk stops at
+    the first pass whose end state equals its start state once the L1
+    trace has repeated at or before that pass (the condition the
+    unfiltered :class:`MonitorTrace` feed uses); the replica, the buffer,
+    the address copy and the L1 reference are dropped there. A Figure 11
+    cell reads 1 + warmup passes, so it walks about that much plus one
+    block instead of two whole passes.
 
     Each trace belongs to one memory and is not shared through the
     campaign memo: every (stream, partition size) pair is its own
     trace, and a Figure 11 cell is exactly one such pair.
     """
 
-    __slots__ = ("geometry", "_stream", "_l1", "_addrs", "_cache", "_state")
+    __slots__ = (
+        "geometry",
+        "positions_walked",
+        "_stream",
+        "_l1",
+        "_addrs",
+        "_cache",
+        "_state",
+        "_partial",
+        "_filled",
+    )
 
     def __init__(
         self,
@@ -441,13 +470,19 @@ class LLCServiceTrace(_PassTrace):
         self._addrs: np.ndarray | None = None
         self._cache = None
         self._state: tuple | None = None
+        self._partial: np.ndarray | None = None
+        #: Positions of the current pass walked so far.
+        self._filled = 0
+        #: Positions walked in all (exact work counter).
+        self.positions_walked = 0
 
     def level(self, pos: int) -> int:
         """The service level code of absolute access position ``pos``."""
         index, offset = divmod(pos, self._period)
         passes = self._passes
-        levels = passes[index] if index < len(passes) else self._pass(index)
-        return levels[offset]
+        if index < len(passes):
+            return passes[index][offset]
+        return int(self._slice(index, offset, 1, _code_view)[0])
 
     def levels(self, start: int, stop: int) -> np.ndarray:
         """uint8 level codes for absolute access positions [start, stop)."""
@@ -455,25 +490,53 @@ class LLCServiceTrace(_PassTrace):
             return np.zeros(0, dtype=np.uint8)
         return self._read(start, stop, _code_view)
 
+    def _slice(self, index: int, offset: int, n: int, piece):
+        passes = self._passes
+        while index > len(passes) and not self._repeats:
+            self._walk_pass()
+        if index < len(passes) or self._repeats:
+            return piece(passes[min(index, len(passes) - 1)], offset, n)
+        end = offset + n
+        if end > self._filled:
+            block = -(-end // LLC_TRACE_BLOCK) * LLC_TRACE_BLOCK
+            self._walk_to(min(block, self._period))
+            if index < len(passes):
+                return piece(passes[index], offset, n)
+        return self._partial[offset:end].copy()
+
     def _walk_pass(self) -> None:
+        self._walk_to(self._period)
+
+    def _walk_to(self, end: int) -> None:
+        """Walk the current pass on to position ``end``; complete it at the end."""
         if self._cache is None:
             self._addrs = _memory_addresses(self._stream)
             self._stream = None
             self._cache = make_cache(*self.geometry)
             self._state = _cache_state(self._cache)
+            self._partial = np.empty(self._period, dtype=np.uint8)
         index = len(self._passes)
         period = self._period
+        start = self._filled
         l1 = self._l1
-        missed = ~l1.hits(index * period, (index + 1) * period)
-        llc_hits, _ = self._cache.access_run(self._addrs[missed])
-        levels = np.full(period, MemoryLevel.L1, dtype=np.uint8)
+        base = index * period
+        missed = ~l1.hits(base + start, base + end)
+        llc_hits, _ = self._cache.access_run(self._addrs[start:end][missed])
+        levels = self._partial[start:end]
+        levels.fill(MemoryLevel.L1)
         levels[missed] = np.where(llc_hits, MemoryLevel.LLC, MemoryLevel.DRAM)
-        self._passes.append(levels.tobytes())
+        self.positions_walked += end - start
+        if end < period:
+            self._filled = end
+            return
+        self._filled = 0
+        self._passes.append(self._partial.tobytes())
         state = _cache_state(self._cache)
         input_repeats = l1.cycle_found and l1.passes_walked <= index + 1
         if input_repeats and state == self._state:
             self._repeats = True
             self._l1 = self._addrs = self._cache = self._state = None
+            self._partial = None
         else:
             self._state = state
 

@@ -13,6 +13,14 @@ fixed cycle quanta:
    actions whose scheduled application time has passed are applied.
 3. Partition sizes are sampled periodically for the distribution charts.
 
+A system of fixed partitions is the exception to all three steps
+(:attr:`MultiDomainSystem.quantum_free`): when every core's latencies
+are fixed by stream position (Static set partitions over LLC service
+traces) and the scheme has no progress targets and no per-quantum work,
+interleaving cannot change any result. Each core then runs straight to
+the quantum in which its slice finishes, and the loop's quanta,
+completion and partition samples are computed instead of iterated.
+
 The scheme object owns all policy (when to assess, what to resize, how to
 charge leakage); the system owns all mechanism.
 """
@@ -33,7 +41,7 @@ from repro.obs.liveness import progress_beat
 from repro.sim.cpu import Core, CoreConfig, InstructionStream, StopReason
 from repro.sim.hierarchy import DomainMemory
 from repro.sim.kernelmode import kernel_mode
-from repro.sim.stats import DomainStats, KernelPhases
+from repro.sim.stats import DomainStats, KernelPhases, PartitionSample
 
 # Per-run (never per-access) simulator metrics: incremented once when a
 # system run finishes, so the recording cost is invisible next to the
@@ -54,7 +62,13 @@ class DomainSpec:
 
 
 class SchemeProtocol(Protocol):
-    """What the system requires of a partitioning scheme."""
+    """What the system requires of a partitioning scheme.
+
+    A scheme may also carry a true ``quantum_free`` attribute: it then
+    declares no progress targets, does nothing in :meth:`on_quantum`,
+    and keeps every partition size fixed, so a system whose cores all
+    read fixed latencies may skip the quantum loop.
+    """
 
     name: str
 
@@ -87,6 +101,9 @@ class SystemResult:
     traces: list[ResizingTrace]
     total_cycles: int
     completed: bool
+    #: Interleaving quanta advanced (computed, not iterated, for a
+    #: :attr:`~MultiDomainSystem.quantum_free` system).
+    quanta: int = 0
 
 
 class MultiDomainSystem:
@@ -202,24 +219,29 @@ class MultiDomainSystem:
             "llc_settles": sum(m.llc_settles for m in self.memories),
         }
 
-    def _trace_passes(self) -> tuple[int, int, int]:
-        """Passes walked so far by the distinct installed L1/monitor/LLC traces."""
-        walked = []
-        for kind in ("l1_trace", "monitor_trace", "llc_trace"):
-            traces = {
-                id(trace): trace.passes_walked
+    def _trace_work(self) -> tuple[int, int, int, int]:
+        """Trace work so far: passes walked by the distinct installed
+        L1/monitor/LLC traces, and positions the LLC traces walked."""
+        l1, monitor, llc = (
+            {
+                id(trace): trace
                 for trace in (getattr(m, kind) for m in self.memories)
                 if trace is not None
-            }
-            walked.append(sum(traces.values()))
-        return tuple(walked)
+            }.values()
+            for kind in ("l1_trace", "monitor_trace", "llc_trace")
+        )
+        return (
+            *(sum(t.passes_walked for t in traces) for traces in (l1, monitor, llc)),
+            sum(t.positions_walked for t in llc),
+        )
 
     def run(self, max_cycles: int = 50_000_000) -> SystemResult:
         """Advance the system until every domain's slice finishes.
 
         While tracing is on, the ``sim.run`` span also carries where the
-        kernel time went (:class:`~repro.sim.stats.KernelPhases`) and
-        how many stream passes this run's trace reads had to walk.
+        kernel time went (:class:`~repro.sim.stats.KernelPhases`), how
+        many stream passes this run's trace reads had to walk, and how
+        many LLC service-trace positions they walked.
         """
         with obs_trace.span(
             "sim.run", scheme=self.scheme.name, kernel=kernel_mode()
@@ -228,7 +250,7 @@ class MultiDomainSystem:
             if phases is None:
                 now, quanta, completed = self._advance(max_cycles, None)
             else:
-                before = self._trace_passes()
+                before = self._trace_work()
                 for memory in self.memories:
                     memory.phases = phases
                 try:
@@ -236,15 +258,16 @@ class MultiDomainSystem:
                 finally:
                     for memory in self.memories:
                         memory.phases = None
-                l1, monitor, llc = (
+                l1, monitor, llc, llc_walked = (
                     after - start
-                    for after, start in zip(self._trace_passes(), before)
+                    for after, start in zip(self._trace_work(), before)
                 )
                 span.set(
                     **phases.span_attrs(),
                     l1_trace_passes=l1,
                     monitor_trace_passes=monitor,
                     llc_trace_passes=llc,
+                    llc_trace_walked=llc_walked,
                 )
             span.set(
                 total_cycles=now,
@@ -268,15 +291,119 @@ class MultiDomainSystem:
             traces=traces,
             total_cycles=now,
             completed=completed,
+            quanta=quanta,
+        )
+
+    @property
+    def quantum_free(self) -> bool:
+        """Whether quantum interleaving cannot change this run's results.
+
+        True when every core's latencies are fixed by stream position
+        (:attr:`Core.service_fixed <repro.sim.cpu.Core.service_fixed>`)
+        and the scheme declares no progress targets and no work between
+        quanta (a true ``quantum_free`` attribute, e.g.
+        :attr:`StaticScheme.quantum_free
+        <repro.schemes.static.StaticScheme.quantum_free>`).
+        """
+        return bool(getattr(self.scheme, "quantum_free", False)) and all(
+            core.service_fixed for core in self.cores
         )
 
     def _advance(
         self, max_cycles: int, phases: KernelPhases | None
     ) -> tuple[int, int, bool]:
-        """The quantum loop; returns ``(now, quanta, completed)``.
+        """Run every core; returns ``(now, quanta, completed)``.
 
         With ``phases``, each core run and each scheme hook is timed.
         """
+        if self.quantum_free:
+            now, quanta, completed = self._skip_quanta(max_cycles, phases)
+        else:
+            now, quanta, completed = self._quantum_loop(max_cycles, phases)
+        # Close the measurement window of any domain whose slice the
+        # max_cycles cap cut short, so partial slices report IPC over
+        # the instructions that actually ran instead of a silent 0.
+        # ``finished`` stays False: completion checks are unaffected.
+        for core in self.cores:
+            core.stats.close_measurement_window(core.cycles, core.retired)
+        return now, quanta, completed
+
+    def _skip_quanta(
+        self, max_cycles: int, phases: KernelPhases | None
+    ) -> tuple[int, int, bool]:
+        """What :meth:`_quantum_loop` returns and leaves, without its loop.
+
+        Only for a :attr:`quantum_free` system. With no progress targets
+        a core's run calls compose (``run(a)`` then ``run(b)`` equals
+        ``run(b)``), so after quantum ``q`` the loop leaves each core as
+        one ``run(q * quantum)`` would. Each core therefore runs once, up
+        to the loop's last possible boundary, stopping after the
+        iteration that finishes its slice: the loop sees the slice
+        finished from the first quantum ``q`` with ``q * quantum`` above
+        that iteration's loop-top cycles. The loop ends at the last
+        core's finishing quantum, or at the cap, and every core then
+        runs on to that boundary, as the loop keeps finished cores
+        running for pressure. Partition samples fall due at quanta
+        ``1, 1 + step, ...`` (``step`` the sample interval in quanta,
+        rounded up) and count while a domain is still unfinished.
+        """
+        quantum = self.quantum
+        cores = self.cores
+        core_s = 0.0
+        # The loop's last possible quantum: the first boundary at or
+        # past max_cycles.
+        last = 0 if self.all_finished else max(0, -(-max_cycles // quantum))
+        # Each core's finishing quantum; None for a slice the cap cuts.
+        finishing: list[int | None] = []
+        for core in cores:
+            if core.finished:
+                finishing.append(0)
+                continue
+            if not last:
+                finishing.append(None)
+                continue
+            if phases is not None:
+                t0 = perf_counter()
+            reason = core.run(float(last * quantum), until_finished=True)
+            if phases is not None:
+                core_s += perf_counter() - t0
+            if reason is StopReason.FINISHED:
+                # q * quantum > top exactly when it exceeds floor(top).
+                finishing.append(int(core.finish_top) // quantum + 1)
+            else:
+                finishing.append(None)
+            # Liveness evidence, one unit per quantum the call spans.
+            progress_beat(finishing[-1] or last)
+        completed = None not in finishing
+        quanta = max(finishing, default=0) if completed else last
+        now = quanta * quantum
+        for core in cores:
+            if core.cycles < now:
+                if phases is not None:
+                    t0 = perf_counter()
+                core.run(float(now))
+                if phases is not None:
+                    core_s += perf_counter() - t0
+                progress_beat(1)
+        if phases is not None:
+            t0 = perf_counter()
+        step = -(-self.sample_interval // quantum)
+        for domain, (stats, done) in enumerate(zip(self.stats, finishing)):
+            recorded = quanta + 1 if done is None else done
+            lines = self.scheme.partition_size(domain)
+            stats.partition_samples.extend(
+                PartitionSample(q * quantum, lines)
+                for q in range(1, recorded, step)
+            )
+        if phases is not None:
+            phases.scheme_s += perf_counter() - t0
+            phases.core_s += core_s
+        return now, quanta, completed
+
+    def _quantum_loop(
+        self, max_cycles: int, phases: KernelPhases | None
+    ) -> tuple[int, int, bool]:
+        """The quantum loop; returns ``(now, quanta, completed)``."""
         now = 0
         next_sample = 0
         quanta = 0
@@ -289,11 +416,10 @@ class MultiDomainSystem:
         finished = self.all_finished
         # Phase sums stay in locals until the loop ends: updating an
         # attribute after each timed block would add untimed work.
-        core_s = scheme_s = t0 = until = 0.0
+        core_s = scheme_s = t0 = 0.0
         while now < max_cycles and not finished:
             now += quantum
-            # Equal to float(now): integers below 2**53 add exactly.
-            until += quantum
+            until = float(now)
             finished = True
             for core in cores:
                 while core.cycles < until:
@@ -322,12 +448,10 @@ class MultiDomainSystem:
                         scheme_s += perf_counter() - t0
                 finished = finished and core.stats.finished
             quanta += 1
-            # Liveness evidence for the engine's worker heartbeats,
-            # one unit per quantum, handed over every 16 quanta: a
-            # Static core may do little work per quantum, and a beat
-            # per quantum is then a visible share of the loop.
-            if not quanta & 15:
-                progress_beat(16)
+            # Liveness evidence for the engine's worker heartbeats: a
+            # quantum is thousands of simulated accesses, so this is
+            # far off the hot path.
+            progress_beat()
             if phases is not None:
                 t0 = perf_counter()
             scheme.on_quantum(self, now)
@@ -349,11 +473,4 @@ class MultiDomainSystem:
         # ``finished`` is as of the last quantum's stops, so a run whose
         # last core retires during the final quantum at exactly
         # max_cycles still counts as completed.
-        completed = finished
-        # Close the measurement window of any domain whose slice the
-        # max_cycles cap cut short, so partial slices report IPC over
-        # the instructions that actually ran instead of a silent 0.
-        # ``finished`` stays False: completion checks are unaffected.
-        for core in self.cores:
-            core.stats.close_measurement_window(core.cycles, core.retired)
-        return now, quanta, completed
+        return now, quanta, finished

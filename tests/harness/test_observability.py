@@ -407,6 +407,52 @@ class TestSimulatorSpans:
         assert attrs["llc_trace_passes"] > 0
         assert attrs["l1_trace_passes"] > 0
 
+    def test_fixed_llc_trace_walks_only_what_is_read(
+        self, monkeypatch, tmp_path
+    ):
+        """A Figure 11 cell walks its LLC service trace block by block,
+        only as far as it reads: at most one kept run past its committed
+        position, rounded up to one block, and not the whole second pass
+        that the 1 + warmup passes it reads start."""
+        from repro.harness import sensitivity
+        from repro.harness.runconfig import SCALED
+        from repro.sim.cpu import KEPT_RUN_EVENTS
+        from repro.sim.hierarchy import LLC_TRACE_BLOCK
+        from repro.workloads.spec import SPEC_BENCHMARKS
+
+        systems = []
+
+        class Recording(sensitivity.MultiDomainSystem):
+            def run(self, *args, **kwargs):
+                systems.append(self)
+                return super().run(*args, **kwargs)
+
+        sink = tmp_path / "trace.jsonl"
+        monkeypatch.setenv(TRACE_ENV, str(sink))
+        monkeypatch.setattr(sensitivity, "MultiDomainSystem", Recording)
+        sensitivity.run_benchmark_at_size(
+            SPEC_BENCHMARKS["gcc_2"], 256, SCALED
+        )
+        (sim,) = [
+            span
+            for span in map(json.loads, sink.read_text().splitlines())
+            if span["kind"] == "span" and span["name"] == "sim.run"
+        ]
+        (memory,) = systems[0].memories
+        trace = memory.llc_trace
+        walked = sim["attrs"]["llc_trace_walked"]
+        committed = sum(memory.level_counts.values())
+        assert walked == trace.positions_walked
+        assert committed <= walked <= (
+            committed + KEPT_RUN_EVENTS + LLC_TRACE_BLOCK
+        )
+        # The stream is longer than a block, and the cell stops inside
+        # its second pass, which it has not walked whole.
+        period = systems[0].cores[0].stream.memory_instruction_count
+        assert LLC_TRACE_BLOCK < period < committed < 2 * period
+        assert walked < 2 * period
+        assert sim["attrs"]["llc_trace_passes"] == 1
+
     def test_llc_work_counters_bound_the_walk(self, monkeypatch, tmp_path):
         """A Time cell walks each committed LLC access once, plus at most
         one kept run's walk per settle: a settle rolls back a walk of at

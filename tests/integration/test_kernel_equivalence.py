@@ -12,10 +12,16 @@ A batched core resolves long runs once and keeps them across quantum
 and progress stops. Static partitions are fixed, so their runs never go
 stale; a second Static case drives that path through stall streams,
 pass wraps, measurement boundaries and a ``max_cycles`` cap at several
-quanta. Private resizable partitions walk their LLC ahead and settle
-the walked tail back when resized; a third case resizes them in the
-middle of kept runs, at quantum and progress stops, over the same
-streams, and also compares the LLC contents the run leaves behind.
+quanta. Fixed partitions do not interact, so a Static system runs no
+quantum loop at all: each core runs straight to its finishing quantum,
+and the loop's quanta, samples and completion are computed; further
+cases hold that against the reference kernel's loop at caps, extreme
+quanta and sample intervals, and check that a Static subclass with
+per-quantum work keeps the loop. Private resizable partitions walk
+their LLC ahead and settle the walked tail back when resized; a third
+case resizes them in the middle of kept runs, at quantum and progress
+stops, over the same streams, and also compares the LLC contents the
+run leaves behind.
 """
 
 from __future__ import annotations
@@ -85,27 +91,7 @@ def _system_run(
     instruction and stall cycles are then no binary fractions, cycle sums
     round, and the order in which the kernel adds them matters.
     """
-    domains = []
-    for index, (spec, crypto) in enumerate(pairs):
-        built = build_workload(
-            spec, crypto, TEST.workload_scale,
-            seed=TEST.seed + index, secret=secret,
-        )
-        assert (built.stream.stall_cycles is not None) == bool(secret)
-        core_config = built.core_config
-        if inexact:
-            core_config = dataclasses.replace(core_config, mlp=3.0)
-        domains.append(DomainSpec(f"{spec}+{crypto}", built.stream, core_config))
-    arch = TEST.arch(len(domains))
-    if inexact:
-        arch = dataclasses.replace(arch, issue_width=3)
-    system = MultiDomainSystem(
-        arch,
-        domains,
-        scheme or make_scheme("static", TEST, len(domains)),
-        quantum=quantum,
-        sample_interval=TEST.sample_interval,
-    )
+    system = _build_system(pairs, secret, quantum, scheme, inexact)
     result = system.run(max_cycles=max_cycles)
     observed = (
         result.total_cycles,
@@ -127,6 +113,34 @@ def _system_run(
         ),
     )
     return observed, system
+
+
+def _build_system(
+    pairs, secret: int, quantum: int, scheme=None, inexact=False,
+    sample_interval: int = TEST.sample_interval,
+) -> MultiDomainSystem:
+    """A system over ``pairs`` (see :func:`_system_run`), not yet run."""
+    domains = []
+    for index, (spec, crypto) in enumerate(pairs):
+        built = build_workload(
+            spec, crypto, TEST.workload_scale,
+            seed=TEST.seed + index, secret=secret,
+        )
+        assert (built.stream.stall_cycles is not None) == bool(secret)
+        core_config = built.core_config
+        if inexact:
+            core_config = dataclasses.replace(core_config, mlp=3.0)
+        domains.append(DomainSpec(f"{spec}+{crypto}", built.stream, core_config))
+    arch = TEST.arch(len(domains))
+    if inexact:
+        arch = dataclasses.replace(arch, issue_width=3)
+    return MultiDomainSystem(
+        arch,
+        domains,
+        scheme or make_scheme("static", TEST, len(domains)),
+        quantum=quantum,
+        sample_interval=sample_interval,
+    )
 
 
 @pytest.mark.parametrize(
@@ -190,6 +204,141 @@ def test_kept_runs_stop_at_checkpoints_armed_later(monkeypatch):
         )
     assert runs["batched"] == runs["reference"]
     assert len(runs["batched"][1]) > 10
+
+
+#: Four stall-carrying domains whose slices finish in four different
+#: quanta (at quantum 125: 807, 117, 836 and 110).
+FIXED_PAIRS = STALL_PAIRS + (("parest_0", "RSA-4096"), ("gcc_3", "EdDSA"))
+
+
+def _fixed_observed(system, result) -> tuple:
+    """Everything a run reports and leaves in its cores and memories."""
+    return (
+        result.quanta,
+        result.total_cycles,
+        result.completed,
+        # Full DomainStats: measurement windows and partition samples.
+        tuple(result.stats),
+        tuple(
+            (
+                core.cycles,
+                core.retired,
+                core.public_retired,
+                core._rel_pos,
+                core._mem_cursor,
+                core._wraps,
+                tuple(memory.level_counts.values()),
+                (memory.l1.stats.hits, memory.l1.stats.misses),
+            )
+            for core, memory in zip(system.cores, system.memories)
+        ),
+    )
+
+
+def _fixed_against_loop(
+    monkeypatch, pairs, quantum, max_cycles,
+    sample_interval=TEST.sample_interval, secret=0b1011_0110,
+) -> tuple:
+    """The quantum-free Static run against the reference kernel's loop."""
+    runs = {}
+    for mode in ("reference", "batched"):
+        monkeypatch.setenv(KERNEL_ENV, mode)
+        system = _build_system(
+            pairs, secret, quantum, sample_interval=sample_interval
+        )
+        result = system.run(max_cycles=max_cycles)
+        runs[mode] = (system.quantum_free, _fixed_observed(system, result))
+    assert runs["reference"][0] is False
+    assert runs["batched"][0] is True
+    assert runs["batched"][1] == runs["reference"][1]
+    return runs["batched"][1]
+
+
+def test_fixed_cores_finish_in_different_quanta(monkeypatch):
+    quanta, total, completed, stats, _ = _fixed_against_loop(
+        monkeypatch, FIXED_PAIRS, 125, TEST.max_cycles
+    )
+    assert completed and total == quanta * 125
+    finishing = {int(s.measure_end_cycle) // 125 + 1 for s in stats}
+    assert len(finishing) == len(FIXED_PAIRS)
+    # Domains finished early keep their early samples only.
+    assert len({len(s.partition_samples) for s in stats}) == len(FIXED_PAIRS)
+
+
+@pytest.mark.parametrize(
+    ("max_cycles", "where"),
+    [
+        # Every domain still in warmup.
+        (3_000, "warmup"),
+        # Two domains finished, two mid-slice; not a quantum multiple.
+        (50_001, "slice"),
+        # The last domain's finishing boundary (quantum 836), exactly,
+        # from just above the previous boundary, and one quantum short.
+        (104_500, "finish"),
+        (104_376, "finish"),
+        (104_375, "slice"),
+    ],
+)
+def test_fixed_run_caps_match_the_loop(max_cycles, where, monkeypatch):
+    quanta, total, completed, stats, _ = _fixed_against_loop(
+        monkeypatch, FIXED_PAIRS, 125, max_cycles
+    )
+    assert quanta == -(-max_cycles // 125) and total == quanta * 125
+    assert completed == (where == "finish")
+    if where == "warmup":
+        assert all(s.measure_start_cycle is None for s in stats)
+    elif where == "slice":
+        assert {s.finished for s in stats} == {True, False}
+
+
+@pytest.mark.parametrize(
+    ("quantum", "max_cycles"),
+    [(1, TEST.max_cycles), (8_000, 5_000), (4_000, 3_999)],
+)
+def test_fixed_run_extreme_quanta_match_the_loop(
+    quantum, max_cycles, monkeypatch
+):
+    quanta, total, completed, _, _ = _fixed_against_loop(
+        monkeypatch, STALL_PAIRS, quantum, max_cycles
+    )
+    if quantum > max_cycles:
+        assert (quanta, total, completed) == (1, quantum, False)
+    else:
+        assert completed
+
+
+@pytest.mark.parametrize("sample_interval", [1, 50, 125, 1_001])
+def test_fixed_run_samples_match_the_loop(sample_interval, monkeypatch):
+    _, _, _, stats, _ = _fixed_against_loop(
+        monkeypatch, FIXED_PAIRS, 125, TEST.max_cycles, sample_interval
+    )
+    assert all(s.partition_samples for s in stats)
+
+
+class _QuantumHookStatic(StaticScheme):
+    """Fixed partitions plus a per-quantum hook that only records."""
+
+    def __init__(self, arch):
+        super().__init__(arch)
+        self.hooks: list[int] = []
+
+    def on_quantum(self, system, now):
+        self.hooks.append(now)
+
+
+def test_fixed_scheme_with_quantum_work_keeps_the_loop(monkeypatch):
+    monkeypatch.setenv(KERNEL_ENV, "batched")
+    arch = TEST.arch(len(STALL_PAIRS))
+    hooked = _QuantumHookStatic(arch)
+    system = _build_system(STALL_PAIRS, 0b1011_0110, 125, hooked)
+    assert not hooked.quantum_free and not system.quantum_free
+    result = system.run(max_cycles=TEST.max_cycles)
+    assert hooked.hooks == [125 * q for q in range(1, result.quanta + 1)]
+    plain = _build_system(STALL_PAIRS, 0b1011_0110, 125)
+    assert plain.quantum_free
+    assert _fixed_observed(plain, plain.run(max_cycles=TEST.max_cycles)) == (
+        _fixed_observed(system, result)
+    )
 
 
 class _ResizingScheme(BaseScheme):

@@ -16,6 +16,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.harness import experiment
 from repro.harness.runconfig import TEST
+from repro.sim import hierarchy
 from repro.sim.cache import SetAssociativeCache
 from repro.sim.cpu import Core, CoreConfig, InstructionStream
 from repro.sim.hierarchy import (
@@ -85,6 +86,31 @@ class TestTraceWalk:
             for stop in (base, base + 1, base + 9, base + period + 3):
                 assert trace.levels(base, stop).tolist() == expected[base:stop]
 
+    @pytest.mark.parametrize("block", [1, 7, 64, 399])
+    def test_block_walks_match_and_stop_at_the_read(
+        self, tiny_arch, stream_addrs, block, monkeypatch
+    ):
+        """Blocks shorter than a pass walk only up to the next block
+        multiple past the furthest read, yet give the same levels."""
+        monkeypatch.setattr(hierarchy, "LLC_TRACE_BLOCK", block)
+        _, trace = _traces(stream_addrs, tiny_arch)
+        period = stream_addrs.shape[0]
+        n = 4 * period + 11
+        expected = _direct_levels(stream_addrs, tiny_arch, n)
+        read = 0
+        for start, stop in ((0, 3), (3, 40), (40, 41), (41, period + 5)):
+            assert trace.levels(start, stop).tolist() == expected[start:stop]
+            read = stop
+            walked = min(-(-(read % period) // block) * block, period)
+            assert trace.positions_walked == (read // period) * period + walked
+        assert trace.passes_walked == 1
+        assert trace.level(period + 9) == expected[period + 9]
+        assert trace.levels(0, n).tolist() == expected
+        assert [trace.level(pos) for pos in range(n)] == expected
+        assert trace.cycle_found
+        assert trace.positions_walked == trace.passes_walked * period
+        assert trace._partial is None
+
     def test_repeat_found_within_three_passes(self, tiny_arch, stream_addrs):
         l1_trace, trace = _traces(stream_addrs, tiny_arch)
         trace.warm()
@@ -103,6 +129,7 @@ class TestTraceWalk:
         assert sum(map(len, trace._passes)) == trace.passes_walked * period
         assert trace._cache is None and trace._addrs is None
         assert trace._l1 is None and trace._state is None
+        assert trace._partial is None
         assert trace._stream is None
 
     def test_rejects_an_l1_trace_of_another_geometry(self, tiny_arch, scaled_arch):

@@ -110,6 +110,24 @@ class TestRun:
         result = system.run()
         assert all(len(trace) == 0 for trace in result.traces)
 
+    def test_fixed_run_beats_liveness(self, tiny_arch, monkeypatch):
+        """A Static run has no quantum loop and still shows progress."""
+        from repro.obs.liveness import progress_value
+        from repro.sim.kernelmode import KERNEL_ENV
+
+        monkeypatch.setenv(KERNEL_ENV, "batched")
+        system = MultiDomainSystem(
+            tiny_arch, make_domains(tiny_arch), StaticScheme(tiny_arch),
+            quantum=50,
+        )
+        assert system.quantum_free
+        before = progress_value()
+        result = system.run(max_cycles=1_000_000)
+        assert result.completed and result.quanta > 0
+        assert progress_value() - before >= max(
+            result.quanta, len(system.cores)
+        )
+
     def test_partition_samples_collected(self, tiny_arch):
         system = MultiDomainSystem(
             tiny_arch,

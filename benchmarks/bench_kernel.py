@@ -4,7 +4,7 @@ Measures the two layers the batched kernel optimizes and writes the
 results to ``BENCH_kernel.json`` at the repository root:
 
 * **raw cache kernel** — ``access_run`` over a fixed synthetic trace on
-  the packed-recency :class:`~repro.sim.cache.SetAssociativeCache`
+  the compiled-walk :class:`~repro.sim.cache.SetAssociativeCache`
   versus the list-based
   :class:`~repro.sim.cache.ReferenceSetAssociativeCache`, in ns/access;
 * **end-to-end single cell** — one ``(mix, scheme)`` simulation cell per

@@ -2726,9 +2726,7 @@ class ExecutionEngine:
                             store=self.store.describe(),
                             needs=len(needs),
                         ) as populate_span:
-                            ensured = self.store.populate(
-                                needs, jobs=self.jobs
-                            )
+                            ensured = self.store.populate(needs)
                             populate_span.set(distinct=ensured)
                 except OSError as exc:
                     self._degrade("store", exc)

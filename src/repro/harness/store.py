@@ -385,7 +385,7 @@ class PrecomputeStore:
     # ------------------------------------------------------------------
     # Populate / teardown (engine lifecycle)
     # ------------------------------------------------------------------
-    def populate(self, needs: Iterable[tuple], jobs: int = 1) -> int:
+    def populate(self, needs: Iterable[tuple]) -> int:
         """Precompute every distinct need before cells fan out.
 
         ``needs`` are the tuples produced by the cells' ``store_needs``
@@ -408,14 +408,12 @@ class PrecomputeStore:
                 from repro.schemes.untangle import populate_rate_table
 
                 _, cooldown, capacity = need
-                populate_rate_table(cooldown, capacity=capacity, jobs=jobs)
+                populate_rate_table(cooldown, capacity=capacity)
             elif kind == "rmax-worst":
                 from repro.schemes.untangle import populate_rate_table
 
                 (_, cooldown) = need
-                populate_rate_table(
-                    cooldown, capacity=1, worst_case=True, jobs=jobs
-                )
+                populate_rate_table(cooldown, capacity=1, worst_case=True)
         return len(distinct)
 
     def release(self) -> None:

@@ -37,7 +37,7 @@ from repro.core.principles import (
     require_progress_based_schedule,
     require_timing_independent_metric,
 )
-from repro.core.rates import RateEntry, RmaxTable, compute_entry
+from repro.core.rates import RateEntry, RmaxTable
 from repro.monitor.umon import UMONMonitor
 from repro.schemes.allocation import GreedyHitMaximizer
 from repro.schemes.base import BaseScheme
@@ -126,15 +126,14 @@ def get_worst_case_rate_table(
     )
 
 
-def _rate_table(key: RateTableKey, jobs: int = 1) -> RmaxTable:
+def _rate_table(key: RateTableKey) -> RmaxTable:
     """Memoizer behind :func:`get_rate_table`: solve once per key.
 
     Order of consultation: process memo → precompute-store artifact
     (exact JSON round-trip of the solved entries, keyed by the full
-    channel-model parameters) → Dinkelbach solves (parallelized over
-    table levels when ``jobs > 1`` during store populate). The solved
-    entries are exported back to the store so other processes — and
-    future campaigns — skip the solve entirely.
+    channel-model parameters) → Dinkelbach solves. The solved entries
+    are exported back to the store so other processes — and future
+    campaigns — skip the solve entirely.
     """
     table = _RATE_TABLES.get(key)
     if table is not None:
@@ -167,8 +166,6 @@ def _rate_table(key: RateTableKey, jobs: int = 1) -> RmaxTable:
             return table
         store.count_rmax_miss()
 
-    if jobs > 1 and len(table.levels) > 1:
-        _solve_levels_parallel(table, jobs)
     entries = table.entries()
     if store is not None and token is not None:
         store.put_rmax_entries(
@@ -178,70 +175,11 @@ def _rate_table(key: RateTableKey, jobs: int = 1) -> RmaxTable:
     return table
 
 
-def _solve_levels_parallel(table: RmaxTable, jobs: int) -> None:
-    """Solve a table's levels across a process pool, filling it in place.
-
-    Used only during store populate (before the engine's own workers
-    fan out). Each solve is independent — the per-level solver seed is
-    derived inside :func:`repro.core.rates.compute_entry` — so the
-    result is bit-identical to the serial path. The solve counter is
-    booked in this process since pool children's registries vanish.
-    """
-    import multiprocessing
-
-    from repro.core.rates import _M_SOLVES
-
-    pending = [level for level in table.levels if level not in table._entries]
-    if not pending:
-        return
-    try:
-        with multiprocessing.get_context().Pool(
-            min(jobs, len(pending)), initializer=_pool_child_signals
-        ) as pool:
-            solved = pool.starmap(
-                _solve_one_level,
-                [
-                    (
-                        table.base_model,
-                        level,
-                        table._solver_iterations,
-                        table._solver_seed,
-                    )
-                    for level in pending
-                ],
-            )
-    except OSError:  # pragma: no cover - pool unavailable; solve serially
-        return
-    _M_SOLVES.inc(len(solved))
-    table._entries.update((entry.maintains, entry) for entry in solved)
-
-
-def _pool_child_signals() -> None:
-    # Populate runs after the engine installs its SIGINT/SIGTERM
-    # handlers, so pool children inherit them and would raise a noisy
-    # KeyboardInterrupt when the pool terminates them. The parent owns
-    # interrupt handling; children die quietly.
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-
-
-def _solve_one_level(model, level, solver_iterations, solver_seed):
-    return compute_entry(
-        model,
-        level,
-        solver_iterations=solver_iterations,
-        solver_seed=solver_seed,
-    )
-
-
 def populate_rate_table(
     cooldown: int,
     *,
     capacity: int = DEFAULT_TABLE_CAPACITY,
     worst_case: bool = False,
-    jobs: int = 1,
 ) -> RmaxTable:
     """Pre-solve (or pre-load) the table a campaign's cells will request.
 
@@ -256,13 +194,10 @@ def populate_rate_table(
     """
     if worst_case:
         return _rate_table(
-            RateTableKey(cooldown=cooldown, capacity=1, worst_case=True),
-            jobs=jobs,
+            RateTableKey(cooldown=cooldown, capacity=1, worst_case=True)
         )
     rounded = default_channel_model(cooldown).cooldown
-    return _rate_table(
-        RateTableKey(cooldown=rounded, capacity=capacity), jobs=jobs
-    )
+    return _rate_table(RateTableKey(cooldown=rounded, capacity=capacity))
 
 
 def default_channel_model(

@@ -1,32 +1,33 @@
 """Set-associative cache models.
 
 The basic building block of the memory hierarchy: a tag-only
-set-associative cache with LRU replacement (fast path) or a pluggable
-policy (slow path). Addresses are *line* addresses — the byte-offset
+set-associative cache. Addresses are *line* addresses — the byte-offset
 within a line never matters to this model.
 
 Two implementations live here:
 
-* :class:`SetAssociativeCache` — the production kernel. Each set is a
-  packed-recency structure (an insertion-ordered dict whose key order
-  *is* the LRU order), giving O(1) hit/install/evict instead of the
-  O(associativity) list scans of the original model, and
-  :meth:`SetAssociativeCache.access_run` resolves a whole run of line
-  addresses in one call — the batched entry point the L1 service
-  trace (:class:`repro.sim.hierarchy.L1ServiceTrace`) and the monitor
-  filter walk with.
+* :class:`SetAssociativeCache` — the production LRU kernel. The state
+  is one ``int64`` array per cache, each set's fill count and its lines
+  in LRU → MRU order; one compiled routine
+  (``_lru.c``, loaded by :mod:`repro.sim.native`) steps it for whole
+  runs (:meth:`SetAssociativeCache.access_run`, the entry point of the
+  L1, monitor and LLC service traces and of the live LLC walk) and for
+  scalar accesses, probes and invalidations. Snapshots copy the whole
+  state (at most a few thousand lines).
 * :class:`ReferenceSetAssociativeCache` — the original per-access,
   list-based model, retained verbatim as the reference implementation
   for differential testing (``REPRO_SIM_KERNEL=reference`` selects it
-  everywhere; see :mod:`repro.sim.kernelmode`).
+  everywhere; see :mod:`repro.sim.kernelmode`). It also serves every
+  non-LRU replacement policy, and stands in for the compiled kernel
+  where that cannot be built.
 
 Resizing support: partitions change their number of sets at runtime
-(set partitioning, Section 8). :meth:`SetAssociativeCache.resize_sets`
-re-hashes surviving lines into the new geometry, preserving per-set
-recency order and evicting overflow — modeling a partition reconfiguration
-in which lines whose set index is unchanged survive. Both implementations
-produce bit-identical resize outcomes (the interleaved-LRU rehash order
-is part of the model's contract and is pinned by tests).
+(set partitioning, Section 8). ``resize_sets`` re-hashes surviving lines
+into the new geometry, preserving per-set recency order and evicting
+overflow — modeling a partition reconfiguration in which lines whose
+set index is unchanged survive. Both implementations produce
+bit-identical resize outcomes (the interleaved-LRU rehash order is part
+of the model's contract and is pinned by tests).
 """
 
 from __future__ import annotations
@@ -35,8 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
+from repro.sim.native import lru_kernel
 from repro.sim.replacement import LRUPolicy, ReplacementPolicy
+
+#: The tag of a free slot (no line address is this negative).
+EMPTY = np.iinfo(np.int64).min
 
 
 @dataclass
@@ -64,7 +69,19 @@ class CacheStats:
 
 
 class SetAssociativeCache:
-    """A tag-only set-associative cache (packed-recency kernel).
+    """A tag-only set-associative LRU cache stepped by the compiled walk.
+
+    The state is one ``int64`` array ``[sets, 1 + ways]``: column 0 is
+    each set's fill count, the other columns its resident lines in
+    LRU → MRU order, with :data:`EMPTY` in the free slots. One C routine
+    (:mod:`repro.sim.native`) steps it access by access with the
+    reference model's list semantics, so every operation here — a run,
+    a scalar access, a probe, an invalidation — leaves the exact LRU
+    order and counters :class:`ReferenceSetAssociativeCache` would.
+    Built through :func:`repro.sim.kernelmode.make_cache`, which falls
+    back to the reference model for other replacement policies and when
+    the compiled walk is unavailable; constructing this class directly
+    raises then.
 
     Parameters
     ----------
@@ -73,45 +90,43 @@ class SetAssociativeCache:
         supported because 3 MB / 6 MB partitions produce them).
     associativity:
         Ways per set.
-    policy:
-        Replacement policy object; ``None`` (or an explicit
-        :class:`~repro.sim.replacement.LRUPolicy`) selects the fast
-        packed-recency path. Other policies fall back to list-based sets.
     """
 
     __slots__ = (
         "num_sets",
         "associativity",
-        "_sets",
-        "_policy",
-        "_lru",
+        "_state",
+        "_view",
         "_resident",
+        "_kernel",
         "stats",
     )
 
-    def __init__(
-        self,
-        num_sets: int,
-        associativity: int,
-        policy: ReplacementPolicy | None = None,
-    ):
+    def __init__(self, num_sets: int, associativity: int):
         if num_sets < 1:
             raise ConfigurationError(f"num_sets {num_sets} must be >= 1")
         if associativity < 1:
             raise ConfigurationError(f"associativity {associativity} must be >= 1")
-        self.num_sets = num_sets
+        kernel = lru_kernel()
+        if kernel is None:
+            raise SimulationError(
+                "the compiled LRU walk is unavailable; build caches with "
+                "repro.sim.kernelmode.make_cache to fall back to the "
+                "reference model"
+            )
+        self._kernel = kernel
         self.associativity = associativity
-        self._policy = policy
-        self._lru = policy is None or isinstance(policy, LRUPolicy)
-        # LRU path: dict per set, insertion order == LRU-first order.
-        # Generic-policy path: list per set (policies index into lists).
-        self._sets: list = (
-            [{} for _ in range(num_sets)]
-            if self._lru
-            else [[] for _ in range(num_sets)]
-        )
+        state = np.full((num_sets, 1 + associativity), EMPTY, dtype=np.int64)
+        state[:, 0] = 0
+        self._set_state(state)
         self._resident = 0
         self.stats = CacheStats()
+
+    def _set_state(self, state: np.ndarray) -> None:
+        self._state = state
+        # The kernel reads a memoryview's buffer faster than an array's.
+        self._view = memoryview(state)
+        self.num_sets = int(state.shape[0])
 
     # ------------------------------------------------------------------
     @property
@@ -130,56 +145,40 @@ class SetAssociativeCache:
 
     def contains(self, line_addr: int) -> bool:
         """Whether the line is resident (no state update)."""
-        return line_addr in self._sets[line_addr % self.num_sets]
+        return self._kernel.find(self._view, line_addr, 0)
+
+    def _lines(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``[sets, ways]`` tags and the mask of their occupied slots."""
+        state = self._state
+        return state[:, 1:], np.arange(self.associativity) < state[:, :1]
 
     def resident_addresses(self) -> list[int]:
         """All resident line addresses (LRU-first within each set)."""
-        resident: list[int] = []
-        for ways in self._sets:
-            resident.extend(ways)
-        return resident
+        tags, occupied = self._lines()
+        return tags[occupied].tolist()
+
+    def state(self) -> bytes:
+        """The full LRU state: equal exactly when every set's order is."""
+        return self._state.tobytes()
 
     # ------------------------------------------------------------------
     def access(self, line_addr: int) -> bool:
         """Access a line; returns ``True`` on hit.
 
-        On a miss the line is installed, evicting the policy's victim if
+        On a miss the line is installed, evicting the set's LRU line if
         the set is full.
         """
-        ways = self._sets[line_addr % self.num_sets]
-        if self._lru:
-            # Packed-recency fast path: O(1) membership + move-to-MRU.
-            if line_addr in ways:
-                del ways[line_addr]
-                ways[line_addr] = None
-                self.stats.hits += 1
-                return True
-            self.stats.misses += 1
-            if len(ways) >= self.associativity:
-                del ways[next(iter(ways))]
-                self.stats.evictions += 1
-            else:
-                self._resident += 1
-            ways[line_addr] = None
-            return False
-
-        # Generic path with a pluggable policy.
-        assert self._policy is not None
-        try:
-            index = ways.index(line_addr)
-        except ValueError:
-            self.stats.misses += 1
-            if len(ways) >= self.associativity:
-                victim = self._policy.victim_index(ways)
-                ways.pop(victim)
-                self.stats.evictions += 1
-            else:
-                self._resident += 1
-            ways.append(line_addr)
-            return False
-        self._policy.on_hit(ways, index)
-        self.stats.hits += 1
-        return True
+        outcome = self._kernel.access(self._view, line_addr)
+        stats = self.stats
+        if outcome > 0:
+            stats.hits += 1
+            return True
+        stats.misses += 1
+        if outcome:
+            stats.evictions += 1
+        else:
+            self._resident += 1
+        return False
 
     def access_run(self, addrs: np.ndarray) -> tuple[np.ndarray, int]:
         """Resolve a run of line addresses in one call.
@@ -189,59 +188,24 @@ class SetAssociativeCache:
         cache state and counters afterwards are exactly as if each
         address had been passed to :meth:`access` in order.
         """
-        if not self._lru:
-            before = self.stats.evictions
-            hits = np.array([self.access(int(a)) for a in addrs], dtype=bool)
-            return hits, self.stats.evictions - before
-
-        sets = self._sets
-        num_sets = self.num_sets
-        assoc = self.associativity
-        misses = 0
-        evictions = 0
-        resident = self._resident
-        out: list[bool] = []
-        append = out.append
-        for addr in addrs.tolist():
-            ways = sets[addr % num_sets]
-            if addr in ways:
-                del ways[addr]
-                ways[addr] = None
-                append(True)
-            else:
-                misses += 1
-                if len(ways) >= assoc:
-                    del ways[next(iter(ways))]
-                    evictions += 1
-                else:
-                    resident += 1
-                ways[addr] = None
-                append(False)
-        self._resident = resident
+        if addrs.dtype != np.int32 and addrs.dtype != np.int64:
+            addrs = addrs.astype(np.int64)
+        hits = np.empty(addrs.shape[0], dtype=bool)
+        misses, evictions = self._kernel.run(
+            self._view, np.ascontiguousarray(addrs), hits
+        )
+        self._resident += misses - evictions
         stats = self.stats
-        stats.hits += len(out) - misses
+        stats.hits += hits.shape[0] - misses
         stats.misses += misses
         stats.evictions += evictions
-        return np.array(out, dtype=bool), evictions
+        return hits, evictions
 
-    def snapshot_for(self, addrs: np.ndarray) -> tuple:
-        """Copy-on-write snapshot covering the sets ``addrs`` map to.
-
-        Captures exactly the state an :meth:`access_run` over ``addrs``
-        can change — the touched sets, the stats counters, and the
-        resident count — so a speculative run can be undone with
-        :meth:`restore_snapshot`. Cost is proportional to the run, not
-        the cache.
-        """
-        sets = self._sets
-        touched = set((addrs % self.num_sets).tolist())
-        if self._lru:
-            saved: dict = {index: dict(sets[index]) for index in touched}
-        else:
-            saved = {index: list(sets[index]) for index in touched}
+    def snapshot(self) -> tuple:
+        """A copy of the whole state: LRU array, counters, resident count."""
         stats = self.stats
         return (
-            saved,
+            self._state.copy(),
             stats.hits,
             stats.misses,
             stats.evictions,
@@ -249,12 +213,10 @@ class SetAssociativeCache:
             self._resident,
         )
 
-    def restore_snapshot(self, snapshot: tuple) -> None:
-        """Undo every state change made since the matching snapshot."""
-        saved, hits, misses, evictions, invalidations, resident = snapshot
-        sets = self._sets
-        for index, ways in saved.items():
-            sets[index] = ways
+    def restore(self, snapshot: tuple) -> None:
+        """Return to the state of a :meth:`snapshot` (any number of times)."""
+        state, hits, misses, evictions, invalidations, resident = snapshot
+        self._set_state(state.copy())
         stats = self.stats
         stats.hits = hits
         stats.misses = misses
@@ -271,35 +233,12 @@ class SetAssociativeCache:
         additionally apply the same recency update a hitting
         :meth:`access` would (an explicit "touching probe").
         """
-        ways = self._sets[line_addr % self.num_sets]
-        if self._lru:
-            if line_addr not in ways:
-                return False
-            if touch:
-                del ways[line_addr]
-                ways[line_addr] = None
-            return True
-        try:
-            index = ways.index(line_addr)
-        except ValueError:
-            return False
-        if touch:
-            assert self._policy is not None
-            self._policy.on_hit(ways, index)
-        return True
+        return self._kernel.find(self._view, line_addr, 1 if touch else 0)
 
     def invalidate(self, line_addr: int) -> bool:
         """Remove one line if resident; returns whether it was."""
-        ways = self._sets[line_addr % self.num_sets]
-        if self._lru:
-            if line_addr not in ways:
-                return False
-            del ways[line_addr]
-        else:
-            try:
-                ways.remove(line_addr)
-            except ValueError:
-                return False
+        if not self._kernel.find(self._view, line_addr, 2):
+            return False
         self._resident -= 1
         self.stats.invalidations += 1
         return True
@@ -307,11 +246,8 @@ class SetAssociativeCache:
     def invalidate_all(self) -> int:
         """Flush the cache; returns the number of lines dropped."""
         dropped = self._resident
-        self._sets = (
-            [{} for _ in range(self.num_sets)]
-            if self._lru
-            else [[] for _ in range(self.num_sets)]
-        )
+        self._state[:, 1:] = EMPTY
+        self._state[:, 0] = 0
         self._resident = 0
         self.stats.invalidations += dropped
         return dropped
@@ -328,37 +264,24 @@ class SetAssociativeCache:
             raise ConfigurationError(f"num_sets {new_num_sets} must be >= 1")
         if new_num_sets == self.num_sets:
             return 0
-        old_sets = [list(ways) for ways in self._sets]
-        survivors: list[int] = []
-        # Interleave sets preserving intra-set LRU order: take the i-th
-        # most-recent line of every set in rounds, oldest round first.
-        max_depth = max((len(w) for w in old_sets), default=0)
-        for depth in range(max_depth):
-            for ways in old_sets:
-                if depth < len(ways):
-                    survivors.append(ways[depth])
-        lost = 0
-        self.num_sets = new_num_sets
-        associativity = self.associativity
-        if self._lru:
-            new_dicts: list[dict[int, None]] = [{} for _ in range(new_num_sets)]
-            for line_addr in survivors:
-                ways = new_dicts[line_addr % new_num_sets]
-                if len(ways) >= associativity:
-                    lost += 1
-                    continue
-                ways[line_addr] = None
-            self._sets = new_dicts
-        else:
-            new_lists: list[list[int]] = [[] for _ in range(new_num_sets)]
-            for line_addr in survivors:
-                ways = new_lists[line_addr % new_num_sets]
-                if len(ways) >= associativity:
-                    lost += 1
-                    continue
-                ways.append(line_addr)
-            self._sets = new_lists
-        self._resident = len(survivors) - lost
+        # Interleave sets preserving intra-set LRU order: the i-th
+        # least-recent line of every set in rounds, oldest round first
+        # (a column-major read of the occupied slots).
+        tags, occupied = self._lines()
+        survivors = tags.T[occupied.T]
+        # Each new set keeps the first ``ways`` survivors mapping to it,
+        # in survivor order; the rest overflow.
+        targets = survivors % new_num_sets
+        order = np.argsort(targets, kind="stable")
+        targets = targets[order]
+        rank = np.arange(targets.shape[0]) - np.searchsorted(targets, targets)
+        kept = rank < self.associativity
+        state = np.full((new_num_sets, 1 + self.associativity), EMPTY, dtype=np.int64)
+        state[targets[kept], 1 + rank[kept]] = survivors[order][kept]
+        state[:, 0] = np.bincount(targets[kept], minlength=new_num_sets)
+        self._set_state(state)
+        lost = int(targets.shape[0] - np.count_nonzero(kept))
+        self._resident = int(targets.shape[0]) - lost
         self.stats.invalidations += lost
         return lost
 
@@ -376,8 +299,10 @@ class ReferenceSetAssociativeCache:
     differential testing of :class:`SetAssociativeCache` (and, via
     ``REPRO_SIM_KERNEL=reference``, of the whole batched simulation
     path). It exposes the same interface — including the read-only
-    :meth:`probe` contract and :meth:`access_run` — but every operation
-    is the original list-scan code path.
+    :meth:`probe` contract, :meth:`access_run` and whole-state
+    :meth:`snapshot`/:meth:`restore` — but every operation is the
+    original list-scan code path. It is also the only model of a
+    pluggable (non-LRU) replacement policy.
     """
 
     __slots__ = ("num_sets", "associativity", "_sets", "_policy", "_lru", "stats")
@@ -421,6 +346,10 @@ class ReferenceSetAssociativeCache:
             resident.extend(ways)
         return resident
 
+    def state(self) -> tuple:
+        """The full replacement state: every set's lines, in list order."""
+        return tuple(tuple(ways) for ways in self._sets)
+
     # ------------------------------------------------------------------
     def access(self, line_addr: int) -> bool:
         ways = self._sets[line_addr % self.num_sets]
@@ -460,28 +389,22 @@ class ReferenceSetAssociativeCache:
         hits = np.array([self.access(int(a)) for a in addrs], dtype=bool)
         return hits, self.stats.evictions - before
 
-    def snapshot_for(self, addrs: np.ndarray) -> tuple:
-        """Copy-on-write snapshot covering the sets ``addrs`` map to."""
-        sets = self._sets
-        saved = {
-            index: list(sets[index])
-            for index in set((addrs % self.num_sets).tolist())
-        }
+    def snapshot(self) -> tuple:
+        """A copy of the whole state: every set's lines and the counters."""
         stats = self.stats
         return (
-            saved,
+            [list(ways) for ways in self._sets],
             stats.hits,
             stats.misses,
             stats.evictions,
             stats.invalidations,
         )
 
-    def restore_snapshot(self, snapshot: tuple) -> None:
-        """Undo every state change made since the matching snapshot."""
-        saved, hits, misses, evictions, invalidations = snapshot
-        sets = self._sets
-        for index, ways in saved.items():
-            sets[index] = ways
+    def restore(self, snapshot: tuple) -> None:
+        """Return to the state of a :meth:`snapshot` (any number of times)."""
+        sets, hits, misses, evictions, invalidations = snapshot
+        self._sets = [list(ways) for ways in sets]
+        self.num_sets = len(sets)
         stats = self.stats
         stats.hits = hits
         stats.misses = misses

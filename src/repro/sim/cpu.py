@@ -601,8 +601,9 @@ class Core:
         ``cursor`` on are summed again. Otherwise a new run of up to
         :data:`KEPT_RUN_EVENTS` events before ``cap`` is resolved — for
         a shared view, only as many as the remaining budget is
-        estimated to need before ``stop``; ``None`` when fewer than
-        :data:`MIN_BATCH` remain.
+        estimated to need before ``stop``, but at least
+        :data:`MIN_BATCH`; ``None`` when fewer than :data:`MIN_BATCH`
+        remain.
         """
         run = self._kept
         memory = self.memory
@@ -624,7 +625,13 @@ class Core:
         self._kept = None
         limit = cap
         if self._settle_each_call:
-            want = cursor + int(0.9 * (until_cycle - self.cycles) / self._est_cost)
+            # At least MIN_BATCH events even when the budget looks
+            # shorter: the commit stops at the budget, and the call's
+            # settle rolls the unused tail back.
+            want = cursor + max(
+                MIN_BATCH,
+                int(0.9 * (until_cycle - self.cycles) / self._est_cost),
+            )
             limit = min(stop, want)
         n = min(limit, cursor + KEPT_RUN_EVENTS) - cursor
         if n < MIN_BATCH:

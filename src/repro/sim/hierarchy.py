@@ -26,8 +26,9 @@ path of jittered cores and way-partitioned LLCs). The batched kernel
 instead resolves a run of accesses ahead with
 :meth:`DomainMemory.resolve_levels` and commits it slice by slice, as
 the accesses actually execute, with :meth:`DomainMemory.commit_levels`.
-A resolve over a live LLC view walks it ahead through lazily journaled
-set snapshots; :meth:`DomainMemory.settle` later rolls the uncommitted
+A resolve over a live LLC view snapshots the view's whole state (at
+most a few thousand lines) and walks it ahead in one compiled run;
+:meth:`DomainMemory.settle` later rolls the uncommitted
 tail back and re-walks the committed prefix's misses, so the LLC ends
 exactly as if only the committed accesses had happened. A private
 partition settles only when it must: before its LLC resizes it, before
@@ -74,16 +75,6 @@ from repro.monitor.umon import (
 from repro.monitor.window import COLD_DISTANCE, ReuseDistanceTracker
 from repro.sim.kernelmode import make_cache
 from repro.sim.partition import LLCView
-
-
-#: Sentinel distinct from the packed-recency dicts' stored value (None),
-#: so ``ways.pop(addr, MISSING) is None`` is a one-lookup hit test.
-MISSING = object()
-
-
-def _cache_state(cache) -> tuple:
-    """A cache's full LRU state: every set's lines, LRU-first."""
-    return tuple(tuple(ways) for ways in cache._sets)
 
 
 class _PassTrace:
@@ -235,10 +226,10 @@ class L1ServiceTrace(_PassTrace):
             self._addrs = _memory_addresses(self._stream)
             self._stream = None
             self._cache = make_cache(*self.geometry)
-            self._state = _cache_state(self._cache)
+            self._state = self._cache.state()
         hits, _ = self._cache.access_run(self._addrs)
         self._passes.append(np.packbits(hits, bitorder="little").tobytes())
-        state = _cache_state(self._cache)
+        state = self._cache.state()
         if state == self._state:
             self._repeats = True
             self._addrs = self._cache = self._state = None
@@ -333,9 +324,7 @@ class MonitorTrace(_PassTrace):
         if self._tracker is not None:
             last = self._tracker._last_position
             tracker_order = tuple(sorted(last, key=last.__getitem__))
-        filter_state = (
-            _cache_state(self._filter) if self._filter is not None else None
-        )
+        filter_state = self._filter.state() if self._filter is not None else None
         return filter_state, tracker_order
 
     def _walk_pass(self) -> None:
@@ -513,7 +502,7 @@ class LLCServiceTrace(_PassTrace):
             self._addrs = _memory_addresses(self._stream)
             self._stream = None
             self._cache = make_cache(*self.geometry)
-            self._state = _cache_state(self._cache)
+            self._state = self._cache.state()
             self._partial = np.empty(self._period, dtype=np.uint8)
         index = len(self._passes)
         period = self._period
@@ -531,7 +520,7 @@ class LLCServiceTrace(_PassTrace):
             return
         self._filled = 0
         self._passes.append(self._partial.tobytes())
-        state = _cache_state(self._cache)
+        state = self._cache.state()
         input_repeats = l1.cycle_found and l1.passes_walked <= index + 1
         if input_repeats and state == self._state:
             self._repeats = True
@@ -629,7 +618,7 @@ class DomainMemory:
         self._monitor_trace: MonitorTrace | None = None
         self._llc_trace: LLCServiceTrace | None = None
         # The outstanding LLC walk of the last resolve:
-        # (start position, addresses, L1-miss mask, journal snapshot).
+        # (start position, addresses, L1-miss mask, view snapshot).
         self._walk: tuple | None = None
         #: Bumped by every settle that rolls a walked-ahead tail back:
         #: levels resolved under an older epoch are stale.
@@ -895,8 +884,8 @@ class DomainMemory:
         needed). Otherwise ``addrs`` holds those accesses' line
         addresses: the outstanding walk is settled, the L1 decisions are
         a slice of the L1 trace, and the L1-missing subsequence walks
-        the live LLC view ahead through one lazily journaled loop
-        (:meth:`_llc_walk`). Either way a caller may resolve far ahead
+        the live LLC view ahead in one ``access_run`` after a whole-state
+        ``snapshot`` of the view. Either way a caller may resolve far ahead
         and commit the levels slice by slice (:meth:`commit_levels`) as
         its accesses actually execute; :meth:`settle` rolls back
         whatever of a walk the commits did not cover.
@@ -946,85 +935,14 @@ class DomainMemory:
             phases.l1_read_s += t1 - t0
         snapshot = None
         if miss_addrs.shape[0]:
-            snapshot, llc_hits = self._llc_walk(miss_addrs, True)
-            levels[miss_mask] += ~llc_hits
+            view = self.llc_view
+            snapshot = view.snapshot()
+            levels[miss_mask] += ~view.access_run(miss_addrs)
+            self.llc_walked += int(miss_addrs.shape[0])
         self._walk = (pos, addrs, miss_mask, snapshot)
         if phases is not None:
             phases.llc_walk_s += perf_counter() - t1
         return levels
-
-    def _llc_walk(
-        self, addrs: np.ndarray, journaled: bool
-    ) -> tuple[tuple | None, np.ndarray]:
-        """One-loop LLC walk over the view's raw packed-recency dicts.
-
-        Semantically identical to ``snapshot_for`` + ``access_run`` on
-        the view (same dict operations in the same order, stats applied
-        in bulk), but the snapshot is journaled lazily as sets are first
-        touched instead of in an eager pre-pass. Returns the snapshot in
-        the exact layout the view's ``restore_snapshot`` expects (a
-        shared view carries its per-domain counters alongside the cache
-        snapshot; ``None`` unless ``journaled``), plus the per-access
-        hit vector.
-        """
-        cache, offset, domain_stats = self.llc_view.kernel_binding()
-        if journaled:
-            journal: dict | None = {}
-            stats = cache.stats
-            cache_snapshot = (
-                journal,
-                stats.hits,
-                stats.misses,
-                stats.evictions,
-                stats.invalidations,
-                cache._resident,
-            )
-            if domain_stats is None:
-                snapshot: tuple | None = cache_snapshot
-            else:
-                snapshot = (
-                    cache_snapshot,
-                    domain_stats.hits,
-                    domain_stats.misses,
-                )
-        else:
-            journal = None
-            snapshot = None
-        sets = cache._sets
-        num_sets = cache.num_sets
-        assoc = cache.associativity
-        tagged = addrs + offset if offset else addrs
-        indexes = tagged % num_sets
-        hit = miss = evict = 0
-        out: list[bool] = []
-        append = out.append
-        # Resident lines map to None, so pop's MISSING default doubles
-        # as the miss test while removing a hit's stale recency slot.
-        for addr, index in zip(tagged.tolist(), indexes.tolist()):
-            ways = sets[index]
-            if journal is not None and index not in journal:
-                journal[index] = dict(ways)
-            if ways.pop(addr, MISSING) is None:
-                ways[addr] = None
-                hit += 1
-                append(True)
-            else:
-                if len(ways) >= assoc:
-                    del ways[next(iter(ways))]
-                    evict += 1
-                ways[addr] = None
-                miss += 1
-                append(False)
-        stats = cache.stats
-        stats.hits += hit
-        stats.misses += miss
-        stats.evictions += evict
-        cache._resident += miss - evict
-        if domain_stats is not None:
-            domain_stats.hits += hit
-            domain_stats.misses += miss
-        self.llc_walked += hit + miss
-        return snapshot, np.array(out, dtype=bool)
 
     def commit_levels(self, levels: np.ndarray) -> None:
         """Commit the next ``len(levels)`` accesses, resolved by :meth:`resolve_levels`.
@@ -1046,7 +964,7 @@ class DomainMemory:
     def settle(self, timed: bool = True) -> None:
         """Roll back the part of the outstanding walk no commit covered.
 
-        Restores the walk's journal and re-walks the committed prefix's
+        Restores the walk's snapshot and re-walks the committed prefix's
         misses (deterministic from the restored state, so they hit and
         miss as they did), leaving the LLC exactly as if only the
         committed accesses had happened, and bumps :attr:`epoch`: levels
@@ -1075,10 +993,12 @@ class DomainMemory:
         phases = self.phases if timed else None
         if phases is not None:
             t0 = perf_counter()
-        self.llc_view.restore_snapshot(snapshot)
-        kept = miss_mask[:done]
-        if kept.any():
-            self._llc_walk(addrs[:done][kept], False)
+        view = self.llc_view
+        view.restore(snapshot)
+        kept = addrs[:done][miss_mask[:done]]
+        if kept.shape[0]:
+            view.access_run(kept)
+            self.llc_walked += int(kept.shape[0])
         self.epoch += 1
         self.llc_settles += 1
         if phases is not None:

@@ -2,8 +2,9 @@
 
 The simulator has two equivalent inner kernels:
 
-* ``batched`` — the production path: packed-recency caches
-  (:class:`repro.sim.cache.SetAssociativeCache`), memory-access runs
+* ``batched`` — the production path: array-state LRU caches stepped
+  by a compiled walk (:class:`repro.sim.cache.SetAssociativeCache`),
+  memory-access runs
   resolved ahead through
   :meth:`repro.sim.hierarchy.DomainMemory.resolve_levels` with L1
   decisions from an :class:`repro.sim.hierarchy.L1ServiceTrace`, kept
@@ -19,6 +20,11 @@ invalidation counters, IPC, resizing traces, and leakage numbers — which
 the equivalence tests pin for every scheme. Select with the
 ``REPRO_SIM_KERNEL`` environment variable (read at construction time, so
 a test can flip it per simulation with ``monkeypatch.setenv``).
+
+In batched mode :func:`make_cache` builds reference caches for non-LRU
+policies, and for every cache when the compiled LRU walk cannot be
+built (:mod:`repro.sim.native` warns once); the batched core path runs
+unchanged over them, with bit-identical results.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ import os
 
 from repro.errors import ConfigurationError
 from repro.sim.cache import ReferenceSetAssociativeCache, SetAssociativeCache
-from repro.sim.replacement import ReplacementPolicy
+from repro.sim.native import lru_kernel
+from repro.sim.replacement import LRUPolicy, ReplacementPolicy
 
 #: Environment variable selecting the simulation kernel.
 KERNEL_ENV = "REPRO_SIM_KERNEL"
@@ -56,6 +63,15 @@ def make_cache(
     associativity: int,
     policy: ReplacementPolicy | None = None,
 ):
-    """A set-associative cache built for the selected kernel mode."""
-    cls = SetAssociativeCache if batching_enabled() else ReferenceSetAssociativeCache
-    return cls(num_sets, associativity, policy)
+    """A set-associative cache built for the selected kernel mode.
+
+    The compiled LRU cache in batched mode when it is available (the
+    first call may build it); otherwise the reference model.
+    """
+    if (
+        (policy is None or isinstance(policy, LRUPolicy))
+        and batching_enabled()
+        and lru_kernel() is not None
+    ):
+        return SetAssociativeCache(num_sets, associativity)
+    return ReferenceSetAssociativeCache(num_sets, associativity, policy)

@@ -88,12 +88,12 @@ class LLCView:
             count=int(addrs.shape[0]),
         )
 
-    def snapshot_for(self, addrs: np.ndarray) -> object:
-        """Snapshot the state an :meth:`access_run` over ``addrs`` may change."""
+    def snapshot(self) -> object:
+        """A copy of every state this view's accesses may change."""
         raise NotImplementedError
 
-    def restore_snapshot(self, snapshot: object) -> None:
-        """Undo changes made since the matching :meth:`snapshot_for`."""
+    def restore(self, snapshot: object) -> None:
+        """Return to the state of a :meth:`snapshot`."""
         raise NotImplementedError
 
 
@@ -271,20 +271,11 @@ class PartitionView(LLCView):
         """
         self._llc.bind_settle(self._domain, owner)
 
-    def snapshot_for(self, addrs: np.ndarray) -> object:
-        return self._llc._caches[self._domain].snapshot_for(addrs)
+    def snapshot(self) -> object:
+        return self._llc._caches[self._domain].snapshot()
 
-    def restore_snapshot(self, snapshot: object) -> None:
-        self._llc._caches[self._domain].restore_snapshot(snapshot)
-
-    def kernel_binding(self) -> tuple:
-        """(backing cache, address offset, per-domain stats or None).
-
-        Lets the hierarchy's LLC walk loop the backing cache directly;
-        a partition view has no address tagging and no separate
-        per-domain counters (the cache's own stats are the domain's).
-        """
-        return self._llc._caches[self._domain], 0, None
+    def restore(self, snapshot: object) -> None:
+        self._llc._caches[self._domain].restore(snapshot)
 
     @property
     def partition_lines(self) -> int:
@@ -350,7 +341,8 @@ class SharedLLC:
 
     def access_run(self, domain: int, addrs: np.ndarray) -> np.ndarray:
         """Resolve a run of one domain's accesses against the shared cache."""
-        tagged = addrs + domain * self._DOMAIN_STRIDE
+        # Tagged in int64, as the scalar path's Python ints are.
+        tagged = np.add(addrs, domain * self._DOMAIN_STRIDE, dtype=np.int64)
         hits, _ = self._cache.access_run(tagged)
         stats = self._domain_stats[domain]
         num_hits = int(np.count_nonzero(hits))
@@ -358,14 +350,14 @@ class SharedLLC:
         stats.misses += int(hits.shape[0]) - num_hits
         return hits
 
-    def snapshot_for(self, domain: int, addrs: np.ndarray) -> tuple:
-        tagged = addrs + domain * self._DOMAIN_STRIDE
+    def snapshot(self, domain: int) -> tuple:
+        """The whole cache's state and one domain's counters."""
         stats = self._domain_stats[domain]
-        return (self._cache.snapshot_for(tagged), stats.hits, stats.misses)
+        return (self._cache.snapshot(), stats.hits, stats.misses)
 
-    def restore_snapshot(self, domain: int, snapshot: tuple) -> None:
+    def restore(self, domain: int, snapshot: tuple) -> None:
         cache_snapshot, hits, misses = snapshot
-        self._cache.restore_snapshot(cache_snapshot)
+        self._cache.restore(cache_snapshot)
         stats = self._domain_stats[domain]
         stats.hits = hits
         stats.misses = misses
@@ -388,19 +380,8 @@ class SharedView(LLCView):
     def access_run(self, addrs: np.ndarray) -> np.ndarray:
         return self._llc.access_run(self._domain, addrs)
 
-    def snapshot_for(self, addrs: np.ndarray) -> object:
-        return self._llc.snapshot_for(self._domain, addrs)
+    def snapshot(self) -> object:
+        return self._llc.snapshot(self._domain)
 
-    def restore_snapshot(self, snapshot: object) -> None:
-        self._llc.restore_snapshot(self._domain, snapshot)
-
-    def kernel_binding(self) -> tuple:
-        """(backing cache, address offset, per-domain stats).
-
-        The hierarchy's LLC walk adds the offset to every address (the
-        shared LLC's domain tagging) and bulk-updates the domain's
-        hit/miss stats, mirroring :meth:`SharedLLC.access_run`.
-        """
-        llc = self._llc
-        domain = self._domain
-        return llc._cache, domain * llc._DOMAIN_STRIDE, llc._domain_stats[domain]
+    def restore(self, snapshot: object) -> None:
+        self._llc.restore(self._domain, snapshot)

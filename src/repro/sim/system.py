@@ -243,14 +243,14 @@ class MultiDomainSystem:
         many stream passes this run's trace reads had to walk, and how
         many LLC service-trace positions they walked.
         """
+        phases = KernelPhases() if obs_trace.tracing_enabled() else None
+        before = self._trace_work() if phases is not None else None
         with obs_trace.span(
             "sim.run", scheme=self.scheme.name, kernel=kernel_mode()
         ) as span:
-            phases = KernelPhases() if obs_trace.tracing_enabled() else None
             if phases is None:
                 now, quanta, completed = self._advance(max_cycles, None)
             else:
-                before = self._trace_work()
                 for memory in self.memories:
                     memory.phases = phases
                 try:
@@ -314,7 +314,9 @@ class MultiDomainSystem:
     ) -> tuple[int, int, bool]:
         """Run every core; returns ``(now, quanta, completed)``.
 
-        With ``phases``, each core run and each scheme hook is timed.
+        With ``phases``, each core run and each scheme hook is timed (a
+        quantum-free run times its core loop and its samples as one
+        block each).
         """
         if self.quantum_free:
             now, quanta, completed = self._skip_quanta(max_cycles, phases)
@@ -349,7 +351,8 @@ class MultiDomainSystem:
         """
         quantum = self.quantum
         cores = self.cores
-        core_s = 0.0
+        if phases is not None:
+            t0 = perf_counter()
         # The loop's last possible quantum: the first boundary at or
         # past max_cycles.
         last = 0 if self.all_finished else max(0, -(-max_cycles // quantum))
@@ -362,11 +365,7 @@ class MultiDomainSystem:
             if not last:
                 finishing.append(None)
                 continue
-            if phases is not None:
-                t0 = perf_counter()
             reason = core.run(float(last * quantum), until_finished=True)
-            if phases is not None:
-                core_s += perf_counter() - t0
             if reason is StopReason.FINISHED:
                 # q * quantum > top exactly when it exceeds floor(top).
                 finishing.append(int(core.finish_top) // quantum + 1)
@@ -379,14 +378,11 @@ class MultiDomainSystem:
         now = quanta * quantum
         for core in cores:
             if core.cycles < now:
-                if phases is not None:
-                    t0 = perf_counter()
                 core.run(float(now))
-                if phases is not None:
-                    core_s += perf_counter() - t0
                 progress_beat(1)
         if phases is not None:
-            t0 = perf_counter()
+            t1 = perf_counter()
+            phases.core_s += t1 - t0
         step = -(-self.sample_interval // quantum)
         for domain, (stats, done) in enumerate(zip(self.stats, finishing)):
             recorded = quanta + 1 if done is None else done
@@ -396,8 +392,7 @@ class MultiDomainSystem:
                 for q in range(1, recorded, step)
             )
         if phases is not None:
-            phases.scheme_s += perf_counter() - t0
-            phases.core_s += core_s
+            phases.scheme_s += perf_counter() - t1
         return now, quanta, completed
 
     def _quantum_loop(

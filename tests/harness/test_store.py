@@ -320,17 +320,6 @@ class TestRateTableMemoizer:
         assert delta.get("rmax_solves", 0) == 0
         assert delta["store_rmax_hits"] == 1
 
-    def test_parallel_populate_bit_identical_to_serial(self, tmp_path):
-        set_active_store(PrecomputeStore(tmp_path / "par"))
-        populate_rate_table(64, capacity=3, jobs=2)
-        parallel = get_rate_table(64, capacity=3).entries()
-
-        clear_rate_table_cache()
-        set_active_store(PrecomputeStore(tmp_path / "ser"))
-        populate_rate_table(64, capacity=3, jobs=1)
-        serial = get_rate_table(64, capacity=3).entries()
-        assert parallel == serial
-
     def test_populate_worst_case_fills_the_unopt_key(self, tmp_path):
         set_active_store(PrecomputeStore(tmp_path))
         populate_rate_table(64, worst_case=True)

@@ -34,6 +34,8 @@ from repro.harness.experiment import make_scheme, run_mix_scheme
 from repro.harness.runconfig import TEST
 from repro.schemes.base import BaseScheme
 from repro.schemes.static import StaticScheme
+from repro.sim.cpu import Core
+from repro.sim.hierarchy import DomainMemory
 from repro.sim.kernelmode import KERNEL_ENV
 from repro.sim.system import DomainSpec, MultiDomainSystem
 from repro.workloads.mixes import get_mix
@@ -66,6 +68,37 @@ def test_batched_kernel_is_bit_identical(scheme, monkeypatch):
     reference = run_mix_scheme(pairs, scheme, TEST)
     monkeypatch.setenv(KERNEL_ENV, "batched")
     batched = run_mix_scheme(pairs, scheme, TEST)
+    assert _fingerprint(batched) == _fingerprint(reference)
+
+
+def test_shared_views_batch_at_short_quanta(monkeypatch):
+    """A Shared mix-1 cell at 125-cycle quanta resolves runs, exactly.
+
+    A shared view sizes each run to the cycle budget; below
+    ``MIN_BATCH`` events it still resolves that many and lets the commit
+    stop at the budget, so the cell is not stepped access by access.
+    """
+    pairs = get_mix(1)
+    calls = {"resolves": 0, "scalar": 0}
+    resolve = DomainMemory.resolve_levels
+    execute = Core._execute_event
+
+    def counted_resolve(self, *args, **kwargs):
+        calls["resolves"] += 1
+        return resolve(self, *args, **kwargs)
+
+    def counted_execute(self, *args, **kwargs):
+        calls["scalar"] += 1
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setenv(KERNEL_ENV, "batched")
+    with monkeypatch.context() as patch:
+        patch.setattr(DomainMemory, "resolve_levels", counted_resolve)
+        patch.setattr(Core, "_execute_event", counted_execute)
+        batched = run_mix_scheme(pairs, "shared", TEST)
+    assert calls["resolves"] > 10 * calls["scalar"]
+    monkeypatch.setenv(KERNEL_ENV, "reference")
+    reference = run_mix_scheme(pairs, "shared", TEST)
     assert _fingerprint(batched) == _fingerprint(reference)
 
 

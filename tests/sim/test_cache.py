@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.sim.cache import ReferenceSetAssociativeCache, SetAssociativeCache
+from repro.sim.kernelmode import make_cache
 from repro.sim.replacement import FIFOPolicy, LRUPolicy
 
 
@@ -185,7 +186,7 @@ class TestResize:
 class TestGenericPolicies:
     def test_explicit_lru_matches_fast_path(self):
         fast = SetAssociativeCache(2, 2)
-        slow = SetAssociativeCache(2, 2, policy=LRUPolicy())
+        slow = ReferenceSetAssociativeCache(2, 2, policy=LRUPolicy())
         pattern = [1, 2, 3, 1, 4, 2, 5, 1, 3]
         assert [fast.access(a) for a in pattern] == [
             slow.access(a) for a in pattern
@@ -193,7 +194,8 @@ class TestGenericPolicies:
 
     def test_fifo_differs_from_lru_on_reorder(self):
         """FIFO evicts first-inserted even if recently hit."""
-        fifo = SetAssociativeCache(1, 2, policy=FIFOPolicy())
+        fifo = make_cache(1, 2, policy=FIFOPolicy())
+        assert isinstance(fifo, ReferenceSetAssociativeCache)
         fifo.access(1)
         fifo.access(2)
         fifo.access(1)  # hit, but does not refresh FIFO order
@@ -225,7 +227,7 @@ class TestAccessRun:
         assert cache.stats.evictions == 2
 
     def test_run_with_generic_policy(self):
-        fifo = SetAssociativeCache(1, 2, policy=FIFOPolicy())
+        fifo = make_cache(1, 2, policy=FIFOPolicy())
         hits, evictions = fifo.access_run(np.array([1, 2, 1, 3], dtype=np.int64))
         assert hits.tolist() == [False, False, True, False]
         assert evictions == 1

@@ -1,16 +1,16 @@
 """Differential tests: the batched kernel against the reference kernel.
 
-The packed-recency :class:`~repro.sim.cache.SetAssociativeCache` and the
+The compiled-walk :class:`~repro.sim.cache.SetAssociativeCache` and the
 batched hierarchy path (traced :meth:`~repro.sim.hierarchy.DomainMemory.
 resolve_levels` / :meth:`~repro.sim.hierarchy.DomainMemory.commit_levels`
 / :meth:`~repro.sim.hierarchy.DomainMemory.settle`) claim *bit-identical*
 behavior to the retained list-based reference kernel. The cache tests
 drive both implementations through randomized operation sequences —
 accesses and access runs interleaved with ``resize_sets``,
-``invalidate``, ``probe`` and snapshot/restore round-trips — and
-compare every observable after every step: hit/miss
-results, hit/miss/eviction/invalidation counters, resident counts, and
-the full resident set in recency order. The hierarchy tests compare
+``invalidate``, ``probe`` and snapshot/restore round-trips, over
+int32 and int64 addresses — and compare every observable after every
+step: hit/miss results, hit/miss/eviction/invalidation counters,
+resident counts, and the full resident set in recency order. The hierarchy tests compare
 traced resolves against scalar ``access()`` calls on a reference-kernel
 ``DomainMemory`` with no trace.
 """
@@ -83,10 +83,10 @@ def _apply(cache, op) -> object:
         return cache.resize_sets(op[1])
     assert op[0] == "speculate"
     addrs = np.array(op[1], dtype=np.int64)
-    snapshot = cache.snapshot_for(addrs)
+    snapshot = cache.snapshot()
     hits, evictions = cache.access_run(addrs)
     if op[2]:
-        cache.restore_snapshot(snapshot)
+        cache.restore(snapshot)
     return (hits.tolist(), evictions, op[2])
 
 
@@ -112,12 +112,85 @@ class TestCacheDifferential:
         for cache in (fast, reference):
             cache.access_run(warm)
             before = _state(cache)
-            snapshot = cache.snapshot_for(run)
+            snapshot = cache.snapshot()
             cache.access_run(run)
             assert _state(cache) != before  # the run really changed state
-            cache.restore_snapshot(snapshot)
+            cache.restore(snapshot)
             assert _state(cache) == before
         assert _state(fast) == _state(reference)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("ways", [1, 8, 16])
+    @pytest.mark.parametrize("num_sets", [1, 8, 24, 48, 64])
+    def test_random_sequences_match_reference(self, num_sets, ways, dtype):
+        """Runs, scalar accesses, probes, invalidations, resizes and
+        snapshot/restore round-trips at the simulated geometries.
+
+        int64 addresses start above 2**31, as Shared-tagged lines do.
+        """
+        rng = np.random.default_rng(num_sets * 1000 + ways * 10 + len(str(dtype)))
+        base = 0 if dtype is np.int32 else 2**31 + 7 * SharedLLC._DOMAIN_STRIDE
+        fast = SetAssociativeCache(num_sets, ways)
+        reference = ReferenceSetAssociativeCache(num_sets, ways)
+        snapshots: list[tuple] = []
+
+        def lines(count: int) -> np.ndarray:
+            span = 3 * fast.num_sets * ways
+            return (base + rng.integers(0, span, count)).astype(dtype)
+
+        for _ in range(120):
+            op = int(rng.integers(0, 8))
+            if op <= 1:
+                addrs = lines(int(rng.integers(1, 300)))
+                fast_hits, fast_ev = fast.access_run(addrs)
+                ref_hits, ref_ev = reference.access_run(addrs)
+                assert fast_hits.tolist() == ref_hits.tolist()
+                assert fast_ev == ref_ev
+            elif op == 2:
+                line = int(lines(1)[0])
+                assert fast.access(line) == reference.access(line)
+            elif op == 3:
+                line = int(lines(1)[0])
+                touch = bool(rng.integers(0, 2))
+                assert fast.probe(line, touch=touch) == reference.probe(
+                    line, touch=touch
+                )
+            elif op == 4:
+                line = int(lines(1)[0])
+                assert fast.invalidate(line) == reference.invalidate(line)
+            elif op == 5:
+                new_sets = int(rng.choice([1, 8, 24, 48, 64]))
+                assert fast.resize_sets(new_sets) == reference.resize_sets(new_sets)
+            elif op == 6:
+                snapshots.append((fast.snapshot(), reference.snapshot()))
+            elif snapshots:
+                fast_snap, ref_snap = snapshots[int(rng.integers(0, len(snapshots)))]
+                fast.restore(fast_snap)
+                reference.restore(ref_snap)
+            assert _state(fast) == _state(reference), op
+
+    def test_state_is_equal_exactly_when_lru_orders_are(self):
+        """``state()`` compares as the reference's per-set LRU order does."""
+        rng = np.random.default_rng(7)
+        equal_pairs = 0
+        for _ in range(400):
+            caches = []
+            for _ in range(2):
+                fast = SetAssociativeCache(2, 2)
+                reference = ReferenceSetAssociativeCache(2, 2)
+                addrs = rng.integers(0, 5, int(rng.integers(0, 6)))
+                fast.access_run(addrs)
+                reference.access_run(addrs)
+                if rng.integers(0, 2):
+                    line = int(rng.integers(0, 5))
+                    fast.invalidate(line)
+                    reference.invalidate(line)
+                caches.append((fast, reference))
+            (fast_a, ref_a), (fast_b, ref_b) = caches
+            same = ref_a.state() == ref_b.state()
+            assert (fast_a.state() == fast_b.state()) == same
+            equal_pairs += same
+        assert equal_pairs > 10  # both outcomes were exercised
 
 
 # ----------------------------------------------------------------------

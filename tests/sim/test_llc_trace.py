@@ -242,10 +242,11 @@ def test_static_batched_run_never_walks_or_restores_the_llc(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a fixed partition walked or rolled back its LLC")
 
-    monkeypatch.setattr(DomainMemory, "_llc_walk", forbidden)
     monkeypatch.setattr(DomainMemory, "_llc_access", forbidden)
-    monkeypatch.setattr(PartitionView, "restore_snapshot", forbidden)
-    monkeypatch.setattr(SetAssociativeCache, "restore_snapshot", forbidden)
+    monkeypatch.setattr(PartitionView, "access_run", forbidden)
+    monkeypatch.setattr(PartitionView, "snapshot", forbidden)
+    monkeypatch.setattr(PartitionView, "restore", forbidden)
+    monkeypatch.setattr(SetAssociativeCache, "restore", forbidden)
     monkeypatch.setattr(experiment, "_L1_TRACE_MEMO", {})
     pairs = [("gcc_2", "AES-128"), ("imagick_0", "SHA-256")]
     system = experiment.build_mix_system(pairs, "static", TEST)

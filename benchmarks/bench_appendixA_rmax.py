@@ -14,7 +14,11 @@ from repro.core.covert import CovertChannelModel, uniform_delay
 from repro.core.dinkelbach import solve_rmax
 from repro.core.rates import RmaxTable
 from repro.harness.runconfig import SCALED
-from repro.schemes.untangle import default_channel_model, get_rate_table
+from repro.schemes.untangle import (
+    clear_rate_table_cache,
+    default_channel_model,
+    get_rate_table,
+)
 
 
 def test_rmax_solve(benchmark, results_dir):
@@ -45,7 +49,7 @@ def test_rmax_solve(benchmark, results_dir):
 
 def test_rmax_table_generation(benchmark, results_dir):
     def run():
-        get_rate_table.cache_clear()
+        clear_rate_table_cache()
         return get_rate_table(SCALED.cooldown)
 
     table: RmaxTable = benchmark.pedantic(run, rounds=1, iterations=1)

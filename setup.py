@@ -1,7 +1,8 @@
 """Build script: the package metadata is in pyproject.toml.
 
 It declares the one compiled module, the LRU walk of
-``repro.sim.cache.SetAssociativeCache`` (``src/repro/sim/_lru.c``). The
+``repro.sim.cache.SetAssociativeCache`` and the utility monitor's reuse
+walk and bin feed (``src/repro/sim/_lru.c``). The
 sha256 of its source is compiled in, so ``repro.sim.native`` can tell a
 stale build from a current one; a source-tree run builds it on first
 use through this script (``setup.py build_ext``).
@@ -23,7 +24,9 @@ setup(
             "repro.sim._lru",
             [LRU_SOURCE],
             define_macros=[("LRU_SOURCE_HASH", f'"{LRU_HASH}"')],
-            extra_compile_args=["-O2"],
+            # No FMA contraction (and never -ffast-math): the monitor's
+            # bin feed must round exactly as the Python loop it replaces.
+            extra_compile_args=["-O2", "-ffp-contract=off"],
         )
     ]
 )

@@ -27,7 +27,10 @@ decisions and reuse distances are a pure function of its stream, so
 as one *code* per memory-access position — the bin index, or
 :data:`UNSAMPLED` / :data:`UNFED` — and :meth:`UMONMonitor.observe_codes`
 replays only the windowed bin accumulation, whose ``reset_window()``
-timing is the one part that depends on the schedule.
+timing is the one part that depends on the schedule. That replay runs
+in the compiled ``umon_feed`` entry point of ``repro.sim._lru``, loaded
+on the first call (never at import); the Python loop it replaces stays
+as the fallback where the module cannot be built.
 """
 
 from __future__ import annotations
@@ -132,6 +135,9 @@ class UMONMonitor:
         # the last bin collects accesses that miss at every candidate size.
         self._bins = np.zeros(len(sizes) + 1, dtype=np.float64)
         self._epoch_accesses = 0.0
+        #: The compiled bin feed; ``None`` until the first
+        #: :meth:`observe_codes` resolves it, ``False`` when unavailable.
+        self._feed = None
         self.total_observed = 0
         #: Accesses that passed the set-sampling filter (== fed to the
         #: stack tracker; equals ``total_observed`` when sampling is
@@ -206,9 +212,26 @@ class UMONMonitor:
         Equivalent, counter for counter and bit for bit, to
         :meth:`observe_code` once per code in order: the bin/epoch
         accumulation replays the per-access ``+= 1.0`` / halving
-        sequence on local Python floats (IEEE-754 identical to the numpy
-        scalar ops) before writing back.
+        sequence, in the compiled ``umon_feed`` on the bins in place, or
+        without it on local Python floats (IEEE-754 identical to the
+        numpy scalar ops) before writing back. The compiled feed
+        compares the epoch with the window as a double, so it serves
+        only windows a double holds exactly.
         """
+        feed = self._feed
+        if feed is None:
+            from repro.sim.native import lru_kernel
+
+            kernel = lru_kernel()
+            exact = float(self._window) == self._window
+            feed = self._feed = kernel is not None and exact and kernel.umon_feed
+        if feed:
+            fed, sampled, self._epoch_accesses = feed(
+                codes, self._bins, self._epoch_accesses, self._scale, self._window
+            )
+            self.total_observed += fed
+            self.sampled_observed += sampled
+            return
         sampled = codes[codes < UNSAMPLED]
         self.total_observed += int(codes.shape[0]) - int(
             np.count_nonzero(codes == UNFED)

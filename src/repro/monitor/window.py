@@ -13,9 +13,19 @@ array exploits in hardware.
 :class:`ReuseDistanceTracker` computes reuse distances online in
 O(log n) per access with a Fenwick tree over access timestamps holding
 one marker at each line's last-access position.
+
+:class:`StreamReuseWalk` is the same walk over one fixed address array
+that is fed pass after pass (a :class:`repro.sim.hierarchy.MonitorTrace`
+stream): its state is two ``int64`` arrays — the Fenwick tree, and the
+last timestamp of each distinct line, indexed by a dense line id — and
+the compiled ``reuse_walk`` entry point of ``repro.sim._lru`` steps it.
+All-integer arithmetic, so its distances are exactly the tracker's;
+without the compiled module it runs the tracker's own loop.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.errors import SimulationError
 
@@ -179,3 +189,82 @@ class ReuseDistanceTracker:
         self._fenwick = FenwickTree()
         self._last_position.clear()
         self._clock = 0
+
+    def recency_order(self) -> bytes:
+        """The observed lines, least to most recently used, as int64 bytes.
+
+        The order alone decides every future reuse distance, so two
+        trackers with equal orders return equal distances from then on.
+        """
+        last = self._last_position
+        return np.array(sorted(last, key=last.__getitem__), dtype=np.int64).tobytes()
+
+
+class StreamReuseWalk:
+    """Reuse distances at chosen positions of one fixed address array.
+
+    ``observe_at(fed)`` is :meth:`ReuseDistanceTracker.observe_run` over
+    ``addrs[fed]``, with no per-address Python: the distinct addresses
+    get dense ids once (one ``np.unique``), and ``kernel.reuse_walk``
+    (the compiled ``repro.sim._lru``) steps the array state over
+    ``ids[fed]`` in place. ``kernel=None`` keeps a
+    :class:`ReuseDistanceTracker` and runs its loop instead, with the
+    same distances and the same :meth:`recency_order`.
+    """
+
+    __slots__ = ("_kernel", "_addrs", "_unique", "_ids", "_tree", "_last",
+                 "_clock", "_tracker")
+
+    def __init__(self, kernel, addrs: np.ndarray):
+        self._kernel = kernel
+        self._tracker: ReuseDistanceTracker | None = None
+        if kernel is None:
+            self._addrs = addrs
+            self._tracker = ReuseDistanceTracker()
+            return
+        self._unique, ids = np.unique(addrs, return_inverse=True)
+        self._ids = ids.reshape(-1).astype(np.int64, copy=False)
+        #: Fenwick tree over timestamps 1..size (``_tree[0]`` unused).
+        self._tree = np.zeros(1024 + 1, dtype=np.int64)
+        #: Last timestamp of each line id; 0 for a line not yet seen.
+        self._last = np.zeros(self._unique.shape[0], dtype=np.int64)
+        self._clock = 0
+
+    def observe_at(self, fed: np.ndarray) -> np.ndarray:
+        """Record the accesses at positions ``fed``; their distances (int64)."""
+        if self._tracker is not None:
+            return np.array(
+                self._tracker.observe_run(self._addrs[fed].tolist()), dtype=np.int64
+            )
+        fed = fed.astype(np.int64, copy=False)
+        if self._clock + fed.shape[0] >= self._tree.shape[0]:
+            self._grow(self._clock + int(fed.shape[0]))
+        distances = np.empty(fed.shape[0], dtype=np.int64)
+        self._clock = self._kernel.reuse_walk(
+            self._tree, self._last, self._ids, fed, self._clock, distances
+        )
+        return distances
+
+    def recency_order(self) -> bytes:
+        """As :meth:`ReuseDistanceTracker.recency_order`."""
+        if self._tracker is not None:
+            return self._tracker.recency_order()
+        seen = np.flatnonzero(self._last)
+        order = seen[np.argsort(self._last[seen])]
+        return self._unique[order].astype(np.int64).tobytes()
+
+    def _grow(self, needed: int) -> None:
+        """Double the tree past ``needed``, rebuilt from the last timestamps.
+
+        Each seen line has one marker at its last timestamp, so node
+        ``i`` of the new tree, which sums positions ``(i - lowbit(i), i]``,
+        is a difference of two prefix counts of the markers.
+        """
+        size = self._tree.shape[0] - 1
+        while size < needed:
+            size *= 2
+        markers = np.zeros(size + 1, dtype=np.int64)
+        markers[self._last[self._last > 0]] = 1
+        counts = np.cumsum(markers)
+        node = np.arange(size + 1, dtype=np.int64)
+        self._tree = counts - counts[node - (node & -node)]

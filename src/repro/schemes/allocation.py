@@ -14,6 +14,15 @@ then gains everything at once; single-step greedy would starve it.
 An optional hysteresis threshold suppresses upgrades whose utility is
 negligible, trading a sliver of hit rate for fewer visible resizes (an
 ablation knob).
+
+:meth:`GreedyHitMaximizer.allocate` is incremental: each domain's best
+jump is cached, and a round recomputes only the granted domain's jump
+and the cached jumps the shrunken budget no longer affords. The result
+is exactly the full per-round recompute's (see the method). It stays
+pure Python: of ``repro.sim._lru``'s entry points, ``reuse_walk`` and
+``umon_feed`` serve the monitor that builds its hit curves
+(:mod:`repro.monitor.window`, :mod:`repro.monitor.umon`), and none
+serves the allocator.
 """
 
 from __future__ import annotations
@@ -76,23 +85,23 @@ class GreedyHitMaximizer:
 
     # ------------------------------------------------------------------
     def _best_jump(
-        self, curve: np.ndarray, level: int, budget: int
+        self, curve: list[float], level: int, budget: int
     ) -> tuple[float, int, float] | None:
         """Best upgrade from ``level`` to any affordable higher level.
 
         Returns ``(utility, new_level, gain)`` or ``None``. This is the
         lookahead step: utility is evaluated against every reachable
-        level, not just the next one.
+        level, not just the next one. The first of tied maxima wins.
         """
         sizes = self._sizes
         base_size = sizes[level]
-        base_hits = float(curve[level])
+        base_hits = curve[level]
         best = None
         for k in range(level + 1, len(sizes)):
             cost = sizes[k] - base_size
             if cost > budget:
                 break
-            gain = float(curve[k]) - base_hits
+            gain = curve[k] - base_hits
             if gain <= 0:
                 continue
             utility = gain / cost
@@ -107,6 +116,17 @@ class GreedyHitMaximizer:
         ``candidate_sizes[k]`` over the monitor window. Every domain is
         guaranteed the smallest size; upgrades are granted by lookahead
         marginal utility until capacity or utility is exhausted.
+
+        Each round grants the first domain, in ``hit_curves`` order,
+        whose best jump has the highest utility. A domain's best jump
+        depends only on its level and the budget, and is cached. After
+        a grant only the granted domain's level changes and the budget
+        shrinks, so the affordable levels of every other domain only
+        lose their most expensive ones: a cached jump that is still
+        affordable is still the first maximum over what is left (and a
+        domain with no jump still has none). Only the granted domain's
+        jump and the cached jumps that cost more than the new budget
+        are recomputed, which gives the grants of a full recompute.
         """
         sizes = self._sizes
         for domain, curve in hit_curves.items():
@@ -121,30 +141,36 @@ class GreedyHitMaximizer:
                 f"{sizes[0]} lines out of {self._total}"
             )
 
-        level = {domain: 0 for domain in hit_curves}
-        budget = self._total - len(hit_curves) * sizes[0]
-        total_hits = sum(float(curve[0]) for curve in hit_curves.values())
+        curves = {
+            domain: np.asarray(curve, dtype=np.float64).tolist()
+            for domain, curve in hit_curves.items()
+        }
+        level = {domain: 0 for domain in curves}
+        budget = self._total - len(curves) * sizes[0]
+        total_hits = sum(curve[0] for curve in curves.values())
+        best_jump = self._best_jump
+        jumps = {
+            domain: best_jump(curve, 0, budget) for domain, curve in curves.items()
+        }
 
         while True:
             best_domain = None
             best_utility = self._hysteresis
-            best_level = 0
-            best_gain = 0.0
-            for domain, curve in hit_curves.items():
-                jump = self._best_jump(curve, level[domain], budget)
-                if jump is None:
-                    continue
-                utility, new_level, gain = jump
-                if utility > best_utility:
+            for domain, jump in jumps.items():
+                if jump is not None and jump[0] > best_utility:
                     best_domain = domain
-                    best_utility = utility
-                    best_level = new_level
-                    best_gain = gain
+                    best_utility = jump[0]
             if best_domain is None:
                 break
+            _, best_level, gain = jumps[best_domain]
             budget -= sizes[best_level] - sizes[level[best_domain]]
             level[best_domain] = best_level
-            total_hits += best_gain
+            total_hits += gain
+            for domain, jump in jumps.items():
+                if domain == best_domain or (
+                    jump is not None and sizes[jump[1]] - sizes[level[domain]] > budget
+                ):
+                    jumps[domain] = best_jump(curves[domain], level[domain], budget)
 
         targets = {domain: sizes[k] for domain, k in level.items()}
         return AllocationResult(

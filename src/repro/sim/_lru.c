@@ -1,5 +1,6 @@
 /*
- * The LRU walk of repro.sim.cache.SetAssociativeCache.
+ * The LRU walk of repro.sim.cache.SetAssociativeCache, and the two
+ * per-access loops of the utility monitor.
  *
  * A cache's state is one C-contiguous int64 array owned by the Python
  * object, ``state[sets][1 + ways]``: column 0 of each row is the number
@@ -20,6 +21,26 @@
  *   find(state, line, op) -> whether the line is resident; op 0
  *       reads only, 1 also moves a resident line to MRU, 2 removes it.
  *
+ * Two more serve the utility monitor (repro.monitor), replaying its
+ * Python loops operation for operation:
+ *
+ *   reuse_walk(tree, last, ids, fed, clock, distances) -> clock
+ *       the Mattson reuse distances of ReuseDistanceTracker.observe_run
+ *       over line ids: ``tree`` is the int64 Fenwick tree over access
+ *       timestamps (1-based, ``tree[0]`` unused, room for every new
+ *       timestamp), ``last[id]`` the line's last timestamp (0 = never
+ *       seen); the run is ``ids[fed[k]]`` for each k, and its distances
+ *       (COLD = -1 on a first touch) go into ``distances``;
+ *   umon_feed(codes, bins, epoch, scale, window) -> (fed, sampled, epoch)
+ *       UMONMonitor.observe_code once per monitor-trace code: the fed
+ *       and sampled counts, the float64 ``bins`` updated in place, and
+ *       the new epoch. Each sampled code adds 1.0 to its bin and the
+ *       epoch, then every bin and the epoch halve when
+ *       ``epoch * scale > window`` -- the same IEEE-754 double
+ *       operations in the same order (setup.py builds with
+ *       -ffp-contract=off, never -ffast-math), so the results match
+ *       bit for bit.
+ *
  * The build defines LRU_SOURCE_HASH as the sha256 of this file, and
  * the loader (repro.sim.native) rebuilds when it differs.
  */
@@ -34,6 +55,12 @@
 #endif
 
 #define EMPTY INT64_MIN
+
+/* Monitor-trace codes (repro.monitor.umon): not fed, fed but dropped
+ * by set sampling; any smaller code is a bin index. */
+#define CODE_UNFED 255
+#define CODE_UNSAMPLED 254
+#define COLD_DISTANCE (-1)
 
 typedef struct {
     Py_buffer view;
@@ -223,6 +250,167 @@ lru_find(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     return PyBool_FromLong(i >= 0);
 }
 
+/* A 1-D C-contiguous buffer of ``itemsize``-byte items; n items. */
+static int
+vector_get(Py_buffer *view, PyObject *obj, Py_ssize_t itemsize, int writable,
+           Py_ssize_t *n, const char *what)
+{
+    int flags = PyBUF_C_CONTIGUOUS | (writable ? PyBUF_WRITABLE : 0);
+    if (PyObject_GetBuffer(obj, view, flags) < 0)
+        return -1;
+    if (view->ndim != 1 || view->itemsize != itemsize) {
+        PyBuffer_Release(view);
+        PyErr_Format(PyExc_ValueError, "%s must be a 1-D array of %zd-byte items",
+                     what, itemsize);
+        return -1;
+    }
+    *n = view->shape[0];
+    return 0;
+}
+
+/* Sum of the Fenwick tree's values at positions 1..position. */
+static inline int64_t
+prefix_sum(const int64_t *tree, int64_t position)
+{
+    int64_t total = 0;
+    for (; position > 0; position -= position & -position)
+        total += tree[position];
+    return total;
+}
+
+/* Add ``delta`` at 1-based ``position`` of a tree over 1..size. */
+static inline void
+fenwick_add(int64_t *tree, int64_t size, int64_t position, int64_t delta)
+{
+    for (; position <= size; position += position & -position)
+        tree[position] += delta;
+}
+
+static PyObject *
+lru_reuse_walk(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer views[5];
+    Py_ssize_t lens[5];
+    static const char *names[5] = {"tree", "last", "ids", "fed", "distances"};
+    static const int writable[5] = {1, 1, 0, 0, 1};
+    static const int slots[5] = {0, 1, 2, 3, 5};
+    int got = 0;
+    PyObject *result = NULL;
+    if (nargs != 6) {
+        PyErr_SetString(PyExc_TypeError,
+                        "reuse_walk(tree, last, ids, fed, clock, distances)");
+        return NULL;
+    }
+    long long start = PyLong_AsLongLong(args[4]);
+    if (start == -1 && PyErr_Occurred())
+        return NULL;
+    for (; got < 5; got++)
+        if (vector_get(&views[got], args[slots[got]], 8, writable[got],
+                       &lens[got], names[got]) < 0)
+            goto done;
+    int64_t *tree = (int64_t *)views[0].buf;
+    int64_t *last = (int64_t *)views[1].buf;
+    const int64_t *ids = (const int64_t *)views[2].buf;
+    const int64_t *fed = (const int64_t *)views[3].buf;
+    int64_t *out = (int64_t *)views[4].buf;
+    Py_ssize_t size = lens[0] - 1, lines = lens[1], n = lens[3];
+    if (lens[4] != n || start < 0 || start > (long long)size - n) {
+        PyErr_SetString(PyExc_ValueError,
+                        "reuse_walk needs one distance slot per fed access "
+                        "and a tree with room for every new timestamp");
+        goto done;
+    }
+    /* Check every index first, so a bad run leaves the state untouched. */
+    for (Py_ssize_t k = 0; k < n; k++) {
+        int64_t at = fed[k];
+        if (at < 0 || at >= lens[2] || ids[at] < 0 || ids[at] >= lines) {
+            PyErr_SetString(PyExc_IndexError, "reuse_walk index out of range");
+            goto done;
+        }
+    }
+    int64_t clock = (int64_t)start;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        int64_t line = ids[fed[k]];
+        int64_t previous = last[line];
+        clock++;
+        if (previous == 0) {
+            out[k] = COLD_DISTANCE;
+        }
+        else {
+            /* range_sum(previous + 1, clock - 1) as two prefix walks. */
+            out[k] = prefix_sum(tree, clock - 1) - prefix_sum(tree, previous);
+            fenwick_add(tree, size, previous, -1);
+        }
+        fenwick_add(tree, size, clock, 1);
+        last[line] = clock;
+    }
+    result = PyLong_FromLongLong((long long)clock);
+done:
+    while (got > 0)
+        PyBuffer_Release(&views[--got]);
+    return result;
+}
+
+static PyObject *
+lru_umon_feed(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer codes, bins_view;
+    Py_ssize_t n, nbins, fed = 0, sampled = 0;
+    if (nargs != 5) {
+        PyErr_SetString(PyExc_TypeError,
+                        "umon_feed(codes, bins, epoch, scale, window)");
+        return NULL;
+    }
+    double values[3];
+    for (int i = 0; i < 3; i++) {
+        values[i] = PyFloat_AsDouble(args[2 + i]);
+        if (values[i] == -1.0 && PyErr_Occurred())
+            return NULL;
+    }
+    double epoch = values[0], scale = values[1], window = values[2];
+    if (vector_get(&codes, args[0], 1, 0, &n, "codes") < 0)
+        return NULL;
+    if (vector_get(&bins_view, args[1], 8, 1, &nbins, "bins") < 0) {
+        PyBuffer_Release(&codes);
+        return NULL;
+    }
+    const uint8_t *in = (const uint8_t *)codes.buf;
+    double *bins = (double *)bins_view.buf;
+    /* Count, and check every bin index before any bin moves. */
+    for (Py_ssize_t k = 0; k < n; k++) {
+        uint8_t code = in[k];
+        if (code == CODE_UNFED)
+            continue;
+        fed++;
+        if (code == CODE_UNSAMPLED)
+            continue;
+        sampled++;
+        if (code >= nbins) {
+            PyBuffer_Release(&bins_view);
+            PyBuffer_Release(&codes);
+            PyErr_SetString(PyExc_IndexError, "umon_feed bin index out of range");
+            return NULL;
+        }
+    }
+    if (sampled) {
+        for (Py_ssize_t k = 0; k < n; k++) {
+            uint8_t code = in[k];
+            if (code >= CODE_UNSAMPLED)
+                continue;
+            bins[code] += 1.0;
+            epoch += 1.0;
+            if (epoch * scale > window) {
+                for (Py_ssize_t b = 0; b < nbins; b++)
+                    bins[b] *= 0.5;
+                epoch *= 0.5;
+            }
+        }
+    }
+    PyBuffer_Release(&bins_view);
+    PyBuffer_Release(&codes);
+    return Py_BuildValue("nnd", fed, sampled, epoch);
+}
+
 static PyMethodDef lru_methods[] = {
     {"run", (PyCFunction)(void (*)(void))lru_run, METH_FASTCALL,
      "run(state, addrs, hits) -> (misses, evictions)"},
@@ -230,11 +418,16 @@ static PyMethodDef lru_methods[] = {
      "access(state, line) -> 1 hit, 0 miss, -1 miss with eviction"},
     {"find", (PyCFunction)(void (*)(void))lru_find, METH_FASTCALL,
      "find(state, line, op) -> resident; op 1 touches, 2 removes"},
+    {"reuse_walk", (PyCFunction)(void (*)(void))lru_reuse_walk, METH_FASTCALL,
+     "reuse_walk(tree, last, ids, fed, clock, distances) -> clock"},
+    {"umon_feed", (PyCFunction)(void (*)(void))lru_umon_feed, METH_FASTCALL,
+     "umon_feed(codes, bins, epoch, scale, window) -> (fed, sampled, epoch)"},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef lru_module = {
-    PyModuleDef_HEAD_INIT, "_lru", "Compiled LRU walk of SetAssociativeCache.",
+    PyModuleDef_HEAD_INIT, "_lru",
+    "Compiled LRU walk of SetAssociativeCache, and the utility monitor's walks.",
     -1, lru_methods,
 };
 

@@ -72,8 +72,9 @@ from repro.monitor.umon import (
     UNSAMPLED,
     mix64_array,
 )
-from repro.monitor.window import COLD_DISTANCE, ReuseDistanceTracker
+from repro.monitor.window import COLD_DISTANCE, StreamReuseWalk
 from repro.sim.kernelmode import make_cache
+from repro.sim.native import lru_kernel
 from repro.sim.partition import LLCView
 
 
@@ -259,13 +260,15 @@ class MonitorTrace(_PassTrace):
     bin 0 and no reuse distances are computed (feed-only monitors).
 
     Passes are walked whole: feed mask, sampling mask, one
-    :meth:`~repro.monitor.window.ReuseDistanceTracker.observe_run`, one
-    ``searchsorted``. The repeat check compares the shadow filter's
-    state and the tracker's recency order (which alone decides every
-    future reuse distance); an unfiltered trace additionally waits for
-    the L1 trace to repeat at or before the pass. Walk state — filter,
-    tracker, address and sampling copies — is dropped at the repeat, so
-    a finished trace holds one byte per walked position.
+    :meth:`~repro.monitor.window.StreamReuseWalk.observe_at` (the
+    compiled reuse walk over the stream's line ids, or the tracker's
+    Python loop without the compiled module), one ``searchsorted``. The
+    repeat check compares the shadow filter's state and the tracker's
+    recency order (which alone decides every future reuse distance);
+    an unfiltered trace additionally waits for the L1 trace to repeat
+    at or before the pass. Walk state — filter, tracker, address and
+    sampling copies — is dropped at the repeat, so a finished trace
+    holds one byte per walked position.
     """
 
     __slots__ = ("geometry", "spec", "_stream", "_l1", "_addrs",
@@ -303,7 +306,7 @@ class MonitorTrace(_PassTrace):
         self._sampled: np.ndarray | None = None
         self._public: np.ndarray | None = None
         self._filter = None
-        self._tracker: ReuseDistanceTracker | None = None
+        self._tracker: StreamReuseWalk | None = None
         self._state: tuple | None = None
 
     def code(self, pos: int) -> int:
@@ -320,10 +323,9 @@ class MonitorTrace(_PassTrace):
         return self._read(start, stop, _code_view)
 
     def _walk_state(self) -> tuple:
-        tracker_order = ()
+        tracker_order = b""
         if self._tracker is not None:
-            last = self._tracker._last_position
-            tracker_order = tuple(sorted(last, key=last.__getitem__))
+            tracker_order = self._tracker.recency_order()
         filter_state = self._filter.state() if self._filter is not None else None
         return filter_state, tracker_order
 
@@ -341,7 +343,7 @@ class MonitorTrace(_PassTrace):
                 self._public = np.flatnonzero(~excluded)
                 self._filter = make_cache(*self.geometry)
             if sizes:
-                self._tracker = ReuseDistanceTracker()
+                self._tracker = StreamReuseWalk(lru_kernel(), self._addrs)
             self._state = self._walk_state()
         index = len(self._passes)
         if filtered:
@@ -358,10 +360,7 @@ class MonitorTrace(_PassTrace):
             codes[fed] = UNSAMPLED
             fed = fed[self._sampled[fed]]
         if self._tracker is not None:
-            distances = np.array(
-                self._tracker.observe_run(self._addrs[fed].tolist()),
-                dtype=np.int64,
-            )
+            distances = self._tracker.observe_at(fed)
             bins = np.searchsorted(sizes, distances << shift, side="right")
             bins[distances == COLD_DISTANCE] = len(sizes)
             codes[fed] = bins

@@ -30,7 +30,7 @@ The headline ratio — ``percell`` vs ``grouped`` cells/sec on the same
 host — is the machine-independent quantity the perf regression check
 (:mod:`repro.harness.perfbaseline`, CI ``perf-smoke`` job) compares.
 
-Methodology matches ``bench_campaign.py``: every measurement runs in a
+Methodology matches ``bench_store.py``: every measurement runs in a
 fresh child interpreter (clean memoizers and metrics), repetitions are
 interleaved so both arms see the same machine drift, and the per-arm
 minimum wall is reported.
@@ -196,7 +196,6 @@ def _measure(mode: str, quick: bool) -> dict:
     env = dict(os.environ)
     for name in (
         "REPRO_JOBS",
-        "REPRO_BATCH_CELLS",
         "REPRO_CACHE",
         "REPRO_CACHE_DIR",
         "REPRO_JOURNAL",

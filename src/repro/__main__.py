@@ -23,10 +23,9 @@ cells out over a process pool and cache results on disk under
 are bit-identical either way. ``--telemetry`` prints the engine's cache
 and timing counters to stderr afterwards.
 
-Parallel runs dispatch chunks of batch-compatible cells — sized by
-``--batch-cells`` (``0`` = auto) — from one shared queue ordered
+Parallel runs dispatch one cell at a time from one shared queue ordered
 longest-expected-first from journal runtime history; every idle worker
-takes the front chunk (see ``docs/performance.md``).
+takes the front cell (see ``docs/performance.md``).
 
 Cells additionally share a cross-cell *precompute store*
 (``docs/performance.md``): workload traces and Untangle rate tables are
@@ -44,7 +43,10 @@ replays journaled cells and simulates only what never completed.
 ``--retries`` bounds per-cell retry attempts and ``--timeout`` sets the
 per-cell deadline after which a hung worker is killed and respawned;
 ``--heartbeat`` tunes the worker liveness beats that let the supervisor
-tell slow from hung mid-cell (see ``docs/robustness.md``). A campaign
+tell slow from hung mid-cell (see ``docs/robustness.md``). Each flag
+wins over its environment variable (``REPRO_RETRIES``,
+``REPRO_TIMEOUT``, ``REPRO_HEARTBEAT``); ``REPRO_STALL_TIMEOUT`` sets
+the stall-kill deadline. A campaign
 that completes with failed or poisoned cells exits non-zero, prints a
 per-cell failure summary, and renders ``<cache-dir>/failures.json``.
 ``REPRO_FAULTS`` injects crashes/hangs/stalls/corruption/disk errors
@@ -67,7 +69,11 @@ import sys
 from pathlib import Path
 
 from repro.errors import CampaignInterrupted, ConfigurationError
-from repro.harness.exec import ExecutionEngine, ResultCache
+from repro.harness.exec import (
+    ExecutionEngine,
+    ResultCache,
+    supervision_from_env,
+)
 from repro.harness.store import (
     PRECOMPUTE_ENV,
     STORE_DIR_ENV,
@@ -123,17 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "worker processes for simulation cells "
             "(default: 1 = serial; 0 = one per CPU)"
-        ),
-    )
-    parser.add_argument(
-        "--batch-cells",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "cells per dispatched chunk "
-            "(0 = auto per batch group, 1 = per-cell dispatch; "
-            "also: REPRO_BATCH_CELLS)"
         ),
     )
     parser.add_argument(
@@ -206,8 +201,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--retries",
         type=int,
-        default=1,
-        help="retry budget per failed/crashed/hung cell (default: 1)",
+        default=None,
+        help=(
+            "retry budget per failed/crashed/hung cell (default: 1; "
+            "also: REPRO_RETRIES)"
+        ),
     )
     parser.add_argument(
         "--timeout",
@@ -216,8 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help=(
             "per-cell deadline; a parallel worker past it is killed and "
-            "respawned (default: none). With heartbeats on it bounds "
-            "inactivity: progress-carrying beats extend it"
+            "respawned (default: none; also: REPRO_TIMEOUT). With "
+            "heartbeats on it bounds inactivity: progress-carrying beats "
+            "extend it"
         ),
     )
     parser.add_argument(
@@ -317,7 +316,9 @@ def build_engine(args: argparse.Namespace) -> ExecutionEngine:
     The crash-recovery journal rides with the cache directory
     (``<cache-dir>/journal.jsonl``); ``--no-cache`` disables both.
     ``REPRO_RESUME=1`` and ``REPRO_FAULTS`` are honored alongside the
-    flags so chaos/recovery behavior can be driven from the environment.
+    flags so chaos/recovery behavior can be driven from the environment,
+    as are ``REPRO_RETRIES``, ``REPRO_TIMEOUT``, ``REPRO_HEARTBEAT`` and
+    ``REPRO_STALL_TIMEOUT`` (a flag wins over its variable).
 
     The precompute store (``docs/performance.md``) lives at
     ``<cache-dir>/store`` (or ``REPRO_STORE_DIR``) and is *independent*
@@ -362,53 +363,22 @@ def build_engine(args: argparse.Namespace) -> ExecutionEngine:
         "yes",
         "on",
     )
-    batch_cells = args.batch_cells
-    if batch_cells is None:
-        raw_batch = os.environ.get("REPRO_BATCH_CELLS", "").strip()
-        if raw_batch:
-            try:
-                batch_cells = int(raw_batch)
-            except ValueError:
-                raise ConfigurationError(
-                    f"REPRO_BATCH_CELLS={raw_batch!r} is not an integer; "
-                    "accepted: a non-negative integer (0 = auto)"
-                )
-    if batch_cells is not None and batch_cells < 0:
-        raise ConfigurationError(
-            "batch-cells must be >= 0 (0 = auto per batch group)"
-        )
     progress = (
         (lambda line: print(line, file=sys.stderr)) if args.telemetry else None
     )
-    heartbeat = args.heartbeat
-    if heartbeat is None:
-        raw_heartbeat = os.environ.get("REPRO_HEARTBEAT", "").strip()
-        if raw_heartbeat:
-            try:
-                heartbeat = float(raw_heartbeat)
-            except ValueError:
-                raise ConfigurationError(
-                    f"REPRO_HEARTBEAT={raw_heartbeat!r} is not a number; "
-                    "accepted: a non-negative number of seconds (0 = off)"
-                )
-        else:
-            heartbeat = 1.0
-    if heartbeat < 0:
-        raise ConfigurationError(
-            "heartbeat must be >= 0 (0 disables heartbeats)"
-        )
     return ExecutionEngine(
         jobs=args.jobs,
         cache=cache,
-        timeout=args.timeout,
-        heartbeat=heartbeat,
-        retries=args.retries,
         journal=journal,
         resume=resume,
         faults=faults_from_env(),
         progress=progress,
         store=store,
-        batch_cells=batch_cells,
+        **supervision_from_env(
+            retries=args.retries,
+            timeout=args.timeout,
+            heartbeat=args.heartbeat,
+        ),
     )
 
 

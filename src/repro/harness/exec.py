@@ -35,8 +35,8 @@ dependable as the system under test:
 * **Heartbeat liveness.** Workers interleave progress-carrying
   heartbeats with their result stream, so the supervisor distinguishes
   *slow* (progress advancing — deadlines extend) from *hung* (progress
-  frozen — ``worker.unresponsive`` fires, and a stall kill lands well
-  before a chunk of N cells would burn N deadlines).
+  frozen — ``worker.unresponsive`` fires, and a stall kill can land
+  before the per-cell deadline).
 * **Poison-cell circuit breaker.** A cell whose every attempt killed
   its worker is quarantined as ``poisoned`` instead of shooting workers
   forever: the campaign completes, a failure manifest
@@ -113,9 +113,6 @@ from repro.obs.liveness import progress_beat, progress_value
 #: IPC instead of 0.)
 CACHE_FORMAT_VERSION = 3
 
-#: Hard ceiling on cells per dispatched chunk (auto sizing stays below).
-MAX_BATCH_CELLS = 32
-
 #: Layout version of the failure manifest (``failures.json``).
 MANIFEST_FORMAT_VERSION = 1
 
@@ -181,11 +178,6 @@ _M_CELL_SECONDS = _REG.histogram(
     "repro_exec_cell_seconds",
     "Per-cell wall time (completed cells)",
     buckets=obs_metrics.CELL_SECONDS_BUCKETS,
-)
-_M_BATCH_CELLS = _REG.histogram(
-    "repro_batch_cells",
-    "Cells per dispatched chunk",
-    buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
 )
 
 
@@ -254,7 +246,7 @@ class MixSchemeCell:
         of each cell's built monitors are pure functions of the cell
         inputs, so one solve/walk here is inherited copy-on-write by
         every worker instead of being repeated per worker that draws a
-        chunk needing it. Rate tables go first: building the schemes
+        cell needing it. Rate tables go first: building the schemes
         whose monitors name the traces needs them. Purely an
         optimization — results are identical without it.
         """
@@ -269,19 +261,6 @@ class MixSchemeCell:
              for cell in cells]
         )
         return warmed
-
-    def batch_group(self) -> tuple:
-        """Chunk-compatibility key for cell-major batching.
-
-        Cells sharing a scheme (including parameter overrides) and
-        profile have comparable runtimes and identical store needs, so
-        running them through one worker's shared scratch arena
-        amortizes well without creating stragglers inside a chunk.
-        """
-        return (
-            "mix-scheme", self.scheme, self.profile.name,
-            self.scheme_params,
-        )
 
     def store_needs(self) -> list[tuple]:
         """Precomputable artifacts this cell will consume (store populate).
@@ -380,11 +359,6 @@ class SensitivityCell:
         return run_benchmark_at_size(
             SPEC_BENCHMARKS[self.benchmark], self.partition_lines, self.profile
         )
-
-    def batch_group(self) -> tuple:
-        """Chunk-compatibility key: all sizes of one profile batch well
-        (they share the benchmark-trace store needs and kernel shape)."""
-        return ("sensitivity", self.profile.name)
 
     def store_needs(self) -> list[tuple]:
         """One shared SPEC-only trace per benchmark, reused by all sizes."""
@@ -1037,10 +1011,6 @@ class EngineTelemetry:
     #: the campaign — a warm store drives both to zero.
     workload_builds: int = 0
     rmax_solves: int = 0
-    #: Chunks sent to workers / cells carried by those chunks. Equal
-    #: when ``batch_cells=1``; their ratio is the realized batch factor.
-    batches_dispatched: int = 0
-    batched_cells: int = 0
     #: Per-cell records retained for reporting. Successful cells are
     #: capped at :data:`MAX_RETAINED_RECORDS` (the overflow counted in
     #: :attr:`records_dropped`) so a 100k-cell campaign's telemetry
@@ -1132,8 +1102,6 @@ class EngineTelemetry:
             "store_quarantines": self.store_quarantines,
             "workload_builds": self.workload_builds,
             "rmax_solves": self.rmax_solves,
-            "batches": self.batches_dispatched,
-            "batched_cells": self.batched_cells,
             "records_dropped": self.records_dropped,
             "cell_seconds_p50": self.cell_seconds_stats.quantile(0.5),
             "cell_seconds_p90": self.cell_seconds_stats.quantile(0.9),
@@ -1256,11 +1224,10 @@ def runtime_hints_from_entries(
     would drag an estimate toward "free". Three hint granularities are
     built from one pass:
 
-    * exact cell label — real per-cell history, what lets the
-      cost-aware chunk planner see skew *inside* one batch group (whose
-      cells all share a family and profile);
+    * exact cell label — real per-cell history, which orders cells of
+      one family and profile (e.g. a slow mix ahead of a fast one);
     * ``(family, profile)`` — so a ``bench``-profile campaign never
-      inherits stale full-profile means and misplans its chunks
+      inherits stale full-profile means and misorders its cells
       (profiles differ in workload scale by orders of magnitude);
     * bare family — legacy granularity, kept only for journal entries
       recorded before profiles were journaled (no profile field).
@@ -1288,7 +1255,7 @@ def expected_cost(cell: Any, hints: dict[Any, float]) -> float:
     cell's own ``cost_hint()`` (if it defines one), then the static
     family weight table. Only the *ordering* matters — an inaccurate
     estimate degrades the dispatch order, never correctness, and the
-    shared queue still hands every idle worker the next chunk.
+    shared queue still hands every idle worker the next cell.
     """
     family = _cost_family(cell.label)
     hint = hints.get(cell.label)
@@ -1325,28 +1292,27 @@ def _execute_cell(
         return value, time.perf_counter() - start
 
 
-def _chunk_messages(chunk, faults, worker_id):
-    """Yield one result message per cell of a chunk, in chunk order."""
-    for index, cell in chunk:
-        start = time.perf_counter()
-        # Store/build/solve counters accumulate in *this* process's
-        # registry; ship the per-cell delta home so the parent registry
-        # (the one the exporters and telemetry read) accounts for work
-        # wherever it ran.
-        stats_before = store_stats_snapshot()
-        try:
-            value, wall = _execute_cell(cell, faults, worker_id)
-            delta = store_stats_delta(stats_before, store_stats_snapshot())
-            yield (index, "ok", value, wall, delta)
-        except Exception as exc:  # graceful degradation
-            delta = store_stats_delta(stats_before, store_stats_snapshot())
-            yield (
-                index,
-                "error",
-                f"{type(exc).__name__}: {exc}",
-                time.perf_counter() - start,
-                delta,
-            )
+def _cell_message(index, cell, faults, worker_id) -> tuple:
+    """Run one dispatched cell; return its result message."""
+    start = time.perf_counter()
+    # Store/build/solve counters accumulate in *this* process's
+    # registry; ship the per-cell delta home so the parent registry
+    # (the one the exporters and telemetry read) accounts for work
+    # wherever it ran.
+    stats_before = store_stats_snapshot()
+    try:
+        value, wall = _execute_cell(cell, faults, worker_id)
+        delta = store_stats_delta(stats_before, store_stats_snapshot())
+        return (index, "ok", value, wall, delta)
+    except Exception as exc:  # graceful degradation
+        delta = store_stats_delta(stats_before, store_stats_snapshot())
+        return (
+            index,
+            "error",
+            f"{type(exc).__name__}: {exc}",
+            time.perf_counter() - start,
+            delta,
+        )
 
 
 def _heartbeat_loop(
@@ -1383,18 +1349,13 @@ def _worker_main(
     faults: FaultPlan | None,
     heartbeat: float | None = None,
 ) -> None:
-    """Worker loop: receive chunks of ``(index, cell)`` tasks, send back
-    one result message per cell.
-
-    A chunk's cells run back-to-back. Results stream home *per cell* (the
-    message shape is unchanged from per-cell dispatch), so supervisor
-    accounting, deadlines, and retry bookkeeping see individual cells —
-    and results stay bit-identical to serial execution.
+    """Worker loop: receive one ``(index, cell)`` task per message, send
+    back its result message.
 
     Liveness: with ``heartbeat`` set, a daemon thread interleaves
     ``("heartbeat", progress)`` tuples with the result stream (the send
     lock keeps messages whole), so the supervisor can tell slow from
-    hung *mid-cell* instead of waiting out a whole chunk of deadlines.
+    hung *mid-cell* instead of waiting out the cell's deadline.
 
     SIGINT is ignored so a terminal Ctrl-C reaches only the supervisor,
     which then terminates workers deliberately (after flushing the
@@ -1420,33 +1381,33 @@ def _worker_main(
     try:
         while True:
             try:
-                chunk = conn.recv()
+                task = conn.recv()
             except (EOFError, OSError):
                 return
-            if chunk is None:
+            if task is None:
                 return
-            for message in _chunk_messages(chunk, faults, worker_id):
-                # A finished cell is progress even if the cell's own
-                # execution never beat (non-simulation cells).
-                progress_beat()
+            message = _cell_message(*task, faults, worker_id)
+            # A finished cell is progress even if the cell's own
+            # execution never beat (non-simulation cells).
+            progress_beat()
+            try:
+                with send_lock:
+                    conn.send(message)
+            except Exception as exc:  # e.g. an unpicklable result
                 try:
                     with send_lock:
-                        conn.send(message)
-                except Exception as exc:  # e.g. an unpicklable result
-                    try:
-                        with send_lock:
-                            conn.send(
-                                (
-                                    message[0],
-                                    "error",
-                                    "result not transferable: "
-                                    f"{type(exc).__name__}: {exc}",
-                                    message[3],
-                                    message[4],
-                                )
+                        conn.send(
+                            (
+                                message[0],
+                                "error",
+                                "result not transferable: "
+                                f"{type(exc).__name__}: {exc}",
+                                message[3],
+                                message[4],
                             )
-                    except Exception:
-                        return
+                        )
+                except Exception:
+                    return
     finally:
         stop_beats.set()
 
@@ -1455,25 +1416,14 @@ def _worker_main(
 # Worker supervision
 # ----------------------------------------------------------------------
 @dataclass
-class _Chunk:
-    """A run of batch-compatible cells dispatched to one worker as a unit."""
-
-    cells: list[tuple[int, Any, str]]  # (index, cell, key)
-    #: Summed expected cost — orders the queue longest-expected-first.
-    cost: float
-
-
-@dataclass
 class _Worker:
     """Supervisor-side handle for one worker process."""
 
     process: Any
     conn: multiprocessing.connection.Connection
     id: int
-    #: Cells of the in-flight chunk that have not reported a result yet;
-    #: ``chunk[0]`` is the cell currently executing (the deadline applies
-    #: to it alone). Empty when the worker is idle.
-    chunk: list[tuple[int, Any, str]] = field(default_factory=list)
+    #: The in-flight ``(index, cell, key)``; ``None`` when idle.
+    task: tuple[int, Any, str] | None = None
     started: float = 0.0
     deadline: float | None = None
     #: When the last heartbeat (or result/dispatch) was observed.
@@ -1497,19 +1447,15 @@ class _Supervisor:
     rescheduled with backoff, and every other slot keeps streaming cells
     — no failure can stall the round or leak a pool slot.
 
-    Scheduling: pending cells are grouped into batch-compatible
-    *chunks* (cell-major batching: one worker runs a run of cells under
-    a shared scratch arena) and put on one shared queue in
-    longest-expected-first order (LPT, using journal runtime hints).
-    Every idle worker takes the front chunk, so the expensive work
-    starts first and the cheap tail fills whichever workers free up —
-    one straggler cannot serialize the end of a campaign behind a
-    static per-worker placement.
-
-    Workers report results per *cell*, attempts/deadlines are booked
-    per cell, and outcomes are bit-identical to serial execution.
+    Scheduling: pending cells wait on one shared queue in
+    longest-expected-first order (LPT, using journal runtime hints),
+    and every dispatch sends one cell. Every idle worker takes the
+    front cell, so the expensive work starts first and the cheap tail
+    fills whichever workers free up — one straggler cannot serialize
+    the end of a campaign behind a static per-worker placement.
     Backed-off retries live in the retry ``queue`` and take priority
-    over unstarted chunks.
+    over unstarted cells. Outcomes are bit-identical to serial
+    execution.
     """
 
     #: How long one poll of the worker pipes blocks, seconds. Bounds
@@ -1585,101 +1531,19 @@ class _Supervisor:
                     "warm.prefork", cell_type=cell_type.__name__, warmed=warmed
                 )
 
-    # ------------------------------------------------------------------
-    # Chunk planning and ordering
-    # ------------------------------------------------------------------
-    def _chunk_cost(self, cells) -> float:
-        return sum(expected_cost(cell, self.hints) for _, cell, _ in cells)
-
-    #: A batch group is *skewed* when its most expensive cell is hinted
-    #: at more than this multiple of the group's median cell cost; the
-    #: outliers then dispatch as singleton chunks.
-    SKEW_FACTOR = 2.0
-
-    def _plan_chunks(self, pending) -> list[_Chunk]:
-        """Group batch-compatible cells into dispatch chunks, cost-aware.
-
-        Cells sharing a ``batch_group()`` key are packed, in input
-        order, into runs of at most ``engine.batch_cells`` cells. When
-        unset, the cap auto-sizes to leave every group at least
-        ``2 * slots`` chunks, so batching amortizes dispatch overhead
-        without ever costing load balance (small groups — e.g. the few
-        expensive Untangle cells of a mixed campaign — stay singletons).
-        Cells without a ``batch_group`` hook are never chunked.
-
-        Cost awareness: when journal-hinted runtimes inside one group
-        are skewed (:attr:`SKEW_FACTOR`), the stragglers split off as
-        singleton chunks instead of chunking purely by count — a chunk
-        is a scheduling atom, so a straggler packed with cheap peers
-        would pin them all to one worker's lap.
-        Per-cell skew is only visible through per-label journal
-        history; without it every cell in a group shares one estimate
-        and the split never triggers.
-        """
-        slots = max(1, self.slots)
-        groups: dict[Any, list] = {}
-        order: list[tuple[Any, list]] = []  # plan order, groups coalesced
-        for task in pending:
-            hook = getattr(task[1], "batch_group", None)
-            if hook is None:
-                order.append((None, [task]))
-                continue
-            group = hook()
-            if group not in groups:
-                groups[group] = []
-                order.append((group, groups[group]))
-            groups[group].append(task)
-        chunks: list[_Chunk] = []
-        for group, cells in order:
-            if group is None:
-                cap = 1
-            elif self.engine.batch_cells is not None:
-                cap = min(MAX_BATCH_CELLS, self.engine.batch_cells)
-            else:
-                cap = max(1, min(MAX_BATCH_CELLS, len(cells) // (slots * 2)))
-            stragglers, cells = self._split_skewed(group, cells)
-            for task in stragglers:
-                chunks.append(
-                    _Chunk(cells=[task], cost=self._chunk_cost([task]))
-                )
-            for start in range(0, len(cells), cap):
-                run = cells[start : start + cap]
-                chunks.append(_Chunk(cells=run, cost=self._chunk_cost(run)))
-        return chunks
-
-    def _split_skewed(self, group, cells):
-        """Partition one batch group into (stragglers, normal cells).
-
-        Both halves preserve input order. A group is left whole unless
-        its hinted max exceeds ``SKEW_FACTOR`` times its median — with
-        family-level hints only (identical estimates across the group)
-        that never happens, so this is exactly the lever per-label
-        journal hints unlock.
-        """
-        if group is None or len(cells) < 2:
-            return [], list(cells)
-        costs = [expected_cost(cell, self.hints) for _, cell, _ in cells]
-        median = sorted(costs)[len(costs) // 2]
-        threshold = self.SKEW_FACTOR * median
-        if median <= 0 or max(costs) <= threshold:
-            return [], list(cells)
-        stragglers = [t for t, c in zip(cells, costs) if c > threshold]
-        normal = [t for t, c in zip(cells, costs) if c <= threshold]
-        return stragglers, normal
-
     def _enqueue(self, pending) -> None:
-        """Plan ``pending`` into chunks and queue them longest-first.
+        """Queue ``pending`` cells longest-expected-first.
 
-        ``self.chunks`` holds the unstarted chunks in non-increasing
-        expected cost (the LPT order); every idle worker takes from the
-        front. The sort is stable, so equal-cost chunks keep their
-        planned (input) order — without journal history every cell of
+        ``self.unstarted`` holds the never-dispatched cells in
+        non-increasing expected cost (the LPT order); every idle worker
+        takes from the front. The sort is stable, so equal-cost cells
+        keep their input order — without journal history every cell of
         a family ties, and dispatch then follows the campaign's order.
         """
-        self.chunks: deque[_Chunk] = deque(
+        self.unstarted: deque[tuple[int, Any, str]] = deque(
             sorted(
-                self._plan_chunks(pending),
-                key=lambda chunk: chunk.cost,
+                pending,
+                key=lambda task: expected_cost(task[1], self.hints),
                 reverse=True,
             )
         )
@@ -1740,7 +1604,7 @@ class _Supervisor:
     def run(self) -> Iterator[tuple[int, CellOutcome]]:
         try:
             while self._work_remaining() or any(
-                w.chunk for w in self.workers
+                w.task is not None for w in self.workers
             ):
                 if self.engine._interrupted:
                     raise KeyboardInterrupt
@@ -1750,66 +1614,47 @@ class _Supervisor:
             self._shutdown()
 
     def _work_remaining(self) -> bool:
-        return bool(self.queue or self.chunks)
+        return bool(self.queue or self.unstarted)
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _next_chunk(self, now: float):
-        """The next run of cells for an idle worker, or ``None``.
+    def _next_task(self, now: float):
+        """The next cell for an idle worker, or ``None``.
 
         A backed-off retry whose delay has elapsed (strictly older work)
-        goes first; otherwise the front — most expensive — chunk of the
-        shared queue.
+        goes first; otherwise the front — most expensive — unstarted
+        cell.
         """
         for position, task in enumerate(self.queue):
             if task[3] <= now:
                 del self.queue[position]
-                index, cell, key, _ = task
-                return [(index, cell, key)]
-        if self.chunks:
-            return self.chunks.popleft().cells
+                return task[:3]
+        if self.unstarted:
+            return self.unstarted.popleft()
         return None
 
     def _assign(self) -> Iterator[tuple[int, CellOutcome]]:
         now = time.monotonic()
         for worker in list(self.workers):
-            if worker.chunk:
+            if worker.task is not None:
                 continue
-            cells = self._next_chunk(now)
-            if cells is None:
+            task = self._next_task(now)
+            if task is None:
                 continue
-            yield from self._dispatch(worker, cells)
+            yield from self._dispatch(worker, task)
 
     def _dispatch(
-        self, worker: _Worker, cells
+        self, worker: _Worker, task: tuple[int, Any, str]
     ) -> Iterator[tuple[int, CellOutcome]]:
-        """Send a chunk to an idle worker; handle a dead one in place."""
-        worker.chunk = list(cells)
-        self.engine.telemetry.batches_dispatched += 1
-        self.engine.telemetry.batched_cells += len(cells)
-        _M_BATCH_CELLS.observe(float(len(cells)))
-        if len(cells) > 1:
-            obs_trace.event(
-                "batch.dispatch",
-                worker=worker.id,
-                cells=len(cells),
-                first=cells[0][1].label,
-            )
-        self._start_cell(worker, time.monotonic())
-        try:
-            worker.conn.send([(index, cell) for index, cell, _ in cells])
-        except (OSError, ValueError):
-            yield from self._dispatch_failed(worker)
+        """Send one cell to an idle worker; handle a dead one in place.
 
-    def _start_cell(self, worker: _Worker, now: float) -> None:
-        """Book the head of the worker's chunk as executing now.
-
-        Attempts increment per *cell start*, not per chunk dispatch, so
-        retry budgets are identical to per-cell dispatch; the deadline
-        restarts for each cell of a chunk as its predecessor reports.
+        The attempt is booked and the deadline armed before the send.
+        The stall clock restarts too: the dispatch itself is the most
+        recent sign of life.
         """
-        index, cell, _ = worker.chunk[0]
+        index, cell, _ = task
+        now = time.monotonic()
         self.attempts[index] += 1
         obs_trace.event(
             "cell.dispatch",
@@ -1817,61 +1662,56 @@ class _Supervisor:
             worker=worker.id,
             attempt=self.attempts[index],
         )
+        worker.task = task
         worker.started = now
         worker.deadline = (
             now + self.engine.timeout
             if self.engine.timeout is not None
             else None
         )
-        # A fresh cell gets a fresh stall clock (the dispatch itself is
-        # the most recent sign of life).
         worker.last_beat = now
         worker.stall_since = None
         worker.unresponsive_fired = False
+        try:
+            worker.conn.send((index, cell))
+        except (OSError, ValueError):
+            # The worker (or its pipe) is already dead: one crash,
+            # booked here, and never also a timeout.
+            yield from self._lose_worker(
+                worker,
+                "crash",
+                "worker died before dispatch",
+                exitcode=worker.process.exitcode,
+            )
 
-    def _dispatch_failed(
-        self, worker: _Worker
+    def _lose_worker(
+        self, worker: _Worker, kind: str, error: str, **attrs: Any
     ) -> Iterator[tuple[int, CellOutcome]]:
-        """``conn.send`` failed: the worker (or its pipe) is already dead.
+        """Book a worker lost mid-cell, replace it, and fail the attempt.
 
-        Handled synchronously — crash accounted exactly once, worker
-        replaced, head cell retried, unstarted tail requeued — with the
-        deadline cleared *before* anything else, so the deadline sweep
-        can never also book a ``worker.timeout`` for a cell the worker
-        never received.
+        ``kind`` is ``"crash"`` (booked in ``worker_crashes``, event
+        ``worker.crash``), ``"timeout"`` (``worker_timeouts``,
+        ``worker.timeout``) or ``"stall-kill"`` (``worker_timeouts``,
+        ``worker.stall-kill``); ``attrs`` extend the event. The task
+        and deadline are cleared first, so no later sweep can book the
+        same cell again.
         """
-        cells = worker.chunk
-        worker.chunk = []
+        index, cell, key = worker.task
+        worker.task = None
         worker.deadline = None
-        index, cell, key = cells[0]
         self.elapsed[index] += time.monotonic() - worker.started
-        self.engine.telemetry.worker_crashes += 1
-        _M_WORKER["crash"].inc()
+        if kind == "crash":
+            self.engine.telemetry.worker_crashes += 1
+            _M_WORKER["crash"].inc()
+        else:
+            self.engine.telemetry.worker_timeouts += 1
+            _M_WORKER["timeout"].inc()
         obs_trace.event(
-            "worker.crash",
-            worker=worker.id,
-            label=cell.label,
-            exitcode=worker.process.exitcode,
+            f"worker.{kind}", worker=worker.id, label=cell.label, **attrs
         )
         self._replace(worker)
-        self._requeue_unstarted(cells[1:])
         yield from self._attempt_failed(
-            index, cell, key, "worker died before dispatch", worker_died=True
-        )
-
-    def _requeue_unstarted(self, cells) -> None:
-        """Return a dead chunk's not-yet-started cells to the schedule.
-
-        These cells never incremented ``attempts`` and never reported a
-        result, so they come back unpenalized: at the front of the
-        shared queue (they were next in line) and without consuming
-        retries.
-        """
-        if not cells:
-            return
-        cells = list(cells)
-        self.chunks.appendleft(
-            _Chunk(cells=cells, cost=self._chunk_cost(cells))
+            index, cell, key, error, worker_died=True
         )
 
     def _collect(self) -> Iterator[tuple[int, CellOutcome]]:
@@ -1892,12 +1732,18 @@ class _Supervisor:
         now = time.monotonic()
         for worker in list(self.workers):
             if (
-                worker.chunk
+                worker.task is not None
                 and worker.deadline is not None
                 and now > worker.deadline
                 and worker.id not in serviced
             ):
-                yield from self._expire(worker)
+                yield from self._lose_worker(
+                    worker,
+                    "timeout",
+                    f"timeout after {self.engine.timeout:.1f}s "
+                    "(worker killed)",
+                    timeout=self.engine.timeout,
+                )
         if self._unresponsive_after is not None:
             yield from self._stall_sweep(now, serviced)
 
@@ -1928,11 +1774,11 @@ class _Supervisor:
         before any kill, so operators watching the trace see a hang
         forming instead of discovering it a full deadline later. Then,
         if stall kills are licensed (see ``__init__``), the worker is
-        killed at ``_stall_kill`` seconds of evidence: a chunk of N
-        cells no longer needs N deadlines to declare a dead worker.
+        killed at ``_stall_kill`` seconds of evidence, which can come
+        well before the cell's deadline.
         """
         for worker in list(self.workers):
-            if not worker.chunk or worker.id in serviced:
+            if worker.task is None or worker.id in serviced:
                 continue
             if worker not in self.workers:
                 continue
@@ -1947,38 +1793,18 @@ class _Supervisor:
                 obs_trace.event(
                     "worker.unresponsive",
                     worker=worker.id,
-                    label=worker.chunk[0][1].label,
+                    label=worker.task[1].label,
                     stalled_seconds=round(stalled, 3),
                     progress=worker.last_progress,
                 )
             if self._stall_kill is not None and stalled >= self._stall_kill:
-                yield from self._stall_expire(worker, stalled)
-
-    def _stall_expire(
-        self, worker: _Worker, stalled: float
-    ) -> Iterator[tuple[int, CellOutcome]]:
-        """Kill a worker whose cell stalled past the stall deadline."""
-        cells = worker.chunk
-        worker.chunk = []
-        index, cell, key = cells[0]
-        self.elapsed[index] += time.monotonic() - worker.started
-        self.engine.telemetry.worker_timeouts += 1
-        _M_WORKER["timeout"].inc()
-        obs_trace.event(
-            "worker.stall-kill",
-            worker=worker.id,
-            label=cell.label,
-            stalled_seconds=round(stalled, 3),
-        )
-        error = (
-            f"no progress for {stalled:.1f}s despite heartbeats "
-            "(worker killed)"
-        )
-        self._replace(worker)
-        self._requeue_unstarted(cells[1:])
-        yield from self._attempt_failed(
-            index, cell, key, error, worker_died=True
-        )
+                yield from self._lose_worker(
+                    worker,
+                    "stall-kill",
+                    f"no progress for {stalled:.1f}s despite heartbeats "
+                    "(worker killed)",
+                    stalled_seconds=round(stalled, 3),
+                )
 
     def _note_beat(self, worker: _Worker, progress: int) -> None:
         """Fold one heartbeat into the worker's liveness state.
@@ -1996,7 +1822,7 @@ class _Supervisor:
             worker.last_progress = progress
             worker.stall_since = None
             worker.unresponsive_fired = False
-            if worker.chunk and self.engine.timeout is not None:
+            if worker.task is not None and self.engine.timeout is not None:
                 worker.deadline = now + self.engine.timeout
         elif worker.stall_since is None:
             worker.stall_since = now
@@ -2027,15 +1853,11 @@ class _Supervisor:
         if message is not None:
             index, status, payload, wall, stats_delta = message
             apply_store_stats_delta(stats_delta)
-            assert worker.chunk and worker.chunk[0][0] == index
-            _, cell, key = worker.chunk.pop(0)
+            assert worker.task is not None and worker.task[0] == index
+            _, cell, key = worker.task
+            worker.task = None
+            worker.deadline = None
             self.elapsed[index] += wall
-            if worker.chunk:
-                # The worker moved on to the chunk's next cell the moment
-                # it sent this result: restart attempts/deadline for it.
-                self._start_cell(worker, time.monotonic())
-            else:
-                worker.deadline = None
             if status == "ok":
                 yield index, CellOutcome(
                     cell=cell,
@@ -2051,49 +1873,16 @@ class _Supervisor:
             return
         if worker.process.is_alive():
             return  # spurious wakeup
-        if not worker.chunk:
+        if worker.task is None:
             # An idle worker died (infant mortality): just replace it.
             self._replace(worker)
             return
-        cells = worker.chunk
-        worker.chunk = []
-        index, cell, key = cells[0]
-        self.elapsed[index] += time.monotonic() - worker.started
-        self.engine.telemetry.worker_crashes += 1
-        _M_WORKER["crash"].inc()
-        obs_trace.event(
-            "worker.crash",
-            worker=worker.id,
-            label=cell.label,
-            exitcode=worker.process.exitcode,
-        )
-        error = f"worker crashed (exit code {worker.process.exitcode})"
-        self._replace(worker)
-        self._requeue_unstarted(cells[1:])
-        yield from self._attempt_failed(
-            index, cell, key, error, worker_died=True
-        )
-
-    def _expire(self, worker: _Worker) -> Iterator[tuple[int, CellOutcome]]:
-        """Kill a worker that blew the head cell's deadline; retry it."""
-        assert worker.chunk
-        cells = worker.chunk
-        worker.chunk = []
-        index, cell, key = cells[0]
-        self.elapsed[index] += time.monotonic() - worker.started
-        self.engine.telemetry.worker_timeouts += 1
-        _M_WORKER["timeout"].inc()
-        obs_trace.event(
-            "worker.timeout",
-            worker=worker.id,
-            label=cell.label,
-            timeout=self.engine.timeout,
-        )
-        error = f"timeout after {self.engine.timeout:.1f}s (worker killed)"
-        self._replace(worker)
-        self._requeue_unstarted(cells[1:])
-        yield from self._attempt_failed(
-            index, cell, key, error, worker_died=True
+        exitcode = worker.process.exitcode
+        yield from self._lose_worker(
+            worker,
+            "crash",
+            f"worker crashed (exit code {exitcode})",
+            exitcode=exitcode,
         )
 
     def _attempt_failed(
@@ -2158,7 +1947,7 @@ class _Supervisor:
 
     def _shutdown(self) -> None:
         for worker in self.workers:
-            if not worker.chunk and worker.process.is_alive():
+            if worker.task is None and worker.process.is_alive():
                 try:
                     worker.conn.send(None)  # polite stop for idle workers
                 except (OSError, ValueError):
@@ -2202,11 +1991,11 @@ class ExecutionEngine:
         Interval in seconds of worker liveness heartbeats (default 1).
         Each beat carries the worker's progress counter (advanced per
         simulation quantum and per finished cell), letting the
-        supervisor distinguish slow from hung mid-chunk: frozen
+        supervisor distinguish slow from hung mid-cell: frozen
         progress fires a ``worker.unresponsive`` warning after ~3
         intervals, and — when a ``timeout`` or ``stall_timeout``
-        licenses killing — a stall kill well before a chunk of N cells
-        would burn N deadlines. ``0``/``None`` disables heartbeats.
+        licenses killing — a stall kill, which can land before the
+        cell's deadline. ``0``/``None`` disables heartbeats.
     stall_timeout:
         Seconds of frozen progress after which a stalled worker is
         killed (requires ``heartbeat``). Defaults to
@@ -2243,11 +2032,6 @@ class ExecutionEngine:
         bit-identical either way. Independent of ``cache``: the *result*
         cache memoizes finished cells, the store memoizes the expensive
         *inputs* of cells that do run.
-    batch_cells:
-        Cells per dispatched chunk. ``None``
-        or ``0`` auto-sizes per batch group (see
-        ``_Supervisor._plan_chunks``); ``1`` forces per-cell dispatch;
-        larger values cap at :data:`MAX_BATCH_CELLS`.
     """
 
     def __init__(
@@ -2266,7 +2050,6 @@ class ExecutionEngine:
         faults: FaultPlan | None = None,
         progress: Callable[[str], None] | None = None,
         store: PrecomputeStore | None = None,
-        batch_cells: int | None = None,
     ):
         if jobs < 1:
             raise ConfigurationError("jobs must be >= 1")
@@ -2285,11 +2068,7 @@ class ExecutionEngine:
             )
         if backoff_base < 0 or backoff_cap < 0:
             raise ConfigurationError("backoff delays must be >= 0")
-        if batch_cells is not None and batch_cells < 0:
-            raise ConfigurationError("batch_cells must be >= 0")
         self.jobs = jobs
-        #: ``None`` means auto-size per batch group; 0 normalizes to it.
-        self.batch_cells = batch_cells if batch_cells else None
         self.cache = cache
         self.timeout = timeout
         self.heartbeat = heartbeat
@@ -2925,6 +2704,40 @@ def _seconds_from_env(name: str, default: float | None) -> float | None:
     return value if value else None
 
 
+def supervision_from_env(
+    *,
+    retries: int | None = None,
+    timeout: float | None = None,
+    heartbeat: float | None = None,
+    stall_timeout: float | None = None,
+) -> dict[str, Any]:
+    """The engine's retry, deadline and liveness keyword arguments.
+
+    A setting passed here (not ``None``) wins; every other one is read
+    from its ``REPRO_*`` variable (see :func:`engine_from_env`), so the
+    CLI honours the same environment as the benchmark harness.
+    """
+    if retries is None:
+        retries = _int_from_env(
+            "REPRO_RETRIES",
+            default=1,
+            minimum=0,
+            accepted="a non-negative integer retry budget per cell",
+        )
+    if timeout is None:
+        timeout = _seconds_from_env("REPRO_TIMEOUT", None)
+    if heartbeat is None:
+        heartbeat = _seconds_from_env("REPRO_HEARTBEAT", 1.0)
+    if stall_timeout is None:
+        stall_timeout = _seconds_from_env("REPRO_STALL_TIMEOUT", None)
+    return {
+        "retries": retries,
+        "timeout": timeout,
+        "heartbeat": heartbeat,
+        "stall_timeout": stall_timeout,
+    }
+
+
 def engine_from_env(
     default_cache_dir: str | Path | None = None,
     progress: Callable[[str], None] | None = None,
@@ -2956,8 +2769,6 @@ def engine_from_env(
       of re-running them.
     * ``REPRO_FAULTS``: fault-injection spec for chaos runs (see
       :mod:`repro.harness.faults`).
-    * ``REPRO_BATCH_CELLS``: cells per dispatched chunk (``0`` =
-      auto-size per batch group, ``1`` = per-cell dispatch).
     * ``REPRO_PRECOMPUTE``: ``off`` disables the precompute store
       (legacy build-per-cell path); default on.
     * ``REPRO_STORE_DIR``: precompute-store directory. Defaults to
@@ -2980,37 +2791,6 @@ def engine_from_env(
     )
     if jobs == 0:
         jobs = os.cpu_count() or 1
-    retries = _int_from_env(
-        "REPRO_RETRIES",
-        default=1,
-        minimum=0,
-        accepted="a non-negative integer retry budget per cell",
-    )
-    batch_cells = _int_from_env(
-        "REPRO_BATCH_CELLS",
-        default=0,
-        minimum=0,
-        accepted="a non-negative integer (0 = auto, 1 = per-cell dispatch)",
-    )
-    timeout: float | None = None
-    raw_timeout = os.environ.get("REPRO_TIMEOUT", "").strip()
-    if raw_timeout:
-        try:
-            timeout = float(raw_timeout)
-        except ValueError:
-            raise ConfigurationError(
-                f"REPRO_TIMEOUT={raw_timeout!r} is not a number; accepted: "
-                "a positive number of seconds (0 = no deadline)"
-            )
-        if timeout < 0:
-            raise ConfigurationError(
-                f"REPRO_TIMEOUT={raw_timeout!r} is out of range; accepted: "
-                "a positive number of seconds (0 = no deadline)"
-            )
-        if timeout == 0:
-            timeout = None
-    heartbeat = _seconds_from_env("REPRO_HEARTBEAT", 1.0)
-    stall_timeout = _seconds_from_env("REPRO_STALL_TIMEOUT", None)
     cache: ResultCache | None = None
     directory: str | Path | None = None
     if os.environ.get("REPRO_CACHE", "1") != "0":
@@ -3048,14 +2828,10 @@ def engine_from_env(
     return ExecutionEngine(
         jobs=jobs,
         cache=cache,
-        timeout=timeout,
-        heartbeat=heartbeat,
-        stall_timeout=stall_timeout,
-        retries=retries,
         journal=journal,
         resume=_truthy_env("REPRO_RESUME"),
         faults=faults_from_env(),
         progress=progress,
         store=store,
-        batch_cells=batch_cells,
+        **supervision_from_env(),
     )

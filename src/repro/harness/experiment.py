@@ -431,7 +431,7 @@ def warm_rate_tables(entries: list[tuple]) -> int:
     fork: the table is a pure function of the channel model, and the
     module-level memo in :mod:`repro.schemes.untangle` is inherited
     copy-on-write, so the Dinkelbach solve happens once per campaign
-    instead of once per worker that draws an untangle chunk. Which
+    instead of once per worker that draws an untangle cell. Which
     tables a scheme needs comes from its registration's ``store_needs``
     hook, so registered third-party schemes warm automatically. Returns
     the number of tables solved.

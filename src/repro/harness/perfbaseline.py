@@ -1,6 +1,6 @@
 """Perf regression check against the committed performance baselines.
 
-Four benchmark drivers record machine-independent *speedup ratios* at the
+Three benchmark drivers record machine-independent *speedup ratios* at the
 repository root (absolute wall-clock depends on the host; the ratio of
 two modes measured back-to-back on the same machine does not, to first
 order):
@@ -10,9 +10,6 @@ order):
 * ``benchmarks/bench_store.py`` → ``BENCH_store.json``
   (``"kind": "store"``): a multi-mix campaign with the precompute store
   disabled vs cold vs warm;
-* ``benchmarks/bench_campaign.py`` → ``BENCH_campaign.json``
-  (``"kind": "campaign"``): a mixed-scheme campaign dispatched one cell
-  per chunk vs eight cells per chunk from the shared queue;
 * ``benchmarks/bench_overhead.py`` → ``BENCH_overhead.json``
   (``"kind": "overhead"``): a control-plane-bound campaign of trivial
   cells under per-cell journal fsync + per-file cache writes vs the
@@ -52,11 +49,6 @@ BASELINE_PATH = Path(__file__).resolve().parents[3] / "BENCH_kernel.json"
 #: The committed baseline written by ``benchmarks/bench_store.py``.
 STORE_BASELINE_PATH = Path(__file__).resolve().parents[3] / "BENCH_store.json"
 
-#: The committed baseline written by ``benchmarks/bench_campaign.py``.
-CAMPAIGN_BASELINE_PATH = (
-    Path(__file__).resolve().parents[3] / "BENCH_campaign.json"
-)
-
 #: The committed baseline written by ``benchmarks/bench_overhead.py``.
 OVERHEAD_BASELINE_PATH = (
     Path(__file__).resolve().parents[3] / "BENCH_overhead.json"
@@ -92,10 +84,6 @@ def _speedups(payload: dict) -> dict[str, float]:
             "store/cold": float(payload["cold"]["speedup"]),
             "store/warm": float(payload["warm"]["speedup"]),
         }
-    if payload.get("kind") == "campaign":
-        return {
-            "campaign/batched": float(payload["batched"]["speedup"]),
-        }
     if payload.get("kind") == "overhead":
         return {
             "overhead/fastpath": float(payload["grouped"]["speedup"]),
@@ -113,12 +101,6 @@ def _identity_failures(payload: dict) -> list[str]:
         return [
             f"store/{mode}"
             for mode in ("cold", "warm")
-            if not payload[mode].get("identical", False)
-        ]
-    if payload.get("kind") == "campaign":
-        return [
-            f"campaign/{mode}"
-            for mode in ("percell", "batched")
             if not payload[mode].get("identical", False)
         ]
     if payload.get("kind") == "overhead":
@@ -197,8 +179,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="committed baseline (default: the committed file matching the "
         f"current payload's kind — {BASELINE_PATH.name}, "
-        f"{STORE_BASELINE_PATH.name}, {CAMPAIGN_BASELINE_PATH.name}, "
-        f"or {OVERHEAD_BASELINE_PATH.name})",
+        f"{STORE_BASELINE_PATH.name}, or {OVERHEAD_BASELINE_PATH.name})",
     )
     parser.add_argument(
         "--current",
@@ -218,7 +199,6 @@ def main(argv: list[str] | None = None) -> int:
     if baseline_path is None:
         baseline_path = {
             "store": STORE_BASELINE_PATH,
-            "campaign": CAMPAIGN_BASELINE_PATH,
             "overhead": OVERHEAD_BASELINE_PATH,
         }.get(current.get("kind"), BASELINE_PATH)
     baseline = load_bench(baseline_path)

@@ -195,12 +195,6 @@ def render_telemetry(telemetry: EngineTelemetry) -> str:
     if snap["wall_seconds"] > 0 and snap["cell_seconds"] > 0:
         speedup = snap["cell_seconds"] / snap["wall_seconds"]
         lines.append(f"  speedup:      {speedup:.2f}x (cell time / wall clock)")
-    if snap["batches"]:
-        factor = snap["batched_cells"] / snap["batches"]
-        lines.append(
-            f"  scheduling:   {snap['batches']} chunks dispatched "
-            f"({factor:.1f} cells/chunk)"
-        )
     if snap["quarantined"]:
         lines.append(
             f"  quarantined:  {snap['quarantined']} corrupt cache "

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.__main__ import build_parser, main
+from repro.__main__ import build_engine, build_parser, main
+from repro.errors import ConfigurationError
 from repro.obs.trace import TRACE_ENV
 
 
@@ -108,6 +109,65 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "Trace summary" in out
         assert "cell.compute" in out
+
+
+class TestEngineEnvironment:
+    """``build_engine`` honours the supervision variables the engine
+    documents, with each flag winning over its variable."""
+
+    ENV = {
+        "REPRO_RETRIES": "3",
+        "REPRO_TIMEOUT": "40",
+        "REPRO_HEARTBEAT": "0.5",
+        "REPRO_STALL_TIMEOUT": "9",
+    }
+
+    @staticmethod
+    def _engine(tmp_path, *flags):
+        argv = ["--cache-dir", str(tmp_path), *flags, "rmax"]
+        return build_engine(build_parser().parse_args(argv))
+
+    @staticmethod
+    def _settings(engine):
+        return (
+            engine.retries,
+            engine.timeout,
+            engine.heartbeat,
+            engine.stall_timeout,
+        )
+
+    def test_defaults_without_environment(self, monkeypatch, tmp_path):
+        for name in self.ENV:
+            monkeypatch.delenv(name, raising=False)
+        engine = self._engine(tmp_path)
+        assert self._settings(engine) == (1, None, 1.0, None)
+
+    def test_environment_applies(self, monkeypatch, tmp_path):
+        for name, value in self.ENV.items():
+            monkeypatch.setenv(name, value)
+        engine = self._engine(tmp_path)
+        assert self._settings(engine) == (3, 40.0, 0.5, 9.0)
+
+    def test_flags_override_environment(self, monkeypatch, tmp_path):
+        for name, value in self.ENV.items():
+            monkeypatch.setenv(name, value)
+        engine = self._engine(
+            tmp_path, "--retries", "0", "--timeout", "5", "--heartbeat", "2"
+        )
+        # REPRO_STALL_TIMEOUT has no flag: the environment still sets it.
+        assert self._settings(engine) == (0, 5.0, 2.0, 9.0)
+
+    @pytest.mark.parametrize("name", sorted(ENV))
+    def test_malformed_value_names_the_variable(
+        self, name, monkeypatch, tmp_path, capsys
+    ):
+        for other in self.ENV:
+            monkeypatch.delenv(other, raising=False)
+        monkeypatch.setenv(name, "soon")
+        with pytest.raises(ConfigurationError, match=name):
+            self._engine(tmp_path)
+        assert main(["--cache-dir", str(tmp_path), "rmax"]) == 2
+        assert name in capsys.readouterr().err
 
 
 class TestSchemesFlag:

@@ -29,21 +29,6 @@ def payload(raw_speedup=4.0, cells=None, fmt=1):
     }
 
 
-def campaign_payload(batched=2.0, identical=True):
-    return {
-        "format": 1,
-        "kind": "campaign",
-        "quick": False,
-        "reps": 3,
-        "percell": {"seconds": 4.0, "identical": identical},
-        "batched": {
-            "seconds": 4.0 / batched,
-            "speedup": batched,
-            "identical": identical,
-        },
-    }
-
-
 def overhead_payload(speedup=6.0, warm=3.5, identical=True):
     return {
         "format": 1,
@@ -107,20 +92,6 @@ class TestCompare:
         with pytest.raises(ConfigurationError):
             compare(payload(), payload(), tolerance=1.5)
 
-    def test_campaign_kind_compares_its_own_measurements(self):
-        assert compare(campaign_payload(), campaign_payload()) == []
-        regressions = compare(
-            campaign_payload(batched=0.9), campaign_payload(), tolerance=0.30
-        )
-        assert [r.measurement for r in regressions] == ["campaign/batched"]
-
-    def test_campaign_identity_failure_outranks_timing(self):
-        current = campaign_payload()
-        current["batched"]["identical"] = False
-        regressions = compare(current, campaign_payload())
-        assert any(r.measurement == "campaign/batched" for r in regressions)
-        assert any("non-identical" in str(r) for r in regressions)
-
     def test_overhead_kind_compares_its_own_measurements(self):
         assert compare(overhead_payload(), overhead_payload()) == []
         regressions = compare(
@@ -140,10 +111,10 @@ class TestCompare:
 
     def test_cross_kind_comparison_rejected(self):
         with pytest.raises(ConfigurationError, match="cannot compare"):
-            compare(campaign_payload(), payload())
+            compare(overhead_payload(), payload())
         store = {"format": 1, "kind": "store"}
         with pytest.raises(ConfigurationError, match="cannot compare"):
-            compare(store, campaign_payload())
+            compare(store, overhead_payload())
 
 
 class TestLoadBench:

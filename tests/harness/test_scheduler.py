@@ -1,20 +1,18 @@
-"""Cell-major batching and the supervisor's shared chunk queue.
+"""The supervisor's shared cell queue.
 
 Pins the scheduling guarantees:
 
-* **Chunking** — batch-compatible cells are dispatched as chunks
-  (``batch_cells`` explicit or auto-sized per group), with per-chunk
-  ``batch.dispatch`` events and exact batches/batched-cells telemetry.
-* **Shared queue** — chunks leave one queue longest-expected-first
-  (ties in input order), behind any ready retry; a dead worker's
-  unstarted tail goes back to the front. Every idle worker takes the
-  next chunk, which rescues campaigns whose cost estimates inverted
-  reality.
+* **Shared queue** — cells leave one queue longest-expected-first
+  (ties in input order), behind any ready retry, one cell per
+  dispatch. Every idle worker takes the next cell, which rescues
+  campaigns whose cost estimates inverted reality.
 * **Dead-at-dispatch accounting** — a worker that dies before receiving
-  its chunk is booked as exactly one crash (never a timeout), and the
+  its cell is booked as exactly one crash (never a timeout), and the
   cell retries through the normal backoff path.
-* **Bit identity** — batched parallel results are byte-for-byte the
-  serial results, cache disabled.
+* **Crash accounting** — every attempt is one ``cell.dispatch``, and a
+  crashed worker costs only its own cell a retry.
+* **Bit identity** — parallel results are byte-for-byte the serial
+  results, cache disabled.
 """
 
 from __future__ import annotations
@@ -33,6 +31,7 @@ from repro.harness.exec import (
     expected_cost,
     runtime_hints_from_entries,
 )
+from repro.harness.faults import parse_fault_spec
 from repro.harness.journal import JournalEntry, RunJournal
 from repro.harness.runconfig import TEST
 from repro.obs.trace import TRACE_ENV
@@ -75,20 +74,12 @@ class SleepCell:
         return payload["v"]
 
 
-class BatchableCell(SleepCell):
-    """A sleep cell that opts into cell-major chunking."""
-
-    def batch_group(self):
-        return ("batchable",)
-
-
 def _planner(engine, hints, slots=2):
     """A supervisor stripped to its planning state — no worker spawns."""
     supervisor = _Supervisor.__new__(_Supervisor)
     supervisor.engine = engine
     supervisor.slots = slots
     supervisor.queue = deque()
-    supervisor.chunks = deque()
     supervisor.hints = hints
     return supervisor
 
@@ -134,46 +125,6 @@ class TestCostModel:
         assert ExecutionEngine(jobs=1)._runtime_hints() == {}
 
 
-class TestChunking:
-    def test_explicit_batch_cells_chunk_dispatch(self, monkeypatch, tmp_path):
-        sink = tmp_path / "trace.jsonl"
-        monkeypatch.setenv(TRACE_ENV, str(sink))
-        cells = [BatchableCell(i, 0.01, hint=1.0) for i in range(6)]
-        engine = ExecutionEngine(jobs=2, batch_cells=3)
-        outcomes = engine.run(cells)
-        assert all(o.status == "computed" for o in outcomes)
-        snap = engine.telemetry.snapshot()
-        assert snap["batches"] == 2
-        assert snap["batched_cells"] == 6
-        batch_events = read_events(sink, "batch.dispatch")
-        assert len(batch_events) == 2
-        assert all(e["attrs"]["cells"] == 3 for e in batch_events)
-
-    def test_auto_cap_keeps_every_slot_busy_twice(self, tmp_path):
-        # 12 compatible cells on 2 workers auto-chunk at 12 // (2*2) = 3,
-        # i.e. 4 chunks — batching amortizes without costing balance.
-        cells = [BatchableCell(i, 0.0, hint=1.0) for i in range(12)]
-        engine = ExecutionEngine(jobs=2)
-        engine.run(cells)
-        snap = engine.telemetry.snapshot()
-        assert snap["batches"] == 4
-        assert snap["batched_cells"] == 12
-
-    def test_cells_without_batch_group_stay_singletons(self):
-        cells = [SleepCell(i, 0.0, hint=1.0) for i in range(5)]
-        engine = ExecutionEngine(jobs=2, batch_cells=4)
-        engine.run(cells)
-        snap = engine.telemetry.snapshot()
-        assert snap["batches"] == 5
-        assert snap["batched_cells"] == 5
-
-    def test_negative_batch_cells_rejected(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            ExecutionEngine(jobs=2, batch_cells=-1)
-
-
 class TestDeadAtDispatch:
     def test_single_crash_no_timeout(self, monkeypatch, tmp_path):
         """A worker dead before ``conn.send`` books one crash, zero
@@ -206,10 +157,10 @@ class TestDeadAtDispatch:
 
 
 class TestSharedQueue:
-    def test_chunks_leave_longest_first_behind_ready_retries(self):
-        """Dispatch order: a ready retry, then chunks by non-increasing
-        expected cost with ties in input order; a requeued tail goes
-        back to the front."""
+    def test_cells_leave_longest_first_behind_ready_retries(self):
+        """Dispatch order: a ready retry, then cells by non-increasing
+        expected cost with ties in input order; a retry still backing
+        off waits."""
         costs = [1.0, 5.0, 3.0, 5.0, 1.0, 3.0]
         cells = [SleepCell(i, 0.0, hint=c) for i, c in enumerate(costs)]
         planner = _planner(ExecutionEngine(jobs=2), hints={})
@@ -220,16 +171,13 @@ class TestSharedQueue:
         planner.queue.append((91, backing_off, "k91", now + 1000.0))
         planner.queue.append((90, ready, "k90", now))
 
-        assert [task[0] for task in planner._next_chunk(now)] == [90]
-        assert [task[0] for task in planner._next_chunk(now)] == [1]
-        # A dead worker's unstarted tail — however cheap — returns to
-        # the front of the queue.
-        tail = SleepCell(7, 0.0, hint=0.1)
-        planner._requeue_unstarted([(7, tail, cell_key(tail))])
+        assert planner._next_task(now) == (90, ready, "k90")
         order = []
-        while (chunk := planner._next_chunk(now)) is not None:
-            order.append([task[0] for task in chunk])
-        assert order == [[7], [3], [2], [5], [0], [4]]
+        while (task := planner._next_task(now)) is not None:
+            index, cell, key = task
+            assert key == cell_key(cell)
+            order.append(index)
+        assert order == [1, 3, 2, 5, 0, 4]
         # The retry still backing off never jumped the queue.
         assert [task[0] for task in planner.queue] == [91]
 
@@ -254,19 +202,21 @@ class TestSharedQueue:
             for scheme in ("static", "shared", "time")
         ]
         serial = ExecutionEngine(jobs=1).run(cells)
-        batched = ExecutionEngine(jobs=3, batch_cells=2).run(cells)
-        for a, b in zip(serial, batched):
+        parallel = ExecutionEngine(jobs=3).run(cells)
+        for a, b in zip(serial, parallel):
             assert a.cell.encode(a.value) == b.cell.encode(b.value)
 
 
-class TestResumeUnderBatching:
-    def test_invariant_holds_with_replays_and_batches(self, tmp_path):
+class TestResumeUnderParallelDispatch:
+    def test_invariant_holds_with_replays(self, monkeypatch, tmp_path):
         journal = RunJournal(tmp_path / "journal.jsonl")
-        old = [BatchableCell(i, 0.0, hint=1.0) for i in range(6)]
+        old = [SleepCell(i, 0.0, hint=1.0) for i in range(6)]
         first = ExecutionEngine(jobs=4, journal=journal)
         first.run(old)
 
-        new = [BatchableCell(i, 0.0, hint=1.0) for i in range(6, 10)]
+        sink = tmp_path / "trace.jsonl"
+        monkeypatch.setenv(TRACE_ENV, str(sink))
+        new = [SleepCell(i, 0.0, hint=1.0) for i in range(6, 10)]
         second = ExecutionEngine(
             jobs=4, journal=RunJournal(journal.path), resume=True
         )
@@ -280,8 +230,37 @@ class TestResumeUnderBatching:
             == snap["total"]
         )
         # Replayed cells never reach the supervisor: only the four new
-        # cells were chunked and dispatched.
-        assert snap["batched_cells"] == 4
+        # cells were dispatched.
+        dispatched = read_events(sink, "cell.dispatch")
+        assert sorted(e["attrs"]["label"] for e in dispatched) == sorted(
+            cell.label for cell in new
+        )
+
+
+class TestCrashAccounting:
+    def test_dispatches_equal_attempts_and_only_crashed_cell_retries(
+        self, monkeypatch, tmp_path
+    ):
+        """One cell per dispatch: a worker crash costs exactly its own
+        cell an attempt, and no other cell is dispatched twice."""
+        sink = tmp_path / "trace.jsonl"
+        monkeypatch.setenv(TRACE_ENV, str(sink))
+        state = tmp_path / "fault-state"
+        state.mkdir()
+        engine = ExecutionEngine(
+            jobs=2,
+            retries=2,
+            backoff_base=0.001,
+            faults=parse_fault_spec(f"crash=sleep[3];state={state}"),
+        )
+        cells = [SleepCell(i, 0.01, hint=1.0) for i in range(6)]
+        outcomes = engine.run(cells)
+        assert all(o.status == "computed" for o in outcomes)
+        assert engine.telemetry.worker_crashes == 1
+        dispatched = read_events(sink, "cell.dispatch")
+        assert len(dispatched) == sum(o.attempts for o in outcomes)
+        retried = [o.cell.label for o in outcomes if o.attempts > 1]
+        assert retried == ["sleep[3]"]
 
 
 class TestHintGranularity:
@@ -328,65 +307,3 @@ class TestHintGranularity:
         # that are orders of magnitude off.
         bench_only = {("untangle", "bench"): 1000.0}
         assert expected_cost(cell, bench_only) == expected_cost(cell, {})
-
-
-class TestCostAwarePlanning:
-    def _cells(self, count):
-        return [BatchableCell(i, 0.0, hint=1.0) for i in range(count)]
-
-    @staticmethod
-    def _pending(cells):
-        return [(i, cell, cell_key(cell)) for i, cell in enumerate(cells)]
-
-    def test_skewed_group_splits_stragglers_out(self):
-        cells = self._cells(6)
-        hints = {cell.label: 1.0 for cell in cells}
-        hints[cells[2].label] = 10.0  # > 2x the median of 1.0
-        planner = _planner(ExecutionEngine(jobs=2, batch_cells=6), hints)
-        chunks = planner._plan_chunks(self._pending(cells))
-        assert sorted(len(chunk.cells) for chunk in chunks) == [1, 5]
-        singleton = next(c for c in chunks if len(c.cells) == 1)
-        assert singleton.cells[0][1] is cells[2]
-        assert singleton.cost == pytest.approx(10.0)
-        # The remaining chunk preserves input order.
-        rest = next(c for c in chunks if len(c.cells) == 5)
-        assert [task[1].ident for task in rest.cells] == [0, 1, 3, 4, 5]
-
-    def test_uniform_hints_never_split(self):
-        cells = self._cells(6)
-        hints = {cell.label: 3.0 for cell in cells}
-        planner = _planner(ExecutionEngine(jobs=2, batch_cells=6), hints)
-        chunks = planner._plan_chunks(self._pending(cells))
-        assert [len(chunk.cells) for chunk in chunks] == [6]
-
-    def test_skew_below_threshold_keeps_group_whole(self):
-        cells = self._cells(5)
-        hints = {cell.label: 1.0 for cell in cells}
-        hints[cells[0].label] = 2.0  # exactly 2x median: not a straggler
-        planner = _planner(ExecutionEngine(jobs=2, batch_cells=5), hints)
-        chunks = planner._plan_chunks(self._pending(cells))
-        assert [len(chunk.cells) for chunk in chunks] == [5]
-
-    def test_split_runs_end_to_end(self, tmp_path):
-        """A journal seeded with one straggler label reshapes dispatch."""
-        journal = RunJournal(tmp_path / "journal.jsonl")
-        cells = [BatchableCell(i, 0.0, hint=1.0) for i in range(6)]
-        for cell in cells:
-            journal.record(
-                JournalEntry(
-                    cell_key(cell),
-                    cell.label,
-                    "computed",
-                    9.0 if cell.ident == 0 else 1.0,
-                    1,
-                )
-            )
-        journal.close()
-        engine = ExecutionEngine(
-            jobs=2, batch_cells=6, journal=RunJournal(journal.path)
-        )
-        outcomes = engine.run(cells)
-        assert all(o.status == "computed" for o in outcomes)
-        snap = engine.telemetry.snapshot()
-        assert snap["batches"] == 2  # straggler singleton + the rest
-        assert snap["batched_cells"] == 6

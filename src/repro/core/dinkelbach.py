@@ -21,6 +21,7 @@ such ``q'`` a certified upper bound of the optimum, per Appendix A).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from repro.core.covert import CovertChannelModel
 from repro.errors import OptimizationError
-from repro.info.entropy import entropy_gradient_vec
+from repro.info.entropy import _LOG2E, entropy_gradient_vec
 
 #: Floor applied inside exponentiated-gradient updates to keep every
 #: coordinate alive (EG cannot resurrect an exactly-zero coordinate).
@@ -101,8 +102,11 @@ def maximize_concave_on_simplex(
         # Center the gradient: adding a constant to all coordinates
         # does not change the EG direction but improves conditioning.
         grads -= np.einsum("ij,ij->i", pbatch, grads)[:, None]
-        grads *= base_step / np.sqrt(t)
-        np.clip(grads, -30.0, 30.0, out=grads)
+        grads *= base_step / math.sqrt(t)
+        # Clamp in place: maximum then minimum is np.clip's result
+        # without its per-call dispatch overhead.
+        np.maximum(grads, -30.0, out=grads)
+        np.minimum(grads, 30.0, out=grads)
         np.exp(grads, out=grads)
         pbatch *= grads
         np.maximum(pbatch, _PROBABILITY_FLOOR, out=pbatch)
@@ -160,7 +164,7 @@ def solve_fractional(
     seed: int = 0,
     certify: bool = True,
     numerator_gradient_rows: Callable[[np.ndarray], np.ndarray] | None = None,
-    denominator_gradient_rows: Callable[[np.ndarray], np.ndarray] | None = None,
+    linear_denominator: np.ndarray | None = None,
 ) -> DinkelbachResult:
     """Solve ``max_p N(p)/D(p)`` over the simplex via Dinkelbach's transform.
 
@@ -174,18 +178,25 @@ def solve_fractional(
     specific *sound* certificates, where available, are preferable; see
     :func:`certified_rate_upper_bound` for the covert-channel instance.
     ``bound_margin`` is relative to ``q_n``.
+
+    ``numerator_gradient_rows`` evaluates ``N``'s gradient for a whole
+    ``(restarts, n)`` matrix of iterates; together with
+    ``linear_denominator`` — the coefficients ``d`` of a linear
+    ``D(p) = d . p``, whose gradient is ``d`` everywhere — it replaces the
+    per-restart gradient calls, and ``q * d`` is formed once per inner
+    solve instead of once per iteration.
     """
 
     def solve_inner(q: float, iterations: int, seed_offset: int) -> tuple[np.ndarray, float]:
         rows = None
         if (
             numerator_gradient_rows is not None
-            and denominator_gradient_rows is not None
+            and linear_denominator is not None
         ):
             # One batched gradient per iteration for all restart rows.
+            shift = q * linear_denominator
             rows = lambda pbatch: (  # noqa: E731
-                numerator_gradient_rows(pbatch)
-                - q * denominator_gradient_rows(pbatch)
+                numerator_gradient_rows(pbatch) - shift
             )
         return maximize_concave_on_simplex(
             lambda p: numerator(p) - q * denominator(p),
@@ -330,16 +341,21 @@ def solve_rmax(
         # (S, n) gradient matrix out, via two matmuls instead of 2 S
         # matvecs (entropy_gradient_vec is elementwise, so it batches).
         p_y = pbatch @ transition_t
-        return entropy_gradient_vec(p_y) @ transition
+        if p_y.min() > 0.0:
+            # entropy_gradient_vec's strictly-positive fast path, inline:
+            # the same operations, without the call and mask overhead.
+            grad = np.log2(p_y)
+            grad += _LOG2E
+            np.negative(grad, out=grad)
+        else:
+            grad = entropy_gradient_vec(p_y)
+        return grad @ transition
 
     def denominator(p: np.ndarray) -> float:
         return float(durations @ p)
 
     def denominator_gradient(p: np.ndarray) -> np.ndarray:
         return durations
-
-    def denominator_gradient_rows(pbatch: np.ndarray) -> np.ndarray:
-        return durations  # broadcasts over the rows
 
     result = solve_fractional(
         numerator,
@@ -353,7 +369,7 @@ def solve_rmax(
         seed=seed,
         certify=False,
         numerator_gradient_rows=numerator_gradient_rows,
-        denominator_gradient_rows=denominator_gradient_rows,
+        linear_denominator=durations,
     )
     p_star = result.argmax
     certified = certified_rate_upper_bound(

@@ -23,6 +23,7 @@ from repro.core.covert import CovertChannelModel
 from repro.core.dinkelbach import RmaxResult, solve_rmax
 from repro.errors import ChannelModelError
 from repro.obs import metrics as obs_metrics
+from repro.obs.liveness import progress_beat
 
 #: Counts Dinkelbach solves in this process — the precompute store
 #: (``repro.harness.store``) exists to keep this at one per table level
@@ -148,6 +149,9 @@ class RmaxTable:
             solver_seed=self._solver_seed,
         )
         self._entries[maintains] = entry
+        # A solve is a coarse unit of work: a pool worker solving a
+        # table shows progress to the supervisor's heartbeat watch.
+        progress_beat()
         return entry
 
     def entry(self, maintains: int) -> RateEntry:

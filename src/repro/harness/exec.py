@@ -81,6 +81,7 @@ import tempfile
 import threading
 import time
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
@@ -97,6 +98,7 @@ from repro.harness.store import (
     PrecomputeStore,
     apply_store_stats_delta,
     clear_active_store,
+    get_active_store,
     precompute_from_env,
     set_active_store,
     store_stats_delta,
@@ -246,9 +248,11 @@ class MixSchemeCell:
         of each cell's built monitors are pure functions of the cell
         inputs, so one solve/walk here is inherited copy-on-write by
         every worker instead of being repeated per worker that draws a
-        cell needing it. Rate tables go first: building the schemes
-        whose monitors name the traces needs them. Purely an
-        optimization — results are identical without it.
+        cell needing it. When a pool worker solves the rate tables (see
+        :class:`StoreTask`), the supervisor runs this under
+        :func:`~repro.schemes.untangle.unsolved_rate_tables`, so no
+        table is solved here. Purely an optimization — results are
+        identical without it.
         """
         from repro.harness.experiment import warm_l1_traces, warm_rate_tables
 
@@ -391,6 +395,31 @@ def cell_key(cell: Any) -> str:
     token = {"format": CACHE_FORMAT_VERSION, **cell.cache_token()}
     canonical = json.dumps(token, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+@dataclass(frozen=True)
+class StoreTask:
+    """One store need (an R_max table) built on a pool worker.
+
+    Not a cell: the supervisor dispatches it ahead of every cell, holds
+    back the cells whose ``store_needs()`` name it until it has put the
+    artifact into the precompute store, and never journals, caches or
+    counts it. Its worker ships the usual metrics delta, so solve counts
+    stay exact.
+    """
+
+    need: tuple
+
+    @property
+    def label(self) -> str:
+        return "store[" + ":".join(str(part) for part in self.need) + "]"
+
+    def execute(self) -> None:
+        store = get_active_store()
+        with obs_trace.span(
+            "store.populate", store=store.describe(), needs=1, label=self.label
+        ) as span:
+            span.set(distinct=store.populate([self.need]))
 
 
 # ----------------------------------------------------------------------
@@ -1283,9 +1312,17 @@ def _execute_cell(
     faults: FaultPlan | None = None,
     worker_id: int | None = None,
 ) -> tuple[Any, float]:
-    """Run one cell in the current process; returns (value, wall_seconds)."""
+    """Run one cell in the current process; returns (value, wall_seconds).
+
+    A :class:`StoreTask` runs under its own ``store.populate`` span and
+    is never the ``REPRO_PROFILE`` capture.
+    """
     if faults is not None:
         faults.on_cell_start(cell.label, worker_id)
+    if isinstance(cell, StoreTask):
+        start = time.perf_counter()
+        cell.execute()
+        return None, time.perf_counter() - start
     with obs_trace.span("cell.compute", label=cell.label, worker=worker_id):
         start = time.perf_counter()
         value = maybe_profile(cell.label, cell.execute, worker_id)
@@ -1456,30 +1493,53 @@ class _Supervisor:
     Backed-off retries live in the retry ``queue`` and take priority
     over unstarted cells. Outcomes are bit-identical to serial
     execution.
+
+    Store tasks: the R_max tables the engine hands over (``store_tasks``)
+    are solved on workers, each as one :class:`StoreTask` dispatched
+    before any cell. A cell whose needs name a table waits (``gates``)
+    until its task has stored that table; cells that need no table fill
+    the other slots meanwhile. Tasks take indices below zero, retry under
+    the cell policy and never yield an outcome; a task that finally
+    fails still opens its gate — each waiting cell then solves the table
+    on its own store miss.
     """
 
     #: How long one poll of the worker pipes blocks, seconds. Bounds
     #: both deadline-detection latency and interrupt responsiveness.
     POLL_SECONDS = 0.1
 
-    def __init__(self, engine: "ExecutionEngine", pending):
+    def __init__(
+        self,
+        engine: "ExecutionEngine",
+        pending,
+        store_tasks: Sequence[tuple] = (),
+        gates: dict[int, frozenset] | None = None,
+    ):
         self.engine = engine
         self.context = multiprocessing.get_context()
-        # (index, cell, key, ready_at): backed-off retries; ready_at
-        # defers each until its backoff has elapsed.
-        self.queue: deque[tuple[int, Any, str, float]] = deque()
-        self.attempts = {index: 0 for index, _, _ in pending}
+        # (index, cell, key, ready_at): store tasks (ready at once, so
+        # they go before any unstarted cell) and backed-off retries;
+        # ready_at defers each retry until its backoff has elapsed.
+        tasks = [
+            (-1 - number, task, task.label)
+            for number, task in enumerate(map(StoreTask, store_tasks))
+        ]
+        self.queue: deque[tuple[int, Any, str, float]] = deque(
+            (*task, 0.0) for task in tasks
+        )
+        every = [*pending, *tasks]
+        self.attempts = {index: 0 for index, _, _ in every}
         #: Cumulative elapsed seconds per cell across all its attempts —
         #: crashed/hung/failed attempts included, so telemetry no longer
         #: undercounts failed cells as zero-cost.
-        self.elapsed = {index: 0.0 for index, _, _ in pending}
+        self.elapsed = {index: 0.0 for index, _, _ in every}
         self.slots = min(engine.jobs, len(pending))
         self.hints = engine._runtime_hints()
-        self._enqueue(pending)
+        self._enqueue(pending, gates)
         #: Per-cell count of attempts that ended in a worker *death*
         #: (crash / deadline kill / stall kill) rather than a reported
         #: error — the poison circuit breaker's evidence.
-        self.deaths = {index: 0 for index, _, _ in pending}
+        self.deaths = {index: 0 for index, _, _ in every}
         # Liveness policy, derived once. A stall kill needs an explicit
         # mandate: either the engine's stall_timeout, or a per-cell
         # timeout to bound it by — heartbeats alone never license
@@ -1502,7 +1562,11 @@ class _Supervisor:
                 )
         self._next_worker_id = 0
         if self.context.get_start_method() == "fork":
-            self._prefork_warm(pending)
+            # Tables a store task will solve must not be solved here.
+            from repro.schemes.untangle import unsolved_rate_tables
+
+            with unsolved_rate_tables() if tasks else nullcontext():
+                self._prefork_warm(pending)
         self.workers = [self._spawn() for _ in range(self.slots)]
 
     def _prefork_warm(self, pending) -> None:
@@ -1531,7 +1595,9 @@ class _Supervisor:
                     "warm.prefork", cell_type=cell_type.__name__, warmed=warmed
                 )
 
-    def _enqueue(self, pending) -> None:
+    def _enqueue(
+        self, pending, gates: dict[int, frozenset] | None = None
+    ) -> None:
         """Queue ``pending`` cells longest-expected-first.
 
         ``self.unstarted`` holds the never-dispatched cells in
@@ -1539,14 +1605,40 @@ class _Supervisor:
         takes from the front. The sort is stable, so equal-cost cells
         keep their input order — without journal history every cell of
         a family ties, and dispatch then follows the campaign's order.
+        Cells named in ``gates`` wait in ``self.gated``, in the same
+        order, until :meth:`_open_gate` has seen every need they wait
+        for.
         """
-        self.unstarted: deque[tuple[int, Any, str]] = deque(
-            sorted(
-                pending,
-                key=lambda task: expected_cost(task[1], self.hints),
-                reverse=True,
-            )
+        #: Store needs each held-back cell still waits for.
+        self.gates = {
+            index: set(needs) for index, needs in (gates or {}).items()
+        }
+        ordered = sorted(
+            pending,
+            key=lambda task: expected_cost(task[1], self.hints),
+            reverse=True,
         )
+        self.rank = {task[0]: rank for rank, task in enumerate(ordered)}
+        self.unstarted: deque[tuple[int, Any, str]] = deque(
+            task for task in ordered if task[0] not in self.gates
+        )
+        self.gated = [task for task in ordered if task[0] in self.gates]
+
+    def _open_gate(self, need: tuple) -> None:
+        """Release the cells that waited only for ``need`` into the queue."""
+        released = []
+        for task in self.gated:
+            self.gates[task[0]].discard(need)
+            if not self.gates[task[0]]:
+                released.append(task)
+        if released:
+            self.gated = [task for task in self.gated if self.gates[task[0]]]
+            self.unstarted = deque(
+                sorted(
+                    [*self.unstarted, *released],
+                    key=lambda task: self.rank[task[0]],
+                )
+            )
 
     # ------------------------------------------------------------------
     def _spawn(self) -> _Worker:
@@ -1614,7 +1706,7 @@ class _Supervisor:
             self._shutdown()
 
     def _work_remaining(self) -> bool:
-        return bool(self.queue or self.unstarted)
+        return bool(self.queue or self.unstarted or self.gated)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -1622,9 +1714,9 @@ class _Supervisor:
     def _next_task(self, now: float):
         """The next cell for an idle worker, or ``None``.
 
-        A backed-off retry whose delay has elapsed (strictly older work)
-        goes first; otherwise the front — most expensive — unstarted
-        cell.
+        A store task, or a backed-off retry whose delay has elapsed
+        (strictly older work), goes first; otherwise the front — most
+        expensive — unstarted cell.
         """
         for position, task in enumerate(self.queue):
             if task[3] <= now:
@@ -1657,7 +1749,7 @@ class _Supervisor:
         now = time.monotonic()
         self.attempts[index] += 1
         obs_trace.event(
-            "cell.dispatch",
+            "store.dispatch" if index < 0 else "cell.dispatch",
             label=cell.label,
             worker=worker.id,
             attempt=self.attempts[index],
@@ -1858,7 +1950,10 @@ class _Supervisor:
             worker.task = None
             worker.deadline = None
             self.elapsed[index] += wall
-            if status == "ok":
+            if status == "ok" and index < 0:
+                obs_trace.event("store.ready", label=cell.label)
+                self._open_gate(cell.need)
+            elif status == "ok":
                 yield index, CellOutcome(
                     cell=cell,
                     key=key,
@@ -1903,7 +1998,11 @@ class _Supervisor:
         would only shoot more workers, so the circuit breaker trips,
         the rest of the campaign completes, and the journal entry
         ensures a ``--resume`` re-attempts exactly this cell.
+
+        A store task retries the same way; once out of attempts it
+        yields nothing and opens its gate (``store.failed``).
         """
+        kind = "store" if index < 0 else "cell"
         if worker_died:
             self.deaths[index] += 1
         if self.attempts[index] <= self.engine.retries:
@@ -1916,13 +2015,22 @@ class _Supervisor:
             self.engine.telemetry.backoff_seconds += delay
             _M_BACKOFF.inc(delay)
             obs_trace.event(
-                "cell.retry",
+                f"{kind}.retry",
                 label=cell.label,
                 attempt=self.attempts[index],
                 delay=delay,
                 error=error,
             )
             self.queue.append((index, cell, key, time.monotonic() + delay))
+            return
+        if index < 0:
+            obs_trace.event(
+                "store.failed",
+                label=cell.label,
+                attempts=self.attempts[index],
+                error=error,
+            )
+            self._open_gate(cell.need)
             return
         poisoned = (
             self.deaths[index] > 0
@@ -2026,7 +2134,10 @@ class ExecutionEngine:
         cells fan out, every distinct artifact the pending cells declare
         via ``store_needs()`` is precomputed once (``store.populate``,
         traced as a ``store.populate`` span); workers then attach
-        zero-copy instead of regenerating. The store's in-process
+        zero-copy instead of regenerating. With ``jobs > 1`` an R_max
+        table the store lacks is solved on a pool worker instead (one
+        :class:`StoreTask` per table) while cells that need no table
+        run. The store's in-process
         attachments are released when the run exits — the SIGINT path
         included. ``None`` disables the layer; results are
         bit-identical either way. Independent of ``cache``: the *result*
@@ -2482,6 +2593,8 @@ class ExecutionEngine:
                 else:
                     pending.append((index, cell, key))
 
+            store_tasks: list[tuple] = []
+            gates: dict[int, frozenset] = {}
             if pending and self.store is not None:
                 # Populate-before-fan-out: every distinct artifact the
                 # pending cells declare is computed exactly once here,
@@ -2494,11 +2607,26 @@ class ExecutionEngine:
                     self._check_io("store")
                     set_active_store(self.store)
                     self.store.export_env()
-                    needs: list[tuple] = []
-                    for _, cell, _ in pending:
+                    cell_needs: dict[int, list[tuple]] = {}
+                    for index, cell, _ in pending:
                         hook = getattr(cell, "store_needs", None)
                         if hook is not None:
-                            needs.extend(hook())
+                            cell_needs[index] = [tuple(n) for n in hook()]
+                    needs = [n for group in cell_needs.values() for n in group]
+                    if self.jobs > 1:
+                        # The one branch point of the R_max solve: with a
+                        # pool and a working store, each table the store
+                        # lacks is solved on a worker while cells that
+                        # need no table run; everywhere else (serial, no
+                        # store, degraded store) the tables are solved
+                        # in this process before any fork.
+                        store_tasks = self.store.unsolved_tables(needs)
+                        needs = [n for n in needs if n not in store_tasks]
+                        gates = {
+                            index: frozenset(group).intersection(store_tasks)
+                            for index, group in cell_needs.items()
+                            if not frozenset(group).isdisjoint(store_tasks)
+                        }
                     if needs:
                         with obs_trace.span(
                             "store.populate",
@@ -2513,6 +2641,7 @@ class ExecutionEngine:
                     # worker keeps hitting the failing backend.
                     clear_active_store()
                     os.environ.pop(STORE_DIR_ENV, None)
+                    store_tasks, gates = [], {}
 
             if pending:
                 if self.jobs == 1:
@@ -2520,7 +2649,9 @@ class ExecutionEngine:
                     runner = self._run_serial(pending)
                 else:
                     self._serial_mode = False
-                    runner = _Supervisor(self, pending).run()
+                    runner = _Supervisor(
+                        self, pending, store_tasks, gates
+                    ).run()
                 for index, outcome in runner:
                     done += 1
                     outcomes[index] = self._finish(outcome, done, total)

@@ -380,7 +380,9 @@ def warm_l1_traces(entries: list[tuple]) -> int:
     sizes and sampling come from the monitors themselves, so any
     registered scheme warms correctly). The parallel engine calls this
     in the *parent* process right before forking its workers, after the
-    rate tables (building an Untangle scheme needs its table): traces
+    rate tables (building an Untangle scheme needs its table, or, when a
+    pool worker solves it, runs under
+    :func:`~repro.schemes.untangle.unsolved_rate_tables`): traces
     (and the workload builds they require) are pure functions of the
     cell inputs, so one walk here is inherited copy-on-write by every
     forked worker, which then walks nothing. Warming stops at the memo
@@ -433,8 +435,10 @@ def warm_rate_tables(entries: list[tuple]) -> int:
     copy-on-write, so the Dinkelbach solve happens once per campaign
     instead of once per worker that draws an untangle cell. Which
     tables a scheme needs comes from its registration's ``store_needs``
-    hook, so registered third-party schemes warm automatically. Returns
-    the number of tables solved.
+    hook, so registered third-party schemes warm automatically. Inside
+    :func:`~repro.schemes.untangle.unsolved_rate_tables` (the engine's
+    pool solves the tables) nothing is solved. Returns the number of
+    distinct tables requested.
     """
     warmed = 0
     seen: set[tuple] = set()

@@ -153,7 +153,10 @@ def run_benchmark_at_size(
         [DomainSpec(benchmark.name, stream, core_config)],
         scheme,
         quantum=profile.quantum,
-        sample_interval=profile.sample_interval,
+        # Only the IPC is read, and a fixed partition's size never
+        # changes: one sample (at the first quantum) instead of one per
+        # sample interval of the run.
+        sample_interval=profile.max_cycles,
     )
     share_l1_traces(system, [stream_key])
     outcome = system.run(max_cycles=profile.max_cycles)

@@ -416,6 +416,27 @@ class PrecomputeStore:
                 populate_rate_table(cooldown, capacity=1, worst_case=True)
         return len(distinct)
 
+    def unsolved_tables(self, needs: Iterable[tuple]) -> list[tuple]:
+        """The distinct R_max table needs still waiting for a solve.
+
+        A table found in this process's memo or in the store is loaded
+        here (never solved) and left out, so only tables that need a
+        Dinkelbach solve are returned, in first-seen order.
+        """
+        from repro.schemes.untangle import load_rate_table
+
+        unsolved = []
+        for need in dict.fromkeys(tuple(need) for need in needs):
+            if need[0] == "rmax":
+                loaded = load_rate_table(need[1], capacity=need[2])
+            elif need[0] == "rmax-worst":
+                loaded = load_rate_table(need[1], capacity=1, worst_case=True)
+            else:
+                continue
+            if not loaded:
+                unsolved.append(need)
+        return unsolved
+
     def release(self) -> None:
         """Drop this process's attachments and cached Rmax entries.
 

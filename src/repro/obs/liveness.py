@@ -9,7 +9,9 @@ count of coarse work units completed in the current process:
 * :class:`~repro.sim.system.MultiDomainSystem` beats once per scheduling
   quantum (thousands of simulated accesses, so the overhead is
   unmeasurable); a system of fixed partitions, which runs no quantum
-  loop, beats after each core run the quanta that run spanned, and
+  loop, beats after each core run the quanta that run spanned,
+* :class:`~repro.core.rates.RmaxTable` beats once per Dinkelbach solve
+  (a pool worker solving an R_max table runs no quanta), and
 * the engine's worker loop beats once per finished cell,
 
 so a cell that is *computing* advances the counter between heartbeats,

@@ -26,8 +26,9 @@ Untangle scheme over a timing-dependent metric raises
 from __future__ import annotations
 
 import dataclasses
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from repro.config import ArchConfig
 from repro.core.accountant import LeakageAccountant
@@ -60,7 +61,10 @@ class RateTableKey:
     same table is one cache entry no matter how the call spells its
     arguments — ``get_rate_table(4000)`` and
     ``get_rate_table(4000, capacity=48)`` used to be *distinct*
-    ``lru_cache`` entries, costing a full re-solve. ``worst_case`` keeps
+    ``lru_cache`` entries, costing a full re-solve. The memo stores the
+    cooldown of the channel model (:func:`default_channel_model` rounds
+    it to the timing resolution), so ``get_rate_table(500)`` and
+    ``get_rate_table(496)`` share one entry too. ``worst_case`` keeps
     the unoptimized (capacity-1, ``R_max_0``-only) table from ever
     colliding with an optimized table's entry.
     """
@@ -126,15 +130,46 @@ def get_worst_case_rate_table(
     )
 
 
-def _rate_table(key: RateTableKey) -> RmaxTable:
+_SOLVES_DEFERRED = False
+
+
+@contextmanager
+def unsolved_rate_tables() -> Iterator[None]:
+    """Hand out unsolved tables instead of solving, for this block.
+
+    Inside the block a table that is neither memoized nor stored comes
+    back lazy — a :class:`RmaxTable` whose entries solve on first
+    read — and is *not* memoized, so nothing unsolved outlives the
+    block (or reaches a process forked after it). Building a scheme only
+    to learn its structure (e.g. its monitors' trace specs) then costs
+    no Dinkelbach solve. Re-entrant.
+    """
+    global _SOLVES_DEFERRED
+    previous = _SOLVES_DEFERRED
+    _SOLVES_DEFERRED = True
+    try:
+        yield
+    finally:
+        _SOLVES_DEFERRED = previous
+
+
+def _rate_table(key: RateTableKey, *, solve: bool = True) -> RmaxTable | None:
     """Memoizer behind :func:`get_rate_table`: solve once per key.
 
     Order of consultation: process memo → precompute-store artifact
     (exact JSON round-trip of the solved entries, keyed by the full
     channel-model parameters) → Dinkelbach solves. The solved entries
     are exported back to the store so other processes — and future
-    campaigns — skip the solve entirely.
+    campaigns — skip the solve entirely. With ``solve=False`` a table
+    found in neither returns ``None``; inside
+    :func:`unsolved_rate_tables` it returns lazy and unmemoized.
     """
+    # Cooldowns that round to one channel model share one entry: a
+    # profile's raw cooldown and its schedule's rounded one name the
+    # same table.
+    key = dataclasses.replace(
+        key, cooldown=_model_cooldown(key.cooldown, key.resolution_divisor)
+    )
     table = _RATE_TABLES.get(key)
     if table is not None:
         return table
@@ -164,6 +199,11 @@ def _rate_table(key: RateTableKey) -> RmaxTable:
         ):
             _RATE_TABLES[key] = table
             return table
+    if not solve:
+        return None
+    if _SOLVES_DEFERRED:
+        return table
+    if store is not None:
         store.count_rmax_miss()
 
     entries = table.entries()
@@ -175,6 +215,17 @@ def _rate_table(key: RateTableKey) -> RmaxTable:
     return table
 
 
+def _populate_key(
+    cooldown: int, capacity: int, worst_case: bool
+) -> RateTableKey:
+    """The memo key of the table a store need names."""
+    return RateTableKey(
+        cooldown=cooldown,
+        capacity=1 if worst_case else capacity,
+        worst_case=worst_case,
+    )
+
+
 def populate_rate_table(
     cooldown: int,
     *,
@@ -183,21 +234,34 @@ def populate_rate_table(
 ) -> RmaxTable:
     """Pre-solve (or pre-load) the table a campaign's cells will request.
 
-    Called by :meth:`repro.harness.store.PrecomputeStore.populate`
-    before the engine fans out, so forked workers inherit the solved
-    memo and spawned/respawned workers load the store artifact instead
-    of re-running the solver. Mirrors exactly how the schemes key their
-    tables: the optimized table is requested with the *schedule*
-    cooldown (already rounded by :func:`default_channel_model`), the
-    worst-case table with the raw profile cooldown — see
-    :func:`repro.harness.experiment.make_scheme`.
+    Called by :meth:`repro.harness.store.PrecomputeStore.populate` —
+    in the engine's process before a serial run, or on a pool worker
+    ahead of the cells that read the table — so later readers load the
+    store artifact (or inherit the solved memo) instead of re-running
+    the solver.
     """
-    if worst_case:
-        return _rate_table(
-            RateTableKey(cooldown=cooldown, capacity=1, worst_case=True)
-        )
-    rounded = default_channel_model(cooldown).cooldown
-    return _rate_table(RateTableKey(cooldown=rounded, capacity=capacity))
+    return _rate_table(_populate_key(cooldown, capacity, worst_case))
+
+
+def load_rate_table(
+    cooldown: int,
+    *,
+    capacity: int = DEFAULT_TABLE_CAPACITY,
+    worst_case: bool = False,
+) -> bool:
+    """Memoize the table from the memo or the store, never solving.
+
+    Returns whether the table is now memoized (``False``: it still
+    needs a solve).
+    """
+    key = _populate_key(cooldown, capacity, worst_case)
+    return _rate_table(key, solve=False) is not None
+
+
+def _model_cooldown(cooldown: int, resolution_divisor: int) -> int:
+    """``cooldown`` rounded down to its timing resolution (idempotent)."""
+    resolution = max(1, cooldown // resolution_divisor)
+    return (cooldown // resolution) * resolution
 
 
 def default_channel_model(
@@ -214,7 +278,7 @@ def default_channel_model(
     durations are rate-inefficient (Section 5.3.1).
     """
     resolution = max(1, cooldown // resolution_divisor)
-    cooldown = (cooldown // resolution) * resolution
+    cooldown = _model_cooldown(cooldown, resolution_divisor)
     return CovertChannelModel(
         cooldown=cooldown,
         resolution=resolution,

@@ -292,6 +292,8 @@ class TestRateTableMemoizer:
         a = get_rate_table(64, capacity=2)
         b = get_rate_table(64, 16, 4, 2)  # positional spelling
         assert a is b
+        # A raw cooldown and the one its channel model rounds it to.
+        assert get_rate_table(70, capacity=2) is get_rate_table(68, capacity=2)
 
     def test_worst_case_never_pollutes_optimized_cache(self):
         optimized = get_rate_table(64, capacity=2)

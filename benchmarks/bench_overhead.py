@@ -1,5 +1,5 @@
-"""Control-plane overhead benchmark: per-cell fsync + per-file cache vs
-the group-commit journal + packed cache segments.
+"""Control-plane overhead benchmark: per-cell journal fsync vs group
+commit, both over the packed result cache.
 
 A campaign of *cheap* cells is control-plane bound: the journal fsync
 and the result-cache write dominate each cell's wall time. This
@@ -9,26 +9,28 @@ benchmark measures that bound directly and writes the results to
 * **off** — no journal, no cache: the pure-compute floor (run once,
   for context; nothing to compare bit-identically against it because
   it leaves no artifacts);
-* **percell** — the legacy control plane: a synchronous journal
-  (``batch_entries=1``: one ``write`` + one ``fsync`` per cell) and the
-  per-file cache layout (one JSON file per cell, ``mkstemp`` +
-  ``os.replace`` each);
+* **percell** — a synchronous journal (``batch_entries=1``: one
+  ``write`` + one ``fsync`` per cell) over the packed cache;
 * **grouped** — the fast path: the group-commit journal
   (``batch_entries=64`` with a linger flush, one ``fsync`` per batch)
-  and the packed cache layout (append-only segment per shard, one
-  ``write`` per cell, index sidecar on close).
+  over the same packed cache.
 
-Each arm runs the same synthetic campaign of trivial cells whose
-values carry floats, so the recorded fingerprints prove the fast path
-is bit-identical to the legacy one — batching moves *when* bytes reach
-the disk, never *what* they say. Both persisted arms also re-run the
-campaign against their own cache (the ``warm`` measurement) and assert
-every cell hits: the packed segments round-trip everything they
-absorbed.
+The two arms differ only in the journal's batch size, so their ratio
+measures group commit alone. Each arm runs the same synthetic campaign
+of trivial cells whose values carry floats, so the recorded
+fingerprints prove the fast path is bit-identical to the per-cell one
+— batching moves *when* bytes reach the disk, never *what* they say.
+Both persisted arms also re-run the campaign against their own cache
+(the ``warm`` measurement, reported for context) and assert every cell
+hits: the packed segments round-trip everything they absorbed.
 
 The headline ratio — ``percell`` vs ``grouped`` cells/sec on the same
-host — is the machine-independent quantity the perf regression check
+host — is what the perf regression check
 (:mod:`repro.harness.perfbaseline`, CI ``perf-smoke`` job) compares.
+It is fsync cost over per-cell CPU, so it tracks the host's disk as
+well as the code; the cell count is chosen so every timed arm runs
+for at least a second, in full and ``--quick`` mode alike. Exact
+fsync and file counts are pinned in the tier-1 tests instead.
 
 Methodology matches ``bench_store.py``: every measurement runs in a
 fresh child interpreter (clean memoizers and metrics), repetitions are
@@ -67,9 +69,9 @@ DEFAULT_OUTPUT = REPO_ROOT / "BENCH_overhead.json"
 #: JSON layout version, checked by :mod:`repro.harness.perfbaseline`.
 FORMAT_VERSION = 1
 
-#: Cells per campaign (the quick mode keeps the same per-cell shape).
-CELLS_FULL = 2000
-CELLS_QUICK = 400
+#: Cells per campaign: enough that the fast arm runs for at least a
+#: second; the quick mode differs only in its repetitions.
+CELLS = 20_000
 
 #: Group-commit batch size of the fast arm.
 BATCH_ENTRIES = 64
@@ -82,7 +84,7 @@ class OverheadCell:
 
     The value carries floats (including non-dyadic ones) so the
     fingerprint comparison would catch any lossy round-trip through
-    the journal or either cache layout.
+    the journal or the cache.
     """
 
     def __init__(self, index: int):
@@ -119,16 +121,16 @@ def _engine(mode: str, root: Path):
     if mode == "off":
         return ExecutionEngine(jobs=1)
     if mode == "percell":
-        cache = ResultCache(root / "cache", layout="files")
         journal = RunJournal(root / "journal.jsonl", batch_entries=1)
     else:
-        cache = ResultCache(root / "cache", layout="pack")
         journal = RunJournal(
             root / "journal.jsonl",
             batch_entries=BATCH_ENTRIES,
             linger_seconds=0.05,
         )
-    return ExecutionEngine(jobs=1, cache=cache, journal=journal)
+    return ExecutionEngine(
+        jobs=1, cache=ResultCache(root / "cache"), journal=journal
+    )
 
 
 def _assert_invariant(engine) -> dict:
@@ -141,9 +143,9 @@ def _assert_invariant(engine) -> dict:
     return snap
 
 
-def run_overhead(mode: str, quick: bool) -> dict:
+def run_overhead(mode: str) -> dict:
     """Execute the campaign once (plus a warm re-run for cached arms)."""
-    cells = [OverheadCell(i) for i in range(CELLS_QUICK if quick else CELLS_FULL)]
+    cells = [OverheadCell(i) for i in range(CELLS)]
     root = Path(tempfile.mkdtemp(prefix=f"bench-overhead-{mode}-"))
     try:
         engine = _engine(mode, root)
@@ -164,7 +166,7 @@ def run_overhead(mode: str, quick: bool) -> dict:
         }
         if mode != "off":
             # Warm re-run against the same cache: every cell must hit,
-            # with values identical to the cold pass — the cache layout
+            # with values identical to the cold pass — the packed cache
             # round-trips everything it absorbed.
             warm_engine = _engine(mode, root)
             start = time.perf_counter()
@@ -187,12 +189,12 @@ def run_overhead(mode: str, quick: bool) -> dict:
 
 
 def _child_main(args) -> int:
-    report = run_overhead(args.mode, args.child_quick)
+    report = run_overhead(args.mode)
     json.dump(report, sys.stdout)
     return 0
 
 
-def _measure(mode: str, quick: bool) -> dict:
+def _measure(mode: str) -> dict:
     env = dict(os.environ)
     for name in (
         "REPRO_JOBS",
@@ -212,8 +214,6 @@ def _measure(mode: str, quick: bool) -> dict:
         env.pop(name, None)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     command = [sys.executable, str(Path(__file__).resolve()), "--child", mode]
-    if quick:
-        command.append("--child-quick")
     result = subprocess.run(
         command, capture_output=True, text=True, env=env, timeout=3600
     )
@@ -222,13 +222,13 @@ def _measure(mode: str, quick: bool) -> dict:
     return json.loads(result.stdout)
 
 
-def bench_overhead(quick: bool, reps: int) -> dict:
+def bench_overhead(reps: int) -> dict:
     walls: dict[str, list[float]] = {"percell": [], "grouped": []}
     warm_walls: dict[str, list[float]] = {"percell": [], "grouped": []}
     fingerprints: list = []
 
     # The no-I/O floor runs once: it only anchors the overhead numbers.
-    off = _measure("off", quick)
+    off = _measure("off")
     cells = off["cells"]
     fingerprints.append(("off", off["fingerprint"]))
     print(
@@ -239,7 +239,7 @@ def bench_overhead(quick: bool, reps: int) -> dict:
 
     for rep in range(reps):
         for mode in ("percell", "grouped"):
-            report = _measure(mode, quick)
+            report = _measure(mode)
             walls[mode].append(report["wall"])
             warm_walls[mode].append(report["warm_wall"])
             fingerprints.append((mode, report["fingerprint"]))
@@ -282,11 +282,10 @@ def bench_overhead(quick: bool, reps: int) -> dict:
         "grouped": {
             "seconds": grouped,
             "cells_per_sec": cells / grouped,
-            # The headline: what group commit + packed segments buy on
-            # a control-plane-bound campaign.
+            # The headline: what group commit buys on a
+            # control-plane-bound campaign.
             "speedup": percell / grouped,
             "warm_seconds": grouped_warm,
-            "warm_speedup": percell_warm / grouped_warm,
             "identical": identical,
         },
     }
@@ -294,15 +293,14 @@ def bench_overhead(quick: bool, reps: int) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Benchmark control-plane overhead: per-cell fsync and "
-        "per-file cache writes vs group commit and packed segments."
+        description="Benchmark control-plane overhead: per-cell journal "
+        "fsync vs group commit, both over the packed result cache."
     )
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke mode: fewer cells and repetitions (same per-cell "
-        "control-plane work, so the speedup stays comparable to the "
-        "committed full-run baseline)",
+        help="CI smoke mode: fewer repetitions of the same campaign, so "
+        "the speedup stays comparable to the committed full-run baseline",
     )
     parser.add_argument(
         "--reps",
@@ -318,7 +316,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     # Internal: run one campaign in this process and print its report.
     parser.add_argument("--child", dest="mode", choices=MODES)
-    parser.add_argument("--child-quick", action="store_true")
     args = parser.parse_args(argv)
     if args.mode:
         return _child_main(args)
@@ -328,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
         f"control-plane overhead (trivial cells, jobs=1, min of {reps}):",
         flush=True,
     )
-    results = bench_overhead(args.quick, reps)
+    results = bench_overhead(reps)
 
     for mode in ("percell", "grouped"):
         entry = results[mode]

@@ -79,6 +79,7 @@ from repro.harness.store import (
     STORE_DIR_ENV,
     PrecomputeStore,
     precompute_from_env,
+    switch_from_env,
 )
 from repro.harness.faults import faults_from_env
 from repro.harness.journal import RunJournal, batching_from_env
@@ -357,12 +358,7 @@ def build_engine(args: argparse.Namespace) -> ExecutionEngine:
             Path(args.cache_dir) / "store"
         )
         store = PrecomputeStore(store_dir)
-    resume = args.resume or os.environ.get("REPRO_RESUME", "") in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
+    resume = args.resume or switch_from_env("REPRO_RESUME", default=False)
     progress = (
         (lambda line: print(line, file=sys.stderr)) if args.telemetry else None
     )

@@ -73,6 +73,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -92,7 +93,6 @@ from repro.harness.journal import JournalEntry, RunJournal, batching_from_env
 from repro.harness.reaper import reap_orphans
 from repro.harness.profiling import maybe_profile, reset_claim
 from repro.harness.runconfig import RunProfile
-from repro.harness.streamstats import StreamingSummary
 from repro.harness.store import (
     STORE_DIR_ENV,
     PrecomputeStore,
@@ -103,6 +103,7 @@ from repro.harness.store import (
     set_active_store,
     store_stats_delta,
     store_stats_snapshot,
+    switch_from_env,
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -123,8 +124,8 @@ MANIFEST_FORMAT_VERSION = 1
 MANIFEST_NAME = "failures.json"
 
 #: Cap on *successful* per-cell records retained in telemetry; beyond
-#: it the streaming sketches carry the distribution (failures are
-#: always retained for the manifest/report).
+#: it only the counters and per-cell wall seconds are kept (failures
+#: are always retained for the manifest/report).
 MAX_RETAINED_RECORDS = 10_000
 
 # Engine-level metrics, recorded per cell / per supervision event (never
@@ -434,33 +435,21 @@ class ResultCache:
     (``<shard>.idx``) on teardown so a warm process locates every entry
     without rescanning. One put is one ``write(2)`` on an already-open
     ``O_APPEND`` descriptor — no per-entry ``mkdir``/``mkstemp``/
-    ``os.replace`` — which is what lets the campaign control plane
-    scale to 100k trivial cells.
+    ``os.replace``.
 
-    The legacy one-file-per-entry layout
-    (``<directory>/<key[:2]>/<key>.json``) remains fully readable:
-    :meth:`get` falls back to it when a key has no packed entry, so
-    existing caches interchange without migration. ``layout="files"``
-    keeps *writing* that layout (atomic temp file + rename) — retained
-    as the baseline arm of ``benchmarks/bench_overhead.py``.
-
-    Integrity: cache keys and the per-entry SHA-256 of the value
-    payload are unchanged from the per-file layout. A packed entry that
-    is torn, garbled, checksum-mismatched, or format-incompatible is
-    *quarantined* — its bytes are appended to the shard's
-    ``<shard>.corrupt`` sidecar and the pack is compacted (atomic
-    rewrite + rename) to drop exactly the damaged lines, counted in
-    :attr:`quarantined`. Legacy entries quarantine by rename
-    (``<entry>.json.corrupt``) as before.
+    Integrity: every entry carries the SHA-256 of its value payload.
+    An entry that is torn, garbled, checksum-mismatched, or
+    format-incompatible is *quarantined* — its bytes are appended to
+    the shard's ``<shard>.corrupt`` sidecar and the pack is compacted
+    (atomic rewrite + rename) to drop exactly the damaged lines,
+    counted in :attr:`quarantined`. Anything else under the directory
+    (such as the one-file-per-entry ``<key[:2]>/<key>.json`` layout of
+    older caches) is ignored: such entries are recomputed, never
+    misread.
     """
 
-    def __init__(self, directory: str | Path, *, layout: str = "pack"):
-        if layout not in ("pack", "files"):
-            raise ConfigurationError(
-                f"unknown cache layout {layout!r}; accepted: pack, files"
-            )
+    def __init__(self, directory: str | Path):
         self.directory = Path(directory)
-        self.layout = layout
         #: Entries quarantined by :meth:`get` over this instance's life.
         self.quarantined = 0
         #: Successful/absent lookups over this instance's life.
@@ -477,30 +466,15 @@ class ResultCache:
         #: this instance (one ``stat`` + tail scan per shard, not per
         #: get). A validation failure still forces a full re-scan.
         self._refreshed: set[str] = set()
-        # Whether the directory holds legacy per-file entries at all;
-        # resolved lazily with one directory listing so a pure-pack
-        # cache never pays the per-miss legacy path probe.
-        self._legacy_checked = layout == "files"
-        self._legacy_present = layout == "files"
-        #: Shard dirs already created by the legacy writer (memoized so
-        #: ``layout="files"`` pays one mkdir per shard, not per put).
-        self._made_dirs: set[str] = set()
 
     # -- paths ----------------------------------------------------------
-    def _path(self, key: str) -> Path:
-        """Legacy per-file entry path (still read; written by
-        ``layout="files"``)."""
-        return self.directory / key[:2] / f"{key}.json"
-
     @staticmethod
     def _pack_shard(key: str) -> str:
         """Pack shard of a key: one hex character, sixteen segments.
 
-        Coarser than the legacy two-character directory fan-out on
-        purpose: the point of packing is few, large, append-only files
-        (fewer descriptors, fewer sidecars, fewer fsync targets), and
-        sixteen segments keep even a 100k-cell cache at a comfortable
-        per-segment size.
+        Few, large, append-only files (few descriptors, sidecars and
+        fsync targets); sixteen segments keep even a large cache at a
+        comfortable per-segment size.
         """
         return key[:1]
 
@@ -773,34 +747,6 @@ class ResultCache:
         except Exception:
             pass
 
-    # -- quarantine (legacy + packed) -----------------------------------
-    def _quarantine(self, path: Path) -> None:
-        """Legacy per-file quarantine: rename to ``*.corrupt``."""
-        self.quarantined += 1
-        _M_CACHE["quarantined"].inc()
-        obs_trace.event("cache.quarantine", path=str(path))
-        try:
-            os.replace(path, path.with_name(path.name + ".corrupt"))
-        except OSError:
-            pass
-
-    def _miss(self) -> None:
-        self.misses += 1
-        _M_CACHE["miss"].inc()
-
-    def _scan_legacy_dirs(self) -> bool:
-        """Whether the directory holds any legacy two-hex shard dirs."""
-        try:
-            with os.scandir(self.directory) as entries:
-                return any(
-                    entry.is_dir()
-                    and len(entry.name) == 2
-                    and all(c in "0123456789abcdef" for c in entry.name)
-                    for entry in entries
-                )
-        except OSError:
-            return False
-
     @staticmethod
     def _valid(payload: Any) -> bool:
         return (
@@ -872,69 +818,23 @@ class ResultCache:
             self.hits += 1
             _M_CACHE["hit"].inc()
             return payload
-        # Fall back to the legacy per-file layout (pre-pack caches
-        # interchange without migration). One directory listing decides
-        # whether any legacy shard dirs exist at all; a pure-pack cache
-        # then misses without per-key path probes.
-        if not self._legacy_checked:
-            self._legacy_checked = True
-            self._legacy_present = self._scan_legacy_dirs()
-        if not self._legacy_present:
-            self._miss()
-            return None
-        path = self._path(key)
-        try:
-            text = path.read_text()
-        except OSError:
-            self._miss()
-            return None  # genuinely absent — a plain miss
-        try:
-            legacy = json.loads(text)
-        except ValueError:
-            self._quarantine(path)
-            self._miss()
-            return None
-        if not self._valid(legacy):
-            self._quarantine(path)
-            self._miss()
-            return None
-        self.hits += 1
-        _M_CACHE["hit"].inc()
-        return legacy
+        self.misses += 1
+        _M_CACHE["miss"].inc()
+        return None
 
     # -- write ----------------------------------------------------------
     def put(self, key: str, payload: dict[str, Any]) -> None:
-        """Write one entry durably-replaceable and atomically visible.
+        """Append one entry, atomically visible to readers.
 
-        Packed layout: one append of one serialized line (newline-
-        terminated appends are atomic for readers; a newer line for the
-        same key shadows older ones). ``layout="files"``: the legacy
-        atomic temp-file + rename. Raises ``OSError`` (e.g.
+        One append of one serialized line (newline-terminated appends
+        are atomic for readers; a newer line for the same key shadows
+        older ones). Raises ``OSError`` (e.g.
         ``ENOSPC``/``EIO``): the engine downgrades the cache to
         compute-only on the first write failure rather than silently
         dropping every entry onto a full disk for the rest of the
         campaign.
         """
         line = self._encode_entry(key, payload)
-        if self.layout == "files":
-            path = self._path(key)
-            if key[:2] not in self._made_dirs:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                self._made_dirs.add(key[:2])
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(line)
-                os.replace(tmp, path)
-            except OSError:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-            return
         shard = self._pack_shard(key)
         fd = self._fd(shard)
         offset = os.lseek(fd, 0, os.SEEK_END)
@@ -952,15 +852,14 @@ class ResultCache:
     def corrupt_entry(self, key: str) -> None:
         """Garble the stored entry for ``key`` in place (fault injection).
 
-        Packed entries are damaged *within* their line — byte length
-        and neighbors untouched, so exactly one entry is affected;
-        legacy entries are truncated like a torn write.
+        The entry is damaged *within* its line — byte length and
+        neighbors untouched, so exactly one entry is affected. A key
+        with no stored entry is left alone.
         """
         shard = self._pack_shard(key)
         self._refresh_shard(shard)
         loc = self._index.get(shard, {}).get(key)
         if loc is None:
-            FaultPlan.corrupt_file(self._path(key))
             return
         offset, length = loc
         stamp = b"#torn-write#"[: max(1, length - 2)]
@@ -990,6 +889,13 @@ class CellRecord:
     attempts: int
     cycles: int | None = None
     error: str | None = None
+
+
+def _nearest_rank(ordered: list[float], q: float) -> float | None:
+    """Exact nearest-rank ``q``-quantile of an ascending list."""
+    if not ordered:
+        return None
+    return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
 
 
 @dataclass
@@ -1042,16 +948,14 @@ class EngineTelemetry:
     rmax_solves: int = 0
     #: Per-cell records retained for reporting. Successful cells are
     #: capped at :data:`MAX_RETAINED_RECORDS` (the overflow counted in
-    #: :attr:`records_dropped`) so a 100k-cell campaign's telemetry
-    #: stays O(1); failed/poisoned cells are *always* retained — the
-    #: failure manifest and report need every one of them.
+    #: :attr:`records_dropped`); failed/poisoned cells are *always*
+    #: retained — the failure manifest and report need every one of
+    #: them.
     records: list[CellRecord] = field(default_factory=list)
     records_dropped: int = 0
-    #: Streaming per-cell wall-time distribution — exact counters above
-    #: stay exact; this adds percentiles without retaining cells.
-    cell_seconds_stats: StreamingSummary = field(
-        default_factory=lambda: StreamingSummary(quantiles=(0.5, 0.9, 0.99))
-    )
+    #: Wall seconds of every cell noted, for the exact percentiles of
+    #: :meth:`snapshot`.
+    cell_walls: list[float] = field(default_factory=list)
 
     def note(self, record: CellRecord) -> None:
         if (
@@ -1061,7 +965,7 @@ class EngineTelemetry:
             self.records.append(record)
         else:
             self.records_dropped += 1
-        self.cell_seconds_stats.add(record.wall_seconds)
+        self.cell_walls.append(record.wall_seconds)
         self.cells += 1
         self.cell_seconds += record.wall_seconds
         _M_CELLS[record.status].inc()
@@ -1103,6 +1007,7 @@ class EngineTelemetry:
         ``computed + hit + replayed + failed == total``
         (``poisoned`` is a subset of ``failed``, not a fifth term).
         """
+        walls = sorted(self.cell_walls)
         return {
             "total": self.cells,
             "computed": self.simulations,
@@ -1132,9 +1037,9 @@ class EngineTelemetry:
             "workload_builds": self.workload_builds,
             "rmax_solves": self.rmax_solves,
             "records_dropped": self.records_dropped,
-            "cell_seconds_p50": self.cell_seconds_stats.quantile(0.5),
-            "cell_seconds_p90": self.cell_seconds_stats.quantile(0.9),
-            "cell_seconds_p99": self.cell_seconds_stats.quantile(0.99),
+            "cell_seconds_p50": _nearest_rank(walls, 0.5),
+            "cell_seconds_p90": _nearest_rank(walls, 0.9),
+            "cell_seconds_p99": _nearest_rank(walls, 0.99),
         }
 
     def absorb_store(self, delta: dict[str, float]) -> None:
@@ -1247,32 +1152,27 @@ def _family_weight(family: str) -> float:
 def runtime_hints_from_entries(
     entries: dict[str, JournalEntry]
 ) -> dict[Any, float]:
-    """Mean computed wall-seconds by label, (family, profile), and family.
+    """Mean computed wall-seconds by label and by (family, profile).
 
     Only ``computed`` entries count: hits/replays report ~zero wall and
-    would drag an estimate toward "free". Three hint granularities are
+    would drag an estimate toward "free". Two hint granularities are
     built from one pass:
 
     * exact cell label — real per-cell history, which orders cells of
       one family and profile (e.g. a slow mix ahead of a fast one);
     * ``(family, profile)`` — so a ``bench``-profile campaign never
       inherits stale full-profile means and misorders its cells
-      (profiles differ in workload scale by orders of magnitude);
-    * bare family — legacy granularity, kept only for journal entries
-      recorded before profiles were journaled (no profile field).
+      (profiles differ in workload scale by orders of magnitude).
     """
     sums: dict[Any, list[float]] = {}
     for entry in entries.values():
         if entry.status != "computed":
             continue
-        family = _cost_family(entry.label)
         sums.setdefault(entry.label, []).append(entry.wall_seconds)
         if entry.profile is not None:
-            sums.setdefault((family, entry.profile), []).append(
-                entry.wall_seconds
-            )
-        else:
-            sums.setdefault(family, []).append(entry.wall_seconds)
+            sums.setdefault(
+                (_cost_family(entry.label), entry.profile), []
+            ).append(entry.wall_seconds)
     return {key: sum(walls) / len(walls) for key, walls in sums.items()}
 
 
@@ -1280,8 +1180,7 @@ def expected_cost(cell: Any, hints: dict[Any, float]) -> float:
     """Expected relative runtime of one cell, for dispatch ordering.
 
     Preference order: measured journal history — the cell's own label,
-    then its (family, profile), then the legacy bare family — then the
-    cell's own ``cost_hint()`` (if it defines one), then the static
+    then its (family, profile) — then the cell's own ``cost_hint()`` (if it defines one), then the static
     family weight table. Only the *ordering* matters — an inaccurate
     estimate degrades the dispatch order, never correctness, and the
     shared queue still hands every idle worker the next cell.
@@ -1295,9 +1194,6 @@ def expected_cost(cell: Any, hints: dict[Any, float]) -> float:
         hint = hints.get((family, profile.name))
         if hint is not None:
             return hint
-    hint = hints.get(family)
-    if hint is not None:
-        return hint
     own = getattr(cell, "cost_hint", None)
     if own is not None:
         return float(own())
@@ -2411,8 +2307,8 @@ class ExecutionEngine:
             return None
 
     def _runtime_hints(self) -> dict[Any, float]:
-        """Runtime estimates from journal history, if any (per label,
-        per (family, profile), and legacy per family).
+        """Runtime estimates from journal history, if any (per label
+        and per (family, profile)).
 
         Feeds the supervisor's longest-first ordering; an empty dict (no
         journal, fresh journal, unreadable journal) falls back to the
@@ -2811,10 +2707,6 @@ def _int_from_env(name: str, default: int, minimum: int, accepted: str) -> int:
     return value
 
 
-def _truthy_env(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
-
-
 def _seconds_from_env(name: str, default: float | None) -> float | None:
     """A seconds value from the environment; ``0`` means disabled."""
     raw = os.environ.get(name, "").strip()
@@ -2877,7 +2769,8 @@ def engine_from_env(
 
     * ``REPRO_JOBS``: worker count (default 1 — the serial fallback);
       ``0`` means one worker per CPU.
-    * ``REPRO_CACHE``: set to ``0`` to disable the on-disk cache.
+    * ``REPRO_CACHE``: ``off`` (or ``0``) disables the on-disk cache;
+      default on.
     * ``REPRO_CACHE_DIR``: cache directory (falls back to
       ``default_cache_dir``; if both are unset, caching is off).
     * ``REPRO_RETRIES``: retry budget per cell (default 1).
@@ -2896,8 +2789,8 @@ def engine_from_env(
       until the batch's fsync, so crash-safety is unchanged.
     * ``REPRO_JOURNAL_LINGER``: max seconds a partial batch may wait
       for its fsync (default 0.05).
-    * ``REPRO_RESUME``: set to ``1`` to replay journaled cells instead
-      of re-running them.
+    * ``REPRO_RESUME``: ``on`` (or ``1``) replays journaled cells
+      instead of re-running them; default off.
     * ``REPRO_FAULTS``: fault-injection spec for chaos runs (see
       :mod:`repro.harness.faults`).
     * ``REPRO_PRECOMPUTE``: ``off`` disables the precompute store
@@ -2910,6 +2803,8 @@ def engine_from_env(
       inputs (prefork warming still shares traces and rate tables
       copy-on-write with forked workers).
 
+    ``REPRO_CACHE``, ``REPRO_RESUME`` and ``REPRO_PRECOMPUTE`` are
+    on/off switches read by :func:`~repro.harness.store.switch_from_env`.
     Malformed values raise :class:`~repro.errors.ConfigurationError`
     naming the offending value and the accepted forms.
     """
@@ -2924,7 +2819,7 @@ def engine_from_env(
         jobs = os.cpu_count() or 1
     cache: ResultCache | None = None
     directory: str | Path | None = None
-    if os.environ.get("REPRO_CACHE", "1") != "0":
+    if switch_from_env("REPRO_CACHE", default=True):
         directory = os.environ.get("REPRO_CACHE_DIR") or default_cache_dir
         if directory is not None:
             cache = ResultCache(directory)
@@ -2960,7 +2855,7 @@ def engine_from_env(
         jobs=jobs,
         cache=cache,
         journal=journal,
-        resume=_truthy_env("REPRO_RESUME"),
+        resume=switch_from_env("REPRO_RESUME", default=False),
         faults=faults_from_env(),
         progress=progress,
         store=store,

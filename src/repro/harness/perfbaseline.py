@@ -12,8 +12,8 @@ order):
   disabled vs cold vs warm;
 * ``benchmarks/bench_overhead.py`` → ``BENCH_overhead.json``
   (``"kind": "overhead"``): a control-plane-bound campaign of trivial
-  cells under per-cell journal fsync + per-file cache writes vs the
-  group-commit journal + packed cache segments (cold and warm).
+  cells under per-cell journal fsync vs the group-commit journal, both
+  over the packed result cache.
 
 A regression is flagged when a freshly measured speedup falls more than
 ``tolerance`` (default 30%) below the committed baseline's — i.e. the
@@ -85,10 +85,7 @@ def _speedups(payload: dict) -> dict[str, float]:
             "store/warm": float(payload["warm"]["speedup"]),
         }
     if payload.get("kind") == "overhead":
-        return {
-            "overhead/fastpath": float(payload["grouped"]["speedup"]),
-            "overhead/warm": float(payload["grouped"]["warm_speedup"]),
-        }
+        return {"overhead/fastpath": float(payload["grouped"]["speedup"])}
     out = {"raw_kernel": float(payload["raw_kernel"]["speedup"])}
     for scheme, cell in payload["end_to_end"]["cells"].items():
         out[f"end_to_end/{scheme}"] = float(cell["speedup"])

@@ -473,23 +473,32 @@ def clear_active_store() -> None:
     _ACTIVE_SET = False
 
 
-def precompute_from_env() -> bool:
-    """Whether the precompute store is enabled (``REPRO_PRECOMPUTE``).
+def switch_from_env(name: str, default: bool) -> bool:
+    """An on/off ``REPRO_*`` switch; unset or blank means ``default``.
 
-    Defaults to on. Malformed values raise
+    Accepts ``1``/``true``/``yes``/``on`` and ``0``/``false``/``no``/
+    ``off``, ignoring case and surrounding blanks. Anything else raises
     :class:`~repro.errors.ConfigurationError` naming the offending
     value and the accepted forms, matching ``engine_from_env``.
     """
-    raw = os.environ.get(PRECOMPUTE_ENV, "").strip().lower()
-    if not raw or raw in _TRUTHY:
+    raw = os.environ.get(name, "").strip().lower()
+    if not raw:
+        return default
+    if raw in _TRUTHY:
         return True
     if raw in _FALSY:
         return False
     raise ConfigurationError(
-        f"{PRECOMPUTE_ENV}={os.environ.get(PRECOMPUTE_ENV)!r} is not a "
-        f"recognized switch; accepted: {'/'.join(_TRUTHY)} to enable, "
+        f"{name}={os.environ.get(name)!r} is not a recognized switch; "
+        f"accepted: {'/'.join(_TRUTHY)} to enable, "
         f"{'/'.join(_FALSY)} to disable"
     )
+
+
+def precompute_from_env() -> bool:
+    """Whether the precompute store is enabled (``REPRO_PRECOMPUTE``,
+    default on)."""
+    return switch_from_env(PRECOMPUTE_ENV, default=True)
 
 
 def get_active_store() -> PrecomputeStore | None:

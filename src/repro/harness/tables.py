@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from repro.harness.exec import ExecutionEngine
 from repro.harness.experiment import MixResult, run_mix_grid
 from repro.harness.runconfig import RunProfile, SCALED
-from repro.harness.streamstats import StreamingSummary
 
 
 @dataclass(frozen=True)
@@ -96,65 +95,6 @@ def table6(
         )
         rows.append(table6_row(mix_id, result))
     return Table6(rows=rows)
-
-
-class CampaignDistributions:
-    """Campaign-level leakage and IPC distributions, per scheme.
-
-    Accumulates every workload of every mix into streaming sketches
-    (:class:`~repro.harness.streamstats.StreamingSummary`), so rendering
-    the cross-campaign distribution of ``bits_per_assessment`` and IPC
-    costs O(schemes) memory however many cells the campaign ran — a
-    100k-cell sweep aggregates in the same footprint as a 4-mix one.
-
-    Per-cell statistics are untouched: the sketches only summarize
-    *across* cells, never replace the exact per-cell values that feed
-    the paper's tables.
-    """
-
-    def __init__(self, *, quantiles: tuple[float, ...] = (0.1, 0.5, 0.9)):
-        self._quantiles = quantiles
-        self._leakage: dict[str, StreamingSummary] = {}
-        self._ipc: dict[str, StreamingSummary] = {}
-
-    def _sketches(self, scheme: str) -> tuple[StreamingSummary, StreamingSummary]:
-        if scheme not in self._leakage:
-            self._leakage[scheme] = StreamingSummary(self._quantiles)
-            self._ipc[scheme] = StreamingSummary(self._quantiles)
-        return self._leakage[scheme], self._ipc[scheme]
-
-    @property
-    def schemes(self) -> list[str]:
-        return sorted(self._leakage)
-
-    @property
-    def count(self) -> int:
-        return sum(s.count for s in self._ipc.values())
-
-    def add(self, scheme: str, *, leakage_bits: float, ipc: float) -> None:
-        leakage, ipc_sketch = self._sketches(scheme)
-        leakage.add(leakage_bits)
-        ipc_sketch.add(ipc)
-
-    def add_mix_result(self, result: MixResult) -> None:
-        """Fold every workload of every scheme run into the sketches."""
-        for scheme, run in result.runs.items():
-            for workload in run.workloads:
-                self.add(
-                    scheme,
-                    leakage_bits=workload.bits_per_assessment,
-                    ipc=workload.ipc,
-                )
-
-    def summary(self) -> dict[str, dict[str, dict]]:
-        """``{scheme: {"leakage_bits": {...}, "ipc": {...}}}``."""
-        return {
-            scheme: {
-                "leakage_bits": self._leakage[scheme].summary(),
-                "ipc": self._ipc[scheme].summary(),
-            }
-            for scheme in self.schemes
-        }
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.__main__ import build_engine, build_parser, main
 from repro.errors import ConfigurationError
+from repro.harness.exec import engine_from_env
 from repro.obs.trace import TRACE_ENV
 
 
@@ -168,6 +169,68 @@ class TestEngineEnvironment:
             self._engine(tmp_path)
         assert main(["--cache-dir", str(tmp_path), "rmax"]) == 2
         assert name in capsys.readouterr().err
+
+
+class TestSwitchVariables:
+    """``REPRO_CACHE``/``REPRO_RESUME``/``REPRO_PRECOMPUTE`` share one
+    on/off parser under ``engine_from_env`` and ``build_engine`` alike.
+    (``REPRO_CACHE`` is engine-only: the CLI has ``--no-cache``.)"""
+
+    SWITCHES = ("REPRO_CACHE", "REPRO_RESUME", "REPRO_PRECOMPUTE")
+
+    @pytest.fixture(autouse=True)
+    def _clean(self, monkeypatch, tmp_path):
+        for name in self.SWITCHES:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+
+    @staticmethod
+    def _cli(tmp_path):
+        argv = ["--cache-dir", str(tmp_path), "rmax"]
+        return build_engine(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("value", ["off", "OFF", " 0 ", "no", "false"])
+    def test_cache_off_spellings_disable_the_cache(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_CACHE", value)
+        assert engine_from_env().cache is None
+
+    @pytest.mark.parametrize("value", ["", "on", "1", "TRUE"])
+    def test_cache_on_spellings_keep_the_cache(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_CACHE", value)
+        assert engine_from_env().cache is not None
+
+    @pytest.mark.parametrize("value", ["TRUE", " 1", "on", "Yes"])
+    def test_resume_on_spellings_resume_under_both(
+        self, monkeypatch, tmp_path, value
+    ):
+        monkeypatch.setenv("REPRO_RESUME", value)
+        assert engine_from_env().resume
+        assert self._cli(tmp_path).resume
+
+    @pytest.mark.parametrize("value", ["", "0", "off", "FALSE"])
+    def test_resume_off_spellings_do_not_resume(
+        self, monkeypatch, tmp_path, value
+    ):
+        monkeypatch.setenv("REPRO_RESUME", value)
+        assert not engine_from_env().resume
+        assert not self._cli(tmp_path).resume
+
+    @pytest.mark.parametrize("name", ["REPRO_RESUME", "REPRO_PRECOMPUTE"])
+    def test_malformed_switch_raises_under_both(
+        self, monkeypatch, tmp_path, capsys, name
+    ):
+        monkeypatch.setenv(name, "maybe")
+        with pytest.raises(ConfigurationError, match=f"{name}='maybe'"):
+            engine_from_env()
+        with pytest.raises(ConfigurationError, match=f"{name}='maybe'"):
+            self._cli(tmp_path)
+        assert main(["--cache-dir", str(tmp_path), "rmax"]) == 2
+        assert name in capsys.readouterr().err
+
+    def test_malformed_cache_switch_raises(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", "maybe")
+        with pytest.raises(ConfigurationError, match="REPRO_CACHE='maybe'"):
+            engine_from_env()
 
 
 class TestSchemesFlag:

@@ -12,6 +12,9 @@ The two guarantees the benchmark harness depends on:
 from __future__ import annotations
 
 import dataclasses
+import math
+import os
+import re
 import time
 
 import pytest
@@ -28,6 +31,7 @@ from repro.harness.exec import (
     engine_from_env,
 )
 from repro.harness.experiment import run_mix, run_mix_grid, run_mix_scheme
+from repro.harness.journal import RunJournal
 from repro.harness.runconfig import TEST
 from repro.harness.sensitivity import run_sensitivity_study
 
@@ -148,23 +152,18 @@ class TestResultCache:
         # the reader must scan the tail and serve the newest append.
         assert ResultCache(tmp_path).get(key)["value"] == 2
 
-    def test_legacy_per_file_entries_remain_readable(self, tmp_path):
-        writer = ResultCache(tmp_path, layout="files")
+    def test_per_file_entries_are_ignored(self, tmp_path):
+        # Caches from before the packed layout kept one JSON file per
+        # entry under ``<key[:2]>/``: such an entry is a plain miss
+        # (recomputed), neither served nor quarantined.
         key = "fe" * 32
-        writer.put(key, {"value": {"ipc": 3.5}})
-        assert writer._path(key).exists()
-        reader = ResultCache(tmp_path)  # default packed layout
-        assert reader.get(key)["value"] == {"ipc": 3.5}
-        assert reader.hits == 1 and reader.quarantined == 0
-
-    def test_legacy_corrupt_entry_still_renamed(self, tmp_path):
+        old = tmp_path / key[:2] / f"{key}.json"
+        old.parent.mkdir()
+        old.write_text('{"format": 3, "value": 1}')
         cache = ResultCache(tmp_path)
-        key = "ad" * 32
-        path = cache._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("{not json")
         assert cache.get(key) is None
-        assert path.with_name(path.name + ".corrupt").exists()
+        assert (cache.misses, cache.quarantined) == (1, 0)
+        assert old.exists()
 
     def test_pack_damage_quarantines_only_damaged_entries(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -506,3 +505,110 @@ class TestGrid:
         assert len(lines) == 1
         assert "status=computed" in lines[0]
         assert lines[0].startswith("[exec 1/1]")
+
+
+class CountedCell:
+    """Instant cell: every cost it incurs belongs to the control plane."""
+
+    def __init__(self, index: int):
+        self.index = index
+
+    @property
+    def label(self) -> str:
+        return f"counted[{self.index}]"
+
+    def cache_token(self):
+        return {"kind": "work-count", "index": self.index}
+
+    def execute(self):
+        return {"index": self.index, "seventh": (self.index + 1) / 7.0}
+
+    @staticmethod
+    def cycles_of(value):
+        return None
+
+    @staticmethod
+    def encode(value):
+        return value
+
+    @staticmethod
+    def decode(payload):
+        return payload
+
+
+class TestControlPlaneWorkCounts:
+    """Exact counts of the control plane's I/O on a serial campaign.
+
+    They pin group commit and the packed cache on any host: a
+    regression shows as a wrong count, not as a slower ratio. The
+    linger is far longer than the campaign, so every fsync comes from
+    a full batch or the final flush.
+    """
+
+    BATCH = 64
+
+    def _run(self, root, cells, monkeypatch):
+        fsyncs = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            fsyncs.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        cache = ResultCache(root / "cache")
+        engine = ExecutionEngine(
+            jobs=1,
+            cache=cache,
+            journal=RunJournal(
+                root / "journal.jsonl",
+                batch_entries=self.BATCH,
+                linger_seconds=3600.0,
+            ),
+        )
+        engine.run([CountedCell(i) for i in range(cells)], campaign="counts")
+        monkeypatch.setattr(os, "fsync", real_fsync)
+        return engine, cache, len(fsyncs)
+
+    @staticmethod
+    def _cache_files(root):
+        return sorted(
+            str(path.relative_to(root / "cache"))
+            for path in (root / "cache").rglob("*")
+            if path.is_file()
+        )
+
+    @pytest.mark.parametrize("cells", [1, 64, 65, 200])
+    def test_one_journal_fsync_per_batch(self, tmp_path, monkeypatch, cells):
+        _, _, fsyncs = self._run(tmp_path, cells, monkeypatch)
+        # Plus one for the header a fresh journal writes synchronously.
+        assert fsyncs == 1 + math.ceil(cells / self.BATCH)
+
+    def test_cold_run_creates_only_pack_files(self, tmp_path):
+        counts = {}
+        for cells in (50, 500):
+            root = tmp_path / str(cells)
+            engine = ExecutionEngine(jobs=1, cache=ResultCache(root / "cache"))
+            engine.run([CountedCell(i) for i in range(cells)])
+            files = self._cache_files(root)
+            assert files, "the cold run wrote no cache files"
+            assert all(
+                re.fullmatch(r"packs/[0-9a-f]\.(pack|idx)", name)
+                for name in files
+            ), files
+            counts[cells] = len(files)
+        assert counts[500] == counts[50] <= 2 * 16
+
+    def test_warm_run_hits_every_cell_and_appends_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        cells = 200
+        self._run(tmp_path, cells, monkeypatch)
+        packs = sorted((tmp_path / "cache" / "packs").glob("*.pack"))
+        sizes = [path.stat().st_size for path in packs]
+        engine, cache, _ = self._run(tmp_path, cells, monkeypatch)
+        snap = engine.telemetry.snapshot()
+        assert (snap["hit"], snap["misses"], snap["computed"]) == (cells, 0, 0)
+        assert (cache.hits, cache.misses) == (cells, 0)
+        assert sorted((tmp_path / "cache" / "packs").glob("*.pack")) == packs
+        assert [path.stat().st_size for path in packs] == sizes

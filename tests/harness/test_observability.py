@@ -216,9 +216,8 @@ class TestDifferentialTelemetry:
         cache = ResultCache(root / "cache")
         # Pre-plant one corrupt cache entry so a quarantine happens.
         corrupt_key = cell_key(cells[0])
-        path = cache._path(corrupt_key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("{torn json")
+        cache.put(corrupt_key, {"value": "torn"})
+        cache.corrupt_entry(corrupt_key)
         engine = ExecutionEngine(
             jobs=jobs, cache=cache, retries=1, backoff_base=0.01
         )

@@ -95,22 +95,26 @@ def read_events(path, name):
 
 class TestCostModel:
     def test_journal_hints_average_computed_walls(self):
+        def entry(key, label, status, wall):
+            return JournalEntry(key, label, status, wall, 1, profile="test")
+
         entries = {
-            "a": JournalEntry("a", "mix[x]/untangle", "computed", 4.0, 1),
-            "b": JournalEntry("b", "mix[y]/untangle", "computed", 2.0, 1),
+            "a": entry("a", "mix[x]/untangle", "computed", 4.0),
+            "b": entry("b", "mix[y]/untangle", "computed", 2.0),
             # Hits report ~zero wall and must not poison the estimate.
-            "c": JournalEntry("c", "mix[z]/untangle", "hit", 0.0, 0),
-            "d": JournalEntry("d", "mix[x]/static", "computed", 1.0, 1),
+            "c": entry("c", "mix[z]/untangle", "hit", 0.0),
+            "d": entry("d", "mix[x]/static", "computed", 1.0),
         }
         hints = runtime_hints_from_entries(entries)
-        assert hints["untangle"] == pytest.approx(3.0)
-        assert hints["static"] == pytest.approx(1.0)
+        assert hints[("untangle", "test")] == pytest.approx(3.0)
+        assert hints[("static", "test")] == pytest.approx(1.0)
+        assert "mix[z]/untangle" not in hints
 
     def test_expected_cost_prefers_history_then_hint_then_family(self):
         untangle = MixSchemeCell(pairs=PAIRS, scheme="untangle", profile=TEST)
         static = MixSchemeCell(pairs=PAIRS, scheme="static", profile=TEST)
         hinted = SleepCell(1, 0.0, hint=7.5)
-        history = {"untangle": 12.0}
+        history = {("untangle", "test"): 12.0}
         assert expected_cost(untangle, history) == pytest.approx(12.0)
         # No history: the static family-weight table orders schemes.
         assert expected_cost(untangle, {}) > expected_cost(static, {})
@@ -264,7 +268,7 @@ class TestCrashAccounting:
 
 
 class TestHintGranularity:
-    """Journal runtime hints: label, (family, profile), legacy family."""
+    """Journal runtime hints: label, then (family, profile)."""
 
     def test_profiled_entries_build_label_and_profile_keys(self):
         entries = {
@@ -277,14 +281,16 @@ class TestHintGranularity:
             "c": JournalEntry(
                 "c", "mix[x]/untangle", "computed", 40.0, 1, profile="bench"
             ),
+            "d": JournalEntry("d", "mix[w]/untangle", "computed", 7.0, 1),
         }
         hints = runtime_hints_from_entries(entries)
         assert hints[("untangle", "test")] == pytest.approx(3.0)
         assert hints[("untangle", "bench")] == pytest.approx(40.0)
         # Labels repeat across profiles; the label mean pools them.
         assert hints["mix[x]/untangle"] == pytest.approx(22.0)
-        # Profiled entries never feed the legacy bare-family key.
-        assert "untangle" not in hints
+        # An entry without a profile hints only its own label.
+        assert hints["mix[w]/untangle"] == pytest.approx(7.0)
+        assert "untangle" not in hints  # no bare-family key
 
     def test_expected_cost_prefers_label_then_profile_then_family(self):
         cell = MixSchemeCell(pairs=PAIRS, scheme="untangle", profile=TEST)
@@ -297,8 +303,8 @@ class TestHintGranularity:
         del label_hints[cell.label]
         assert expected_cost(cell, label_hints) == pytest.approx(9.0)
         del label_hints[("untangle", "test")]
-        # Legacy journals (no profile recorded) still order the seeding.
-        assert expected_cost(cell, label_hints) == pytest.approx(2.0)
+        # A bare-family key is not a hint: the family weight decides.
+        assert expected_cost(cell, label_hints) == expected_cost(cell, {})
 
     def test_wrong_profile_history_is_ignored(self):
         cell = MixSchemeCell(pairs=PAIRS, scheme="untangle", profile=TEST)

@@ -8,8 +8,8 @@ distributions.
 
 Run:  python examples/llc_partitioning_mix.py [mix_id] [--quick]
 
-``--quick`` runs a reduced 2-workload mix (~15 s) instead of the full
-8-workload mix (~30 s).
+``--quick`` runs a reduced 2-workload mix (~1 s) instead of the full
+8-workload mix (~4 s), serial, on a 2-vCPU Xeon host.
 """
 
 import sys
@@ -45,7 +45,7 @@ def main(argv: list[str]) -> None:
         return
 
     print(f"Running paper Mix {mix_id} under Static/Time/Untangle/Shared "
-          "(this takes ~30 s)...")
+          "(this takes a few seconds)...")
     result = run_mix(mix_id, SCALED)
     group = figure_group(mix_id, SCALED, mix_result=result)
     print()

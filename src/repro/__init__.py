@@ -28,7 +28,7 @@ Package layout
 Quickstart
 ----------
 >>> from repro.harness import run_mix, SCALED, render_figure_group, figure_group
->>> result = run_mix(1, SCALED)            # Figure 10, Mix 1  (takes ~30 s)
+>>> result = run_mix(1, SCALED)            # Figure 10, Mix 1  (~4 s, serial)
 >>> print(render_figure_group(figure_group(1, SCALED, result)))
 """
 

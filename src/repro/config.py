@@ -30,6 +30,13 @@ CAPACITY_SCALE = 128
 #: Bytes per cache line (Table 3), shared by both configurations.
 LINE_BYTES = 64
 
+#: Capacity (Maintain levels) of Untangle's default optimized accounting
+#: table (Section 7) — also the value cells advertise in their
+#: ``store_needs`` so populate solves exactly the table the scheme will
+#: request. Defined here, with no solver import, so scheme registration
+#: can declare it as a parameter default.
+DEFAULT_TABLE_CAPACITY = 48
+
 
 @dataclass(frozen=True)
 class ArchConfig:

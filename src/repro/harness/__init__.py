@@ -1,99 +1,74 @@
-"""Experiment harness: profiles, mix experiments, figures, tables."""
+"""Experiment harness: profiles, mix experiments, figures, tables.
 
-from repro.harness.exec import (
-    CellOutcome,
-    EngineTelemetry,
-    ExecutionEngine,
-    MixSchemeCell,
-    ResultCache,
-    SensitivityCell,
-    backoff_delay,
-    cell_key,
-    engine_from_env,
-)
-from repro.harness.faults import FaultPlan, faults_from_env, parse_fault_spec
-from repro.harness.journal import JournalEntry, RunJournal
-from repro.harness.experiment import (
-    MixResult,
-    SchemeRunResult,
-    WorkloadResult,
-    make_scheme,
-    mix_labels,
-    run_custom_mix,
-    run_mix,
-    run_mix_grid,
-    run_mix_scheme,
-)
-from repro.harness.figures import FigureGroup, WorkloadRow, figure11_data, figure_group
-from repro.harness.runconfig import LARGE, PROFILES, SCALED, TEST, RunProfile
-from repro.harness.sensitivity import (
-    SensitivityCurve,
-    classify_benchmarks,
-    run_sensitivity_curve,
-    run_sensitivity_study,
-)
-from repro.harness.tables import (
-    ActiveAttackerSummary,
-    Table6,
-    Table6Row,
-    active_attacker_summary,
-    table6,
-)
-from repro.harness.report import (
-    render_active_attacker,
-    render_figure_group,
-    render_sensitivity,
-    render_table6,
-    render_telemetry,
-    size_label,
-)
+The names below load their submodule on first access (PEP 562):
+``from repro.harness import run_mix, SCALED`` works as before, while a
+command that imports one submodule — the CLI replaying cached results —
+loads nothing else from here.
+"""
 
-__all__ = [
-    "RunProfile",
-    "SCALED",
-    "TEST",
-    "LARGE",
-    "PROFILES",
-    "run_mix",
-    "run_mix_scheme",
-    "run_custom_mix",
-    "run_mix_grid",
-    "make_scheme",
-    "mix_labels",
-    "ExecutionEngine",
-    "ResultCache",
-    "EngineTelemetry",
-    "CellOutcome",
-    "MixSchemeCell",
-    "SensitivityCell",
-    "backoff_delay",
-    "cell_key",
-    "engine_from_env",
-    "FaultPlan",
-    "parse_fault_spec",
-    "faults_from_env",
-    "JournalEntry",
-    "RunJournal",
-    "MixResult",
-    "SchemeRunResult",
-    "WorkloadResult",
-    "figure_group",
-    "figure11_data",
-    "FigureGroup",
-    "WorkloadRow",
-    "SensitivityCurve",
-    "run_sensitivity_curve",
-    "run_sensitivity_study",
-    "classify_benchmarks",
-    "Table6",
-    "Table6Row",
-    "table6",
-    "ActiveAttackerSummary",
-    "active_attacker_summary",
-    "render_figure_group",
-    "render_sensitivity",
-    "render_table6",
-    "render_active_attacker",
-    "render_telemetry",
-    "size_label",
-]
+from __future__ import annotations
+
+import importlib
+
+#: Public name -> the submodule defining it.
+_EXPORTS = {
+    "CellOutcome": "exec",
+    "EngineTelemetry": "exec",
+    "ExecutionEngine": "exec",
+    "MixSchemeCell": "exec",
+    "ResultCache": "exec",
+    "SensitivityCell": "exec",
+    "backoff_delay": "exec",
+    "cell_key": "exec",
+    "engine_from_env": "exec",
+    "FaultPlan": "faults",
+    "faults_from_env": "faults",
+    "parse_fault_spec": "faults",
+    "JournalEntry": "journal",
+    "RunJournal": "journal",
+    "MixResult": "experiment",
+    "SchemeRunResult": "experiment",
+    "WorkloadResult": "experiment",
+    "make_scheme": "experiment",
+    "mix_labels": "experiment",
+    "run_custom_mix": "experiment",
+    "run_mix": "experiment",
+    "run_mix_grid": "experiment",
+    "run_mix_scheme": "experiment",
+    "FigureGroup": "figures",
+    "WorkloadRow": "figures",
+    "figure11_data": "figures",
+    "figure_group": "figures",
+    "LARGE": "runconfig",
+    "PROFILES": "runconfig",
+    "SCALED": "runconfig",
+    "TEST": "runconfig",
+    "RunProfile": "runconfig",
+    "SensitivityCurve": "sensitivity",
+    "classify_benchmarks": "sensitivity",
+    "run_sensitivity_curve": "sensitivity",
+    "run_sensitivity_study": "sensitivity",
+    "ActiveAttackerSummary": "tables",
+    "Table6": "tables",
+    "Table6Row": "tables",
+    "active_attacker_summary": "tables",
+    "table6": "tables",
+    "render_active_attacker": "report",
+    "render_figure_group": "report",
+    "render_sensitivity": "report",
+    "render_table6": "report",
+    "render_telemetry": "report",
+    "size_label": "report",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    submodule = _EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value
+

@@ -104,6 +104,7 @@ from repro.harness.store import (
     store_stats_delta,
     store_stats_snapshot,
     switch_from_env,
+    switch_value,
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -1459,6 +1460,10 @@ class _Supervisor:
         self._next_worker_id = 0
         if self.context.get_start_method() == "fork":
             # Tables a store task will solve must not be solved here.
+            # This import (and the warming below) also loads the
+            # simulator the workers run, so each forked worker inherits
+            # it instead of importing it after the fork
+            # (tests/harness/test_startup.py).
             from repro.schemes.untangle import unsolved_rate_tables
 
             with unsolved_rate_tables() if tasks else nullcontext():
@@ -2781,9 +2786,11 @@ def engine_from_env(
     * ``REPRO_STALL_TIMEOUT``: seconds of frozen heartbeat progress
       after which a stalled worker is killed (default derived from the
       timeout; requires heartbeats).
-    * ``REPRO_JOURNAL``: journal path (default
-      ``<cache-dir>/journal.jsonl`` whenever a cache directory is in
-      use; ``0`` disables journaling).
+    * ``REPRO_JOURNAL``: an off spelling of the switch vocabulary
+      (``0``/``false``/``no``/``off``) disables journaling; an on
+      spelling (``1``/``true``/``yes``/``on``), like unset, means the
+      default ``<cache-dir>/journal.jsonl`` whenever a cache directory
+      is in use; any other value is the journal's path.
     * ``REPRO_JOURNAL_BATCH``: journal group-commit batch size
       (default 64; ``1`` restores one fsync per cell). Acks are held
       until the batch's fsync, so crash-safety is unchanged.
@@ -2825,18 +2832,16 @@ def engine_from_env(
             cache = ResultCache(directory)
     journal: RunJournal | None = None
     raw_journal = os.environ.get("REPRO_JOURNAL", "").strip()
+    journal_switch = switch_value(raw_journal)
+    journal_path: str | Path | None = None
+    if raw_journal and journal_switch is None:
+        journal_path = raw_journal
+    elif journal_switch is not False and directory is not None:
+        journal_path = Path(directory) / "journal.jsonl"
     batch_entries, linger_seconds = batching_from_env()
-    if raw_journal == "0":
-        journal = None
-    elif raw_journal:
+    if journal_path is not None:
         journal = RunJournal(
-            raw_journal,
-            batch_entries=batch_entries,
-            linger_seconds=linger_seconds,
-        )
-    elif directory is not None:
-        journal = RunJournal(
-            Path(directory) / "journal.jsonl",
+            journal_path,
             batch_entries=batch_entries,
             linger_seconds=linger_seconds,
         )

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.config import ArchConfig
 from repro.errors import ConfigurationError
@@ -28,13 +27,14 @@ from repro.registry import (
     scheme_registration,
     scheme_store_needs,
 )
-from repro.schemes.untangle import get_rate_table, get_worst_case_rate_table
-from repro.sim.cpu import CoreConfig, InstructionStream
-from repro.sim.hierarchy import L1ServiceTrace, MonitorTrace
-from repro.sim.kernelmode import batching_enabled
-from repro.sim.system import DomainSpec, MultiDomainSystem
 from repro.workloads.mixes import get_mix
 
+# The simulator, the schemes and NumPy are imported inside the functions
+# that build or run a system, so a campaign served from the result cache
+# never imports them.
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.hierarchy import L1ServiceTrace, MonitorTrace
+    from repro.sim.system import MultiDomainSystem
 
 def __getattr__(name: str):
     # SCHEME_NAMES stays importable for compatibility but is re-derived
@@ -207,6 +207,8 @@ def build_mix_system(
 
     Domain names are the :func:`mix_labels` of ``pairs``.
     """
+    from repro.sim.system import DomainSpec, MultiDomainSystem
+
     domains = []
     for label, (spec, crypto, scale, seed) in zip(
         mix_labels(pairs), _workload_keys(pairs, profile)
@@ -289,6 +291,8 @@ def _l1_key(key: tuple, arch: ArchConfig) -> tuple:
 
 def _memo_trace(key: tuple, stream, arch: ArchConfig) -> L1ServiceTrace:
     """The memo's trace for workload ``key`` on ``arch``'s L1, walked lazily."""
+    from repro.sim.hierarchy import L1ServiceTrace
+
     return _memo_insert(
         _l1_key(key, arch), lambda: L1ServiceTrace(stream, arch)
     )
@@ -302,6 +306,8 @@ def _memo_monitor_trace(
     An unfiltered trace reads the memo's L1 trace of the same stream, so
     the two share one L1 walk.
     """
+    from repro.sim.hierarchy import MonitorTrace
+
     l1_trace = _memo_trace(key, stream, arch)
     return _memo_insert(
         _l1_key(key, arch) + spec,
@@ -344,6 +350,11 @@ def _monitor_trace_specs(entries: list[tuple]) -> dict[tuple, list]:
     then costs no workload assembly, and no transient memory a forked
     worker would inherit.
     """
+    import numpy as np
+
+    from repro.sim.cpu import CoreConfig, InstructionStream
+    from repro.sim.system import DomainSpec, MultiDomainSystem
+
     specs: dict[tuple, list] = {}
     for entry in entries:
         if len(entry) < 3 or _scheme_config(entry) in specs:
@@ -390,6 +401,8 @@ def warm_l1_traces(entries: list[tuple]) -> int:
     batched kernel (the only trace reader) is off. Returns the number
     of traces walked.
     """
+    from repro.sim.kernelmode import batching_enabled
+
     if not batching_enabled():
         return 0
     specs = _monitor_trace_specs(entries)
@@ -440,6 +453,11 @@ def warm_rate_tables(entries: list[tuple]) -> int:
     pool solves the tables) nothing is solved. Returns the number of
     distinct tables requested.
     """
+    from repro.schemes.untangle import (
+        get_rate_table,
+        get_worst_case_rate_table,
+    )
+
     warmed = 0
     seen: set[tuple] = set()
     for entry in entries:

@@ -31,7 +31,6 @@ cycles; ``callers <func>`` walks up the call graph.)
 
 from __future__ import annotations
 
-import cProfile
 import os
 import re
 import sys
@@ -132,6 +131,8 @@ def maybe_profile(
     directory = output_dir()
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"profile-{_slug(label)}.pstats"
+    import cProfile
+
     profiler = cProfile.Profile()
     try:
         return profiler.runcall(thunk)

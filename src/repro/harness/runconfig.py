@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 from repro.config import ArchConfig
 from repro.errors import ConfigurationError
-from repro.workloads.workload import WorkloadScale
+from repro.workloads.scale import WorkloadScale
 
 
 @dataclass(frozen=True)

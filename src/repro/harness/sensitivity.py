@@ -11,21 +11,20 @@ benchmarks out of 36 — the reproduction must recover the same set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.config import ArchConfig
-from repro.core.annotations import AnnotationVector
 from repro.harness.exec import ExecutionEngine, SensitivityCell
 from repro.harness.experiment import share_l1_traces
 from repro.harness.runconfig import RunProfile, SCALED
 from repro.harness.store import cached_spec_stream
 from repro.obs import metrics as obs_metrics
-from repro.schemes.static import StaticScheme
-from repro.sim.cpu import CoreConfig, InstructionStream
-from repro.sim.system import DomainSpec, MultiDomainSystem
-from repro.workloads.patterns import place_memory_instructions
 from repro.workloads.spec import SPEC_BENCHMARKS, SpecBenchmark
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
+    from repro.sim.cpu import InstructionStream
 
 #: Same series the mix-workload composer books: a sensitivity stream is
 #: one (SPEC-only) trace composition.
@@ -78,6 +77,10 @@ def compose_spec_stream_arrays(
     study runs the same benchmark at 9 partition sizes, and every size
     shares this one trace.
     """
+    import numpy as np
+
+    from repro.workloads.patterns import place_memory_instructions
+
     _M_BUILDS.inc()
     rng = np.random.default_rng(seed)
     period = max(1, round(1.0 / benchmark.mem_fraction))
@@ -94,6 +97,9 @@ def build_spec_only_stream_direct(
     seed: int,
 ) -> InstructionStream:
     """The store-less build path (composition + assembly in one call)."""
+    from repro.core.annotations import AnnotationVector
+    from repro.sim.cpu import InstructionStream
+
     arrays = compose_spec_stream_arrays(
         benchmark, instructions, lines_per_mb, seed
     )
@@ -130,6 +136,10 @@ def run_benchmark_at_size(
     access's latency off it; the quantum changes nothing but how often
     the core stops.
     """
+    from repro.schemes.static import StaticScheme
+    from repro.sim.cpu import CoreConfig
+    from repro.sim.system import DomainSpec, MultiDomainSystem
+
     arch = ArchConfig.scaled(num_cores=1)
     scale = profile.workload_scale
     stream = build_spec_only_stream(

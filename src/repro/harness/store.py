@@ -47,13 +47,14 @@ import os
 import shutil
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.errors import ConfigurationError
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 #: ``on`` (default) enables the precompute store; ``off`` forces the
 #: legacy build-everything-in-process path.
@@ -96,6 +97,8 @@ def store_digest(token: dict[str, Any]) -> str:
 
 
 def _array_checksum(array: np.ndarray) -> str:
+    import numpy as np
+
     return hashlib.sha256(np.ascontiguousarray(array).data).hexdigest()
 
 
@@ -253,6 +256,8 @@ class PrecomputeStore:
         ):
             self._quarantine_trace(entry)
             return None
+        import numpy as np
+
         arrays: dict[str, np.ndarray] = {}
         for name, spec in meta["arrays"].items():
             try:
@@ -273,6 +278,8 @@ class PrecomputeStore:
     def _store_trace(
         self, digest: str, token: dict[str, Any], arrays: dict[str, np.ndarray]
     ) -> dict[str, np.ndarray]:
+        import numpy as np
+
         entry = self._trace_entry(digest)
         entry.parent.mkdir(parents=True, exist_ok=True)
         tmp = Path(
@@ -473,21 +480,33 @@ def clear_active_store() -> None:
     _ACTIVE_SET = False
 
 
-def switch_from_env(name: str, default: bool) -> bool:
-    """An on/off ``REPRO_*`` switch; unset or blank means ``default``.
+def switch_value(raw: str) -> bool | None:
+    """``raw`` read as an on/off switch, or ``None`` if it is not one.
 
-    Accepts ``1``/``true``/``yes``/``on`` and ``0``/``false``/``no``/
-    ``off``, ignoring case and surrounding blanks. Anything else raises
-    :class:`~repro.errors.ConfigurationError` naming the offending
-    value and the accepted forms, matching ``engine_from_env``.
+    ``1``/``true``/``yes``/``on`` are on and ``0``/``false``/``no``/
+    ``off`` are off, ignoring case and surrounding blanks.
     """
-    raw = os.environ.get(name, "").strip().lower()
-    if not raw:
-        return default
+    raw = raw.strip().lower()
     if raw in _TRUTHY:
         return True
     if raw in _FALSY:
         return False
+    return None
+
+
+def switch_from_env(name: str, default: bool) -> bool:
+    """An on/off ``REPRO_*`` switch; unset or blank means ``default``.
+
+    Accepts the spellings of :func:`switch_value`. Anything else raises
+    :class:`~repro.errors.ConfigurationError` naming the offending
+    value and the accepted forms, matching ``engine_from_env``.
+    """
+    raw = os.environ.get(name, "")
+    if not raw.strip():
+        return default
+    value = switch_value(raw)
+    if value is not None:
+        return value
     raise ConfigurationError(
         f"{name}={os.environ.get(name)!r} is not a recognized switch; "
         f"accepted: {'/'.join(_TRUTHY)} to enable, "

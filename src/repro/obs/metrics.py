@@ -189,6 +189,10 @@ class MetricsRegistry:
                 raise ValueError(
                     f"metric {name!r} already registered as {metric.kind}"
                 )
+            elif help and not metric.help:
+                # A reader (e.g. a telemetry snapshot) may look a series
+                # up before the module that declares it is imported.
+                metric.help = help
             return metric
 
     def counter(self, name: str, help: str = "", **labels: Any) -> Counter:

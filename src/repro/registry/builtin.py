@@ -9,36 +9,38 @@ channel model they are assembled from, and the paper-mix workload
 generator. Scheme factories are exactly the bodies of the old
 ``make_scheme`` if-chain — registration changes how schemes are *found*,
 never what they build, so cache keys and results stay bit-identical.
+
+Registering imports no scheme, monitor or solver: each factory imports
+its class when it builds one, and ``produces`` names classes by dotted
+path. A command that only replays cached results therefore never loads
+the simulator.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.config import ArchConfig
+from repro.config import DEFAULT_TABLE_CAPACITY, ArchConfig
 from repro.errors import ConfigurationError
-from repro.monitor.metrics import TimingDependentView
-from repro.monitor.umon import UMONMonitor
 from repro.registry.core import REGISTRY, ParamSpec
-from repro.schemes.schedule import ProgressSchedule
-from repro.schemes.shared import SharedScheme
-from repro.schemes.static import StaticScheme
-from repro.schemes.threshold import FootprintMonitorAdapter, ThresholdScheme
-from repro.schemes.timebased import TimeScheme
-from repro.schemes.untangle import (
-    DEFAULT_TABLE_CAPACITY,
-    UntangleScheme,
-    default_channel_model,
-    get_rate_table,
-    get_worst_case_rate_table,
-)
 from repro.workloads.mixes import get_mix
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    # Importing the harness here at runtime would cycle back into
-    # ``repro.registry`` via ``repro.harness.__init__``; factories only
-    # read profile attributes, so the type is annotation-only.
+    # Factories only read profile attributes, and the scheme and monitor
+    # classes are imported where they are built, so these types are
+    # annotation-only.
     from repro.harness.runconfig import RunProfile
+    from repro.monitor.metrics import TimingDependentView
+    from repro.monitor.umon import UMONMonitor
+    from repro.schemes.schedule import ProgressSchedule
+    from repro.schemes.shared import SharedScheme
+    from repro.schemes.static import StaticScheme
+    from repro.schemes.threshold import (
+        FootprintMonitorAdapter,
+        ThresholdScheme,
+    )
+    from repro.schemes.timebased import TimeScheme
+    from repro.schemes.untangle import UntangleScheme
 
 
 def untangle_schedule(profile: RunProfile) -> ProgressSchedule:
@@ -48,6 +50,9 @@ def untangle_schedule(profile: RunProfile) -> ProgressSchedule:
     derived seed, same channel-model rounding) — scheme factories that
     change it change their cells' results, so it lives in one place.
     """
+    from repro.schemes.schedule import ProgressSchedule
+    from repro.schemes.untangle import default_channel_model
+
     model = default_channel_model(profile.cooldown)
     return ProgressSchedule(
         instructions_per_assessment=profile.untangle_instructions,
@@ -63,22 +68,26 @@ def untangle_schedule(profile: RunProfile) -> ProgressSchedule:
 @REGISTRY.scheme(
     "static",
     description="Fixed equal partitions, never resized (Table 4 baseline)",
-    produces=(StaticScheme,),
+    produces=("repro.schemes.static.StaticScheme",),
     cost_weight=1.0,
     default_for_campaign=True,
 )
 def _build_static(profile: RunProfile, num_domains: int) -> StaticScheme:
+    from repro.schemes.static import StaticScheme
+
     return StaticScheme(profile.arch(num_domains))
 
 
 @REGISTRY.scheme(
     "time",
     description="Time-triggered UMON resizing (insecure performance bound)",
-    produces=(TimeScheme,),
+    produces=("repro.schemes.timebased.TimeScheme",),
     cost_weight=2.0,
     default_for_campaign=True,
 )
 def _build_time(profile: RunProfile, num_domains: int) -> TimeScheme:
+    from repro.schemes.timebased import TimeScheme
+
     return TimeScheme(
         profile.arch(num_domains),
         interval=profile.time_interval,
@@ -95,7 +104,7 @@ def _untangle_needs(profile: RunProfile, params: dict) -> list[tuple]:
 @REGISTRY.scheme(
     "untangle",
     description="P1+P2 partitioning with optimized Maintain-run accounting",
-    produces=(UntangleScheme,),
+    produces=("repro.schemes.untangle.UntangleScheme",),
     params=(
         ParamSpec(
             "table_capacity",
@@ -115,6 +124,8 @@ def _build_untangle(
     *,
     table_capacity: int = DEFAULT_TABLE_CAPACITY,
 ) -> UntangleScheme:
+    from repro.schemes.untangle import UntangleScheme
+
     return UntangleScheme(
         profile.arch(num_domains),
         untangle_schedule(profile),
@@ -132,7 +143,7 @@ def _unopt_needs(profile: RunProfile, params: dict) -> list[tuple]:
 @REGISTRY.scheme(
     "untangle-unopt",
     description="Untangle charged at worst-case rates (Section 9 attacker)",
-    produces=(UntangleScheme,),
+    produces=("repro.schemes.untangle.UntangleScheme",),
     untangle_compliant=True,
     cost_weight=4.0,
     store_needs=_unopt_needs,
@@ -143,6 +154,11 @@ def _build_untangle_unopt(
     # Active-attacker accounting (Section 9): every assessment charged
     # at the single-cooldown rate — no Maintain credit. Memoized under
     # its own worst-case key, never shared with the optimized table.
+    from repro.schemes.untangle import (
+        UntangleScheme,
+        get_worst_case_rate_table,
+    )
+
     table = get_worst_case_rate_table(profile.cooldown)
     return UntangleScheme(
         profile.arch(num_domains),
@@ -157,11 +173,13 @@ def _build_untangle_unopt(
 @REGISTRY.scheme(
     "shared",
     description="No partitioning at all (insecure sharing bound)",
-    produces=(SharedScheme,),
+    produces=("repro.schemes.shared.SharedScheme",),
     cost_weight=1.0,
     default_for_campaign=True,
 )
 def _build_shared(profile: RunProfile, num_domains: int) -> SharedScheme:
+    from repro.schemes.shared import SharedScheme
+
     return SharedScheme(profile.arch(num_domains))
 
 
@@ -207,6 +225,9 @@ def _make_threshold(
     table_capacity: int = DEFAULT_TABLE_CAPACITY,
     tiers: tuple[int, ...] | str | None = None,
 ) -> ThresholdScheme:
+    from repro.schemes.threshold import ThresholdScheme
+    from repro.schemes.untangle import get_rate_table
+
     schedule = untangle_schedule(profile)
     table = get_rate_table(schedule.cooldown, capacity=table_capacity)
     return ThresholdScheme(
@@ -223,7 +244,7 @@ def _make_threshold(
 @REGISTRY.scheme(
     "threshold",
     description="Footprint-threshold Expand/Shrink heuristic (Section 6.3)",
-    produces=(ThresholdScheme,),
+    produces=("repro.schemes.threshold.ThresholdScheme",),
     params=_THRESHOLD_PARAMS,
     untangle_compliant=True,
     cost_weight=3.0,
@@ -262,7 +283,7 @@ def resolve_tiers(
 @REGISTRY.scheme(
     "threshold-tiered",
     description="Threshold scheme under Section 6.4 tiered accounting",
-    produces=(ThresholdScheme,),
+    produces=("repro.schemes.threshold.ThresholdScheme",),
     params=_THRESHOLD_PARAMS
     + (
         ParamSpec(
@@ -288,10 +309,12 @@ def _build_threshold_tiered(
 @REGISTRY.monitor(
     "umon",
     description="Retired-access UMON shadow monitor (P1-compliant)",
-    produces=(UMONMonitor,),
+    produces=("repro.monitor.umon.UMONMonitor",),
     untangle_compliant=True,
 )
 def _build_umon(profile: RunProfile, arch: ArchConfig) -> UMONMonitor:
+    from repro.monitor.umon import UMONMonitor
+
     return UMONMonitor(
         arch.supported_partition_lines,
         window=profile.monitor_window,
@@ -303,11 +326,14 @@ def _build_umon(profile: RunProfile, arch: ArchConfig) -> UMONMonitor:
 @REGISTRY.monitor(
     "umon-timing",
     description="UMON observing in-flight accesses (Time baseline; not P1)",
-    produces=(TimingDependentView,),
+    produces=("repro.monitor.metrics.TimingDependentView",),
 )
 def _build_umon_timing(
     profile: RunProfile, arch: ArchConfig
 ) -> TimingDependentView:
+    from repro.monitor.metrics import TimingDependentView
+    from repro.monitor.umon import UMONMonitor
+
     return TimingDependentView(
         UMONMonitor(
             arch.supported_partition_lines,
@@ -321,7 +347,7 @@ def _build_umon_timing(
 @REGISTRY.monitor(
     "footprint",
     description="Unique-lines footprint over a retired window (Section 5.2)",
-    produces=(FootprintMonitorAdapter,),
+    produces=("repro.schemes.threshold.FootprintMonitorAdapter",),
     params=(
         ParamSpec(
             "window",
@@ -335,6 +361,8 @@ def _build_umon_timing(
 def _build_footprint(
     profile: RunProfile, arch: ArchConfig, *, window: int = 10_000
 ) -> FootprintMonitorAdapter:
+    from repro.schemes.threshold import FootprintMonitorAdapter
+
     return FootprintMonitorAdapter(window)
 
 
@@ -362,6 +390,8 @@ def _build_channel_model(
     resolution_divisor: int = 16,
     horizon_cooldowns: int = 4,
 ):
+    from repro.schemes.untangle import default_channel_model
+
     return default_channel_model(
         profile.cooldown, resolution_divisor, horizon_cooldowns
     )

@@ -27,7 +27,6 @@ from __future__ import annotations
 import inspect
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from importlib.metadata import entry_points
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.errors import ConfigurationError
@@ -91,9 +90,11 @@ class Registration:
     factory's schemes satisfy P1+P2 (zero action leakage); the
     conformance kit holds every claimant to it with secret-swap runs.
 
-    ``produces`` names the concrete class(es) the factory returns —
-    the drift detector uses it to flag importable-but-unregistered
-    scheme classes. ``store_needs(profile, params)`` mirrors
+    ``produces`` names the concrete class(es) the factory returns, by
+    dotted path (``"repro.schemes.static.StaticScheme"``, so registering
+    imports nothing) or as the class itself — the drift detector uses
+    it to flag importable-but-unregistered scheme classes.
+    ``store_needs(profile, params)`` mirrors
     ``MixSchemeCell.store_needs``: the precomputable artifacts cells of
     this scheme consume (e.g. the exact rate table the factory will
     request). ``cost_weight`` is the relative cost the supervisor orders
@@ -108,7 +109,7 @@ class Registration:
     params: tuple[ParamSpec, ...] = ()
     untangle_compliant: bool = False
     cost_weight: float = 1.0
-    produces: tuple[type, ...] = ()
+    produces: tuple[type | str, ...] = ()
     store_needs: Callable[..., list] | None = None
     default_for_campaign: bool = False
 
@@ -320,6 +321,20 @@ class Registry:
                 )
 
 
+def entry_points(group: str):
+    """The installed entry points of ``group`` (metadata read on call)."""
+    from importlib.metadata import entry_points as installed
+
+    return installed(group=group)
+
+
+def qualified_name(produced: type | str) -> str:
+    """A ``produces`` entry as a dotted ``module.QualName`` path."""
+    if isinstance(produced, str):
+        return produced
+    return f"{produced.__module__}.{produced.__qualname__}"
+
+
 #: The process-wide registry every harness layer resolves against.
 REGISTRY = Registry()
 
@@ -343,9 +358,11 @@ def unregistered_scheme_classes(package: str = "repro.schemes") -> list[str]:
 
     from repro.schemes.base import BaseScheme
 
-    covered: set[type] = set()
-    for entry in REGISTRY.registrations("scheme"):
-        covered.update(entry.produces)
+    covered = {
+        qualified_name(produced)
+        for entry in REGISTRY.registrations("scheme")
+        for produced in entry.produces
+    }
     pkg = importlib.import_module(package)
     missing: set[str] = set()
     for info in pkgutil.iter_modules(pkg.__path__):
@@ -357,7 +374,7 @@ def unregistered_scheme_classes(package: str = "repro.schemes") -> list[str]:
                 and obj is not BaseScheme
                 and obj.__module__ == module.__name__
                 and not inspect.isabstract(obj)
-                and obj not in covered
+                and qualified_name(obj) not in covered
             ):
-                missing.add(f"{obj.__module__}.{obj.__qualname__}")
+                missing.add(qualified_name(obj))
     return sorted(missing)

@@ -30,7 +30,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from repro.config import ArchConfig
+from repro.config import DEFAULT_TABLE_CAPACITY, ArchConfig
 from repro.core.accountant import LeakageAccountant
 from repro.core.actions import ResizingAction
 from repro.core.covert import CovertChannelModel, uniform_delay
@@ -46,11 +46,6 @@ from repro.schemes.schedule import ProgressSchedule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.system import MultiDomainSystem
-
-#: Capacity of the default optimized accounting table — also the value
-#: cells advertise in their ``store_needs`` so populate solves exactly
-#: the table the scheme will request.
-DEFAULT_TABLE_CAPACITY = 48
 
 
 @dataclass(frozen=True)

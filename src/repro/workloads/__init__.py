@@ -1,49 +1,45 @@
-"""Workload models: SPEC17-like benchmarks, crypto benchmarks, mixes."""
+"""Workload models: SPEC17-like benchmarks, crypto benchmarks, mixes.
 
-from repro.workloads.crypto import (
-    CRYPTO_BENCHMARKS,
-    CryptoBenchmark,
-    get_crypto_benchmark,
-)
-from repro.workloads.mixes import (
-    PAPER_MIXES,
-    get_mix,
-    mix_demand_mb,
-    mix_labels,
-    mix_sensitive_count,
-)
-from repro.workloads.spec import (
-    DEFAULT_LINES_PER_MB,
-    LLC_SENSITIVE_NAMES,
-    SPEC_BENCHMARKS,
-    SpecBenchmark,
-    get_spec_benchmark,
-)
-from repro.workloads.workload import (
-    BuiltWorkload,
-    WorkloadScale,
-    assemble_workload,
-    build_workload,
-    compose_workload_arrays,
-)
+The names below load their submodule on first access (PEP 562), so
+importing one light submodule — the benchmark table, the mixes, the
+scale — does not pull in NumPy or the simulator that composing a
+workload needs.
+"""
 
-__all__ = [
-    "SpecBenchmark",
-    "SPEC_BENCHMARKS",
-    "LLC_SENSITIVE_NAMES",
-    "DEFAULT_LINES_PER_MB",
-    "get_spec_benchmark",
-    "CryptoBenchmark",
-    "CRYPTO_BENCHMARKS",
-    "get_crypto_benchmark",
-    "PAPER_MIXES",
-    "get_mix",
-    "mix_demand_mb",
-    "mix_sensitive_count",
-    "mix_labels",
-    "WorkloadScale",
-    "BuiltWorkload",
-    "build_workload",
-    "compose_workload_arrays",
-    "assemble_workload",
-]
+from __future__ import annotations
+
+import importlib
+
+#: Public name -> the submodule defining it.
+_EXPORTS = {
+    "CRYPTO_BENCHMARKS": "crypto",
+    "CryptoBenchmark": "crypto",
+    "get_crypto_benchmark": "crypto",
+    "PAPER_MIXES": "mixes",
+    "get_mix": "mixes",
+    "mix_demand_mb": "mixes",
+    "mix_labels": "mixes",
+    "mix_sensitive_count": "mixes",
+    "DEFAULT_LINES_PER_MB": "scale",
+    "WorkloadScale": "scale",
+    "LLC_SENSITIVE_NAMES": "spec",
+    "SPEC_BENCHMARKS": "spec",
+    "SpecBenchmark": "spec",
+    "get_spec_benchmark": "spec",
+    "BuiltWorkload": "workload",
+    "assemble_workload": "workload",
+    "build_workload": "workload",
+    "compose_workload_arrays": "workload",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    submodule = _EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value
+

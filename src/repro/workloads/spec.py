@@ -22,14 +22,13 @@ the scaled and paper configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
-from repro.workloads import patterns
+from repro.workloads.scale import DEFAULT_LINES_PER_MB
 
-#: Scaled lines per paper-scale MB (16 MB LLC -> 2048 lines).
-DEFAULT_LINES_PER_MB = 128
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 #: The scan working set is this fraction of the adequate size, leaving
 #: headroom for the footprint the other pattern components add on top
@@ -97,6 +96,8 @@ class SpecBenchmark:
         hot-set components use separate regions by design: streaming adds
         size-independent misses, the hot set adds L1-served traffic.
         """
+        from repro.workloads import patterns
+
         ws = self.working_set_lines(lines_per_mb)
         hot_lines = 8
         components: list[tuple[np.ndarray, float]] = []

@@ -6,9 +6,10 @@ instructions from the cryptographic benchmark and then 10M instructions
 from the SPEC17 benchmark". The crypto part is conservatively annotated
 fully secret-dependent; the SPEC part is public.
 
-:class:`WorkloadScale` collects the instruction-count parameters so the
-same composition logic serves the scaled evaluation, the fast test
-profile, and paper-scale documentation runs.
+:class:`~repro.workloads.scale.WorkloadScale` collects the
+instruction-count parameters so the same composition logic serves the
+scaled evaluation, the fast test profile, and paper-scale documentation
+runs.
 """
 
 from __future__ import annotations
@@ -18,16 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.annotations import AnnotationVector, concatenate_annotations
-from repro.errors import ConfigurationError
 from repro.obs import metrics as obs_metrics
 from repro.sim.cpu import CoreConfig, InstructionStream
 from repro.workloads.crypto import CryptoBenchmark, get_crypto_benchmark
 from repro.workloads.patterns import place_memory_instructions
-from repro.workloads.spec import (
-    DEFAULT_LINES_PER_MB,
-    SpecBenchmark,
-    get_spec_benchmark,
-)
+from repro.workloads.scale import WorkloadScale
+from repro.workloads.spec import SpecBenchmark, get_spec_benchmark
 
 #: Counts full (expensive) workload compositions in this process —
 #: the precompute store exists to keep this at one per unique trace.
@@ -35,56 +32,6 @@ _M_BUILDS = obs_metrics.get_registry().counter(
     "repro_workload_builds_total",
     "Full workload-trace compositions performed in this process",
 )
-
-
-@dataclass(frozen=True)
-class WorkloadScale:
-    """Instruction-count parameters of one evaluation profile.
-
-    The paper's values are ``spec_instructions=500M``,
-    ``crypto_instructions=50M``, ``spec_chunk=10M``, ``crypto_chunk=1M``
-    (Section 8); the scaled defaults divide all four by ~8000 while
-    keeping the 10:1 ratios.
-    """
-
-    spec_instructions: int = 60_000
-    crypto_instructions: int = 6_000
-    spec_chunk: int = 10_000
-    crypto_chunk: int = 1_000
-    lines_per_mb: int = DEFAULT_LINES_PER_MB
-    warmup_fraction: float = 0.1
-
-    def __post_init__(self) -> None:
-        if min(
-            self.spec_instructions,
-            self.crypto_instructions,
-            self.spec_chunk,
-            self.crypto_chunk,
-        ) < 1:
-            raise ConfigurationError("all instruction counts must be positive")
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ConfigurationError("warmup fraction must be in [0, 1)")
-
-    @classmethod
-    def paper(cls) -> "WorkloadScale":
-        """The paper's instruction counts (documentation only — enormous)."""
-        return cls(
-            spec_instructions=500_000_000,
-            crypto_instructions=50_000_000,
-            spec_chunk=10_000_000,
-            crypto_chunk=1_000_000,
-            warmup_fraction=0.02,
-        )
-
-    @classmethod
-    def test(cls) -> "WorkloadScale":
-        """A very small profile for fast unit tests."""
-        return cls(
-            spec_instructions=8_000,
-            crypto_instructions=800,
-            spec_chunk=2_000,
-            crypto_chunk=200,
-        )
 
 
 @dataclass

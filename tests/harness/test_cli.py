@@ -174,13 +174,15 @@ class TestEngineEnvironment:
 class TestSwitchVariables:
     """``REPRO_CACHE``/``REPRO_RESUME``/``REPRO_PRECOMPUTE`` share one
     on/off parser under ``engine_from_env`` and ``build_engine`` alike.
-    (``REPRO_CACHE`` is engine-only: the CLI has ``--no-cache``.)"""
+    (``REPRO_CACHE`` is engine-only: the CLI has ``--no-cache``.)
+    ``REPRO_JOURNAL`` (engine-only too) reads the same spellings, and
+    any other value is the journal's path."""
 
     SWITCHES = ("REPRO_CACHE", "REPRO_RESUME", "REPRO_PRECOMPUTE")
 
     @pytest.fixture(autouse=True)
     def _clean(self, monkeypatch, tmp_path):
-        for name in self.SWITCHES:
+        for name in (*self.SWITCHES, "REPRO_JOURNAL"):
             monkeypatch.delenv(name, raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
 
@@ -226,6 +228,43 @@ class TestSwitchVariables:
             self._cli(tmp_path)
         assert main(["--cache-dir", str(tmp_path), "rmax"]) == 2
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value", ["0", "off", "OFF", " no ", "False"]
+    )
+    def test_journal_off_spellings_disable_the_journal(
+        self, monkeypatch, tmp_path, value
+    ):
+        workdir = tmp_path / "cwd"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        monkeypatch.setenv("REPRO_JOURNAL", value)
+        assert engine_from_env().journal is None
+        # Not a journal file named after the switch, either.
+        assert list(workdir.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["", "1", "on", "TRUE", " yes "])
+    def test_journal_on_spellings_use_the_default_path(
+        self, monkeypatch, tmp_path, value
+    ):
+        monkeypatch.setenv("REPRO_JOURNAL", value)
+        journal = engine_from_env().journal
+        assert journal is not None
+        assert journal.path == tmp_path / "journal.jsonl"
+
+    def test_journal_other_value_is_a_path(self, monkeypatch, tmp_path):
+        target = tmp_path / "elsewhere" / "run.jsonl"
+        monkeypatch.setenv("REPRO_JOURNAL", f" {target} ")
+        journal = engine_from_env().journal
+        assert journal is not None
+        assert journal.path == target
+
+    def test_journal_on_without_a_cache_dir_journals_nowhere(
+        self, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_CACHE_DIR")
+        monkeypatch.setenv("REPRO_JOURNAL", "on")
+        assert engine_from_env().journal is None
 
     def test_malformed_cache_switch_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "maybe")

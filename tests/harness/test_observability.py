@@ -415,20 +415,23 @@ class TestSimulatorSpans:
         that the 1 + warmup passes it reads start."""
         from repro.harness import sensitivity
         from repro.harness.runconfig import SCALED
+        from repro.sim import system as sim_system
         from repro.sim.cpu import KEPT_RUN_EVENTS
         from repro.sim.hierarchy import LLC_TRACE_BLOCK
         from repro.workloads.spec import SPEC_BENCHMARKS
 
         systems = []
 
-        class Recording(sensitivity.MultiDomainSystem):
+        class Recording(sim_system.MultiDomainSystem):
             def run(self, *args, **kwargs):
                 systems.append(self)
                 return super().run(*args, **kwargs)
 
         sink = tmp_path / "trace.jsonl"
         monkeypatch.setenv(TRACE_ENV, str(sink))
-        monkeypatch.setattr(sensitivity, "MultiDomainSystem", Recording)
+        # The cell imports the system class where it builds one, so the
+        # defining module is the one to patch.
+        monkeypatch.setattr(sim_system, "MultiDomainSystem", Recording)
         sensitivity.run_benchmark_at_size(
             SPEC_BENCHMARKS["gcc_2"], 256, SCALED
         )

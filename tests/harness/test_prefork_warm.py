@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 import repro.harness.experiment as experiment
+import repro.schemes.untangle as untangle
 from repro.harness.experiment import (
     run_mix_scheme,
     warm_l1_traces,
@@ -22,16 +23,18 @@ from repro.workloads.mixes import get_mix
 class TestWarmRateTables:
     @pytest.fixture()
     def calls(self, monkeypatch):
+        # warm_rate_tables imports both getters from their defining
+        # module when it runs, so that module is the one to patch.
         calls: list[tuple[str, int]] = []
         monkeypatch.setattr(
-            experiment,
+            untangle,
             "get_rate_table",
             lambda cooldown, capacity=None: calls.append(
                 ("optimized", cooldown)
             ),
         )
         monkeypatch.setattr(
-            experiment,
+            untangle,
             "get_worst_case_rate_table",
             lambda cooldown: calls.append(("worst_case", cooldown)),
         )

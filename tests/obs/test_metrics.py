@@ -96,6 +96,16 @@ class TestRender:
         assert "b_seconds 1.25" in text
         assert text.endswith("\n")
 
+    def test_help_declared_after_a_plain_lookup(self, registry):
+        """A series read before its declaring module is imported still
+        renders the declared help once that module declares it."""
+        looked_up = registry.counter("late_total")
+        declared = registry.counter("late_total", "declared late")
+        assert declared is looked_up
+        assert "# HELP late_total declared late" in registry.render_prometheus()
+        registry.counter("late_total", "")
+        assert declared.help == "declared late"
+
     def test_no_duplicate_sample_names(self, registry):
         """Each non-comment line's sample (name+labels) appears once —
         duplicate series are invalid Prometheus exposition."""

@@ -220,6 +220,41 @@ class TestDriftDetector:
                 REGISTRY.register(registration)
         assert unregistered_scheme_classes() == []
 
+    @pytest.mark.parametrize(
+        "produced",
+        [
+            "repro.schemes.threshold.ThresholdScheme",
+            pytest.param(None, id="class"),
+        ],
+    )
+    def test_a_class_or_its_path_covers_it(self, produced):
+        """``produces`` names a class by dotted path (the built-ins) or
+        passes the class itself (plugins written before paths); the
+        detector treats both alike."""
+        from repro.schemes.threshold import ThresholdScheme
+
+        removed = {}
+        for name in ("threshold", "threshold-tiered"):
+            removed[name] = REGISTRY.get("scheme", name)
+            REGISTRY.unregister("scheme", name)
+        try:
+            stand_in = Registration(
+                kind="scheme",
+                name="threshold-stand-in",
+                factory=removed["threshold"].factory,
+                produces=(produced or ThresholdScheme,),
+            )
+            with REGISTRY.temporary(stand_in):
+                assert unregistered_scheme_classes() == []
+        finally:
+            for registration in removed.values():
+                REGISTRY.register(registration)
+
+    def test_builtin_registration_imports_no_scheme_class(self):
+        for entry in REGISTRY.registrations("scheme"):
+            assert entry.produces
+            assert all(isinstance(p, str) for p in entry.produces)
+
     def test_detector_sees_concrete_subclasses_only(self):
         # The abstract base itself is never demanded.
         assert BaseScheme.__name__ not in unregistered_scheme_classes()

@@ -381,7 +381,12 @@ def build_engine(args: argparse.Namespace) -> ExecutionEngine:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "trace-summarize":
-        print(render_summary(summarize_trace(args.trace_path)))
+        try:
+            summary = summarize_trace(args.trace_path)
+        except ConfigurationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        print(render_summary(summary))
         return 0
     if args.command == "conform":
         return _run_conform(args)

@@ -52,6 +52,7 @@ from repro.core.dinkelbach import (
     maximize_concave_on_simplex,
     solve_fractional,
     solve_rmax,
+    solve_rmax_levels,
 )
 from repro.core.principles import (
     TimingIndependenceReport,
@@ -88,6 +89,7 @@ __all__ = [
     "maximize_concave_on_simplex",
     "solve_fractional",
     "solve_rmax",
+    "solve_rmax_levels",
     "RmaxTable",
     "RateEntry",
     "worst_case_table",

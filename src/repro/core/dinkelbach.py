@@ -23,22 +23,86 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.core.covert import CovertChannelModel
 from repro.errors import OptimizationError
 from repro.info.entropy import _LOG2E, entropy_gradient_vec
+from repro.obs.liveness import progress_beat
 
 #: Floor applied inside exponentiated-gradient updates to keep every
 #: coordinate alive (EG cannot resurrect an exactly-zero coordinate).
 _PROBABILITY_FLOOR = 1e-12
 
+#: Starting iterates per inner solve: the uniform distribution plus
+#: Dirichlet draws.
+_RESTARTS = 3
+
 
 def _project_floor(p: np.ndarray) -> np.ndarray:
     p = np.maximum(p, _PROBABILITY_FLOOR)
     return p / p.sum()
+
+
+def _simplex_starts(n: int, restarts: int, seed: int) -> np.ndarray:
+    """The ``(restarts, n)`` starting iterates: uniform, then Dirichlet draws."""
+    rng = np.random.default_rng(seed)
+    starts = [np.full(n, 1.0 / n)]
+    for _ in range(max(restarts - 1, 0)):
+        starts.append(_project_floor(rng.dirichlet(np.ones(n))))
+    return np.stack(starts)
+
+
+def _ascend(
+    pbatch: np.ndarray,
+    gradient_rows: Callable[[np.ndarray], np.ndarray],
+    iterations: int,
+) -> None:
+    """Exponentiated-gradient ascent on every row of ``pbatch``, in place.
+
+    ``pbatch`` is a ``(..., n)`` array whose rows are points on the
+    simplex; ``gradient_rows`` maps it to a fresh array of the objective
+    gradients at every row. All rows advance in lock-step: the EG update
+    (center, step, exp, floor, renormalize) is a handful of elementwise
+    array ops whose fixed numpy dispatch cost would otherwise be paid
+    once per row per iteration.
+    """
+    grads = gradient_rows(pbatch)
+    scale = np.max(np.abs(grads), axis=-1, keepdims=True)
+    scale[scale == 0.0] = 1.0
+    base_step = 1.0 / scale
+    # Overflow in exp is impossible: the exponent is clamped to [-30, 30].
+    for t in range(1, iterations + 1):
+        grads = gradient_rows(pbatch)
+        # Center the gradient: adding a constant to all coordinates
+        # does not change the EG direction but improves conditioning.
+        grads -= np.einsum("...j,...j->...", pbatch, grads)[..., None]
+        grads *= base_step / math.sqrt(t)
+        # Clamp in place: maximum then minimum is np.clip's result
+        # without its per-call dispatch overhead.
+        np.maximum(grads, -30.0, out=grads)
+        np.minimum(grads, 30.0, out=grads)
+        np.exp(grads, out=grads)
+        pbatch *= grads
+        np.maximum(pbatch, _PROBABILITY_FLOOR, out=pbatch)
+        pbatch /= pbatch.sum(axis=-1, keepdims=True)
+
+
+def _best_row(
+    rows: np.ndarray, objective: Callable[[np.ndarray], float]
+) -> tuple[np.ndarray, float]:
+    """The row of ``rows`` with the highest objective (first on ties)."""
+    best_p: np.ndarray | None = None
+    best_value = -np.inf
+    for p in rows:
+        value = objective(p)
+        if value > best_value:
+            best_value = value
+            best_p = p
+    assert best_p is not None
+    return best_p.copy(), best_value
 
 
 def maximize_concave_on_simplex(
@@ -47,21 +111,14 @@ def maximize_concave_on_simplex(
     n: int,
     *,
     iterations: int = 400,
-    restarts: int = 3,
+    restarts: int = _RESTARTS,
     seed: int = 0,
-    gradient_rows: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, float]:
     """Maximize a concave function over the probability simplex.
 
     Exponentiated-gradient ascent with a decaying step size and random
     restarts (the problem is concave, so restarts only guard against slow
     progress from poor scaling, not local optima).
-
-    ``gradient_rows``, when provided, evaluates the gradient for a whole
-    ``(restarts, n)`` matrix of iterates at once (one row per restart)
-    and replaces the per-restart ``gradient`` calls in the inner loop —
-    worthwhile because the loop runs tens of thousands of times on small
-    vectors, where per-call dispatch dominates.
 
     Returns the best ``(p, objective(p))`` found.
     """
@@ -71,55 +128,13 @@ def maximize_concave_on_simplex(
         p = np.ones(1)
         return p, objective(p)
 
-    rng = np.random.default_rng(seed)
-    starts = [np.full(n, 1.0 / n)]
-    for _ in range(max(restarts - 1, 0)):
-        starts.append(_project_floor(rng.dirichlet(np.ones(n))))
-
-    # All restarts advance in lock-step as rows of one (S, n) array: the
-    # EG update (center, step, exp, floor, renormalize) is a handful of
-    # elementwise array ops whose fixed numpy dispatch cost would
-    # otherwise be paid once per restart per iteration. The gradient
-    # callable still sees one probability vector at a time.
-    pbatch = np.stack(starts)
-    nstarts = pbatch.shape[0]
-    if gradient_rows is not None:
-        grads = np.asarray(gradient_rows(pbatch), dtype=np.float64)
-    else:
-        grads = np.empty_like(pbatch)
-        for i in range(nstarts):
-            grads[i] = gradient(pbatch[i])
-    scale = np.max(np.abs(grads), axis=1)
-    scale[scale == 0.0] = 1.0
-    base_step = (1.0 / scale)[:, None]
-    # Overflow in exp is impossible: the exponent is clamped to [-30, 30].
-    for t in range(1, iterations + 1):
-        if gradient_rows is not None:
-            grads = np.asarray(gradient_rows(pbatch), dtype=np.float64)
-        else:
-            for i in range(nstarts):
-                grads[i] = gradient(pbatch[i])
-        # Center the gradient: adding a constant to all coordinates
-        # does not change the EG direction but improves conditioning.
-        grads -= np.einsum("ij,ij->i", pbatch, grads)[:, None]
-        grads *= base_step / math.sqrt(t)
-        # Clamp in place: maximum then minimum is np.clip's result
-        # without its per-call dispatch overhead.
-        np.maximum(grads, -30.0, out=grads)
-        np.minimum(grads, 30.0, out=grads)
-        np.exp(grads, out=grads)
-        pbatch *= grads
-        np.maximum(pbatch, _PROBABILITY_FLOOR, out=pbatch)
-        pbatch /= pbatch.sum(axis=1, keepdims=True)
-    best_p: np.ndarray | None = None
-    best_value = -np.inf
-    for i in range(nstarts):
-        value = objective(pbatch[i])
-        if value > best_value:
-            best_value = value
-            best_p = pbatch[i]
-    assert best_p is not None
-    return best_p.copy(), best_value
+    pbatch = _simplex_starts(n, restarts, seed)
+    _ascend(
+        pbatch,
+        lambda rows: np.array([gradient(p) for p in rows], dtype=np.float64),
+        iterations,
+    )
+    return _best_row(pbatch, objective)
 
 
 @dataclass
@@ -163,8 +178,6 @@ def solve_fractional(
     bound_margin: float = 0.02,
     seed: int = 0,
     certify: bool = True,
-    numerator_gradient_rows: Callable[[np.ndarray], np.ndarray] | None = None,
-    linear_denominator: np.ndarray | None = None,
 ) -> DinkelbachResult:
     """Solve ``max_p N(p)/D(p)`` over the simplex via Dinkelbach's transform.
 
@@ -178,33 +191,15 @@ def solve_fractional(
     specific *sound* certificates, where available, are preferable; see
     :func:`certified_rate_upper_bound` for the covert-channel instance.
     ``bound_margin`` is relative to ``q_n``.
-
-    ``numerator_gradient_rows`` evaluates ``N``'s gradient for a whole
-    ``(restarts, n)`` matrix of iterates; together with
-    ``linear_denominator`` — the coefficients ``d`` of a linear
-    ``D(p) = d . p``, whose gradient is ``d`` everywhere — it replaces the
-    per-restart gradient calls, and ``q * d`` is formed once per inner
-    solve instead of once per iteration.
     """
 
     def solve_inner(q: float, iterations: int, seed_offset: int) -> tuple[np.ndarray, float]:
-        rows = None
-        if (
-            numerator_gradient_rows is not None
-            and linear_denominator is not None
-        ):
-            # One batched gradient per iteration for all restart rows.
-            shift = q * linear_denominator
-            rows = lambda pbatch: (  # noqa: E731
-                numerator_gradient_rows(pbatch) - shift
-            )
         return maximize_concave_on_simplex(
             lambda p: numerator(p) - q * denominator(p),
             lambda p: numerator_gradient(p) - q * denominator_gradient(p),
             n,
             iterations=iterations,
             seed=seed + seed_offset,
-            gradient_rows=rows,
         )
 
     q = 0.0
@@ -319,71 +314,138 @@ def solve_rmax(
     """Compute ``R'_max`` for a covert-channel model (Appendix A).
 
     This is the upper bound on the scheduling-leakage rate used by the
-    runtime accountant. The returned ``rate_upper_bound`` passed the
-    ``F(q') <= 0`` certification.
+    runtime accountant. The returned ``rate_upper_bound`` is the sound
+    :func:`certified_rate_upper_bound` at the solver's witness. It is the
+    one-level case of :func:`solve_rmax_levels`.
     """
-    transition = np.ascontiguousarray(model.transition_matrix, dtype=np.float64)
-    # The gradient is evaluated tens of thousands of times per solve; a
-    # C-contiguous transpose keeps both matvecs on the fast BLAS path.
-    transition_t = np.ascontiguousarray(transition.T)
-    durations = model.durations.astype(np.float64)
-    h_delta = model.delay_entropy_bits()
-
-    def numerator(p: np.ndarray) -> float:
-        return model.output_entropy_bits(p) - h_delta
-
-    def numerator_gradient(p: np.ndarray) -> np.ndarray:
-        p_y = transition @ p
-        return transition_t @ entropy_gradient_vec(p_y)
-
-    def numerator_gradient_rows(pbatch: np.ndarray) -> np.ndarray:
-        # Row-wise twin of numerator_gradient: (S, n) iterates in, one
-        # (S, n) gradient matrix out, via two matmuls instead of 2 S
-        # matvecs (entropy_gradient_vec is elementwise, so it batches).
-        p_y = pbatch @ transition_t
-        if p_y.min() > 0.0:
-            # entropy_gradient_vec's strictly-positive fast path, inline:
-            # the same operations, without the call and mask overhead.
-            grad = np.log2(p_y)
-            grad += _LOG2E
-            np.negative(grad, out=grad)
-        else:
-            grad = entropy_gradient_vec(p_y)
-        return grad @ transition
-
-    def denominator(p: np.ndarray) -> float:
-        return float(durations @ p)
-
-    def denominator_gradient(p: np.ndarray) -> np.ndarray:
-        return durations
-
-    result = solve_fractional(
-        numerator,
-        denominator,
-        numerator_gradient,
-        denominator_gradient,
-        model.num_inputs,
+    (result,) = solve_rmax_levels(
+        [model],
+        [seed],
         tolerance=tolerance,
         max_outer_iterations=max_outer_iterations,
         inner_iterations=inner_iterations,
-        seed=seed,
-        certify=False,
-        numerator_gradient_rows=numerator_gradient_rows,
-        linear_denominator=durations,
     )
-    p_star = result.argmax
-    certified = certified_rate_upper_bound(
-        transition, durations, h_delta, transition @ p_star
-    )
-    # The certificate can only exceed the achieved ratio; numerical
-    # residue aside, their gap measures solver convergence.
-    upper = max(certified, result.optimum)
-    return RmaxResult(
-        rate=result.optimum,
-        rate_upper_bound=upper,
-        input_distribution=p_star,
-        bits_per_transmission=numerator(p_star),
-        average_transmission_time=denominator(p_star),
-        converged=result.converged,
-        bound_verified=True,
-    )
+    return result
+
+
+def _entropy_gradient_rows(
+    pbatch: np.ndarray, transition: np.ndarray, transition_t: np.ndarray
+) -> np.ndarray:
+    """Gradient of ``H(A p)`` in bits at every row ``p`` of ``pbatch``.
+
+    ``pbatch`` is ``(..., n)``; the two matmuls run once per trailing
+    ``(restarts, n)`` matrix, which keeps every level's gradient bit-equal
+    to the one it gets when solved alone.
+    """
+    p_y = np.matmul(pbatch, transition_t)
+    if p_y.min() > 0.0:
+        # entropy_gradient_vec's strictly-positive fast path, inline:
+        # the same operations, without the call and mask overhead.
+        grad = np.log2(p_y)
+        grad += _LOG2E
+        np.negative(grad, out=grad)
+    else:
+        grad = entropy_gradient_vec(p_y)
+    return np.matmul(grad, transition)
+
+
+def solve_rmax_levels(
+    models: Sequence[CovertChannelModel],
+    seeds: Sequence[int],
+    *,
+    tolerance: float = 1e-6,
+    max_outer_iterations: int = 30,
+    inner_iterations: int = 400,
+) -> list[RmaxResult]:
+    """Solve ``R'_max`` for several models in one lock-step Dinkelbach loop.
+
+    The models must share one transition matrix and differ only in their
+    durations, as the levels of an R_max table do (a longer cooldown
+    shifts every duration and output alike). Each round advances every
+    model that has not yet converged through ``inner_iterations``
+    exponentiated-gradient steps on one ``(models, restarts, n)`` iterate
+    array. A model leaves the batch once its own Dinkelbach stopping test
+    passes. Model ``i`` uses ``seeds[i]`` exactly as a solo solve would,
+    so each result is bit-identical to ``solve_rmax(models[i],
+    seed=seeds[i])``. The process's liveness counter beats once a round.
+    """
+    transition = np.ascontiguousarray(models[0].transition_matrix, dtype=np.float64)
+    if any(not np.array_equal(m.transition_matrix, transition) for m in models[1:]):
+        raise OptimizationError("lock-step models must share one transition matrix")
+    # The gradient runs tens of thousands of times per solve; a
+    # C-contiguous transpose keeps both matmuls on the fast BLAS path.
+    transition_t = np.ascontiguousarray(transition.T)
+    n = transition.shape[1]
+    durations = np.stack([m.durations.astype(np.float64) for m in models])
+    h_delta = [m.delay_entropy_bits() for m in models]
+
+    def numerator(level: int, p: np.ndarray) -> float:
+        return models[level].output_entropy_bits(p) - h_delta[level]
+
+    def denominator(level: int, p: np.ndarray) -> float:
+        return float(durations[level] @ p)
+
+    q = [0.0] * len(models)
+    best_q = [-np.inf] * len(models)
+    best_p = [np.full(n, 1.0 / n)] * len(models)
+    converged = [False] * len(models)
+    active = list(range(len(models)))
+    for outer in range(max_outer_iterations):
+        if not active:
+            break
+        progress_beat()
+        # The inner problem F(q) = max_p {N(p) - q d.p}, for every level.
+        pbatch = np.stack(
+            [_simplex_starts(n, _RESTARTS, seeds[i] + outer) for i in active]
+        )
+        q_active = np.array([q[i] for i in active])
+        shift = (q_active[:, None] * durations[active])[:, None, :]
+        _ascend(
+            pbatch,
+            lambda rows: _entropy_gradient_rows(rows, transition, transition_t)
+            - shift,
+            inner_iterations,
+        )
+        still_active = []
+        for level, rows in zip(active, pbatch):
+            q_level = q[level]
+            p_star, f_value = _best_row(
+                rows,
+                lambda p: numerator(level, p) - q_level * denominator(level, p),
+            )
+            d_value = denominator(level, p_star)
+            if d_value <= 0:
+                raise OptimizationError("denominator must be positive on the simplex")
+            q_next = numerator(level, p_star) / d_value
+            # Keep the best achieved ratio and its witness distribution
+            # (a later inner solve can land slightly below an earlier one).
+            if q_next > best_q[level]:
+                best_q[level] = q_next
+                best_p[level] = p_star
+            if f_value < tolerance and q_next <= q_level + tolerance:
+                converged[level] = True
+            else:
+                q[level] = q_next
+                still_active.append(level)
+        active = still_active
+
+    results = []
+    for level in range(len(models)):
+        p_star = best_p[level]
+        certified = certified_rate_upper_bound(
+            transition, durations[level], h_delta[level], transition @ p_star
+        )
+        # The certificate can only exceed the achieved ratio; numerical
+        # residue aside, their gap measures solver convergence.
+        results.append(
+            RmaxResult(
+                rate=best_q[level],
+                rate_upper_bound=max(certified, best_q[level]),
+                input_distribution=p_star,
+                bits_per_transmission=numerator(level, p_star),
+                average_transmission_time=denominator(level, p_star),
+                converged=converged[level],
+                bound_verified=True,
+            )
+        )
+    return results

@@ -20,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.covert import CovertChannelModel
-from repro.core.dinkelbach import RmaxResult, solve_rmax
+from repro.core.dinkelbach import solve_rmax_levels
 from repro.errors import ChannelModelError
 from repro.obs import metrics as obs_metrics
-from repro.obs.liveness import progress_beat
 
 #: Counts Dinkelbach solves in this process — the precompute store
 #: (``repro.harness.store``) exists to keep this at one per table level
@@ -46,36 +45,6 @@ class RateEntry:
     average_transmission_time: float
 
 
-def compute_entry(
-    base_model: CovertChannelModel,
-    maintains: int,
-    *,
-    solver_iterations: int = 300,
-    solver_seed: int = 0,
-) -> RateEntry:
-    """Solve one table entry from scratch (module-level, picklable).
-
-    This is the unit of work the precompute store parallelizes across a
-    process pool when populating a table; :meth:`RmaxTable._compute`
-    delegates here, so the two paths are the same code and bit-identical.
-    """
-    effective_cooldown = (maintains + 1) * base_model.cooldown
-    model = base_model.with_cooldown(effective_cooldown)
-    result: RmaxResult = solve_rmax(
-        model,
-        inner_iterations=solver_iterations,
-        seed=solver_seed + maintains,
-    )
-    return RateEntry(
-        maintains=maintains,
-        effective_cooldown=effective_cooldown,
-        rate=result.rate,
-        rate_upper_bound=result.rate_upper_bound,
-        bits_per_transmission=result.bits_per_transmission,
-        average_transmission_time=result.average_transmission_time,
-    )
-
-
 class RmaxTable:
     """Table of certified scheduling-leakage rates, indexed by Maintain count.
 
@@ -90,7 +59,7 @@ class RmaxTable:
         beyond the capacity reuse the last entry, which is conservative
         because rates decrease with the effective cooldown.
     solver_iterations / solver_seed:
-        Forwarded to :func:`repro.core.dinkelbach.solve_rmax`.
+        Forwarded to :func:`repro.core.dinkelbach.solve_rmax_levels`.
     """
 
     def __init__(
@@ -122,8 +91,7 @@ class RmaxTable:
         levels.add(capacity - 1)
         self._levels = sorted(levels)
         if not lazy:
-            for i in self._levels:
-                self._compute(i)
+            self._solve(self._levels)
 
     # ------------------------------------------------------------------
     @property
@@ -138,21 +106,34 @@ class RmaxTable:
     def cooldown(self) -> int:
         return self._base_model.cooldown
 
-    def _compute(self, maintains: int) -> RateEntry:
-        if maintains in self._entries:
-            return self._entries[maintains]
-        _M_SOLVES.inc()
-        entry = compute_entry(
-            self._base_model,
-            maintains,
-            solver_iterations=self._solver_iterations,
-            solver_seed=self._solver_seed,
+    def _solve(self, levels: list[int]) -> None:
+        """Solve the levels of ``levels`` not yet held, together.
+
+        Level ``m`` is ``R'_max`` of the base model at cooldown
+        ``(m + 1) T_c``, seeded ``solver_seed + m``. The levels share one
+        transition matrix, so they run in one lock-step Dinkelbach loop;
+        each entry is bit-identical to solving its level alone with
+        :func:`repro.core.dinkelbach.solve_rmax`.
+        """
+        missing = [level for level in levels if level not in self._entries]
+        if not missing:
+            return
+        _M_SOLVES.inc(len(missing))
+        cooldowns = [(m + 1) * self.cooldown for m in missing]
+        results = solve_rmax_levels(
+            [self._base_model.with_cooldown(cooldown) for cooldown in cooldowns],
+            [self._solver_seed + m for m in missing],
+            inner_iterations=self._solver_iterations,
         )
-        self._entries[maintains] = entry
-        # A solve is a coarse unit of work: a pool worker solving a
-        # table shows progress to the supervisor's heartbeat watch.
-        progress_beat()
-        return entry
+        for m, cooldown, result in zip(missing, cooldowns, results):
+            self._entries[m] = RateEntry(
+                maintains=m,
+                effective_cooldown=cooldown,
+                rate=result.rate,
+                rate_upper_bound=result.rate_upper_bound,
+                bits_per_transmission=result.bits_per_transmission,
+                average_transmission_time=result.average_transmission_time,
+            )
 
     def entry(self, maintains: int) -> RateEntry:
         """The table entry for ``maintains`` consecutive Maintains.
@@ -166,7 +147,9 @@ class RmaxTable:
             raise ChannelModelError("maintain count must be non-negative")
         clamped = min(maintains, self._capacity - 1)
         level = max(l for l in self._levels if l <= clamped)
-        return self._compute(level)
+        if level not in self._entries:
+            self._solve([level])
+        return self._entries[level]
 
     def rate(self, maintains: int) -> float:
         """Certified rate bound (bits per time unit) after ``maintains`` Maintains."""
@@ -184,8 +167,9 @@ class RmaxTable:
         return self.rate(maintains) * interval
 
     def entries(self) -> list[RateEntry]:
-        """All materialized-level entries, computing any outstanding."""
-        return [self._compute(i) for i in self._levels]
+        """All materialized-level entries, solving any outstanding together."""
+        self._solve(self._levels)
+        return [self._entries[i] for i in self._levels]
 
     def preload(self, entries: list[RateEntry]) -> bool:
         """Adopt previously solved entries instead of solving.

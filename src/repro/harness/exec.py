@@ -71,6 +71,7 @@ completed cell.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -188,8 +189,13 @@ _M_CELL_SECONDS = _REG.histogram(
 # ----------------------------------------------------------------------
 # Cells: one independent unit of simulation work
 # ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=64)
 def _profile_token(profile: RunProfile) -> dict[str, Any]:
-    """The full profile as a canonical, JSON-able dict (cache identity)."""
+    """The full profile as a canonical, JSON-able dict (cache identity).
+
+    Computed once per profile (a frozen, hashable dataclass) rather than
+    once per cell; the dict is shared between cells, so it is read-only.
+    """
     return dataclasses.asdict(profile)
 
 

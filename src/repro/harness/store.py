@@ -21,7 +21,7 @@ This module is the content-addressed store for those artifacts:
 * **Rmax tables** — a checksummed JSON artifact per channel-model key
   (``<store-dir>/rmax/``), consumed by the keyed memoizer in
   :mod:`repro.schemes.untangle` so a warm campaign performs zero
-  ``solve_rmax`` calls. (The process-level memoizer itself lives with
+  Dinkelbach solves. (The process-level memoizer itself lives with
   the scheme; this module only persists/loads the solved entries.)
 
 Both stores are **bit-identical** to the regenerate path: arrays are

@@ -10,8 +10,9 @@ count of coarse work units completed in the current process:
   quantum (thousands of simulated accesses, so the overhead is
   unmeasurable); a system of fixed partitions, which runs no quantum
   loop, beats after each core run the quanta that run spanned,
-* :class:`~repro.core.rates.RmaxTable` beats once per Dinkelbach solve
-  (a pool worker solving an R_max table runs no quanta), and
+* the lock-step R_max solver (:func:`~repro.core.dinkelbach.solve_rmax_levels`)
+  beats once per Dinkelbach round (a pool worker solving an R_max table
+  runs no quanta), and
 * the engine's worker loop beats once per finished cell,
 
 so a cell that is *computing* advances the counter between heartbeats,

@@ -87,8 +87,9 @@ def get_rate_table(
 ) -> RmaxTable:
     """A process-wide memoized, fully materialized rate table.
 
-    Computing the table runs the Dinkelbach solver once per entry
-    (~0.1 s each); experiments share tables across scheme instances the
+    Computing the table solves all its levels in one lock-step
+    Dinkelbach loop (about 0.15 s for the 14 levels of a capacity-48
+    table); experiments share tables across scheme instances the
     way the paper's hardware would ship one precomputed table. When a
     precompute store is active the solved entries are also persisted and
     reloaded across processes — see :mod:`repro.harness.store`.

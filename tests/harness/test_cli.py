@@ -111,6 +111,14 @@ class TestExecution:
         assert "Trace summary" in out
         assert "cell.compute" in out
 
+    def test_trace_summarize_missing_file_exits_2(self, capsys, tmp_path):
+        missing = tmp_path / "missing.jsonl"
+        assert main(["trace-summarize", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert str(missing) in captured.err
+
 
 class TestEngineEnvironment:
     """``build_engine`` honours the supervision variables the engine

@@ -9,7 +9,8 @@ These tests run the real command line (fresh processes: the rate-table
 memo is process-global) at the ``test`` profile and check the gate in
 the trace, the solve count in the metrics, and that stdout never moves.
 The table's bits are pinned too, so neither a solver change nor the
-worker/store round-trip can move one unnoticed.
+worker/store round-trip can move one unnoticed, and a table's lock-step
+solve must give every level the bits of solving it alone.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.rates import RateEntry
+from repro.core.dinkelbach import solve_rmax
+from repro.core.rates import _M_SOLVES, RateEntry, RmaxTable
 from repro.harness.exec import ExecutionEngine, MixSchemeCell
 from repro.harness.faults import FaultPlan
-from repro.harness.runconfig import TEST
+from repro.harness.runconfig import BENCH, TEST
 from repro.harness.store import (
     PrecomputeStore,
     clear_active_store,
@@ -39,6 +41,7 @@ from repro.harness.store import (
 from repro.schemes import untangle
 from repro.schemes.untangle import (
     clear_rate_table_cache,
+    default_channel_model,
     get_rate_table,
     load_rate_table,
     populate_rate_table,
@@ -56,6 +59,14 @@ OPTIMIZED_TABLE_SHA256 = (
 )
 WORST_CASE_TABLE_SHA256 = (
     "4c782f3b1be536d6d66eb2c78d09f8f8b7d5135d9f88dbb12489da4ba0eae5ae"
+)
+#: The same two tables at the ``bench`` profile's cooldown (4000), the
+#: ones a cold ``--profile bench table6`` solves.
+BENCH_OPTIMIZED_TABLE_SHA256 = (
+    "de013c0ad0e703066a116ee27ff2bd29fef556971f541eaf2cb218275bf3a508"
+)
+BENCH_WORST_CASE_TABLE_SHA256 = (
+    "bd7fd271a3c91e11b87ebfd7ce2211bdbaf4392586ecb062241619971f74e161"
 )
 TABLE_LEVELS = 14
 TASK_LABEL = f"store[rmax:{TEST.cooldown}:48]"
@@ -90,6 +101,62 @@ class TestTableBits:
     def test_worst_case_table(self):
         table = populate_rate_table(TEST.cooldown, capacity=1, worst_case=True)
         assert table_digest(table.entries()) == WORST_CASE_TABLE_SHA256
+
+    def test_bench_optimized_table(self):
+        table = populate_rate_table(BENCH.cooldown)
+        assert len(table.entries()) == TABLE_LEVELS
+        assert table_digest(table.entries()) == BENCH_OPTIMIZED_TABLE_SHA256
+
+    def test_bench_worst_case_table(self):
+        table = populate_rate_table(BENCH.cooldown, capacity=1, worst_case=True)
+        assert table_digest(table.entries()) == BENCH_WORST_CASE_TABLE_SHA256
+
+
+def solo_entry(table: RmaxTable, level: int) -> RateEntry:
+    """One level of ``table`` solved alone, as the table would seed it."""
+    cooldown = (level + 1) * table.cooldown
+    result = solve_rmax(
+        table.base_model.with_cooldown(cooldown), inner_iterations=300, seed=level
+    )
+    return RateEntry(
+        maintains=level,
+        effective_cooldown=cooldown,
+        rate=result.rate,
+        rate_upper_bound=result.rate_upper_bound,
+        bits_per_transmission=result.bits_per_transmission,
+        average_transmission_time=result.average_transmission_time,
+    )
+
+
+class TestLockStep:
+    """A table solves its levels together, with each level's solo bits."""
+
+    @pytest.mark.parametrize("cooldown", [TEST.cooldown, BENCH.cooldown])
+    @pytest.mark.parametrize("capacity", [1, 2, 9, 48])
+    def test_equals_levels_solved_one_at_a_time(self, cooldown, capacity):
+        table = RmaxTable(default_channel_model(cooldown), capacity=capacity)
+        before = _M_SOLVES.value
+        entries = table.entries()
+        assert _M_SOLVES.value - before == len(table.levels)
+        assert entries == [solo_entry(table, level) for level in table.levels]
+
+    def test_partly_filled_table_solves_only_the_rest(self):
+        base = default_channel_model(BENCH.cooldown)
+        table = RmaxTable(base, capacity=48)
+        # ``preload`` adopts whole tables only, so lazy reads fill a few
+        # levels one at a time first.
+        filled = {level: table.entry(level) for level in (0, 5, 18)}
+        before = _M_SOLVES.value
+        entries = table.entries()
+        assert _M_SOLVES.value - before == len(table.levels) - len(filled)
+        assert entries == [solo_entry(table, level) for level in table.levels]
+        assert all(table.entry(level) is entry for level, entry in filled.items())
+
+        preloaded = RmaxTable(base, capacity=48)
+        assert preloaded.preload(entries)
+        before = _M_SOLVES.value
+        assert preloaded.entries() == entries
+        assert _M_SOLVES.value == before
 
 
 class TestUnsolvedTables:

@@ -201,8 +201,6 @@ def _measure(mode: str) -> dict:
         "REPRO_CACHE",
         "REPRO_CACHE_DIR",
         "REPRO_JOURNAL",
-        "REPRO_JOURNAL_BATCH",
-        "REPRO_JOURNAL_LINGER",
         "REPRO_RESUME",
         "REPRO_FAULTS",
         "REPRO_PRECOMPUTE",

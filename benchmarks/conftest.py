@@ -10,17 +10,23 @@ All simulation cells flow through one session-wide
 :class:`~repro.harness.exec.ExecutionEngine` backed by an on-disk result
 cache at ``benchmarks/results/.cache``: a re-run of any benchmark driver
 whose inputs (mix pairs, scheme, ``RunProfile``) are unchanged performs
-zero simulations. Environment knobs:
+zero simulations. The engine reads the same ``REPRO_*`` settings as
+the CLI (README "Settings", :mod:`repro.harness.settings`), for example:
 
 * ``REPRO_JOBS=N`` — run cells on ``N`` worker processes (``0`` = one
   per CPU; default 1, the serial fallback — results are bit-identical).
-* ``REPRO_CACHE=0`` — disable the on-disk cache.
+* ``REPRO_CACHE=0`` — disable the on-disk cache (and its journal).
 * ``REPRO_CACHE_DIR=path`` — relocate it.
-* ``REPRO_RETRIES=N`` / ``REPRO_TIMEOUT=S`` — per-cell retry budget and
-  deadline (hung or crashed workers are killed and respawned).
+* ``REPRO_JOURNAL=off`` / ``REPRO_JOURNAL=path`` — no crash-recovery
+  journal, or a journal elsewhere.
+* ``REPRO_RETRIES=N`` / ``REPRO_TIMEOUT=S`` / ``REPRO_HEARTBEAT=S`` —
+  per-cell retry budget, deadline and liveness beat (hung or crashed
+  workers are killed and respawned).
 * ``REPRO_RESUME=1`` — replay the crash-recovery journal
   (``<cache-dir>/journal.jsonl``) from an interrupted/killed session
   instead of re-simulating its completed cells.
+* ``REPRO_PRECOMPUTE=0`` / ``REPRO_STORE_DIR=path`` — no precompute
+  store, or a store elsewhere.
 * ``REPRO_FAULTS=spec`` — inject crashes/hangs/cache corruption for
   chaos runs (see :mod:`repro.harness.faults`).
 

@@ -21,7 +21,10 @@ cells out over a process pool and cache results on disk under
 ``--cache-dir`` (default ``.repro-cache``; ``--no-cache`` disables).
 ``--jobs 1`` — the default — is the serial debugging fallback; results
 are bit-identical either way. ``--telemetry`` prints the engine's cache
-and timing counters to stderr afterwards.
+and timing counters to stderr afterwards. Every engine setting follows
+one rule (``repro.harness.settings``): a flag wins, else its
+``REPRO_*`` variable (``REPRO_JOBS``, ``REPRO_CACHE``,
+``REPRO_CACHE_DIR``, ...), else the default.
 
 Parallel runs dispatch one cell at a time from one shared queue ordered
 longest-expected-first from journal runtime history; every idle worker
@@ -45,8 +48,7 @@ per-cell deadline after which a hung worker is killed and respawned;
 ``--heartbeat`` tunes the worker liveness beats that let the supervisor
 tell slow from hung mid-cell (see ``docs/robustness.md``). Each flag
 wins over its environment variable (``REPRO_RETRIES``,
-``REPRO_TIMEOUT``, ``REPRO_HEARTBEAT``); ``REPRO_STALL_TIMEOUT`` sets
-the stall-kill deadline. A campaign
+``REPRO_TIMEOUT``, ``REPRO_HEARTBEAT``). A campaign
 that completes with failed or poisoned cells exits non-zero, prints a
 per-cell failure summary, and renders ``<cache-dir>/failures.json``.
 ``REPRO_FAULTS`` injects crashes/hangs/stalls/corruption/disk errors
@@ -69,20 +71,8 @@ import sys
 from pathlib import Path
 
 from repro.errors import CampaignInterrupted, ConfigurationError
-from repro.harness.exec import (
-    ExecutionEngine,
-    ResultCache,
-    supervision_from_env,
-)
-from repro.harness.store import (
-    PRECOMPUTE_ENV,
-    STORE_DIR_ENV,
-    PrecomputeStore,
-    precompute_from_env,
-    switch_from_env,
-)
-from repro.harness.faults import faults_from_env
-from repro.harness.journal import RunJournal, batching_from_env
+from repro.harness.exec import ExecutionEngine
+from repro.harness.settings import cache_dir_from_env, engine_from_env
 from repro.harness.experiment import run_mix
 from repro.harness.profiling import PROFILE_DIR_ENV, PROFILE_ENV
 from repro.harness.figures import figure_group
@@ -96,7 +86,7 @@ from repro.harness.report import (
     render_telemetry,
 )
 from repro.harness.runconfig import PROFILES
-from repro.registry import scheme_names
+from repro.registry import scheme_names, scheme_registration
 from repro.harness.sensitivity import run_sensitivity_study
 from repro.harness.tables import table6
 from repro.obs import configure_tracing
@@ -104,12 +94,30 @@ from repro.obs.metrics import export_metrics
 from repro.obs.summarize import render_summary, summarize_trace
 
 
+#: Where the CLI keeps its result cache, journal and precompute store
+#: unless ``--cache-dir`` or ``REPRO_CACHE_DIR`` names another place.
+DEFAULT_CACHE_DIR = ".repro-cache"
+
+
 def _jobs_count(text: str) -> int:
     """``--jobs`` value: >= 1 workers, or 0 meaning one per CPU."""
     jobs = int(text)
     if jobs < 0:
         raise argparse.ArgumentTypeError("must be >= 0 (0 = one per CPU)")
-    return jobs if jobs else (os.cpu_count() or 1)
+    return jobs
+
+
+def _scheme_name(text: str) -> str:
+    """A ``--schemes`` value: a registered scheme name.
+
+    Resolved only when the option is given, so building the parser
+    never runs plugin discovery.
+    """
+    try:
+        scheme_registration(text)
+    except ConfigurationError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,23 +134,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs",
         type=_jobs_count,
-        default=1,
+        default=None,
         help=(
             "worker processes for simulation cells "
-            "(default: 1 = serial; 0 = one per CPU)"
+            "(default: 1 = serial; 0 = one per CPU; also: REPRO_JOBS)"
         ),
     )
     parser.add_argument(
         "--cache-dir",
-        default=".repro-cache",
-        help="on-disk result cache directory (default: .repro-cache)",
+        default=None,
+        help=(
+            f"on-disk result cache directory (default: {DEFAULT_CACHE_DIR}; "
+            "also: REPRO_CACHE_DIR)"
+        ),
     )
     parser.add_argument(
         "--no-cache",
         action="store_true",
         help=(
-            "disable the on-disk result cache (the precompute store "
-            "stays on — use --no-precompute-store to disable it too)"
+            "disable the on-disk result cache and its journal (the "
+            "precompute store stays on — use --no-precompute-store to "
+            "disable it too; also: REPRO_CACHE=off)"
         ),
     )
     parser.add_argument(
@@ -215,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help=(
             "per-cell deadline; a parallel worker past it is killed and "
-            "respawned (default: none; also: REPRO_TIMEOUT). With "
+            "respawned (default: none; 0 = none; also: REPRO_TIMEOUT). With "
             "heartbeats on it bounds inactivity: progress-carrying beats "
             "extend it"
         ),
@@ -238,12 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
     mix.add_argument(
         "--schemes",
         nargs="+",
-        choices=scheme_names(),
+        type=_scheme_name,
         default=None,
         metavar="SCHEME",
         help=(
-            "registry scheme names to run instead of the default "
-            "campaign set (registered: " + ", ".join(scheme_names()) + ")"
+            "registered scheme names to run instead of the default "
+            "campaign set (an unknown name lists the registered ones)"
         ),
     )
 
@@ -312,70 +324,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def build_engine(args: argparse.Namespace) -> ExecutionEngine:
-    """The execution engine requested on the command line.
+    """The execution engine the command line and the environment ask for.
 
-    The crash-recovery journal rides with the cache directory
-    (``<cache-dir>/journal.jsonl``); ``--no-cache`` disables both.
-    ``REPRO_RESUME=1`` and ``REPRO_FAULTS`` are honored alongside the
-    flags so chaos/recovery behavior can be driven from the environment,
-    as are ``REPRO_RETRIES``, ``REPRO_TIMEOUT``, ``REPRO_HEARTBEAT`` and
-    ``REPRO_STALL_TIMEOUT`` (a flag wins over its variable).
-
-    The precompute store (``docs/performance.md``) lives at
+    Each flag given wins over its ``REPRO_*`` variable, which wins over
+    the default (:mod:`repro.harness.settings`). The crash-recovery
+    journal rides with the result cache (``<cache-dir>/journal.jsonl``),
+    so ``--no-cache`` disables both. The precompute store lives at
     ``<cache-dir>/store`` (or ``REPRO_STORE_DIR``) and is *independent*
     of the result cache: ``--no-cache`` re-simulates every cell but
     still shares workload traces and rate tables across them, while
-    ``--no-precompute-store`` / ``REPRO_PRECOMPUTE=off`` forces the
-    legacy rebuild-per-cell path. Passing ``--no-precompute-store``
-    while the environment explicitly enables the store is rejected as a
-    conflict.
+    ``--no-precompute-store`` forces the legacy rebuild-per-cell path.
     """
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    if args.no_cache:
-        journal = None
-    else:
-        batch_entries, linger_seconds = batching_from_env()
-        journal = RunJournal(
-            Path(args.cache_dir) / "journal.jsonl",
-            batch_entries=batch_entries,
-            linger_seconds=linger_seconds,
-        )
-    store = None
-    raw_precompute = os.environ.get(PRECOMPUTE_ENV, "").strip().lower()
-    if args.no_precompute_store:
-        if raw_precompute and precompute_from_env():
-            raise ConfigurationError(
-                f"--no-precompute-store conflicts with "
-                f"{PRECOMPUTE_ENV}={os.environ.get(PRECOMPUTE_ENV)!r}; "
-                "accepted: drop the flag, or set "
-                f"{PRECOMPUTE_ENV}=off (or unset it)"
-            )
-        # Through the environment so cells — serial or in workers — take
-        # the legacy build path even if REPRO_STORE_DIR is set.
-        os.environ[PRECOMPUTE_ENV] = "off"
-    elif precompute_from_env():
-        store_dir = os.environ.get(STORE_DIR_ENV) or (
-            Path(args.cache_dir) / "store"
-        )
-        store = PrecomputeStore(store_dir)
-    resume = args.resume or switch_from_env("REPRO_RESUME", default=False)
-    progress = (
-        (lambda line: print(line, file=sys.stderr)) if args.telemetry else None
-    )
-    return ExecutionEngine(
+    return engine_from_env(
+        DEFAULT_CACHE_DIR,
+        progress=_print_stderr if args.telemetry else None,
         jobs=args.jobs,
-        cache=cache,
-        journal=journal,
-        resume=resume,
-        faults=faults_from_env(),
-        progress=progress,
-        store=store,
-        **supervision_from_env(
-            retries=args.retries,
-            timeout=args.timeout,
-            heartbeat=args.heartbeat,
-        ),
+        cache=False if args.no_cache else None,
+        cache_dir=args.cache_dir,
+        resume=True if args.resume else None,
+        precompute=False if args.no_precompute_store else None,
+        retries=args.retries,
+        timeout=args.timeout,
+        heartbeat=args.heartbeat,
     )
+
+
+def _print_stderr(line: str) -> None:
+    print(line, file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -395,8 +370,9 @@ def main(argv: list[str] | None = None) -> int:
         # Workers inherit the environment, so the request reaches the
         # cell wherever it executes; the stats land beside the cache dir.
         os.environ[PROFILE_ENV] = args.cprofile
+        cache_dir = cache_dir_from_env(args.cache_dir, DEFAULT_CACHE_DIR)
         os.environ.setdefault(
-            PROFILE_DIR_ENV, str(Path(args.cache_dir).resolve().parent)
+            PROFILE_DIR_ENV, str(Path(cache_dir).resolve().parent)
         )
     if args.trace:
         # Through the environment so forked/spawned workers inherit it.

@@ -20,7 +20,7 @@ _EXPORTS = {
     "SensitivityCell": "exec",
     "backoff_delay": "exec",
     "cell_key": "exec",
-    "engine_from_env": "exec",
+    "engine_from_env": "settings",
     "FaultPlan": "faults",
     "faults_from_env": "faults",
     "parse_fault_spec": "faults",

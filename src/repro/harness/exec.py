@@ -89,23 +89,20 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import CampaignInterrupted, ConfigurationError, JournalError
-from repro.harness.faults import FaultPlan, faults_from_env, release_fault_state
-from repro.harness.journal import JournalEntry, RunJournal, batching_from_env
+from repro.harness.faults import FaultPlan, release_fault_state
+from repro.harness.journal import JournalEntry, RunJournal
 from repro.harness.reaper import reap_orphans
 from repro.harness.profiling import maybe_profile, reset_claim
 from repro.harness.runconfig import RunProfile
+from repro.harness.settings import engine_from_env  # noqa: F401 (re-export)
 from repro.harness.store import (
-    STORE_DIR_ENV,
     PrecomputeStore,
     apply_store_stats_delta,
-    clear_active_store,
+    detach_store,
     get_active_store,
-    precompute_from_env,
-    set_active_store,
+    store_scope,
     store_stats_delta,
     store_stats_snapshot,
-    switch_from_env,
-    switch_value,
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -2458,6 +2455,9 @@ class ExecutionEngine:
         reap_orphans()
         self.manifest_path = None
         self._install_signals()
+        # Cells see exactly this engine's store (or none) for the run.
+        scope = store_scope(self.store)
+        scope.__enter__()
         try:
             pending: list[tuple[int, Any, str]] = []
             for index, cell in enumerate(cells):
@@ -2507,13 +2507,11 @@ class ExecutionEngine:
                 # pending cells declare is computed exactly once here,
                 # then served zero-copy to serial cells, forked workers
                 # (inherited mapping), and spawned/respawned workers
-                # (reattach via the exported environment). An I/O error
+                # (reattach via REPRO_STORE_DIR). An I/O error
                 # (full/failing disk) downgrades the run to compute-only
                 # — workers rebuild inputs — instead of aborting it.
                 try:
                     self._check_io("store")
-                    set_active_store(self.store)
-                    self.store.export_env()
                     cell_needs: dict[int, list[tuple]] = {}
                     for index, cell, _ in pending:
                         hook = getattr(cell, "store_needs", None)
@@ -2546,8 +2544,7 @@ class ExecutionEngine:
                     self._degrade("store", exc)
                     # Detach so neither this process nor any (re)spawned
                     # worker keeps hitting the failing backend.
-                    clear_active_store()
-                    os.environ.pop(STORE_DIR_ENV, None)
+                    detach_store()
                     store_tasks, gates = [], {}
 
             if pending:
@@ -2579,6 +2576,7 @@ class ExecutionEngine:
                 hint, outcomes=completed, journal_path=journal_path
             ) from None
         finally:
+            scope.__exit__(None, None, None)
             self._restore_signals()
             self._serial_mode = True
             if (
@@ -2620,7 +2618,6 @@ class ExecutionEngine:
                 # Teardown on every exit path — SIGINT included — so no
                 # attachment outlives the run.
                 self.store.release()
-                clear_active_store()
             self.telemetry.wall_seconds += time.perf_counter() - start
             self.telemetry.publish()
             snap = self.telemetry.snapshot()
@@ -2697,178 +2694,3 @@ class ExecutionEngine:
                 attempts=attempts,
                 error=error,
             )
-
-# ----------------------------------------------------------------------
-# Environment wiring (shared by the CLI and the benchmark harness)
-# ----------------------------------------------------------------------
-def _int_from_env(name: str, default: int, minimum: int, accepted: str) -> int:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{name}={raw!r} is not an integer; accepted: {accepted}"
-        )
-    if value < minimum:
-        raise ConfigurationError(
-            f"{name}={raw!r} is out of range; accepted: {accepted}"
-        )
-    return value
-
-
-def _seconds_from_env(name: str, default: float | None) -> float | None:
-    """A seconds value from the environment; ``0`` means disabled."""
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{name}={raw!r} is not a number; accepted: a non-negative "
-            "number of seconds (0 = disabled)"
-        )
-    if value < 0:
-        raise ConfigurationError(
-            f"{name}={raw!r} is out of range; accepted: a non-negative "
-            "number of seconds (0 = disabled)"
-        )
-    return value if value else None
-
-
-def supervision_from_env(
-    *,
-    retries: int | None = None,
-    timeout: float | None = None,
-    heartbeat: float | None = None,
-    stall_timeout: float | None = None,
-) -> dict[str, Any]:
-    """The engine's retry, deadline and liveness keyword arguments.
-
-    A setting passed here (not ``None``) wins; every other one is read
-    from its ``REPRO_*`` variable (see :func:`engine_from_env`), so the
-    CLI honours the same environment as the benchmark harness.
-    """
-    if retries is None:
-        retries = _int_from_env(
-            "REPRO_RETRIES",
-            default=1,
-            minimum=0,
-            accepted="a non-negative integer retry budget per cell",
-        )
-    if timeout is None:
-        timeout = _seconds_from_env("REPRO_TIMEOUT", None)
-    if heartbeat is None:
-        heartbeat = _seconds_from_env("REPRO_HEARTBEAT", 1.0)
-    if stall_timeout is None:
-        stall_timeout = _seconds_from_env("REPRO_STALL_TIMEOUT", None)
-    return {
-        "retries": retries,
-        "timeout": timeout,
-        "heartbeat": heartbeat,
-        "stall_timeout": stall_timeout,
-    }
-
-
-def engine_from_env(
-    default_cache_dir: str | Path | None = None,
-    progress: Callable[[str], None] | None = None,
-) -> ExecutionEngine:
-    """Build an engine from ``REPRO_*`` environment variables.
-
-    * ``REPRO_JOBS``: worker count (default 1 — the serial fallback);
-      ``0`` means one worker per CPU.
-    * ``REPRO_CACHE``: ``off`` (or ``0``) disables the on-disk cache;
-      default on.
-    * ``REPRO_CACHE_DIR``: cache directory (falls back to
-      ``default_cache_dir``; if both are unset, caching is off).
-    * ``REPRO_RETRIES``: retry budget per cell (default 1).
-    * ``REPRO_TIMEOUT``: per-cell deadline in seconds for parallel runs
-      (default none; ``0`` also means none).
-    * ``REPRO_HEARTBEAT``: worker liveness heartbeat interval in
-      seconds (default 1; ``0`` disables heartbeats).
-    * ``REPRO_STALL_TIMEOUT``: seconds of frozen heartbeat progress
-      after which a stalled worker is killed (default derived from the
-      timeout; requires heartbeats).
-    * ``REPRO_JOURNAL``: an off spelling of the switch vocabulary
-      (``0``/``false``/``no``/``off``) disables journaling; an on
-      spelling (``1``/``true``/``yes``/``on``), like unset, means the
-      default ``<cache-dir>/journal.jsonl`` whenever a cache directory
-      is in use; any other value is the journal's path.
-    * ``REPRO_JOURNAL_BATCH``: journal group-commit batch size
-      (default 64; ``1`` restores one fsync per cell). Acks are held
-      until the batch's fsync, so crash-safety is unchanged.
-    * ``REPRO_JOURNAL_LINGER``: max seconds a partial batch may wait
-      for its fsync (default 0.05).
-    * ``REPRO_RESUME``: ``on`` (or ``1``) replays journaled cells
-      instead of re-running them; default off.
-    * ``REPRO_FAULTS``: fault-injection spec for chaos runs (see
-      :mod:`repro.harness.faults`).
-    * ``REPRO_PRECOMPUTE``: ``off`` disables the precompute store
-      (legacy build-per-cell path); default on.
-    * ``REPRO_STORE_DIR``: precompute-store directory. Defaults to
-      ``<cache-dir>/store`` — using ``REPRO_CACHE_DIR`` or
-      ``default_cache_dir`` even when ``REPRO_CACHE=0``, because the
-      *result* cache and the *input* store are independent layers; with
-      no directory at all there is no store, and cells build their own
-      inputs (prefork warming still shares traces and rate tables
-      copy-on-write with forked workers).
-
-    ``REPRO_CACHE``, ``REPRO_RESUME`` and ``REPRO_PRECOMPUTE`` are
-    on/off switches read by :func:`~repro.harness.store.switch_from_env`.
-    Malformed values raise :class:`~repro.errors.ConfigurationError`
-    naming the offending value and the accepted forms.
-    """
-    jobs = _int_from_env(
-        "REPRO_JOBS",
-        default=1,
-        minimum=0,
-        accepted="a non-negative integer (1 = serial, N = N workers, "
-        "0 = one per CPU)",
-    )
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
-    cache: ResultCache | None = None
-    directory: str | Path | None = None
-    if switch_from_env("REPRO_CACHE", default=True):
-        directory = os.environ.get("REPRO_CACHE_DIR") or default_cache_dir
-        if directory is not None:
-            cache = ResultCache(directory)
-    journal: RunJournal | None = None
-    raw_journal = os.environ.get("REPRO_JOURNAL", "").strip()
-    journal_switch = switch_value(raw_journal)
-    journal_path: str | Path | None = None
-    if raw_journal and journal_switch is None:
-        journal_path = raw_journal
-    elif journal_switch is not False and directory is not None:
-        journal_path = Path(directory) / "journal.jsonl"
-    batch_entries, linger_seconds = batching_from_env()
-    if journal_path is not None:
-        journal = RunJournal(
-            journal_path,
-            batch_entries=batch_entries,
-            linger_seconds=linger_seconds,
-        )
-    store: PrecomputeStore | None = None
-    if precompute_from_env():
-        # The trace store is allowed even when the result cache is off
-        # (REPRO_CACHE=0): it memoizes cell *inputs*, not results, so
-        # "always re-simulate" semantics are preserved either way.
-        explicit_dir = os.environ.get(STORE_DIR_ENV)
-        cache_dir = os.environ.get("REPRO_CACHE_DIR") or default_cache_dir
-        if explicit_dir:
-            store = PrecomputeStore(explicit_dir)
-        elif cache_dir is not None:
-            store = PrecomputeStore(Path(cache_dir) / "store")
-    return ExecutionEngine(
-        jobs=jobs,
-        cache=cache,
-        journal=journal,
-        resume=switch_from_env("REPRO_RESUME", default=False),
-        faults=faults_from_env(),
-        progress=progress,
-        store=store,
-        **supervision_from_env(),
-    )

@@ -64,13 +64,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults ↔ journal)
 #: are then ignored on resume instead of being misread.
 JOURNAL_FORMAT_VERSION = 1
 
-#: Group-commit defaults used when batching is enabled from the
-#: environment (``REPRO_JOURNAL_BATCH`` / ``REPRO_JOURNAL_LINGER``).
+#: Group commit of every campaign journal the engine settings build
+#: (:func:`repro.harness.settings.engine_from_env`): entries per fsync
+#: batch, and the longest a partial batch waits for its fsync.
 DEFAULT_BATCH_ENTRIES = 64
 DEFAULT_LINGER_SECONDS = 0.05
-
-JOURNAL_BATCH_ENV = "REPRO_JOURNAL_BATCH"
-JOURNAL_LINGER_ENV = "REPRO_JOURNAL_LINGER"
 
 _REG = obs_metrics.get_registry()
 _M_APPENDS = _REG.counter(
@@ -90,49 +88,6 @@ def _checksum(fields: dict[str, Any]) -> str:
     """Digest of one record's canonical JSON (order-independent)."""
     canonical = json.dumps(fields, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-
-def batching_from_env() -> tuple[int, float]:
-    """Group-commit settings from ``REPRO_JOURNAL_BATCH``/``_LINGER``.
-
-    Returns ``(batch_entries, linger_seconds)``. Defaults to
-    ``(DEFAULT_BATCH_ENTRIES, DEFAULT_LINGER_SECONDS)`` — group commit
-    on — since the ack-after-fsync protocol keeps the crash-safety
-    contract regardless of batch size. ``REPRO_JOURNAL_BATCH=1``
-    restores per-entry fsync. Malformed values raise
-    :class:`~repro.errors.ConfigurationError`.
-    """
-    batch = DEFAULT_BATCH_ENTRIES
-    raw = os.environ.get(JOURNAL_BATCH_ENV, "").strip()
-    if raw:
-        try:
-            batch = int(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"{JOURNAL_BATCH_ENV}={raw!r} is not an integer; accepted: "
-                "a positive entry count (1 = fsync per entry)"
-            )
-        if batch < 1:
-            raise ConfigurationError(
-                f"{JOURNAL_BATCH_ENV}={raw!r} is out of range; accepted: "
-                "a positive entry count (1 = fsync per entry)"
-            )
-    linger = DEFAULT_LINGER_SECONDS
-    raw = os.environ.get(JOURNAL_LINGER_ENV, "").strip()
-    if raw:
-        try:
-            linger = float(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"{JOURNAL_LINGER_ENV}={raw!r} is not a number; accepted: "
-                "a non-negative number of seconds"
-            )
-        if linger < 0:
-            raise ConfigurationError(
-                f"{JOURNAL_LINGER_ENV}={raw!r} is out of range; accepted: "
-                "a non-negative number of seconds"
-            )
-    return batch, linger
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,8 @@ import tempfile
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.harness.settings import cache_dir_from_env
+
 #: Which cell to profile: unset/empty = none, ``1``/``all`` = first cell,
 #: anything else = first cell whose label contains the value.
 PROFILE_ENV = "REPRO_PROFILE"
@@ -73,7 +75,7 @@ def output_dir() -> Path:
     explicit = os.environ.get(PROFILE_DIR_ENV, "").strip()
     if explicit:
         return Path(explicit)
-    cache_dir = os.environ.get("REPRO_CACHE_DIR", "").strip()
+    cache_dir = cache_dir_from_env()
     if cache_dir:
         return Path(cache_dir).parent
     return Path.cwd()

@@ -31,11 +31,12 @@ quarantined with the result cache's ``*.corrupt`` convention and
 recomputed.
 
 The *active* store is process-global (:func:`get_active_store`): the
-execution engine activates its store for the duration of a run and
-exports ``REPRO_STORE_DIR`` so worker processes — fork or spawn —
-resolve the same store from the environment.
-``REPRO_PRECOMPUTE=off`` (or ``--no-precompute-store``) disables the
-whole layer and forces the legacy in-process build path.
+execution engine makes its own store — or none — the active one for
+the duration of a run (:func:`store_scope`) and exports
+``REPRO_STORE_DIR`` so worker processes — fork or spawn — resolve the
+same store. ``REPRO_PRECOMPUTE=off`` (or ``--no-precompute-store``)
+builds an engine without a store, which forces the legacy in-process
+build path.
 """
 
 from __future__ import annotations
@@ -46,10 +47,10 @@ import json
 import os
 import shutil
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
-from repro.errors import ConfigurationError
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -57,17 +58,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
 #: ``on`` (default) enables the precompute store; ``off`` forces the
-#: legacy build-everything-in-process path.
+#: legacy build-everything-in-process path (read by
+#: :func:`repro.harness.settings.engine_from_env`).
 PRECOMPUTE_ENV = "REPRO_PRECOMPUTE"
-#: Directory of the store (exported to workers).
+#: Directory of the store: an explicit setting, and how a running
+#: engine hands its store to spawned workers (:func:`store_scope`).
 STORE_DIR_ENV = "REPRO_STORE_DIR"
 
 #: Bump when the trace layout changes incompatibly; old entries are then
 #: quarantined instead of misread.
 STORE_FORMAT_VERSION = 1
-
-_TRUTHY = ("1", "true", "yes", "on")
-_FALSY = ("0", "false", "no", "off")
 
 _REG = obs_metrics.get_registry()
 _M_STORE = {
@@ -185,10 +185,6 @@ class PrecomputeStore:
     # ------------------------------------------------------------------
     def describe(self) -> str:
         return f"file:{self.directory}"
-
-    def export_env(self) -> None:
-        """Publish this store's directory for (fork or spawn) workers."""
-        os.environ[STORE_DIR_ENV] = str(self.directory.resolve())
 
     # ------------------------------------------------------------------
     # Trace arrays
@@ -460,7 +456,7 @@ class PrecomputeStore:
 # ----------------------------------------------------------------------
 _ACTIVE: PrecomputeStore | None = None
 _ACTIVE_SET = False
-_ENV_STORE: tuple[tuple[str | None, ...], PrecomputeStore | None] | None = None
+_ENV_STORE: tuple[str | None, PrecomputeStore | None] | None = None
 
 
 def set_active_store(store: PrecomputeStore | None) -> None:
@@ -480,65 +476,58 @@ def clear_active_store() -> None:
     _ACTIVE_SET = False
 
 
-def switch_value(raw: str) -> bool | None:
-    """``raw`` read as an on/off switch, or ``None`` if it is not one.
-
-    ``1``/``true``/``yes``/``on`` are on and ``0``/``false``/``no``/
-    ``off`` are off, ignoring case and surrounding blanks.
-    """
-    raw = raw.strip().lower()
-    if raw in _TRUTHY:
-        return True
-    if raw in _FALSY:
-        return False
-    return None
-
-
-def switch_from_env(name: str, default: bool) -> bool:
-    """An on/off ``REPRO_*`` switch; unset or blank means ``default``.
-
-    Accepts the spellings of :func:`switch_value`. Anything else raises
-    :class:`~repro.errors.ConfigurationError` naming the offending
-    value and the accepted forms, matching ``engine_from_env``.
-    """
-    raw = os.environ.get(name, "")
-    if not raw.strip():
-        return default
-    value = switch_value(raw)
-    if value is not None:
-        return value
-    raise ConfigurationError(
-        f"{name}={os.environ.get(name)!r} is not a recognized switch; "
-        f"accepted: {'/'.join(_TRUTHY)} to enable, "
-        f"{'/'.join(_FALSY)} to disable"
-    )
-
-
-def precompute_from_env() -> bool:
-    """Whether the precompute store is enabled (``REPRO_PRECOMPUTE``,
-    default on)."""
-    return switch_from_env(PRECOMPUTE_ENV, default=True)
-
-
 def get_active_store() -> PrecomputeStore | None:
     """The store in effect for this process, or ``None``.
 
     Resolution order: an explicit :func:`set_active_store` wins;
-    otherwise the environment (``REPRO_PRECOMPUTE`` gate, then
-    ``REPRO_STORE_DIR``) — which is how engine workers, forked *or*
-    spawned, find the campaign's store.
+    otherwise ``REPRO_STORE_DIR`` — which is how spawned engine workers
+    find the campaign's store (see :func:`store_scope`).
     """
     if _ACTIVE_SET:
         return _ACTIVE
     global _ENV_STORE
-    key = (os.environ.get(PRECOMPUTE_ENV), os.environ.get(STORE_DIR_ENV))
-    if _ENV_STORE is not None and _ENV_STORE[0] == key:
-        return _ENV_STORE[1]
-    store: PrecomputeStore | None = None
-    if precompute_from_env() and key[1]:
-        store = PrecomputeStore(key[1])
-    _ENV_STORE = (key, store)
-    return store
+    directory = os.environ.get(STORE_DIR_ENV)
+    if _ENV_STORE is None or _ENV_STORE[0] != directory:
+        _ENV_STORE = (
+            directory,
+            PrecomputeStore(directory) if directory else None,
+        )
+    return _ENV_STORE[1]
+
+
+@contextmanager
+def store_scope(store: PrecomputeStore | None) -> Iterator[None]:
+    """Make ``store`` — or no store — the one cells see, until exit.
+
+    Cells in this process (and forked workers) resolve it through
+    :func:`get_active_store`; spawned and respawned workers through
+    ``REPRO_STORE_DIR``, which is set to the store's directory, or
+    removed, for the scope. The previous activation and the previous
+    variable come back on every exit path, so one engine's store never
+    leaks into a later run or a direct ``cached_build_workload`` call.
+    """
+    global _ACTIVE, _ACTIVE_SET
+    saved = (_ACTIVE, _ACTIVE_SET, os.environ.get(STORE_DIR_ENV))
+    set_active_store(store)
+    if store is None:
+        os.environ.pop(STORE_DIR_ENV, None)
+    else:
+        os.environ[STORE_DIR_ENV] = str(store.directory.resolve())
+    try:
+        yield
+    finally:
+        _ACTIVE, _ACTIVE_SET, previous = saved
+        if previous is None:
+            os.environ.pop(STORE_DIR_ENV, None)
+        else:
+            os.environ[STORE_DIR_ENV] = previous
+
+
+def detach_store() -> None:
+    """Stop serving the store of the enclosing :func:`store_scope` —
+    here and in every worker (re)spawned from now on."""
+    set_active_store(None)
+    os.environ.pop(STORE_DIR_ENV, None)
 
 
 # ----------------------------------------------------------------------

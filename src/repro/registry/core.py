@@ -268,8 +268,12 @@ class Registry:
 
     # -- lookup --------------------------------------------------------
     def get(self, kind: str, name: str) -> Registration:
-        self._load_plugins()
+        # A name registered in-tree resolves without scanning installed
+        # distributions; only a miss pays for plugin discovery.
         entry = self._entries.get((kind, name))
+        if entry is None:
+            self._load_plugins()
+            entry = self._entries.get((kind, name))
         if entry is None:
             raise ConfigurationError(
                 f"unknown {kind} {name!r}; registered: "

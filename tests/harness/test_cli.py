@@ -1,12 +1,15 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
-from repro.__main__ import build_engine, build_parser, main
+from repro.__main__ import DEFAULT_CACHE_DIR, build_engine, build_parser, main
 from repro.errors import ConfigurationError
 from repro.harness.exec import engine_from_env
+from repro.harness.journal import DEFAULT_BATCH_ENTRIES, DEFAULT_LINGER_SECONDS
 from repro.obs.trace import TRACE_ENV
 
 
@@ -120,16 +123,56 @@ class TestExecution:
         assert str(missing) in captured.err
 
 
+def _clean_environment(monkeypatch):
+    for name in list(os.environ):
+        if name.startswith("REPRO_"):
+            monkeypatch.delenv(name)
+
+
+def _front_end(front, flags=(), **keywords):
+    """An engine from ``build_engine`` (the CLI) or ``engine_from_env``."""
+    if front == "cli":
+        return build_engine(build_parser().parse_args([*flags, "rmax"]))
+    return engine_from_env(DEFAULT_CACHE_DIR, **keywords)
+
+
+FRONT_ENDS = ("cli", "library")
+
+
 class TestEngineEnvironment:
-    """``build_engine`` honours the supervision variables the engine
-    documents, with each flag winning over its variable."""
+    """Both front ends apply one rule to every engine setting: a flag
+    (keyword) wins, else its ``REPRO_*`` variable, else the default."""
 
     ENV = {
         "REPRO_RETRIES": "3",
         "REPRO_TIMEOUT": "40",
         "REPRO_HEARTBEAT": "0.5",
-        "REPRO_STALL_TIMEOUT": "9",
     }
+
+    #: (variable, a value it applies, a value the flag must beat,
+    #:  CLI flags, engine_from_env keywords, read the setting,
+    #:  default, from the variable, from the flag)
+    RULE = [
+        ("REPRO_JOBS", "3", "3", ["--jobs", "2"], {"jobs": 2},
+         lambda e: e.jobs, 1, 3, 2),
+        ("REPRO_CACHE", "off", "on", ["--no-cache"], {"cache": False},
+         lambda e: e.cache is not None, True, False, False),
+        ("REPRO_CACHE_DIR", "env-dir", "env-dir",
+         ["--cache-dir", "flag-dir"], {"cache_dir": "flag-dir"},
+         lambda e: e.cache.directory,
+         Path(DEFAULT_CACHE_DIR), Path("env-dir"), Path("flag-dir")),
+        ("REPRO_RESUME", "on", "off", ["--resume"], {"resume": True},
+         lambda e: e.resume, False, True, True),
+        ("REPRO_PRECOMPUTE", "off", "on", ["--no-precompute-store"],
+         {"precompute": False}, lambda e: e.store is not None,
+         True, False, False),
+        ("REPRO_RETRIES", "3", "3", ["--retries", "0"], {"retries": 0},
+         lambda e: e.retries, 1, 3, 0),
+        ("REPRO_TIMEOUT", "40", "40", ["--timeout", "5"], {"timeout": 5.0},
+         lambda e: e.timeout, None, 40.0, 5.0),
+        ("REPRO_HEARTBEAT", "0.5", "0.5", ["--heartbeat", "2"],
+         {"heartbeat": 2.0}, lambda e: e.heartbeat, 1.0, 0.5, 2.0),
+    ]
 
     @staticmethod
     def _engine(tmp_path, *flags):
@@ -138,24 +181,58 @@ class TestEngineEnvironment:
 
     @staticmethod
     def _settings(engine):
-        return (
-            engine.retries,
-            engine.timeout,
-            engine.heartbeat,
-            engine.stall_timeout,
+        return (engine.retries, engine.timeout, engine.heartbeat)
+
+    @pytest.mark.parametrize("front", FRONT_ENDS)
+    @pytest.mark.parametrize("row", RULE, ids=[row[0] for row in RULE])
+    def test_flag_beats_variable_beats_default(
+        self, row, front, monkeypatch, tmp_path
+    ):
+        (name, value, contrary, flags, keywords, read, default,
+         from_variable, from_flag) = row
+        _clean_environment(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        assert read(_front_end(front)) == default
+        monkeypatch.setenv(name, value)
+        assert read(_front_end(front)) == from_variable
+        monkeypatch.setenv(name, contrary)
+        assert read(_front_end(front, flags, **keywords)) == from_flag
+
+    @pytest.mark.parametrize("front", FRONT_ENDS)
+    def test_journal_group_commits(self, front, monkeypatch, tmp_path):
+        _clean_environment(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        journal = _front_end(front).journal
+        assert journal.path == Path(DEFAULT_CACHE_DIR) / "journal.jsonl"
+        assert (journal.batch_entries, journal.linger_seconds) == (
+            DEFAULT_BATCH_ENTRIES,
+            DEFAULT_LINGER_SECONDS,
         )
+
+    @pytest.mark.parametrize("front", FRONT_ENDS)
+    def test_zero_seconds_mean_off(self, front, monkeypatch, tmp_path):
+        _clean_environment(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        flags = ["--timeout", "0", "--heartbeat", "0"]
+        engine = _front_end(front, flags, timeout=0.0, heartbeat=0.0)
+        assert (engine.timeout, engine.heartbeat) == (None, None)
+        monkeypatch.setenv("REPRO_TIMEOUT", "0")
+        monkeypatch.setenv("REPRO_HEARTBEAT", "0")
+        engine = _front_end(front)
+        assert (engine.timeout, engine.heartbeat) == (None, None)
 
     def test_defaults_without_environment(self, monkeypatch, tmp_path):
         for name in self.ENV:
             monkeypatch.delenv(name, raising=False)
         engine = self._engine(tmp_path)
-        assert self._settings(engine) == (1, None, 1.0, None)
+        assert self._settings(engine) == (1, None, 1.0)
+        assert engine.stall_timeout is None
 
     def test_environment_applies(self, monkeypatch, tmp_path):
         for name, value in self.ENV.items():
             monkeypatch.setenv(name, value)
         engine = self._engine(tmp_path)
-        assert self._settings(engine) == (3, 40.0, 0.5, 9.0)
+        assert self._settings(engine) == (3, 40.0, 0.5)
 
     def test_flags_override_environment(self, monkeypatch, tmp_path):
         for name, value in self.ENV.items():
@@ -163,8 +240,7 @@ class TestEngineEnvironment:
         engine = self._engine(
             tmp_path, "--retries", "0", "--timeout", "5", "--heartbeat", "2"
         )
-        # REPRO_STALL_TIMEOUT has no flag: the environment still sets it.
-        assert self._settings(engine) == (0, 5.0, 2.0, 9.0)
+        assert self._settings(engine) == (0, 5.0, 2.0)
 
     @pytest.mark.parametrize("name", sorted(ENV))
     def test_malformed_value_names_the_variable(
@@ -182,9 +258,8 @@ class TestEngineEnvironment:
 class TestSwitchVariables:
     """``REPRO_CACHE``/``REPRO_RESUME``/``REPRO_PRECOMPUTE`` share one
     on/off parser under ``engine_from_env`` and ``build_engine`` alike.
-    (``REPRO_CACHE`` is engine-only: the CLI has ``--no-cache``.)
-    ``REPRO_JOURNAL`` (engine-only too) reads the same spellings, and
-    any other value is the journal's path."""
+    ``REPRO_JOURNAL`` reads the same spellings, and any other value is
+    the journal's path."""
 
     SWITCHES = ("REPRO_CACHE", "REPRO_RESUME", "REPRO_PRECOMPUTE")
 
@@ -200,14 +275,20 @@ class TestSwitchVariables:
         return build_engine(build_parser().parse_args(argv))
 
     @pytest.mark.parametrize("value", ["off", "OFF", " 0 ", "no", "false"])
-    def test_cache_off_spellings_disable_the_cache(self, monkeypatch, value):
+    def test_cache_off_spellings_disable_the_cache(
+        self, monkeypatch, tmp_path, value
+    ):
         monkeypatch.setenv("REPRO_CACHE", value)
         assert engine_from_env().cache is None
+        assert self._cli(tmp_path).cache is None
 
     @pytest.mark.parametrize("value", ["", "on", "1", "TRUE"])
-    def test_cache_on_spellings_keep_the_cache(self, monkeypatch, value):
+    def test_cache_on_spellings_keep_the_cache(
+        self, monkeypatch, tmp_path, value
+    ):
         monkeypatch.setenv("REPRO_CACHE", value)
         assert engine_from_env().cache is not None
+        assert self._cli(tmp_path).cache is not None
 
     @pytest.mark.parametrize("value", ["TRUE", " 1", "on", "Yes"])
     def test_resume_on_spellings_resume_under_both(
@@ -248,6 +329,7 @@ class TestSwitchVariables:
         monkeypatch.chdir(workdir)
         monkeypatch.setenv("REPRO_JOURNAL", value)
         assert engine_from_env().journal is None
+        assert self._cli(tmp_path).journal is None
         # Not a journal file named after the switch, either.
         assert list(workdir.iterdir()) == []
 
@@ -256,16 +338,16 @@ class TestSwitchVariables:
         self, monkeypatch, tmp_path, value
     ):
         monkeypatch.setenv("REPRO_JOURNAL", value)
-        journal = engine_from_env().journal
-        assert journal is not None
-        assert journal.path == tmp_path / "journal.jsonl"
+        for engine in (engine_from_env(), self._cli(tmp_path)):
+            assert engine.journal is not None
+            assert engine.journal.path == tmp_path / "journal.jsonl"
 
     def test_journal_other_value_is_a_path(self, monkeypatch, tmp_path):
         target = tmp_path / "elsewhere" / "run.jsonl"
         monkeypatch.setenv("REPRO_JOURNAL", f" {target} ")
-        journal = engine_from_env().journal
-        assert journal is not None
-        assert journal.path == target
+        for engine in (engine_from_env(), self._cli(tmp_path)):
+            assert engine.journal is not None
+            assert engine.journal.path == target
 
     def test_journal_on_without_a_cache_dir_journals_nowhere(
         self, monkeypatch
@@ -274,10 +356,28 @@ class TestSwitchVariables:
         monkeypatch.setenv("REPRO_JOURNAL", "on")
         assert engine_from_env().journal is None
 
-    def test_malformed_cache_switch_raises(self, monkeypatch):
+    def test_malformed_cache_switch_raises(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE", "maybe")
         with pytest.raises(ConfigurationError, match="REPRO_CACHE='maybe'"):
             engine_from_env()
+        with pytest.raises(ConfigurationError, match="REPRO_CACHE='maybe'"):
+            self._cli(tmp_path)
+
+
+class TestEnvironmentAfterMain:
+    """A CLI run hands settings to its workers without leaving them in
+    the caller's environment."""
+
+    @pytest.mark.parametrize("flags", [[], ["--no-precompute-store"]])
+    def test_main_leaves_the_environment_as_it_was(
+        self, flags, monkeypatch, tmp_path, capsys
+    ):
+        _clean_environment(monkeypatch)
+        before = dict(os.environ)
+        argv = ["--profile", "test", "--cache-dir", str(tmp_path), *flags]
+        assert main([*argv, "mix", "1", "--schemes", "static"]) == 0
+        assert dict(os.environ) == before
+        assert "Mix 1" in capsys.readouterr().out
 
 
 class TestSchemesFlag:

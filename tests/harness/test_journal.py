@@ -172,30 +172,6 @@ class TestGroupCommit:
             journal.close()
         assert sync_path.read_text() == batch_path.read_text()
 
-    def test_batching_from_env_defaults_and_overrides(self, monkeypatch):
-        from repro.errors import ConfigurationError
-        from repro.harness.journal import (
-            DEFAULT_BATCH_ENTRIES,
-            DEFAULT_LINGER_SECONDS,
-            batching_from_env,
-        )
-
-        monkeypatch.delenv("REPRO_JOURNAL_BATCH", raising=False)
-        monkeypatch.delenv("REPRO_JOURNAL_LINGER", raising=False)
-        assert batching_from_env() == (
-            DEFAULT_BATCH_ENTRIES,
-            DEFAULT_LINGER_SECONDS,
-        )
-        monkeypatch.setenv("REPRO_JOURNAL_BATCH", "8")
-        monkeypatch.setenv("REPRO_JOURNAL_LINGER", "0.2")
-        assert batching_from_env() == (8, 0.2)
-        monkeypatch.setenv("REPRO_JOURNAL_BATCH", "zero")
-        with pytest.raises(ConfigurationError):
-            batching_from_env()
-        monkeypatch.setenv("REPRO_JOURNAL_BATCH", "0")
-        with pytest.raises(ConfigurationError):
-            batching_from_env()
-
     def test_engine_acks_only_after_fsync(self, tmp_path):
         """Progress lines lag the fsync, never lead it: every acked cell
         is durable even while later cells sit in the buffer."""

@@ -3,7 +3,8 @@
 A replay from a filled result cache, ``--help`` and building the engine
 assemble results and options only, so none of them may import NumPy,
 the simulator, the schemes, the monitors or the framework core: those
-load on the path that computes a cell. A parallel cold run must still
+load on the path that computes a cell. Nor may a replay run plugin
+discovery (``importlib.metadata``). A parallel cold run must still
 load them in the supervisor *before* it forks, so every worker inherits
 them instead of importing them again after ``fork``.
 
@@ -107,6 +108,16 @@ class TestReplayLoadsNoSimulator:
         assert report["at_spawn"] is None
         assert stdout == cold_stdout
         assert compute_modules(report["loaded"]) == []
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_warm_replay_discovers_no_plugins(self, cold, tmp_path, command):
+        """Building the parser and replaying never scan installed
+        distributions for scheme plugins: ``--schemes`` resolves its
+        names only when it is given."""
+        cache, _, _ = cold[command]
+        report, _ = run_child(tmp_path, "main", *argv(cache, command, 2))
+        assert report["status"] == 0
+        assert "importlib.metadata" not in report["loaded"]
 
     def test_import_alone(self, tmp_path):
         report, _ = run_child(tmp_path, "import")

@@ -53,7 +53,6 @@ from repro.harness.store import (
     clear_active_store,
     ensure_workload_trace,
     get_active_store,
-    precompute_from_env,
     rmax_token,
     set_active_store,
     store_digest,
@@ -336,27 +335,61 @@ class TestRateTableMemoizer:
 # Environment / CLI wiring
 # ----------------------------------------------------------------------
 class TestPrecomputeFromEnv:
+    """``REPRO_PRECOMPUTE`` as the engine settings read it."""
+
+    @pytest.fixture(autouse=True)
+    def _cache_dir(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+
     def test_default_is_on(self):
-        assert precompute_from_env() is True
+        assert engine_from_env().store is not None
 
     @pytest.mark.parametrize("value", ["off", "0", "false", "NO"])
     def test_falsy_values_disable(self, monkeypatch, value):
         monkeypatch.setenv(PRECOMPUTE_ENV, value)
-        assert precompute_from_env() is False
+        assert engine_from_env().store is None
 
     @pytest.mark.parametrize("value", ["on", "1", "TRUE", "yes"])
     def test_truthy_values_enable(self, monkeypatch, value):
         monkeypatch.setenv(PRECOMPUTE_ENV, value)
-        assert precompute_from_env() is True
+        assert engine_from_env().store is not None
 
     def test_malformed_value_rejected_with_accepted_forms(self, monkeypatch):
         monkeypatch.setenv(PRECOMPUTE_ENV, "maybe")
         with pytest.raises(ConfigurationError) as excinfo:
-            precompute_from_env()
+            engine_from_env()
         message = str(excinfo.value)
         assert "REPRO_PRECOMPUTE" in message
         assert "'maybe'" in message  # the offending value
         assert "on" in message and "off" in message  # the accepted forms
+
+
+class _ProbeCell:
+    """Serial cell that records the store it sees."""
+
+    label = "probe[store]"
+
+    def __init__(self, observed: list):
+        self.observed = observed
+
+    def cache_token(self):
+        return {"kind": "store-probe"}
+
+    def execute(self):
+        self.observed.append(get_active_store())
+        return 0
+
+    @staticmethod
+    def cycles_of(value):
+        return None
+
+    @staticmethod
+    def encode(value):
+        return value
+
+    @staticmethod
+    def decode(payload):
+        return payload
 
 
 class TestActiveStoreResolution:
@@ -371,9 +404,16 @@ class TestActiveStoreResolution:
         assert resolved.directory == tmp_path / "env"
 
     def test_env_off_resolves_no_store(self, tmp_path, monkeypatch):
+        """``REPRO_PRECOMPUTE=off`` beats an explicit ``REPRO_STORE_DIR``:
+        the engine has no store, and its cells see none."""
         monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path))
         monkeypatch.setenv(PRECOMPUTE_ENV, "off")
-        assert get_active_store() is None
+        engine = engine_from_env()
+        assert engine.store is None
+        observed: list = []
+        engine.run([_ProbeCell(observed)])
+        assert observed == [None]
+        assert os.environ[STORE_DIR_ENV] == str(tmp_path)
 
 
 class TestEngineFromEnvStore:
@@ -416,8 +456,9 @@ class TestCli:
         )
         engine = build_engine(args)
         assert engine.store is None
-        # The decision reaches serial cells and workers through the env.
-        assert os.environ[PRECOMPUTE_ENV] == "off"
+        # Workers learn it from the engine's run, not from a variable
+        # the CLI leaves behind.
+        assert PRECOMPUTE_ENV not in os.environ
 
     def test_default_store_rides_with_cache_dir(self, tmp_path):
         from repro.__main__ import build_engine, build_parser
@@ -427,25 +468,31 @@ class TestCli:
         assert engine.store is not None
         assert engine.store.directory == tmp_path / "store"
 
-    def test_flag_conflicts_with_env_enable(self, monkeypatch, tmp_path):
+    def test_flag_wins_over_env_enable(self, monkeypatch, tmp_path):
         from repro.__main__ import build_engine, build_parser
 
         monkeypatch.setenv(PRECOMPUTE_ENV, "on")
+        monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path / "explicit"))
         args = build_parser().parse_args(
             ["--cache-dir", str(tmp_path), "--no-precompute-store", "mix", "1"]
         )
-        with pytest.raises(ConfigurationError, match="conflicts"):
-            build_engine(args)
+        assert build_engine(args).store is None
 
-    def test_main_reports_conflict_as_exit_2(self, monkeypatch, capsys, tmp_path):
+    def test_main_flag_wins_over_env_enable(self, monkeypatch, capsys, tmp_path):
         from repro.__main__ import main
 
         monkeypatch.setenv(PRECOMPUTE_ENV, "1")
+        before = dict(os.environ)
         code = main(
-            ["--cache-dir", str(tmp_path), "--no-precompute-store", "mix", "1"]
+            [
+                "--profile", "test", "--cache-dir", str(tmp_path),
+                "--no-precompute-store", "mix", "1", "--schemes", "static",
+            ]
         )
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+        assert code == 0
+        assert "Mix 1" in capsys.readouterr().out
+        assert not (tmp_path / "store").exists()
+        assert dict(os.environ) == before
 
 
 # ----------------------------------------------------------------------
@@ -471,8 +518,6 @@ class TestEngineIntegration:
     def baseline(self):
         """Store-less engine results (the legacy path) for identity checks."""
         clear_rate_table_cache()
-        clear_active_store()
-        os.environ.pop(STORE_DIR_ENV, None)
         engine = ExecutionEngine(jobs=1)
         encodes = _encodes(engine.run(_cells()))
         clear_rate_table_cache()
@@ -517,6 +562,20 @@ class TestEngineIntegration:
         assert snap["workload_builds"] == 0
         assert snap["rmax_solves"] == 0
         assert snap["store_trace_misses"] == 0
+
+    def test_store_does_not_leak_into_the_next_run(self, baseline, tmp_path):
+        before = dict(os.environ)
+        store = PrecomputeStore(tmp_path / "s")
+        ExecutionEngine(jobs=1, store=store).run(_cells())
+        assert dict(os.environ) == before
+        assert get_active_store() is None
+        clear_rate_table_cache()
+        later = ExecutionEngine(jobs=1)
+        assert _encodes(later.run(_cells())) == baseline
+        snap = later.telemetry.snapshot()
+        assert snap["store_trace_hits"] == 0
+        assert snap["store_rmax_hits"] == 0
+        assert dict(os.environ) == before
 
     def test_respawned_worker_reattaches_after_crash(self, baseline, tmp_path):
         state = tmp_path / "faults"
@@ -579,6 +638,7 @@ class TestTeardown:
         # store, while the on-disk entry stays for the next run.
         assert store._attached == {}
         assert get_active_store() is not store
+        assert STORE_DIR_ENV not in os.environ
         assert any((tmp_path / "s" / "traces").rglob("meta.json"))
         assert engine.telemetry.interrupted
 

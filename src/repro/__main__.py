@@ -72,7 +72,11 @@ from pathlib import Path
 
 from repro.errors import CampaignInterrupted, ConfigurationError
 from repro.harness.exec import ExecutionEngine
-from repro.harness.settings import cache_dir_from_env, engine_from_env
+from repro.harness.settings import (
+    cache_dir_from_env,
+    engine_from_env,
+    environ_restored,
+)
 from repro.harness.experiment import run_mix
 from repro.harness.profiling import PROFILE_DIR_ENV, PROFILE_ENV
 from repro.harness.figures import figure_group
@@ -89,7 +93,7 @@ from repro.harness.runconfig import PROFILES
 from repro.registry import scheme_names, scheme_registration
 from repro.harness.sensitivity import run_sensitivity_study
 from repro.harness.tables import table6
-from repro.obs import configure_tracing
+from repro.obs import TRACE_ENV, configure_tracing
 from repro.obs.metrics import export_metrics
 from repro.obs.summarize import render_summary, summarize_trace
 
@@ -365,6 +369,13 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.command == "conform":
         return _run_conform(args)
+    # --cprofile and --trace reach the workers through the environment;
+    # a later run in this process must neither profile nor trace.
+    with environ_restored(PROFILE_ENV, PROFILE_DIR_ENV, TRACE_ENV):
+        return _run_campaign(args)
+
+
+def _run_campaign(args: argparse.Namespace) -> int:
     profile = PROFILES[args.profile]
     if args.cprofile:
         # Workers inherit the environment, so the request reaches the

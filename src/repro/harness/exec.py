@@ -53,10 +53,11 @@ dependable as the system under test:
 * **Orphan reaping.** Startup sweeps fault-state directories whose
   owning process died uncleanly (SIGKILL) — see
   :mod:`repro.harness.reaper`.
-* **Cache integrity.** Entries carry a payload checksum; corrupt,
-  truncated, or version-mismatched entries are quarantined (renamed
-  ``*.corrupt``) and counted in telemetry instead of being silently
-  re-parsed forever.
+* **Cache integrity.** Every pack line is a sealed record
+  (:mod:`repro.harness.integrity`); corrupt, truncated, or
+  version-mismatched entries are quarantined (their bytes moved to
+  ``packs/<shard>.corrupt``) and counted in telemetry instead of being
+  silently re-parsed forever.
 * **Fault injection.** A :class:`~repro.harness.faults.FaultPlan`
   (``REPRO_FAULTS``) injects crashes, hangs, worker kills, and cache
   corruption so every recovery path above is provable by tests.
@@ -79,7 +80,6 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import signal
-import tempfile
 import threading
 import time
 from collections import deque
@@ -90,6 +90,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import CampaignInterrupted, ConfigurationError, JournalError
 from repro.harness.faults import FaultPlan, release_fault_state
+from repro.harness.integrity import digest, seal, unseal, write_atomic
 from repro.harness.journal import JournalEntry, RunJournal
 from repro.harness.reaper import reap_orphans
 from repro.harness.profiling import maybe_profile, reset_claim
@@ -108,12 +109,17 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.liveness import progress_beat, progress_value
 
-#: Bump when the cached payload layout or the simulator's semantics
-#: change incompatibly; old entries are then quarantined, not misread.
-#: (2: entries carry a payload checksum. 3: symmetric linear-
-#: interpolation partition quartiles; unfinished slices report partial
-#: IPC instead of 0.)
-CACHE_FORMAT_VERSION = 3
+#: Bump when the simulator's semantics change incompatibly: it is part
+#: of every cell key, so old results are never looked up again. (3:
+#: symmetric linear-interpolation partition quartiles; unfinished slices
+#: report partial IPC instead of 0.)
+CELL_KEY_VERSION = 3
+
+#: Bump when the pack line or sidecar layout changes incompatibly; old
+#: lines then fail the version check and are quarantined, not misread.
+#: (2: entries carry a payload checksum. 4: sealed pack lines and
+#: sidecars.)
+CACHE_FORMAT_VERSION = 4
 
 #: Layout version of the failure manifest (``failures.json``).
 MANIFEST_FORMAT_VERSION = 1
@@ -397,9 +403,7 @@ class SensitivityCell:
 
 def cell_key(cell: Any) -> str:
     """Deterministic content hash identifying one cell's result."""
-    token = {"format": CACHE_FORMAT_VERSION, **cell.cache_token()}
-    canonical = json.dumps(token, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return digest({"format": CELL_KEY_VERSION, **cell.cache_token()})
 
 
 @dataclass(frozen=True)
@@ -441,15 +445,15 @@ class ResultCache:
     ``O_APPEND`` descriptor — no per-entry ``mkdir``/``mkstemp``/
     ``os.replace``.
 
-    Integrity: every entry carries the SHA-256 of its value payload.
-    An entry that is torn, garbled, checksum-mismatched, or
-    format-incompatible is *quarantined* — its bytes are appended to
-    the shard's ``<shard>.corrupt`` sidecar and the pack is compacted
-    (atomic rewrite + rename) to drop exactly the damaged lines,
-    counted in :attr:`quarantined`. Anything else under the directory
-    (such as the one-file-per-entry ``<key[:2]>/<key>.json`` layout of
-    older caches) is ignored: such entries are recomputed, never
-    misread.
+    Integrity: every pack line and sidecar is a sealed record
+    (:mod:`repro.harness.integrity`). An entry that is torn, garbled,
+    fails its seal, or is format-incompatible is *quarantined* — its
+    bytes are appended to the shard's ``<shard>.corrupt`` sidecar and
+    the pack is compacted (atomic rewrite + rename) to drop exactly the
+    damaged lines, counted in :attr:`quarantined`. Anything else under
+    the directory (such as the one-file-per-entry ``<key[:2]>/<key>.json``
+    layout of older caches) is ignored: such entries are recomputed,
+    never misread.
     """
 
     def __init__(self, directory: str | Path):
@@ -491,32 +495,6 @@ class ResultCache:
     def _corrupt_path(self, shard: str) -> Path:
         return self.directory / "packs" / f"{shard}.corrupt"
 
-    @staticmethod
-    def _value_checksum(value: Any) -> str:
-        canonical = json.dumps(value, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    @staticmethod
-    def _encode_entry(key: str, payload: dict[str, Any]) -> bytes:
-        """One pack line, serializing the value exactly once.
-
-        The value's canonical JSON feeds the sha256 *and* is spliced
-        verbatim into the entry line (canonical JSON round-trips
-        exactly, so the checksum re-verifies on read).
-        """
-        value_json = json.dumps(
-            payload.get("value"), sort_keys=True, separators=(",", ":")
-        )
-        sha = hashlib.sha256(value_json.encode("utf-8")).hexdigest()
-        rest = {
-            "format": CACHE_FORMAT_VERSION,
-            "key": key,
-            "sha256": sha,
-            **{k: v for k, v in payload.items() if k != "value"},
-        }
-        head = json.dumps(rest, separators=(",", ":"))
-        return (head[:-1] + ',"value":' + value_json + "}\n").encode("utf-8")
-
     # -- pack plumbing --------------------------------------------------
     def _ensure_packs_dir(self) -> None:
         if not self._packs_dir_made:
@@ -547,37 +525,32 @@ class ResultCache:
         """Seed the in-memory index from ``<shard>.idx``; returns the
         byte offset up to which the sidecar is authoritative."""
         try:
-            sidecar = json.loads(self._index_path(shard).read_bytes())
-        except (OSError, ValueError):
+            sidecar = unseal(self._index_path(shard).read_bytes())
+        except OSError:
             return 0
         if (
-            not isinstance(sidecar, dict)
+            sidecar is None
             or sidecar.get("format") != CACHE_FORMAT_VERSION
-            or not isinstance(sidecar.get("entries"), dict)
-            or not isinstance(sidecar.get("pack_bytes"), int)
             or sidecar["pack_bytes"] > size
         ):
             # Stale or damaged sidecar (e.g. the pack was compacted or
             # truncated after it was written): fall back to a full scan.
+            # A sealed sidecar of this format is exactly what
+            # _write_sidecar wrote, so its fields need no type checks.
             return 0
         index = self._index.setdefault(shard, {})
-        for key, loc in sidecar["entries"].items():
-            if (
-                isinstance(key, str)
-                and isinstance(loc, list)
-                and len(loc) == 2
-                and all(isinstance(v, int) for v in loc)
-            ):
-                index[key] = (loc[0], loc[1])
+        for key, (offset, length) in sidecar["entries"].items():
+            index[key] = (offset, length)
         return sidecar["pack_bytes"]
 
     def _refresh_shard(self, shard: str) -> None:
         """Index any pack bytes this instance has not scanned yet.
 
         Damaged lines found while scanning (torn tail from a crash,
-        foreign garbage) are quarantined immediately; parseable entries
-        are indexed newest-wins. A trailing fragment without a newline
-        is left unscanned — the tail repair in :meth:`_fd` bounds it.
+        foreign garbage, a failed seal or another format) are
+        quarantined immediately; valid entries are indexed newest-wins.
+        A trailing fragment without a newline is left unscanned — the
+        tail repair in :meth:`_fd` bounds it.
 
         Runs once per shard per instance: a fresh instance always
         re-scans (so cross-process appends are picked up between
@@ -612,7 +585,7 @@ class ResultCache:
             return
         index = self._index.setdefault(shard, {})
         offset = scanned
-        damaged: list[tuple[int, int]] = []
+        damaged: list[bytes] = []
         end = len(blob)
         pos = 0
         while pos < end:
@@ -621,25 +594,17 @@ class ResultCache:
                 break  # in-flight/torn tail: not scanned, not damaged
             line = blob[pos : newline + 1]
             length = len(line)
-            key = None
-            try:
-                fields = json.loads(line)
-                if isinstance(fields, dict):
-                    key = fields.get("key")
-            except ValueError:
-                pass
-            if isinstance(key, str):
-                index[key] = (offset, length)
+            entry = self._entry(line)
+            if entry is not None:
+                index[entry["key"]] = (offset, length)
             elif line.strip():
-                damaged.append((offset, length))
+                damaged.append(line)
             offset += length
             pos = newline + 1
         self._scanned[shard] = offset
         if damaged:
-            for dmg_offset, dmg_length in damaged:
-                self._quarantine_packed_bytes(
-                    shard, blob[dmg_offset - scanned :][:dmg_length]
-                )
+            for line in damaged:
+                self._quarantine_packed_bytes(shard, line)
             self._compact_shard(shard)
 
     def _quarantine_packed_bytes(self, shard: str, data: bytes) -> None:
@@ -670,33 +635,18 @@ class ResultCache:
             "cache.compact", path=str(path), entries=len(index)
         ):
             fd = self._fd(shard)
-            survivors: list[tuple[str, bytes]] = []
-            for key, (offset, length) in sorted(
+            survivors: list[bytes] = []
+            new_index: dict[str, tuple[int, int]] = {}
+            offset = 0
+            for key, (old, length) in sorted(
                 index.items(), key=lambda item: item[1][0]
             ):
-                data = os.pread(fd, length, offset)
+                data = os.pread(fd, length, old)
                 if len(data) == length:
-                    survivors.append((key, data))
-            tmp_fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=f".{shard}-", suffix=".tmp"
-            )
-            try:
-                new_index: dict[str, tuple[int, int]] = {}
-                offset = 0
-                with os.fdopen(tmp_fd, "wb") as handle:
-                    for key, data in survivors:
-                        handle.write(data)
-                        new_index[key] = (offset, len(data))
-                        offset += len(data)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, path)
-            except OSError:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+                    survivors.append(data)
+                    new_index[key] = (offset, length)
+                    offset += length
+            write_atomic(path, b"".join(survivors), fsync=True)
             # The open descriptor still points at the pre-compaction
             # inode; reopen lazily.
             os.close(self._fds.pop(shard))
@@ -713,19 +663,10 @@ class ResultCache:
             "pack_bytes": self._scanned.get(shard, 0),
             "entries": {key: list(loc) for key, loc in index.items()},
         }
-        path = self._index_path(shard)
         try:
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=f".{shard}-", suffix=".idx.tmp"
-            )
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, separators=(",", ":"))
-            os.replace(tmp, path)
+            write_atomic(self._index_path(shard), seal(payload))
         except OSError:
-            try:
-                os.unlink(tmp)
-            except (OSError, UnboundLocalError):
-                pass
+            pass
 
     def release_handles(self) -> None:
         """Persist dirty sidecar indexes and close pack descriptors.
@@ -743,33 +684,34 @@ class ResultCache:
             except OSError:
                 pass
 
-    close = release_handles
-
     def __del__(self):  # pragma: no cover - finalization best-effort
         try:
             self.release_handles()
         except Exception:
             pass
 
-    @staticmethod
-    def _valid(payload: Any) -> bool:
-        return (
-            isinstance(payload, dict)
-            and payload.get("format") == CACHE_FORMAT_VERSION
-            and "value" in payload
-            and payload.get("sha256")
-            == ResultCache._value_checksum(payload["value"])
-        )
-
     # -- lookup ---------------------------------------------------------
-    def _read_packed(self, shard: str, key: str) -> dict[str, Any] | None:
-        """The packed entry for ``key``, quarantining it if damaged.
+    @staticmethod
+    def _entry(line: bytes) -> dict[str, Any] | None:
+        """The entry one pack line holds, or ``None`` if it is damaged."""
+        entry = unseal(line)
+        if (
+            entry is None
+            or entry.get("format") != CACHE_FORMAT_VERSION
+            or not isinstance(entry.get("key"), str)
+            or "value" not in entry
+        ):
+            return None
+        return entry
 
-        Returns the payload on success, ``None`` when the key has no
-        (surviving) packed entry. A validation failure first forces a
-        full shard rescan — the index may be stale if another process
-        appended or compacted — and only quarantines if the freshly
-        located bytes are damaged too.
+    def _read_packed(self, shard: str, key: str) -> dict[str, Any] | None:
+        """The packed entry for ``key``, or ``None`` if it has none.
+
+        Bytes that are not the key's valid entry force a rescan of the
+        whole pack, sidecar ignored: the index may be stale if another
+        process appended or compacted, and the scan quarantines every
+        damaged line it meets, so a damaged entry leaves the index and
+        reads as a miss.
         """
         for attempt in range(2):
             loc = self._index.get(shard, {}).get(key)
@@ -780,38 +722,14 @@ class ResultCache:
                 data = os.pread(self._fd(shard), length, offset)
             except OSError:
                 return None
-            payload: Any = None
-            if len(data) == length:
-                try:
-                    payload = json.loads(data)
-                except ValueError:
-                    payload = None
-            if (
-                isinstance(payload, dict)
-                and payload.get("key") == key
-                and self._valid(payload)
-            ):
-                return payload
+            entry = self._entry(data) if len(data) == length else None
+            if entry is not None and entry["key"] == key:
+                return entry
             if attempt == 0:
-                # Stale index? Re-scan the shard from scratch before
-                # declaring the entry damaged.
-                self._index.pop(shard, None)
-                self._scanned.pop(shard, None)
+                self._index[shard] = {}
+                self._scanned[shard] = 0
                 self._refreshed.discard(shard)
                 self._refresh_shard(shard)
-                if self._index.get(shard, {}).get(key) == loc:
-                    break  # same bytes — genuinely damaged
-        loc = self._index.get(shard, {}).get(key)
-        if loc is None:
-            return None
-        offset, length = loc
-        try:
-            data = os.pread(self._fd(shard), length, offset)
-        except OSError:
-            data = b""
-        self._index[shard].pop(key, None)
-        self._quarantine_packed_bytes(shard, data)
-        self._compact_shard(shard)
         return None
 
     def get(self, key: str) -> dict[str, Any] | None:
@@ -838,7 +756,8 @@ class ResultCache:
         dropping every entry onto a full disk for the rest of the
         campaign.
         """
-        line = self._encode_entry(key, payload)
+        record = {"format": CACHE_FORMAT_VERSION, "key": key, **payload}
+        line = (seal(record) + "\n").encode("utf-8")
         shard = self._pack_shard(key)
         fd = self._fd(shard)
         offset = os.lseek(fd, 0, os.SEEK_END)
@@ -916,7 +835,8 @@ class EngineTelemetry:
     #: Subset of ``failures`` quarantined as poison: every attempt ended
     #: in a worker death, so retrying further is hopeless by evidence.
     poisoned: int = 0
-    #: Corrupt/stale cache entries renamed ``*.corrupt`` by this engine.
+    #: Damaged cache entries quarantined by this engine (their bytes
+    #: moved to ``packs/<shard>.corrupt``).
     quarantines: int = 0
     #: Worker processes that died mid-cell (and were respawned).
     worker_crashes: int = 0
@@ -2390,19 +2310,7 @@ class ExecutionEngine:
         }
         try:
             target.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=target.parent, prefix=".failures-", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(manifest, handle, indent=2)
-                os.replace(tmp, target)
-            except OSError:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            write_atomic(target, json.dumps(manifest, indent=2))
         except OSError:
             return
         self.manifest_path = target

@@ -14,9 +14,9 @@ Design points that make the journal trustworthy after a hard kill:
   the final line (a partial append); :meth:`RunJournal.load` skips any
   line that does not parse and counts it in ``corrupt_lines`` instead
   of aborting.
-* **Per-line checksum.** Each record carries a SHA-256 digest of its
-  own fields, so a torn or bit-flipped line is detected even when it
-  happens to remain valid JSON.
+* **Sealed lines.** Each line, the header included, is one sealed
+  record (:mod:`repro.harness.integrity`): a torn or bit-flipped line
+  is detected even when it happens to remain valid JSON.
 * **Self-contained values.** Computed results are stored in encoded
   (JSON) form in the line itself, so resume works even with the result
   cache disabled or lost.
@@ -44,8 +44,6 @@ computed / cache-hit / failed cell and never rewrites existing lines.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import threading
 import time
@@ -54,6 +52,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, TextIO
 
 from repro.errors import ConfigurationError, JournalError
+from repro.harness.integrity import seal, unseal
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -61,8 +60,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults ↔ journal)
     from repro.harness.faults import FaultPlan
 
 #: Bump when the journal line layout changes incompatibly; old journals
-#: are then ignored on resume instead of being misread.
-JOURNAL_FORMAT_VERSION = 1
+#: are then ignored on resume instead of being misread. (2: sealed
+#: lines with a full-length digest, the header included.)
+JOURNAL_FORMAT_VERSION = 2
 
 #: Group commit of every campaign journal the engine settings build
 #: (:func:`repro.harness.settings.engine_from_env`): entries per fsync
@@ -84,12 +84,6 @@ _M_BATCH = _REG.histogram(
 )
 
 
-def _checksum(fields: dict[str, Any]) -> str:
-    """Digest of one record's canonical JSON (order-independent)."""
-    canonical = json.dumps(fields, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-
 @dataclass(frozen=True)
 class JournalEntry:
     """One journaled cell outcome."""
@@ -106,8 +100,8 @@ class JournalEntry:
     #: Run-profile name of the cell, when it carries one. Runtime hints
     #: are keyed by (scheme family, profile) so campaigns under one
     #: profile never inherit another profile's wall-time means. Optional
-    #: and absent from old journals — no format bump needed: the
-    #: checksum covers whatever fields a line actually has.
+    #: and absent from old journals — no format bump needed: the seal
+    #: covers whatever fields a line actually has.
     profile: str | None = None
 
     @property
@@ -178,15 +172,8 @@ class RunJournal:
                 # The header is written synchronously even under group
                 # commit: it carries no cell outcome, and a journal file
                 # should identify its format from byte one.
-                self._write_lines(
-                    [
-                        json.dumps(
-                            {"kind": "header", "format": JOURNAL_FORMAT_VERSION},
-                            separators=(",", ":"),
-                        )
-                        + "\n"
-                    ]
-                )
+                header = {"kind": "header", "format": JOURNAL_FORMAT_VERSION}
+                self._write_lines([seal(header) + "\n"])
         return self._handle
 
     def _write_lines(self, lines: list[str]) -> None:
@@ -275,7 +262,7 @@ class RunJournal:
         """
         # Built by hand rather than dataclasses.asdict(): asdict deep-
         # copies the embedded value payload, which on trivial-cell grids
-        # costs more than the serialization itself. json.dumps never
+        # costs more than the serialization itself. Sealing never
         # mutates, so sharing the reference is safe.
         fields = {
             "kind": "cell",
@@ -290,14 +277,7 @@ class RunJournal:
             "error": entry.error,
             "profile": entry.profile,
         }
-        # Serialize once: the checksum is over the canonical (sorted)
-        # JSON of the fields, and the digest is spliced into that same
-        # string to form the line. load() is key-order independent — it
-        # pops sha256 and re-canonicalizes — so sorted lines verify
-        # exactly like the old insertion-ordered ones.
-        canonical = json.dumps(fields, sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-        line = canonical[:-1] + ',"sha256":"' + digest + '"}\n'
+        line = seal(fields) + "\n"
         with self._lock:
             self._open()
             self._seq += 1
@@ -325,25 +305,22 @@ class RunJournal:
         """Read the journal back: newest valid entry per cell key.
 
         Tolerates a missing file (empty campaign), a torn final line
-        (crash mid-append), and checksum mismatches; damaged lines are
-        counted in :attr:`corrupt_lines`, never raised.
+        (crash mid-append), and lines that fail their seal or the format
+        check; damaged lines are counted in :attr:`corrupt_lines`, never
+        raised.
         """
         self.corrupt_lines = 0
         entries: dict[str, JournalEntry] = {}
         try:
-            handle = open(self.path, "r", encoding="utf-8")
+            handle = open(self.path, "rb")
         except OSError:
             return {}
         with handle:
             for line in handle:
                 if not line.strip():
                     continue
-                try:
-                    fields = json.loads(line)
-                except ValueError:
-                    self.corrupt_lines += 1
-                    continue
-                if not isinstance(fields, dict):
+                fields = unseal(line)
+                if fields is None:
                     self.corrupt_lines += 1
                     continue
                 if fields.get("kind") == "header":
@@ -352,10 +329,6 @@ class RunJournal:
                     fields.get("kind") != "cell"
                     or fields.get("format") != JOURNAL_FORMAT_VERSION
                 ):
-                    self.corrupt_lines += 1
-                    continue
-                claimed = fields.pop("sha256", None)
-                if claimed != _checksum(fields):
                     self.corrupt_lines += 1
                     continue
                 try:

@@ -163,7 +163,7 @@ def render_telemetry(telemetry: EngineTelemetry) -> str:
     if snap["quarantined"]:
         lines.append(
             f"  quarantined:  {snap['quarantined']} corrupt cache "
-            "entries renamed *.corrupt"
+            "entries moved to packs/*.corrupt"
         )
     if (
         snap["worker_crashes"]

@@ -46,8 +46,9 @@ the offending value and the accepted forms.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.errors import ConfigurationError
 
@@ -207,3 +208,18 @@ def engine_from_env(
         timeout=timeout,
         heartbeat=heartbeat,
     )
+
+
+@contextmanager
+def environ_restored(*names: str) -> Iterator[None]:
+    """Put the variables ``names`` back as they were on every exit, so
+    what a run hands its workers does not outlive the run."""
+    saved = {name: os.environ.get(name) for name in names}
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value

@@ -18,17 +18,18 @@ This module is the content-addressed store for those artifacts:
   :class:`~repro.harness.exec.ExecutionEngine` workers attach
   **zero-copy** whether they were forked or spawned.
 
-* **Rmax tables** — a checksummed JSON artifact per channel-model key
+* **Rmax tables** — a sealed JSON artifact per channel-model key
   (``<store-dir>/rmax/``), consumed by the keyed memoizer in
   :mod:`repro.schemes.untangle` so a warm campaign performs zero
   Dinkelbach solves. (The process-level memoizer itself lives with
   the scheme; this module only persists/loads the solved entries.)
 
 Both stores are **bit-identical** to the regenerate path: arrays are
-stored raw (dtype + bytes, checksummed) and the Rmax entries round-trip
-through JSON, which is exact for Python floats. Corrupt artifacts are
-quarantined with the result cache's ``*.corrupt`` convention and
-recomputed.
+stored raw (dtype + bytes, checksummed in the trace's sealed
+``meta.json``) and the Rmax entries round-trip through JSON, which is
+exact for Python floats. Artifacts that fail their seal or a check are
+quarantined (:func:`repro.harness.integrity.quarantine`, renamed
+``*.corrupt``) and recomputed.
 
 The *active* store is process-global (:func:`get_active_store`): the
 execution engine makes its own store — or none — the active one for
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import os
 import shutil
 import tempfile
@@ -51,6 +51,9 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
+from repro.harness.integrity import digest as store_digest
+from repro.harness.integrity import quarantine, seal, unseal, write_atomic
+from repro.harness.settings import environ_restored
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -66,8 +69,9 @@ PRECOMPUTE_ENV = "REPRO_PRECOMPUTE"
 STORE_DIR_ENV = "REPRO_STORE_DIR"
 
 #: Bump when the trace layout changes incompatibly; old entries are then
-#: quarantined instead of misread.
-STORE_FORMAT_VERSION = 1
+#: quarantined instead of misread. (2: sealed ``meta.json`` and R_max
+#: artifacts.)
+STORE_FORMAT_VERSION = 2
 
 _REG = obs_metrics.get_registry()
 _M_STORE = {
@@ -85,15 +89,6 @@ _M_BYTES = _REG.counter(
     "Bytes served zero-copy from the trace store",
     kind="trace",
 )
-
-
-def _canonical(token: dict[str, Any]) -> str:
-    return json.dumps(token, sort_keys=True, separators=(",", ":"))
-
-
-def store_digest(token: dict[str, Any]) -> str:
-    """Deterministic content hash identifying one precomputed artifact."""
-    return hashlib.sha256(_canonical(token).encode("utf-8")).hexdigest()
 
 
 def _array_checksum(array: np.ndarray) -> str:
@@ -168,10 +163,10 @@ class PrecomputeStore:
     """Content-addressed store of precomputed campaign artifacts.
 
     ``directory`` is the store root. A trace entry is
-    ``traces/<digest[:2]>/<digest>/`` holding ``meta.json`` (array
-    names, dtypes, shapes, checksums, and the full key token for on-disk
-    debuggability) plus one ``<name>.npy`` per array, attached via
-    ``mmap``; Rmax artifacts are checksummed JSON files under ``rmax/``.
+    ``traces/<digest[:2]>/<digest>/`` holding a sealed ``meta.json``
+    (array names, dtypes, shapes, checksums, and the full key token for
+    on-disk debuggability) plus one ``<name>.npy`` per array, attached
+    via ``mmap``; Rmax artifacts are sealed JSON files under ``rmax/``.
     Entries are written atomically (temp file or directory +
     ``os.replace``) so concurrent campaigns can share one store
     directory safely.
@@ -225,32 +220,20 @@ class PrecomputeStore:
     def _trace_entry(self, digest: str) -> Path:
         return self.directory / "traces" / digest[:2] / digest
 
-    def _quarantine_trace(self, entry: Path) -> None:
-        _M_STORE[("trace", "quarantined")].inc()
-        obs_trace.event("store.quarantine", kind="trace", path=str(entry))
-        target = entry.with_name(entry.name + ".corrupt")
-        try:
-            if target.exists():
-                shutil.rmtree(target, ignore_errors=True)
-            os.replace(entry, target)
-        except OSError:
-            shutil.rmtree(entry, ignore_errors=True)
+    def _quarantine(self, kind: str, path: Path) -> None:
+        """Book one damaged ``kind`` artifact and move it aside."""
+        _M_STORE[(kind, "quarantined")].inc()
+        obs_trace.event("store.quarantine", kind=kind, path=str(path))
+        quarantine(path)
 
     def _load_trace(self, digest: str) -> dict[str, np.ndarray] | None:
         entry = self._trace_entry(digest)
         try:
-            meta = json.loads((entry / "meta.json").read_text())
+            meta = unseal((entry / "meta.json").read_bytes())
         except OSError:
             return None  # genuinely absent — a plain miss
-        except ValueError:
-            self._quarantine_trace(entry)
-            return None
-        if (
-            not isinstance(meta, dict)
-            or meta.get("format") != STORE_FORMAT_VERSION
-            or not isinstance(meta.get("arrays"), dict)
-        ):
-            self._quarantine_trace(entry)
+        if meta is None or meta.get("format") != STORE_FORMAT_VERSION:
+            self._quarantine("trace", entry)
             return None
         import numpy as np
 
@@ -259,14 +242,14 @@ class PrecomputeStore:
             try:
                 array = np.load(entry / f"{name}.npy", mmap_mode="r")
             except (OSError, ValueError):
-                self._quarantine_trace(entry)
+                self._quarantine("trace", entry)
                 return None
             if (
                 str(array.dtype) != spec.get("dtype")
                 or list(array.shape) != spec.get("shape")
                 or _array_checksum(array) != spec.get("sha256")
             ):
-                self._quarantine_trace(entry)
+                self._quarantine("trace", entry)
                 return None
             arrays[name] = array
         return arrays
@@ -291,7 +274,7 @@ class PrecomputeStore:
                     "shape": list(array.shape),
                     "sha256": _array_checksum(array),
                 }
-            (tmp / "meta.json").write_text(json.dumps(meta, sort_keys=True))
+            (tmp / "meta.json").write_text(seal(meta))
             try:
                 os.replace(tmp, entry)
             except OSError:
@@ -310,18 +293,6 @@ class PrecomputeStore:
     def _rmax_path(self, digest: str) -> Path:
         return self.directory / "rmax" / f"{digest}.json"
 
-    @staticmethod
-    def _entries_checksum(entries: list[dict[str, Any]]) -> str:
-        return hashlib.sha256(_canonical({"entries": entries}).encode()).hexdigest()
-
-    def _quarantine_rmax(self, path: Path) -> None:
-        _M_STORE[("rmax", "quarantined")].inc()
-        obs_trace.event("store.quarantine", kind="rmax", path=str(path))
-        try:
-            os.replace(path, path.with_name(path.name + ".corrupt"))
-        except OSError:
-            pass
-
     def rmax_entries(self, token: dict[str, Any]) -> list[dict[str, Any]] | None:
         """Solved entries for ``token``, or ``None`` if not stored.
 
@@ -336,20 +307,15 @@ class PrecomputeStore:
             return cached
         path = self._rmax_path(digest)
         try:
-            payload = json.loads(path.read_text())
+            payload = unseal(path.read_bytes())
         except OSError:
             return None
-        except ValueError:
-            self._quarantine_rmax(path)
-            return None
         if (
-            not isinstance(payload, dict)
+            payload is None
             or payload.get("format") != STORE_FORMAT_VERSION
             or payload.get("token") != token
-            or not isinstance(payload.get("entries"), list)
-            or payload.get("sha256") != self._entries_checksum(payload["entries"])
         ):
-            self._quarantine_rmax(path)
+            self._quarantine("rmax", path)
             return None
         _M_STORE[("rmax", "hit")].inc()
         self._rmax_cache[digest] = payload["entries"]
@@ -364,22 +330,13 @@ class PrecomputeStore:
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "format": STORE_FORMAT_VERSION,
-            "sha256": self._entries_checksum(entries),
             "token": token,
             "entries": entries,
         }
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{digest[:8]}-", suffix=".tmp"
-        )
         try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp, path)
+            write_atomic(path, seal(payload))
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            pass
 
     def count_rmax_miss(self) -> None:
         """Book one Rmax store miss (called by the solving memoizer)."""
@@ -507,20 +464,17 @@ def store_scope(store: PrecomputeStore | None) -> Iterator[None]:
     leaks into a later run or a direct ``cached_build_workload`` call.
     """
     global _ACTIVE, _ACTIVE_SET
-    saved = (_ACTIVE, _ACTIVE_SET, os.environ.get(STORE_DIR_ENV))
-    set_active_store(store)
-    if store is None:
-        os.environ.pop(STORE_DIR_ENV, None)
-    else:
-        os.environ[STORE_DIR_ENV] = str(store.directory.resolve())
-    try:
-        yield
-    finally:
-        _ACTIVE, _ACTIVE_SET, previous = saved
-        if previous is None:
+    saved = (_ACTIVE, _ACTIVE_SET)
+    with environ_restored(STORE_DIR_ENV):
+        set_active_store(store)
+        if store is None:
             os.environ.pop(STORE_DIR_ENV, None)
         else:
-            os.environ[STORE_DIR_ENV] = previous
+            os.environ[STORE_DIR_ENV] = str(store.directory.resolve())
+        try:
+            yield
+        finally:
+            _ACTIVE, _ACTIVE_SET = saved
 
 
 def detach_store() -> None:

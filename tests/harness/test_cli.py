@@ -379,6 +379,47 @@ class TestEnvironmentAfterMain:
         assert dict(os.environ) == before
         assert "Mix 1" in capsys.readouterr().out
 
+    def _profiled_traced(self, tmp_path, *command):
+        return [
+            "--profile", "test", "--cache-dir", str(tmp_path / "cache"),
+            "--cprofile", "untangle", "--trace", str(tmp_path / "t.jsonl"),
+            *command,
+        ]
+
+    def test_cprofile_and_trace_end_with_the_call(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        _clean_environment(monkeypatch)
+        before = dict(os.environ)
+        argv = self._profiled_traced(tmp_path, "rmax", "--capacity", "1")
+        assert main(argv) == 0
+        assert dict(os.environ) == before
+        assert "R_max table" in capsys.readouterr().out
+
+    def test_cprofile_and_trace_end_with_a_failed_call(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        _clean_environment(monkeypatch)
+        monkeypatch.setenv("REPRO_RETRIES", "many")
+        before = dict(os.environ)
+        assert main(self._profiled_traced(tmp_path, "rmax")) == 2
+        assert dict(os.environ) == before
+        assert "REPRO_RETRIES" in capsys.readouterr().err
+
+    def test_cprofile_and_trace_end_with_an_interrupted_call(
+        self, monkeypatch, tmp_path
+    ):
+        _clean_environment(monkeypatch)
+        before = dict(os.environ)
+
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("repro.__main__.build_engine", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(self._profiled_traced(tmp_path, "rmax"))
+        assert dict(os.environ) == before
+
 
 class TestSchemesFlag:
     def test_parser_accepts_registered_names(self):

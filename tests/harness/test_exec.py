@@ -12,6 +12,7 @@ The two guarantees the benchmark harness depends on:
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import os
 import re
@@ -19,7 +20,9 @@ import time
 
 import pytest
 
+from repro.__main__ import main
 from repro.errors import ConfigurationError
+from repro.harness import exec as exec_module
 from repro.harness.exec import (
     CACHE_FORMAT_VERSION,
     ExecutionEngine,
@@ -31,6 +34,7 @@ from repro.harness.exec import (
     engine_from_env,
 )
 from repro.harness.experiment import run_mix, run_mix_grid, run_mix_scheme
+from repro.harness.integrity import seal
 from repro.harness.journal import RunJournal
 from repro.harness.runconfig import TEST
 from repro.harness.sensitivity import run_sensitivity_study
@@ -99,14 +103,13 @@ class TestResultCache:
         assert fresh.quarantined == 1
 
     def test_format_mismatch_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        # A correctly sealed line of another layout version: only the
+        # version check can reject it.
         key = "01" * 32
-        cache.put(key, {"value": 1})
-        cache.release_handles()
         pack = tmp_path / "packs" / f"{key[:1]}.pack"
-        pack.write_bytes(
-            pack.read_bytes().replace(b'"format":3', b'"format":-1')
-        )
+        pack.parent.mkdir()
+        record = {"format": CACHE_FORMAT_VERSION - 1, "key": key, "value": 1}
+        pack.write_text(seal(record) + "\n")
         fresh = ResultCache(tmp_path)
         assert fresh.get(key) is None
         assert fresh.quarantined == 1
@@ -612,3 +615,45 @@ class TestControlPlaneWorkCounts:
         assert (cache.hits, cache.misses) == (cells, 0)
         assert sorted((tmp_path / "cache" / "packs").glob("*.pack")) == packs
         assert [path.stat().st_size for path in packs] == sizes
+
+    def test_warm_table6_reads_each_hit_once(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # One pread per hit, plus the tail check _fd makes on each pack
+        # it opens; no rescan, compaction or quarantine.
+        for name in list(os.environ):
+            if name.startswith("REPRO_"):
+                monkeypatch.delenv(name)
+        argv = ["--profile", "test", "--cache-dir", str(tmp_path), "table6"]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        packs = sorted((tmp_path / "packs").glob("*.pack"))
+        entries = sum(len(p.read_bytes().splitlines()) for p in packs)
+        preads, pack_opens = [], []
+        real_pread, real_open = os.pread, os.open
+
+        def counting_pread(fd, length, offset):
+            preads.append(length)
+            return real_pread(fd, length, offset)
+
+        def counting_open(path, *args, **kwargs):
+            if str(path).endswith(".pack"):
+                pack_opens.append(path)
+            return real_open(path, *args, **kwargs)
+
+        def no_pack_scan(path, *args, **kwargs):
+            assert not str(path).endswith(".pack"), "pack rescanned"
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "pread", counting_pread)
+        monkeypatch.setattr(os, "open", counting_open)
+        monkeypatch.setattr(exec_module, "open", no_pack_scan, raising=False)
+        trace = tmp_path / "warm.jsonl"
+        assert main([*argv[:4], "--trace", str(trace), "table6"]) == 0
+        assert capsys.readouterr().out == cold
+        names = [json.loads(line)["name"] for line in trace.open()]
+        assert names.count("cell.hit") == entries == 12
+        assert len(pack_opens) == len(packs)
+        assert len(preads) == entries + len(packs)
+        assert "cache.compact" not in names
+        assert "cache.quarantine" not in names

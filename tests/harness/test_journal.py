@@ -15,6 +15,7 @@ import pytest
 
 from repro.harness.exec import ExecutionEngine, ResultCache, cell_key
 from repro.harness.experiment import run_mix_scheme
+from repro.harness.integrity import seal, unseal
 from repro.harness.journal import (
     JOURNAL_FORMAT_VERSION,
     JournalEntry,
@@ -87,15 +88,19 @@ class TestRunJournal:
         assert fresh.corrupt_lines == 1
 
     def test_format_version_mismatch_skipped(self, tmp_path):
+        # Correctly sealed lines of another layout version: only the
+        # version check can reject them.
         path = tmp_path / "j.jsonl"
         journal = RunJournal(path)
         journal.record(entry("k1"))
         journal.close()
-        text = path.read_text().replace(
-            f'"format":{JOURNAL_FORMAT_VERSION}', '"format":-1'
-        )
-        path.write_text(text)
-        assert RunJournal(path).load() == {}
+        lines = [unseal(line) for line in path.read_text().splitlines()]
+        for fields in lines:
+            fields["format"] = JOURNAL_FORMAT_VERSION - 1
+        path.write_text("".join(seal(fields) + "\n" for fields in lines))
+        fresh = RunJournal(path)
+        assert fresh.load() == {}
+        assert fresh.corrupt_lines == 1  # the cell line; headers are skipped
 
     def test_appends_are_one_json_line_each(self, tmp_path):
         path = tmp_path / "j.jsonl"
